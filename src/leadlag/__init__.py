@@ -8,7 +8,6 @@ from .dtw import (
     dtw_align,
     lead_times_from_path,
     local_distance,
-    normalized_distance,
 )
 from .errors import LeadLagError
 from .geo import GeoMapping, apply_mapping, build_mapping, weighted_population
@@ -18,7 +17,6 @@ from .ingest import (
     apply_groupings,
     read_admissions,
     read_groupings,
-    read_indicator,
     read_indicator_dir,
     read_indicator_file,
     read_mapping,
@@ -26,31 +24,12 @@ from .ingest import (
 )
 from .reports import emit_reports, summarize
 from .synth import IndicatorSpec, SynthSpec, derive_indicator, generate_admissions, ground_truth
-from .timeseries import (
-    Panel,
-    TimeSeries,
-    locf_impute,
-    loess_smooth,
-    minmax_scale,
-    shift_series,
-    slice_window,
-    zscore_scale,
-)
-from .xcorr import (
-    CcfProfile,
-    CcfResult,
-    ccf_at_delay,
-    ccf_at_horizon,
-    ccf_profile,
-    ccf_result,
-    optimal_lead,
-)
+from .timeseries import Panel, locf_impute, loess_smooth, minmax_scale, zscore_scale
+from .xcorr import ccf_at_leads, optimal_lead
 
 __all__ = [
     "Alignment",
     "AlignmentQuery",
-    "CcfProfile",
-    "CcfResult",
     "GeoMapping",
     "GrangerResult",
     "IndicatorSpec",
@@ -61,16 +40,12 @@ __all__ = [
     "ReportRow",
     "RunConfig",
     "SynthSpec",
-    "TimeSeries",
     "WaveSpec",
     "apply_groupings",
     "apply_mapping",
     "brute_force_dtw",
     "build_mapping",
-    "ccf_at_delay",
-    "ccf_at_horizon",
-    "ccf_profile",
-    "ccf_result",
+    "ccf_at_leads",
     "derive_indicator",
     "dtw_align",
     "effective_lead",
@@ -87,19 +62,15 @@ __all__ = [
     "locf_impute",
     "loess_smooth",
     "minmax_scale",
-    "normalized_distance",
     "ols_fit",
     "optimal_lead",
     "read_admissions",
     "read_groupings",
-    "read_indicator",
     "read_indicator_dir",
     "read_indicator_file",
     "read_mapping",
     "read_population",
     "run_analysis",
-    "shift_series",
-    "slice_window",
     "summarize",
     "weighted_population",
     "zscore_scale",

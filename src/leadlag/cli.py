@@ -73,13 +73,9 @@ def _run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
 
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    unknown = set(methods) - set(METHODS)
-    if unknown:
-        raise ConfigError(f"unknown methods: {', '.join(sorted(unknown))}")
-
     admissions = read_admissions(args.admissions)
     logger.info("admissions: %d trusts, %s to %s",
-                len(admissions.geo_ids("admissions")),
+                len(admissions.geo_ids),
                 admissions.start_date, admissions.end_date)
 
     indicators = read_indicator_dir(args.indicators, level=args.indicator_level)

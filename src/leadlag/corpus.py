@@ -13,7 +13,7 @@ from pathlib import Path
 import yaml
 
 from .errors import LeadLagError
-from .synth import IndicatorSpec, SynthSpec, derive_indicator, generate_admissions
+from .synth import IndicatorSpec, SynthSpec, generate_admissions, generate_indicators
 
 _LEAD_CYCLE = (5, 10, 14, 20, 7, 12)
 _LATENCY_CYCLE = (
@@ -78,22 +78,17 @@ def write_corpus(out_dir: str | Path, n_trusts: int = 121, n_days: int = 333,
     paths: dict[str, Path] = {}
 
     lines = ["trust_id,date,admissions"]
-    for trust in trusts:
-        values = admissions.get(trust, "admissions").values
+    for trust, values in zip(trusts, admissions.values):
         lines.extend(
             f"{trust},{date_text[i]},{int(round(values[i]))}" for i in range(n_days)
         )
     paths["admissions"] = out / "admissions.csv"
     paths["admissions"].write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    for k, (name, ind) in enumerate(spec.indicators):
-        panel = derive_indicator(admissions, ind.lead, ind.noise_sd, ind.decay_rate,
-                                 seed=spec.seed + 1000 * (k + 1), name=name)
+    for name, panel in generate_indicators(spec, admissions).items():
         offset = (panel.start_date - start).days
         lines = ["geo_id,date,variable,value"]
-        for i, trust in enumerate(trusts):
-            values = panel.get(trust, name).values
-            ltla = ltlas[i]
+        for ltla, values in zip(ltlas, panel.values):
             lines.extend(
                 f"{ltla},{date_text[offset + t]},{name},{values[t]:.6g}"
                 for t in range(values.size)

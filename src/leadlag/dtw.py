@@ -59,7 +59,6 @@ class AlignmentQuery:
     window: int = 35
     open_begin: bool = True
     open_end: bool = True
-    step_pattern: str = "asymmetric_p2"
 
     def __post_init__(self) -> None:
         q = np.asarray(self.query, dtype=float)
@@ -74,8 +73,6 @@ class AlignmentQuery:
             raise LeadLagError("NaN in alignment input")
         if self.window < 1:
             raise LeadLagError(f"window must be >= 1, got {self.window}")
-        if self.step_pattern != "asymmetric_p2":
-            raise LeadLagError(f"unsupported step pattern {self.step_pattern!r}")
         object.__setattr__(self, "query", q)
         object.__setattr__(self, "reference", r)
 
@@ -271,8 +268,3 @@ def lead_times_from_path(a: Alignment) -> list[tuple[int, float]]:
         (i, float(np.median(js)) - i)
         for i, js in sorted(matched.items())
     ]
-
-
-def normalized_distance(a: Alignment) -> float:
-    """Accumulated cost divided by query length (comparable across lengths)."""
-    return a.cost / a.n_query

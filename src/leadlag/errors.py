@@ -21,10 +21,6 @@ class CollinearDesignError(LeadLagError):
     """Regression design matrix is rank deficient."""
 
 
-class ZeroVarianceError(LeadLagError):
-    """A series is constant where variation is required."""
-
-
 class NoAdmissiblePathError(LeadLagError):
     """No warping path satisfies the band and step constraints."""
 

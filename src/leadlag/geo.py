@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MappingError
-from .timeseries import Panel, TimeSeries
+from .timeseries import Panel
 
 logger = logging.getLogger(__name__)
 
@@ -36,9 +36,6 @@ class GeoMapping:
             raise MappingError("weights must lie in [0, 1]")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
-
-    def row(self, ltla_id: str) -> np.ndarray:
-        return self.weights[self.ltla_ids.index(ltla_id)]
 
 
 def build_mapping(records: list[tuple[str, str, float]]) -> GeoMapping:
@@ -74,10 +71,9 @@ def build_mapping(records: list[tuple[str, str, float]]) -> GeoMapping:
     return GeoMapping(ltla_ids, trust_ids, mat, zero_ltlas)
 
 
-def missing_ltlas(panel: Panel, mapping: GeoMapping, variable: str) -> list[str]:
+def missing_ltlas(panel: Panel, mapping: GeoMapping) -> list[str]:
     """Mapping LTLAs that the panel has no series for (they contribute zero)."""
-    present = set(panel.geo_ids(variable))
-    return sorted(set(mapping.ltla_ids) - present)
+    return sorted(set(mapping.ltla_ids) - set(panel.geo_ids))
 
 
 def apply_mapping(panel: Panel, mapping: GeoMapping) -> Panel:
@@ -88,26 +84,17 @@ def apply_mapping(panel: Panel, mapping: GeoMapping) -> Panel:
     """
     if panel.level != "ltla":
         raise MappingError(f"apply_mapping expects an LTLA panel, got {panel.level!r}")
-    known = set(mapping.ltla_ids)
-    offenders = sorted(set(panel.geo_ids()) - known)
+    offenders = sorted(set(panel.geo_ids) - set(mapping.ltla_ids))
     if offenders:
         raise MappingError(f"panel geo ids unknown to mapping: {', '.join(offenders)}")
-
+    absent = missing_ltlas(panel, mapping)
+    if absent:
+        logger.warning("variable %s missing %d mapping LTLA(s): %s",
+                       panel.variable, len(absent), ", ".join(absent))
     l_index = {l: i for i, l in enumerate(mapping.ltla_ids)}
-    out: dict[tuple[str, str], TimeSeries] = {}
-    start = panel.start_date
-    for var in panel.variables:
-        geos = panel.geo_ids(var)
-        absent = missing_ltlas(panel, mapping, var)
-        if absent:
-            logger.warning("variable %s missing %d mapping LTLA(s): %s",
-                           var, len(absent), ", ".join(absent))
-        values = np.stack([panel.get(g, var).values for g in geos])
-        w = mapping.weights[[l_index[g] for g in geos], :]
-        trust_values = w.T @ values  # (n_trust, n_days)
-        for j, trust in enumerate(mapping.trust_ids):
-            out[(trust, var)] = TimeSeries(start, trust_values[j])
-    return Panel("trust", out)
+    w = mapping.weights[[l_index[g] for g in panel.geo_ids], :]
+    return Panel("trust", panel.variable, panel.start_date, mapping.trust_ids,
+                 w.T @ panel.values)
 
 
 def weighted_population(mapping: GeoMapping, populations: dict[str, float]) -> dict[str, float]:

@@ -17,7 +17,6 @@ import numpy as np
 from scipy.special import betainc
 
 from .errors import CollinearDesignError, InsufficientDataError, LeadLagError
-from .timeseries import TimeSeries, shift_series
 
 
 @dataclass(frozen=True)
@@ -38,9 +37,6 @@ class GrangerResult:
     df_den: int
     max_lag: int
     horizon: int
-    trust_id: str = ""
-    indicator: str = ""
-    wave: str = ""
 
 
 def ols_fit(response: np.ndarray, regressors: list[np.ndarray]) -> OlsFit:
@@ -106,34 +102,32 @@ def _lag_matrix(v: np.ndarray, m: int, n_rows: int) -> list[np.ndarray]:
 
 
 def granger_test(
-    x: TimeSeries,
-    y: TimeSeries,
+    x: np.ndarray,
+    y: np.ndarray,
     max_lag: int = 3,
     horizon: int = 0,
 ) -> GrangerResult:
     """Test whether lags 1..max_lag of ``x`` help predict ``y`` at ``horizon``.
 
-    The restricted model regresses the (shifted) response on its own lags
-    plus an intercept; the unrestricted model adds the indicator lags. The
-    null hypothesis is that all indicator-lag coefficients are zero.
+    ``x`` and ``y`` are complete daily series over the same days. The
+    restricted model regresses the (shifted) response on its own lags plus
+    an intercept; the unrestricted model adds the indicator lags. The null
+    hypothesis is that all indicator-lag coefficients are zero.
     """
     if max_lag < 1:
         raise LeadLagError(f"max_lag must be >= 1, got {max_lag}")
     if horizon < 0:
         raise LeadLagError(f"horizon must be >= 0, got {horizon}")
-    if x.start_date != y.start_date or x.n != y.n:
-        raise LeadLagError("x and y must be aligned (same start date and length)")
-    if not (x.is_complete and y.is_complete):
+    xv = np.asarray(x, dtype=float)
+    yv = np.asarray(y, dtype=float)
+    if xv.ndim != 1 or xv.shape != yv.shape:
+        raise LeadLagError("x and y must be aligned (same length)")
+    if np.isnan(xv).any() or np.isnan(yv).any():
         raise LeadLagError("granger_test requires complete series")
-
-    if horizon:
-        if horizon >= y.n:
-            raise InsufficientDataError("insufficient observations")
-        z = shift_series(y, horizon).values[: y.n - horizon]
-        xv = x.values[: y.n - horizon]
-    else:
-        z = y.values
-        xv = x.values
+    if horizon >= yv.size:
+        raise InsufficientDataError("insufficient observations")
+    z = yv[horizon:]
+    xv = xv[: yv.size - horizon]
 
     m = max_lag
     n_rows = z.size - m

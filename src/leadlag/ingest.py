@@ -1,15 +1,16 @@
 """File-based ingestion of admissions, indicator, mapping and population CSVs.
 
-All readers are strict about schema (header row mandatory, ISO-8601 dates)
-and report the offending line number on malformed input. Panels come out
-rectangular over each variable's observed date range, with gaps imputed by
-last observation carried forward.
+All readers are strict about schema (header row mandatory, ISO-8601 dates,
+finite numbers) and report the offending line number on malformed input.
+Panels come out rectangular over each variable's observed date range, with
+gaps imputed by last observation carried forward.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import math
 from datetime import date
 from pathlib import Path
 
@@ -17,26 +18,39 @@ import numpy as np
 
 from .errors import SchemaError
 from .geo import GeoMapping, build_mapping
-from .timeseries import Panel, TimeSeries, locf_impute
+from .timeseries import Panel, locf_impute
 
 logger = logging.getLogger(__name__)
 
 
-def _open_rows(path: str | Path, expected_header: list[str]):
-    path = Path(path)
+def _records(path: str | Path, header: list[str]):
+    """Yield (line number, fields) for each non-empty data row of a CSV.
+
+    The header must match exactly, every row must have one field per header
+    column, and a file without data rows is rejected.
+    """
+    spath = str(path)
     try:
-        handle = path.open(newline="", encoding="utf-8")
+        handle = Path(path).open(newline="", encoding="utf-8")
     except OSError as exc:
-        raise SchemaError(f"cannot open file: {exc}", path=str(path)) from exc
-    reader = csv.reader(handle)
-    header = next(reader, None)
-    if header != expected_header:
-        handle.close()
-        raise SchemaError(
-            f"expected header {','.join(expected_header)!r}, got {header!r}",
-            path=str(path), line=1,
-        )
-    return handle, reader
+        raise SchemaError(f"cannot open file: {exc}", path=spath) from exc
+    with handle:
+        reader = csv.reader(handle)
+        found = next(reader, None)
+        if found != header:
+            raise SchemaError(f"expected header {','.join(header)!r}, got {found!r}",
+                              path=spath, line=1)
+        empty = True
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise SchemaError(f"expected {len(header)} fields, got {len(row)}",
+                                  spath, lineno)
+            empty = False
+            yield lineno, row
+    if empty:
+        raise SchemaError("no data rows", spath)
 
 
 def _parse_date(text: str, path: str, line: int) -> date:
@@ -46,91 +60,62 @@ def _parse_date(text: str, path: str, line: int) -> date:
         raise SchemaError(f"invalid ISO date {text!r}", path=path, line=line) from None
 
 
-def _build_series(
-    per_geo: dict[str, dict[date, float]], variable: str
-) -> dict[tuple[str, str], TimeSeries]:
+def _parse_number(text: str, what: str, path: str, line: int) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise SchemaError(f"{what} {text!r} is not numeric", path, line) from None
+    if not math.isfinite(value):
+        raise SchemaError(f"{what} {text!r} is not a finite number", path, line)
+    return value
+
+
+def _build_panel(per_geo: dict[str, dict[date, float]], level: str, variable: str) -> Panel:
     start = min(min(obs) for obs in per_geo.values())
     end = max(max(obs) for obs in per_geo.values())
-    n = (end - start).days + 1
-    out = {}
-    for geo, obs in per_geo.items():
-        values = np.full(n, np.nan)
-        for d, v in obs.items():
-            values[(d - start).days] = v
-        out[(geo, variable)] = locf_impute(TimeSeries(start, values))
-    return out
+    geo_ids = sorted(per_geo)
+    values = np.full((len(geo_ids), (end - start).days + 1), np.nan)
+    for row, geo in zip(values, geo_ids):
+        obs = per_geo[geo]
+        row[[(d - start).days for d in obs]] = list(obs.values())
+    return Panel(level, variable, start, tuple(geo_ids), locf_impute(values))
 
 
 def read_admissions(path: str | Path) -> Panel:
     """Trust-level admissions panel from ``trust_id,date,admissions`` rows."""
-    handle, reader = _open_rows(path, ["trust_id", "date", "admissions"])
-    per_trust: dict[str, dict[date, float]] = {}
     spath = str(path)
-    with handle:
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise SchemaError(f"expected 3 fields, got {len(row)}", spath, lineno)
-            trust, d_text, count_text = row
-            d = _parse_date(d_text, spath, lineno)
-            try:
-                count = int(count_text)
-            except ValueError:
-                raise SchemaError(f"admissions {count_text!r} is not an integer",
-                                  spath, lineno) from None
-            if count < 0:
-                raise SchemaError(f"negative admissions {count}", spath, lineno)
-            obs = per_trust.setdefault(trust, {})
-            if d in obs:
-                raise SchemaError(f"duplicate record for ({trust}, {d})", spath, lineno)
-            obs[d] = float(count)
-    if not per_trust:
-        raise SchemaError("no data rows", spath)
-    return Panel("trust", _build_series(per_trust, "admissions"))
+    per_trust: dict[str, dict[date, float]] = {}
+    for lineno, (trust, d_text, count_text) in _records(path, ["trust_id", "date",
+                                                              "admissions"]):
+        d = _parse_date(d_text, spath, lineno)
+        try:
+            count = int(count_text)
+        except ValueError:
+            raise SchemaError(f"admissions {count_text!r} is not an integer",
+                              spath, lineno) from None
+        if count < 0:
+            raise SchemaError(f"negative admissions {count}", spath, lineno)
+        obs = per_trust.setdefault(trust, {})
+        if d in obs:
+            raise SchemaError(f"duplicate record for ({trust}, {d})", spath, lineno)
+        obs[d] = float(count)
+    return _build_panel(per_trust, "trust", "admissions")
 
 
 def read_indicator_file(path: str | Path, level: str = "ltla") -> dict[str, Panel]:
     """Panels per variable from ``geo_id,date,variable,value`` rows."""
-    handle, reader = _open_rows(path, ["geo_id", "date", "variable", "value"])
-    per_var: dict[str, dict[str, dict[date, float]]] = {}
     spath = str(path)
-    with handle:
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise SchemaError(f"expected 4 fields, got {len(row)}", spath, lineno)
-            geo, d_text, variable, value_text = row
-            d = _parse_date(d_text, spath, lineno)
-            try:
-                value = float(value_text)
-            except ValueError:
-                raise SchemaError(f"value {value_text!r} is not numeric",
-                                  spath, lineno) from None
-            obs = per_var.setdefault(variable, {}).setdefault(geo, {})
-            if d in obs:
-                raise SchemaError(f"duplicate record for ({geo}, {d}, {variable})",
-                                  spath, lineno)
-            obs[d] = value
-    if not per_var:
-        raise SchemaError("no data rows", spath)
-    return {
-        var: Panel(level, _build_series(per_geo, var))
-        for var, per_geo in per_var.items()
-    }
-
-
-def read_indicator(path: str | Path, variable: str, level: str = "ltla") -> Panel:
-    """Panel for one named variable from an indicator CSV."""
-    panels = read_indicator_file(path, level=level)
-    try:
-        return panels[variable]
-    except KeyError:
-        raise SchemaError(
-            f"variable {variable!r} not present (found: {', '.join(sorted(panels))})",
-            path=str(path),
-        ) from None
+    per_var: dict[str, dict[str, dict[date, float]]] = {}
+    for lineno, (geo, d_text, variable, value_text) in _records(
+            path, ["geo_id", "date", "variable", "value"]):
+        d = _parse_date(d_text, spath, lineno)
+        value = _parse_number(value_text, "value", spath, lineno)
+        obs = per_var.setdefault(variable, {}).setdefault(geo, {})
+        if d in obs:
+            raise SchemaError(f"duplicate record for ({geo}, {d}, {variable})",
+                              spath, lineno)
+        obs[d] = value
+    return {var: _build_panel(per_geo, level, var) for var, per_geo in per_var.items()}
 
 
 def read_indicator_dir(directory: str | Path, level: str = "ltla") -> dict[str, Panel]:
@@ -151,75 +136,41 @@ def read_indicator_dir(directory: str | Path, level: str = "ltla") -> dict[str, 
 
 def read_mapping(path: str | Path) -> GeoMapping:
     """LTLA->Trust mapping from ``ltla_id,trust_id,admissions`` count rows."""
-    handle, reader = _open_rows(path, ["ltla_id", "trust_id", "admissions"])
-    records: list[tuple[str, str, float]] = []
     spath = str(path)
-    with handle:
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise SchemaError(f"expected 3 fields, got {len(row)}", spath, lineno)
-            ltla, trust, count_text = row
-            try:
-                count = float(count_text)
-            except ValueError:
-                raise SchemaError(f"count {count_text!r} is not numeric",
-                                  spath, lineno) from None
-            if count < 0:
-                raise SchemaError(f"negative count {count}", spath, lineno)
-            records.append((ltla, trust, count))
-    if not records:
-        raise SchemaError("no data rows", spath)
+    records: list[tuple[str, str, float]] = []
+    for lineno, (ltla, trust, count_text) in _records(path, ["ltla_id", "trust_id",
+                                                            "admissions"]):
+        count = _parse_number(count_text, "count", spath, lineno)
+        if count < 0:
+            raise SchemaError(f"negative count {count}", spath, lineno)
+        records.append((ltla, trust, count))
     return build_mapping(records)
 
 
 def read_population(path: str | Path) -> dict[str, float]:
     """LTLA residential populations from ``ltla_id,population`` rows."""
-    handle, reader = _open_rows(path, ["ltla_id", "population"])
     spath = str(path)
     populations: dict[str, float] = {}
-    with handle:
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise SchemaError(f"expected 2 fields, got {len(row)}", spath, lineno)
-            ltla, pop_text = row
-            try:
-                pop = float(pop_text)
-            except ValueError:
-                raise SchemaError(f"population {pop_text!r} is not numeric",
-                                  spath, lineno) from None
-            if pop < 0:
-                raise SchemaError(f"negative population {pop}", spath, lineno)
-            if ltla in populations:
-                raise SchemaError(f"duplicate LTLA {ltla}", spath, lineno)
-            populations[ltla] = pop
-    if not populations:
-        raise SchemaError("no data rows", spath)
+    for lineno, (ltla, pop_text) in _records(path, ["ltla_id", "population"]):
+        pop = _parse_number(pop_text, "population", spath, lineno)
+        if pop < 0:
+            raise SchemaError(f"negative population {pop}", spath, lineno)
+        if ltla in populations:
+            raise SchemaError(f"duplicate LTLA {ltla}", spath, lineno)
+        populations[ltla] = pop
     return populations
 
 
 def read_groupings(path: str | Path) -> dict[str, tuple[str, ...]]:
     """Variable grouping declarations from ``group,member_variable`` rows."""
-    handle, reader = _open_rows(path, ["group", "member_variable"])
     spath = str(path)
     groups: dict[str, list[str]] = {}
-    with handle:
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise SchemaError(f"expected 2 fields, got {len(row)}", spath, lineno)
-            group, member = row
-            members = groups.setdefault(group, [])
-            if member in members:
-                raise SchemaError(f"member {member!r} repeated in group {group!r}",
-                                  spath, lineno)
-            members.append(member)
-    if not groups:
-        raise SchemaError("no data rows", spath)
+    for lineno, (group, member) in _records(path, ["group", "member_variable"]):
+        members = groups.setdefault(group, [])
+        if member in members:
+            raise SchemaError(f"member {member!r} repeated in group {group!r}",
+                              spath, lineno)
+        members.append(member)
     return {g: tuple(m) for g, m in groups.items()}
 
 
@@ -237,28 +188,18 @@ def apply_groupings(
             logger.warning("grouping %s: no member variables present", group)
             continue
         first = out[present[0]]
-        geos = set(first.geo_ids())
-        start = first.start_date
-        end = first.end_date
         for m in present[1:]:
-            p = out[m]
-            if p.level != first.level or set(p.geo_ids()) != geos:
+            if out[m].level != first.level or out[m].geo_ids != first.geo_ids:
                 raise SchemaError(
                     f"grouping {group!r}: member {m!r} has a different geography")
-            start = max(start, p.start_date)
-            end = min(end, p.end_date)
+        start = max(out[m].start_date for m in present)
+        end = min(out[m].end_date for m in present)
         if start > end:
             raise SchemaError(f"grouping {group!r}: member date ranges do not overlap")
-        n = (end - start).days + 1
-        series = {}
-        for geo in sorted(geos):
-            total = np.zeros(n)
-            for m in present:
-                ts = out[m].get(geo, m)
-                offset = (start - ts.start_date).days
-                total += ts.values[offset : offset + n]
-            series[(geo, group)] = TimeSeries(start, total)
+        total = np.zeros((len(first.geo_ids), (end - start).days + 1))
+        for m in present:
+            total += out[m].values[:, out[m].day_slice(start, end)]
         for m in present:
             del out[m]
-        out[group] = Panel(first.level, series)
+        out[group] = Panel(first.level, group, start, first.geo_ids, total)
     return out

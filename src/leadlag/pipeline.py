@@ -1,28 +1,31 @@
 """Orchestration: trust filtering, preprocessing, and the method grid.
 
-``run_analysis`` walks every (wave, trust, indicator) cell, applying the
-shared preprocessing (LOCF at ingest, LOESS smoothing, per-trust scaling
-over the whole study period) and running Granger tests at horizon zero and
-at the configured horizon, the cross-correlation profile, and dynamic time
-warping. Cells that cannot be computed yield rows carrying flags and an
-error note rather than failing the run.
+``run_analysis`` fills every (wave, trust, indicator) cell. Each (trust x
+day) panel is preprocessed once (LOCF at ingest, LOESS smoothing, per-trust
+min-max scaling over the whole study period), and then the methods run once
+per (indicator, wave): the overlap window is one column slice, the
+cross-correlation profile covers every trust in one call, and the Granger
+tests (at horizon zero and at the configured horizon) and univariate
+dynamic time warping loop over the rows of that slice. Cells that cannot be
+computed yield rows carrying flags and an error note rather than failing
+the run.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date, timedelta
 
 import numpy as np
 
-from .config import LatencySpec, RunConfig
+from .config import LatencySpec, RunConfig, WaveSpec
 from .dtw import AlignmentQuery, dtw_align, lead_times_from_path
-from .errors import CollinearDesignError, LeadLagError, ZeroVarianceError
+from .errors import CollinearDesignError, ConfigError, LeadLagError
 from .geo import GeoMapping, apply_mapping
 from .granger import granger_test
-from .timeseries import Panel, TimeSeries, loess_smooth, minmax_scale, slice_window, zscore_scale
-from .xcorr import ccf_result
+from .timeseries import Panel, loess_smooth, minmax_scale, zscore_scale
+from .xcorr import ccf_at_leads, optimal_lead
 
 logger = logging.getLogger(__name__)
 
@@ -68,24 +71,27 @@ def filter_trusts(panel: Panel, config: RunConfig) -> Panel:
     """
     start = max(config.admissions_filter_start, panel.start_date)
     end = min(config.admissions_filter_end, panel.end_date)
+    if start <= end:
+        totals = panel.values[:, panel.day_slice(start, end)].sum(axis=1)
+    else:
+        totals = np.zeros(len(panel.geo_ids))
     excluded = set(config.trust_exclusions)
-    kept: dict[tuple[str, str], TimeSeries] = {}
+    kept: list[int] = []
     removed: list[str] = []
-    for (trust, var), ts in panel.series.items():
+    for i, (trust, total) in enumerate(zip(panel.geo_ids, totals)):
         if trust in excluded:
             removed.append(f"{trust} (excluded)")
-            continue
-        total = slice_window(ts, start, end).values.sum() if start <= end else 0.0
-        if total < config.min_annual_admissions:
+        elif total < config.min_annual_admissions:
             removed.append(f"{trust} (total {total:g} in filter window)")
-            continue
-        kept[(trust, var)] = ts
+        else:
+            kept.append(i)
     if removed:
         logger.warning("filter_trusts removed %d trust(s): %s",
                        len(removed), "; ".join(sorted(removed)))
     if not kept:
         raise LeadLagError("no trusts retained after filtering")
-    return Panel(panel.level, kept)
+    return Panel(panel.level, panel.variable, panel.start_date,
+                 tuple(panel.geo_ids[i] for i in kept), panel.values[kept])
 
 
 def effective_lead(lead_days: float | None,
@@ -105,30 +111,38 @@ def effective_lead(lead_days: float | None,
     return eff, False
 
 
-def _smoother(config: RunConfig):
-    return lambda ts: loess_smooth(ts, config.loess_span, config.loess_degree,
-                                   config.loess_robustness_passes)
-
-
-def _overlap(wave_start: date, wave_end: date,
-             *series: TimeSeries) -> tuple[date, date] | None:
-    start = max([wave_start] + [s.start_date for s in series])
-    end = min([wave_end] + [s.end_date for s in series])
+def _overlap(start: date, end: date, *panels: Panel) -> tuple[date, date] | None:
+    start = max([start] + [p.start_date for p in panels])
+    end = min([end] + [p.end_date for p in panels])
     if start > end:
         return None
     return start, end
 
 
-class _CellErrors:
-    """Collects per-cell failures without aborting the run."""
+@dataclass(frozen=True)
+class _Pair:
+    """Indicator and admissions rows of the trusts that both panels have.
 
-    def __init__(self) -> None:
-        self.count = 0
+    Row k of every array belongs to the same trust. ``smooth`` arrays are
+    LOESS output, ``linear`` ones are min-max scaled over the whole panel,
+    and ``degenerate`` marks rows that either scaling found constant.
+    """
 
-    def note(self, trust: str, variable: str, wave: str, method: str, exc: Exception) -> str:
-        self.count += 1
-        logger.debug("cell (%s, %s, %s, %s) failed: %s", trust, variable, wave, method, exc)
-        return str(exc)
+    ind: Panel
+    adm: Panel
+    trusts: tuple[str, ...]
+    x_smooth: np.ndarray
+    y_smooth: np.ndarray
+    x_linear: np.ndarray
+    y_linear: np.ndarray
+    degenerate: np.ndarray
+
+    def linear_window(self, wave: WaveSpec) -> tuple[np.ndarray, np.ndarray] | None:
+        window = _overlap(wave.start, wave.end, self.ind, self.adm)
+        if window is None:
+            return None
+        return (self.x_linear[:, self.ind.day_slice(*window)],
+                self.y_linear[:, self.adm.day_slice(*window)])
 
 
 def run_analysis(
@@ -149,214 +163,174 @@ def run_analysis(
     """
     unknown = set(methods) - set(METHODS)
     if unknown:
-        raise LeadLagError(f"unknown methods: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown methods: {', '.join(sorted(unknown))}")
     if isinstance(mappings, GeoMapping):
         mappings = {DEFAULT_MAPPING: mappings}
 
     adm = filter_trusts(admissions, config)
-    trusts = adm.geo_ids("admissions")
-    smooth = _smoother(config)
-    adm_smooth = adm.transform(smooth)
-    adm_linear = adm_smooth.transform(minmax_scale)
+    adm_smooth = _smooth(adm.values, config)
+    adm_linear, adm_flat = minmax_scale(adm_smooth)
 
     span, degree = config.loess_span, config.loess_degree
     provenance_linear = f"locf+loess(span={span:g},degree={degree})+minmax"
-    provenance_dtw = f"locf+loess(span={span:g},degree={degree})+zscore(window)"
+    provenance_dtw = (f"locf+loess(span={span:g},degree={degree})+zscore(window)"
+                      f"+{config.dtw_mode}")
 
-    errors = _CellErrors()
     rows: list[ReportRow] = []
     for variable in sorted(indicators):
-        panel = indicators[variable]
-        coverage = (panel.start_date, panel.end_date)
-        if panel.level == "ltla":
+        ind = indicators[variable]
+        if ind.level == "ltla":
             gm = mappings.get(variable, mappings.get(DEFAULT_MAPPING))
             if gm is None:
                 raise LeadLagError(f"no mapping available for LTLA indicator {variable!r}")
-            trust_panel = apply_mapping(panel, gm)
-        else:
-            trust_panel = panel
-        ind_smooth = trust_panel.transform(smooth)
-        ind_linear = ind_smooth.transform(minmax_scale)
-        ind_trusts = set(trust_panel.geo_ids(variable))
+            ind = apply_mapping(ind, gm)
+        index = {geo: i for i, geo in enumerate(ind.geo_ids)}
+        shared = [i for i, trust in enumerate(adm.geo_ids) if trust in index]
+        x_smooth = _smooth(ind.values[[index[adm.geo_ids[i]] for i in shared]], config)
+        x_linear, x_flat = minmax_scale(x_smooth)
+        pair = _Pair(ind, adm, tuple(adm.geo_ids[i] for i in shared),
+                     x_smooth, adm_smooth[shared], x_linear, adm_linear[shared],
+                     x_flat | adm_flat[shared])
+        latency = config.latencies.get(variable)
 
         for wave in config.waves:
-            truncated = coverage[0] > wave.start or coverage[1] < wave.end
+            truncated = ind.start_date > wave.start or ind.end_date < wave.end
             if truncated:
                 logger.warning("indicator %s does not fully cover wave %s",
                                variable, wave.name)
+            results: list[tuple[str, int | None, str, list[dict]]] = []
+            if "granger" in methods or "ccf" in methods:
+                window = pair.linear_window(wave)
+            if "granger" in methods:
+                for method, horizon in (("granger", 0), ("granger14", config.horizon_days)):
+                    results.append((method, horizon, provenance_linear,
+                                    _granger_cells(config, window, pair.degenerate, horizon)))
+            if "ccf" in methods:
+                results.append(("ccf", config.horizon_days, provenance_linear,
+                                _ccf_cells(config, window, pair.degenerate, latency)))
+            if "dtw" in methods:
+                results.append(("dtw", None, provenance_dtw,
+                                _dtw_cells(config, pair, wave, variable, latency, dtw_paths)))
 
-            dtw_shared: dict | None = None
-            if "dtw" in methods and config.dtw_mode == "multivariate":
-                cols = [t for t in trusts if t in ind_trusts]
-                dtw_shared = _dtw_cell(
-                    config, wave,
-                    [ind_smooth.get(t, variable) for t in cols],
-                    [adm_smooth.get(t, "admissions") for t in cols],
-                ) if cols else {"error": "no trusts shared with indicator panel"}
-                if dtw_paths is not None and "pairs" in dtw_shared:
-                    _record_path(dtw_paths, variable, wave.name, "all-trusts", dtw_shared)
+            for method, horizon, provenance, cells in results:
+                found = iter(cells)
+                for trust in adm.geo_ids:
+                    cell = next(found) if trust in index else {
+                        "error": "no indicator series for trust"}
+                    rows.append(ReportRow(trust, variable, wave.name, method,
+                                          horizon=horizon, provenance=provenance,
+                                          **{"truncated": truncated, **cell}))
 
-            for trust in trusts:
-                base = ReportRow(trust_id=trust, indicator=variable, wave=wave.name,
-                                 method="", truncated=truncated)
-                missing_trust = trust not in ind_trusts
-                if "granger" in methods:
-                    rows.extend(_granger_rows(
-                        base, config, errors, missing_trust,
-                        ind_linear, adm_linear, trust, variable, wave,
-                        provenance_linear))
-                if "ccf" in methods:
-                    rows.append(_ccf_row(
-                        base, config, errors, missing_trust,
-                        ind_linear, adm_linear, trust, variable, wave,
-                        provenance_linear))
-                if "dtw" in methods:
-                    rows.append(_dtw_row(
-                        base, config, errors, missing_trust,
-                        ind_smooth, adm_smooth, trust, variable, wave,
-                        provenance_dtw, dtw_shared, dtw_paths))
-
-    if errors.count:
-        logger.warning("%d cell(s) recorded an error instead of statistics", errors.count)
+    n_errors = sum(1 for row in rows if row.error)
+    if n_errors:
+        logger.warning("%d cell(s) recorded an error instead of statistics", n_errors)
     rows.sort(key=ReportRow.sort_key)
     return rows
 
 
-def _linear_pair(ind_panel: Panel, adm_panel: Panel, trust: str, variable: str,
-                 wave) -> tuple[TimeSeries, TimeSeries] | None:
-    x_full = ind_panel.get(trust, variable)
-    y_full = adm_panel.get(trust, "admissions")
-    window = _overlap(wave.start, wave.end, x_full, y_full)
+def _smooth(values: np.ndarray, config: RunConfig) -> np.ndarray:
+    return loess_smooth(values, config.loess_span, config.loess_degree,
+                        config.loess_robustness_passes)
+
+
+def _granger_cells(config: RunConfig, window, degenerate: np.ndarray,
+                   horizon: int) -> list[dict]:
     if window is None:
-        return None
-    return (slice_window(x_full, *window), slice_window(y_full, *window))
-
-
-def _granger_rows(base: ReportRow, config: RunConfig, errors: _CellErrors,
-                  missing_trust: bool, ind_panel: Panel, adm_panel: Panel,
-                  trust: str, variable: str, wave, provenance: str) -> list[ReportRow]:
-    out = []
-    for method, horizon in (("granger", 0), ("granger14", config.horizon_days)):
-        row = replace(base, method=method, horizon=horizon, provenance=provenance)
-        if missing_trust:
-            out.append(replace(row, error="no indicator series for trust"))
-            continue
-        pair = _linear_pair(ind_panel, adm_panel, trust, variable, wave)
-        if pair is None:
-            out.append(replace(row, truncated=True, error="no coverage in wave"))
-            continue
-        x, y = pair
-        degenerate = x.degenerate or y.degenerate
+        return [{"truncated": True, "error": "no coverage in wave"}] * len(degenerate)
+    cells = []
+    for x, y, flat in zip(*window, degenerate):
         try:
             res = granger_test(x, y, config.granger_max_lag, horizon)
-            out.append(replace(row, f_stat=res.f_stat, p_value=res.p_value,
-                               df_num=res.df_num, df_den=res.df_den,
-                               degenerate=degenerate))
         except LeadLagError as exc:
-            degenerate = degenerate or isinstance(exc, (CollinearDesignError,
-                                                        ZeroVarianceError))
-            out.append(replace(row, degenerate=degenerate,
-                               error=errors.note(trust, variable, wave.name, method, exc)))
-    return out
+            cells.append({"degenerate": bool(flat) or isinstance(exc, CollinearDesignError),
+                          "error": str(exc)})
+            continue
+        cells.append({"f_stat": res.f_stat, "p_value": res.p_value, "df_num": res.df_num,
+                      "df_den": res.df_den, "degenerate": bool(flat)})
+    return cells
 
 
-def _ccf_row(base: ReportRow, config: RunConfig, errors: _CellErrors,
-             missing_trust: bool, ind_panel: Panel, adm_panel: Panel,
-             trust: str, variable: str, wave, provenance: str) -> ReportRow:
-    row = replace(base, method="ccf", horizon=config.horizon_days, provenance=provenance)
-    if missing_trust:
-        return replace(row, error="no indicator series for trust")
-    pair = _linear_pair(ind_panel, adm_panel, trust, variable, wave)
-    if pair is None:
-        return replace(row, truncated=True, error="no coverage in wave")
-    x, y = pair
-    degenerate = x.degenerate or y.degenerate
+def _ccf_cells(config: RunConfig, window, degenerate: np.ndarray,
+               latency: LatencySpec | None) -> list[dict]:
+    if window is None:
+        return [{"truncated": True, "error": "no coverage in wave"}] * len(degenerate)
+    leads = np.arange(-config.ccf_window, config.ccf_window + 1)
     try:
-        res = ccf_result(x, y, config.ccf_window, config.horizon_days)
-        eff, eroded = effective_lead(res.optimal_lead, config.latencies.get(variable))
-        return replace(row, optimal_lead=res.optimal_lead,
-                       ccf_at_optimal=res.ccf_at_optimal,
-                       ccf_at_horizon=res.ccf_at_horizon,
-                       effective_lead=eff, eroded=eroded,
-                       degenerate=degenerate)
+        # the profile's leads, then the fixed horizon in the last column
+        values = ccf_at_leads(*window, np.append(leads, config.horizon_days))
     except LeadLagError as exc:
-        degenerate = degenerate or isinstance(exc, ZeroVarianceError)
-        return replace(row, degenerate=degenerate,
-                       error=errors.note(trust, variable, wave.name, "ccf", exc))
+        return [{"degenerate": bool(flat), "error": str(exc)} for flat in degenerate]
+    cells = []
+    for profile, flat in zip(values, degenerate):
+        if np.isnan(profile[-1]):
+            cells.append({"degenerate": True, "error": "zero variance"})
+            continue
+        best = optimal_lead(leads, profile[:-1])
+        lead, at_lead = best if best is not None else (None, None)
+        eff, eroded = effective_lead(lead, latency)
+        cells.append({"optimal_lead": lead, "ccf_at_optimal": at_lead,
+                      "ccf_at_horizon": float(profile[-1]), "effective_lead": eff,
+                      "eroded": eroded, "degenerate": bool(flat)})
+    return cells
 
 
-def _dtw_cell(config: RunConfig, wave, queries: list[TimeSeries],
-              references: list[TimeSeries]) -> dict:
+def _dtw_cells(config: RunConfig, pair: _Pair, wave: WaveSpec, variable: str,
+               latency: LatencySpec | None, dtw_paths: list[tuple] | None) -> list[dict]:
     """Align indicator against admissions around one wave.
 
     The query covers the wave plus a warm-up prefix; the reference gets an
     extra tail of up to one band width so leading matches near the wave end
-    are not forced to bunch. Columns are z-scored over the alignment window
-    so a wave's alignment depends only on data within its own windows.
-    Warm-up leads are excluded from the summary.
+    are not forced to bunch. Rows are z-scored over the alignment window so
+    a wave's alignment depends only on data within its own windows. Warm-up
+    leads are excluded from the summary. Multivariate mode aligns all trusts
+    jointly, one column each, and shares the result across them.
     """
+    k = len(pair.trusts)
+    if k == 0:
+        return []
     warm_start = wave.start - timedelta(days=config.dtw_warmup_days)
-    window = _overlap(warm_start, wave.end, *(queries + references))
+    window = _overlap(warm_start, wave.end, pair.ind, pair.adm)
     if window is None:
-        return {"error": "no coverage in wave"}
+        return [{"error": "no coverage in wave"}] * k
     q_start, q_end = window
-    ref_end = min(min(r.end_date for r in references),
-                  q_end + timedelta(days=config.dtw_window))
+    ref_end = min(pair.adm.end_date, q_end + timedelta(days=config.dtw_window))
     try:
-        q_cols = [zscore_scale(slice_window(s, q_start, q_end)) for s in queries]
-        r_cols = [zscore_scale(slice_window(s, q_start, ref_end)) for s in references]
-        degenerate = any(s.degenerate for s in q_cols + r_cols)
-        q = np.column_stack([s.values for s in q_cols])
-        r = np.column_stack([s.values for s in r_cols])
-        if q.shape[1] == 1:
-            q, r = q[:, 0], r[:, 0]
-        alignment = dtw_align(AlignmentQuery(q, r, window=config.dtw_window,
-                                             open_begin=True, open_end=True))
-        leads = lead_times_from_path(alignment)
-        reported = [lead for i, lead in leads
-                    if q_start + timedelta(days=i) >= wave.start]
-        if not reported:
-            return {"error": "no reported indices after warm-up exclusion"}
-        return {
-            "median_lead": float(np.median(reported)),
-            "normalized_distance": alignment.normalized,
-            "degenerate": degenerate,
-            "pairs": alignment.pairs,
-            "window_start": q_start,
-        }
+        q, q_flat = zscore_scale(pair.x_smooth[:, pair.ind.day_slice(q_start, q_end)])
+        r, r_flat = zscore_scale(pair.y_smooth[:, pair.adm.day_slice(q_start, ref_end)])
     except LeadLagError as exc:
-        return {"error": str(exc)}
-
-
-def _record_path(sink: list[tuple], indicator: str, wave: str, scope: str,
-                 cell: dict) -> None:
-    start = cell["window_start"]
-    for i, j in cell["pairs"]:
-        sink.append((indicator, wave, scope,
-                     start + timedelta(days=i), start + timedelta(days=j)))
-
-
-def _dtw_row(base: ReportRow, config: RunConfig, errors: _CellErrors,
-             missing_trust: bool, ind_panel: Panel, adm_panel: Panel,
-             trust: str, variable: str, wave, provenance: str,
-             shared: dict | None, dtw_paths: list[tuple] | None = None) -> ReportRow:
-    mode = config.dtw_mode
-    row = replace(base, method="dtw", provenance=f"{provenance}+{mode}")
-    if missing_trust:
-        return replace(row, error="no indicator series for trust")
-    if mode == "multivariate":
-        cell = shared if shared is not None else {"error": "dtw cell not computed"}
+        return [{"error": str(exc)}] * k
+    flat = q_flat | r_flat
+    if config.dtw_mode == "univariate":
+        jobs = [(trust, q[i], r[i], flat[i]) for i, trust in enumerate(pair.trusts)]
+    elif k == 1:
+        jobs = [("all-trusts", q[0], r[0], flat[0])]
     else:
-        cell = _dtw_cell(config, wave,
-                         [ind_panel.get(trust, variable)],
-                         [adm_panel.get(trust, "admissions")])
-        if dtw_paths is not None and "pairs" in cell:
-            _record_path(dtw_paths, variable, wave.name, trust, cell)
-    if "error" in cell:
-        exc = LeadLagError(cell["error"])
-        return replace(row, error=errors.note(trust, variable, wave.name, "dtw", exc))
-    eff, eroded = effective_lead(cell["median_lead"], config.latencies.get(variable))
-    return replace(row, dtw_median_lead=cell["median_lead"],
-                   dtw_normalized_distance=cell["normalized_distance"],
-                   effective_lead=eff, eroded=eroded,
-                   degenerate=cell["degenerate"])
+        # (day x trust) in C order, as the Euclidean local cost's rounding depends on it
+        jobs = [("all-trusts", np.ascontiguousarray(q.T), np.ascontiguousarray(r.T),
+                 flat.any())]
+
+    first_reported = (wave.start - q_start).days
+    cells = []
+    for scope, query, reference, degenerate in jobs:
+        try:
+            alignment = dtw_align(AlignmentQuery(query, reference, window=config.dtw_window,
+                                                 open_begin=True, open_end=True))
+            leads = lead_times_from_path(alignment)
+        except LeadLagError as exc:
+            cells.append({"error": str(exc)})
+            continue
+        reported = [lead for i, lead in leads if i >= first_reported]
+        if not reported:
+            cells.append({"error": "no reported indices after warm-up exclusion"})
+            continue
+        median = float(np.median(reported))
+        eff, eroded = effective_lead(median, latency)
+        cells.append({"dtw_median_lead": median,
+                      "dtw_normalized_distance": alignment.normalized,
+                      "effective_lead": eff, "eroded": eroded,
+                      "degenerate": bool(degenerate)})
+        if dtw_paths is not None:
+            dtw_paths.extend((variable, wave.name, scope,
+                              q_start + timedelta(days=i), q_start + timedelta(days=j))
+                             for i, j in alignment.pairs)
+    return cells if config.dtw_mode == "univariate" else cells * k

@@ -53,7 +53,7 @@ def _write_csv(path: Path, fields: list[str], rows: list[ReportRow]) -> None:
         record = []
         for f in fields:
             text = _format(getattr(row, f))
-            if "," in text or '"' in text:
+            if "," in text or '"' in text or "\n" in text or "\r" in text:
                 text = '"' + text.replace('"', '""') + '"'
             record.append(text)
         lines.append(",".join(record))

@@ -15,7 +15,7 @@ from datetime import date, timedelta
 import numpy as np
 
 from .errors import LeadLagError
-from .timeseries import Panel, TimeSeries
+from .timeseries import Panel
 
 MAX_LEAD = 35
 
@@ -77,17 +77,14 @@ def _bump(t: np.ndarray, peak: float, rise: float, fall: float) -> np.ndarray:
 def generate_admissions(spec: SynthSpec) -> Panel:
     """Smooth non-negative daily admission counts per trust."""
     t = np.arange(spec.n_days, dtype=float)
-    peaks = spec.per_trust(spec.peak_day)
-    rises = spec.per_trust(spec.rise_width)
-    falls = spec.per_trust(spec.fall_width)
-    amps = spec.per_trust(spec.amplitude)
-    series: dict[tuple[str, str], TimeSeries] = {}
-    for i, trust in enumerate(spec.trust_ids()):
-        v = _bump(t, peaks[i], rises[i], falls[i])
-        for offset in spec.extra_peaks:
-            v = v + _bump(t, peaks[i] + offset, rises[i], falls[i])
-        series[(trust, "admissions")] = TimeSeries(spec.start_date, amps[i] * v)
-    return Panel("trust", series)
+    peaks = spec.per_trust(spec.peak_day)[:, None]
+    rises = spec.per_trust(spec.rise_width)[:, None]
+    falls = spec.per_trust(spec.fall_width)[:, None]
+    amps = spec.per_trust(spec.amplitude)[:, None]
+    v = _bump(t, peaks, rises, falls)
+    for offset in spec.extra_peaks:
+        v = v + _bump(t, peaks + offset, rises, falls)
+    return Panel("trust", "admissions", spec.start_date, tuple(spec.trust_ids()), amps * v)
 
 
 def derive_indicator(
@@ -108,24 +105,20 @@ def derive_indicator(
     if abs(lead) >= n:
         raise LeadLagError(f"lead {lead} exceeds series length {n}")
     rng = np.random.default_rng(seed)
-    out: dict[tuple[str, str], TimeSeries] = {}
-    for trust in admissions.geo_ids("admissions"):
-        adm = admissions.get(trust, "admissions")
-        if lead >= 0:
-            values = adm.values[lead:]
-            start = adm.start_date
-        else:
-            values = adm.values[:lead]
-            start = adm.start_date + timedelta(days=-lead)
-        if decay_rate != 0.0:
-            tt = np.arange(values.size, dtype=float)
-            values = np.exp(-decay_rate * tt) * values
-        if noise_sd > 0.0:
-            scale = float(np.max(adm.values))
-            values = values + rng.normal(0.0, noise_sd * (scale if scale > 0 else 1.0),
-                                         size=values.size)
-        out[(trust, name)] = TimeSeries(start, values)
-    return Panel("trust", out)
+    if lead >= 0:
+        values = admissions.values[:, lead:]
+        start = admissions.start_date
+    else:
+        values = admissions.values[:, :lead]
+        start = admissions.start_date + timedelta(days=-lead)
+    if decay_rate != 0.0:
+        tt = np.arange(values.shape[1], dtype=float)
+        values = np.exp(-decay_rate * tt) * values
+    if noise_sd > 0.0:
+        peak = admissions.values.max(axis=1, keepdims=True)
+        sd = noise_sd * np.where(peak > 0, peak, 1.0)
+        values = values + rng.normal(0.0, sd, size=values.shape)
+    return Panel("trust", name, start, admissions.geo_ids, values)
 
 
 def generate_indicators(spec: SynthSpec, admissions: Panel) -> dict[str, Panel]:

@@ -1,9 +1,10 @@
-"""Daily time-series containers and preprocessing transforms.
+"""Dense daily panels and row-wise preprocessing transforms.
 
-A :class:`TimeSeries` is a run of consecutive daily values anchored at a
-start date; missing days are stored as NaN. A :class:`Panel` groups series
-by (geography id, variable) at a single geographic level. All transforms
-are pure functions returning new objects.
+A :class:`Panel` holds one variable at one geographic level as a float
+``(n_geo, n_days)`` array: one row per geography id (sorted), one column per
+consecutive day from ``start_date``. The transforms take a plain 2-D array,
+one series per row, and return new arrays; the scalings also return a
+per-row mask of degenerate (constant) rows.
 """
 
 from __future__ import annotations
@@ -14,155 +15,125 @@ from math import ceil
 
 import numpy as np
 
-from .errors import (
-    EmptySeriesError,
-    EmptySliceError,
-    InsufficientDataError,
-    LeadLagError,
-)
+from .errors import EmptySeriesError, EmptySliceError, InsufficientDataError, LeadLagError
 
 GEO_LEVELS = ("ltla", "trust")
 
 
 @dataclass(frozen=True)
-class TimeSeries:
-    """Consecutive daily values starting at ``start_date``; NaN marks missing."""
+class Panel:
+    """One variable at one geographic level: a row per geo id, a column per day."""
 
+    level: str
+    variable: str
     start_date: date
+    geo_ids: tuple[str, ...]
     values: np.ndarray = field(repr=False)
-    degenerate: bool = False
 
     def __post_init__(self) -> None:
+        if self.level not in GEO_LEVELS:
+            raise LeadLagError(f"unknown geo level {self.level!r}")
+        geo_ids = tuple(self.geo_ids)
+        if not geo_ids:
+            raise LeadLagError("panel has no series")
+        if list(geo_ids) != sorted(set(geo_ids)):
+            raise LeadLagError("panel geo ids must be unique and sorted")
         v = np.array(self.values, dtype=float)
-        if v.ndim != 1:
-            raise LeadLagError(f"values must be 1-D, got shape {v.shape}")
-        if v.size < 1:
+        if v.ndim != 2 or v.shape[0] != len(geo_ids):
+            raise LeadLagError(
+                f"values of shape {v.shape} misaligned with {len(geo_ids)} geo ids")
+        if v.shape[1] < 1:
             raise EmptySeriesError("empty series")
         v.flags.writeable = False
+        object.__setattr__(self, "geo_ids", geo_ids)
         object.__setattr__(self, "values", v)
 
     @property
-    def n(self) -> int:
-        return int(self.values.size)
+    def n_days(self) -> int:
+        return int(self.values.shape[1])
 
     @property
     def end_date(self) -> date:
-        return self.start_date + timedelta(days=self.n - 1)
+        return self.start_date + timedelta(days=self.n_days - 1)
 
-    @property
-    def missing(self) -> np.ndarray:
-        return np.isnan(self.values)
-
-    @property
-    def is_complete(self) -> bool:
-        return not bool(np.isnan(self.values).any())
-
-    def dates(self) -> list[date]:
-        return [self.start_date + timedelta(days=i) for i in range(self.n)]
-
-    def with_values(self, values: np.ndarray, degenerate: bool | None = None) -> "TimeSeries":
-        flag = self.degenerate if degenerate is None else degenerate
-        return TimeSeries(self.start_date, values, degenerate=flag)
+    def day_slice(self, start: date, end: date) -> slice:
+        """Columns of the days in [start, end] that the panel covers."""
+        if start > end:
+            raise LeadLagError(f"window start {start} after end {end}")
+        i0 = max((start - self.start_date).days, 0)
+        i1 = min((end - self.start_date).days, self.n_days - 1)
+        if i0 > i1:
+            raise EmptySliceError("empty slice")
+        return slice(i0, i1 + 1)
 
 
-def _require_complete(s: TimeSeries, op: str) -> None:
-    if not s.is_complete:
-        raise LeadLagError(f"{op} requires a complete series (no missing values)")
-
-
-def locf_impute(s: TimeSeries) -> TimeSeries:
-    """Fill missing values by carrying the last observation forward.
-
-    Leading missing values are back-filled with the first observation so
-    that the result is rectangular-safe for matrix methods.
-    """
-    v = s.values
-    observed = ~np.isnan(v)
-    if not observed.any():
+def _rows(values, op: str, complete: bool = True) -> np.ndarray:
+    v = np.array(values, dtype=float)
+    if v.ndim != 2:
+        raise LeadLagError(f"{op} takes one series per row, got shape {v.shape}")
+    if v.shape[1] < 1:
         raise EmptySeriesError("empty series")
-    idx = np.where(observed, np.arange(s.n), 0)
-    np.maximum.accumulate(idx, out=idx)
-    out = v[idx]
-    first = int(np.argmax(observed))
-    if first > 0:
-        out[:first] = v[first]
-    return s.with_values(out)
+    if complete and np.isnan(v).any():
+        raise LeadLagError(f"{op} requires a complete series (no missing values)")
+    return v
 
 
-def shift_series(s: TimeSeries, h: int) -> TimeSeries:
-    """Align so position ``t`` of the output holds ``s`` at ``t + h``.
+def locf_impute(values) -> np.ndarray:
+    """Fill missing values (NaN) by carrying the last observation forward.
 
-    The ``h`` positions that fall off the end (or start, for negative
-    ``h``) are marked missing; length and start date are preserved.
+    Leading missing values take the row's first observation, so that the
+    result is rectangular-safe for matrix methods.
     """
-    if abs(h) >= s.n:
-        raise InsufficientDataError(f"shift {h} exceeds series length {s.n}")
-    out = np.full(s.n, np.nan)
-    if h >= 0:
-        out[: s.n - h] = s.values[h:]
-    else:
-        out[-h:] = s.values[: s.n + h]
-    return s.with_values(out)
-
-
-def slice_window(s: TimeSeries, start: date, end: date) -> TimeSeries:
-    """Return the subseries covering the intersection of [start, end]."""
-    if start > end:
-        raise LeadLagError(f"window start {start} after end {end}")
-    i0 = max((start - s.start_date).days, 0)
-    i1 = min((end - s.start_date).days, s.n - 1)
-    if i0 > i1:
-        raise EmptySliceError("empty slice")
-    return TimeSeries(
-        s.start_date + timedelta(days=i0),
-        s.values[i0 : i1 + 1],
-        degenerate=s.degenerate,
-    )
+    v = _rows(values, "locf_impute", complete=False)
+    observed = ~np.isnan(v)
+    if not observed.any(axis=1).all():
+        raise EmptySeriesError("empty series")
+    first = np.argmax(observed, axis=1)
+    idx = np.where(observed, np.arange(v.shape[1]), first[:, None])
+    np.maximum.accumulate(idx, axis=1, out=idx)
+    return np.take_along_axis(v, idx, axis=1)
 
 
 # a spread this far below the value magnitude is floating-point noise, not signal
 _DEGENERATE_RTOL = 1e-13
 
 
-def minmax_scale(s: TimeSeries) -> TimeSeries:
-    """Scale values to [0, 1]; a constant series maps to zeros and is flagged.
+def minmax_scale(values) -> tuple[np.ndarray, np.ndarray]:
+    """Scale each row to [0, 1]; constant rows map to zeros and are flagged.
 
     Constant within floating-point noise counts as constant (smoothing a
     flat series leaves eps-sized ripples that must not be stretched to 0-1).
     """
-    _require_complete(s, "minmax_scale")
-    v = s.values
-    lo, hi = float(v.min()), float(v.max())
-    if hi - lo <= _DEGENERATE_RTOL * max(abs(hi), abs(lo)):
-        return s.with_values(np.zeros(s.n), degenerate=True)
-    return s.with_values((v - lo) / (hi - lo))
+    v = _rows(values, "minmax_scale")
+    lo = v.min(axis=1, keepdims=True)
+    hi = v.max(axis=1, keepdims=True)
+    flat = hi - lo <= _DEGENERATE_RTOL * np.maximum(np.abs(hi), np.abs(lo))
+    return np.where(flat, 0.0, (v - lo) / np.where(flat, 1.0, hi - lo)), flat[:, 0]
 
 
-def zscore_scale(s: TimeSeries) -> TimeSeries:
-    """Standardize to mean 0, sample (n-1) sd 1; constant series flagged."""
-    _require_complete(s, "zscore_scale")
-    if s.n < 2:
+def zscore_scale(values) -> tuple[np.ndarray, np.ndarray]:
+    """Standardize each row to mean 0, sample (n-1) sd 1; constant rows flagged."""
+    v = _rows(values, "zscore_scale")
+    if v.shape[1] < 2:
         raise InsufficientDataError("zscore_scale needs at least 2 values")
-    v = s.values
-    mean = float(v.mean())
-    sd = float(np.std(v, ddof=1))
-    if sd <= _DEGENERATE_RTOL * abs(mean):
-        return s.with_values(np.zeros(s.n), degenerate=True)
-    return s.with_values((v - mean) / sd)
+    mean = v.mean(axis=1, keepdims=True)
+    sd = v.std(axis=1, ddof=1, keepdims=True)
+    flat = sd <= _DEGENERATE_RTOL * np.abs(mean)
+    return np.where(flat, 0.0, (v - mean) / np.where(flat, 1.0, sd)), flat[:, 0]
 
 
 def loess_smooth(
-    s: TimeSeries,
+    values,
     span: float = 0.15,
     degree: int = 2,
     robustness_passes: int = 0,
-) -> TimeSeries:
-    """Locally weighted polynomial smoothing with tricube weights.
+) -> np.ndarray:
+    """Locally weighted polynomial smoothing of each row, with tricube weights.
 
     Each point is fitted by weighted least squares over its ``span``
-    fraction of nearest neighbours, evaluated at the point itself.
-    Equally spaced daily data lets interior points share one projection
-    kernel, applied as a correlation; window edges are fitted per point.
+    fraction of nearest neighbours, evaluated at the point itself. Without
+    robustness passes the fit is linear in the data, so one operator per
+    (length, window, degree) serves every row.
 
     Parameters
     ----------
@@ -170,131 +141,70 @@ def loess_smooth(
     degree : local polynomial degree, 1 or 2.
     robustness_passes : number of bisquare reweighting passes (0 = plain fit).
     """
-    _require_complete(s, "loess_smooth")
+    v = _rows(values, "loess_smooth")
     if not 0.0 < span <= 1.0:
         raise LeadLagError(f"span must be in (0, 1], got {span}")
     if degree not in (1, 2):
         raise LeadLagError(f"degree must be 1 or 2, got {degree}")
-    q = int(ceil(span * s.n))
+    n = v.shape[1]
+    q = int(ceil(span * n))
     if q < degree + 2:
         raise InsufficientDataError(
             f"loess window of {q} points is too small for degree {degree}"
         )
-    y = s.values
     if robustness_passes <= 0:
-        out = _loess_plain(y, q, degree)
-    else:
-        out = _loess_robust(y, q, degree, robustness_passes)
-    return s.with_values(out)
+        return _loess_linear(v, q, degree)
+    return np.array([_loess_robust(y, q, degree, robustness_passes) for y in v])
 
 
-def _tricube(dist: np.ndarray, dmax: float) -> np.ndarray:
-    u = np.clip(np.abs(dist) / dmax, 0.0, 1.0)
-    return (1.0 - u**3) ** 3
+def _local_weights(n: int, i: int, q: int, degree: int,
+                   robustness: np.ndarray | None = None) -> tuple[int, np.ndarray]:
+    """(lo, w) such that the local fit at point ``i`` is ``w @ y[lo:lo + q]``.
 
-
-def _local_fit(y_win: np.ndarray, offsets: np.ndarray, w: np.ndarray, degree: int) -> float:
-    # value of the weighted polynomial fit at offset 0 (= intercept)
+    The window is the ``q`` points nearest ``i`` (clamped at the ends); ``w``
+    is the intercept row of the weighted polynomial fit's pseudo-inverse.
+    """
+    lo = min(max(i - (q - 1) // 2, 0), n - q)
+    offsets = np.arange(lo - i, lo - i + q, dtype=float)
+    u = np.abs(offsets) / np.abs(offsets).max()
+    w = (1.0 - u**3) ** 3
+    if robustness is not None:
+        w = w * robustness[lo : lo + q]
     sw = np.sqrt(w)
     X = np.vander(offsets, degree + 1, increasing=True)
-    beta, *_ = np.linalg.lstsq(X * sw[:, None], y_win * sw, rcond=None)
-    return float(beta[0])
+    return lo, np.linalg.pinv(X * sw[:, None])[0] * sw
 
 
-def _loess_plain(y: np.ndarray, q: int, degree: int) -> np.ndarray:
-    n = y.size
+def _loess_linear(v: np.ndarray, q: int, degree: int) -> np.ndarray:
+    # Interior points share the centred fit's kernel, applied to each row as
+    # a correlation; that arithmetic does not depend on the other rows, and
+    # DTW paths downstream are sensitive to the last bit. The points within
+    # half a window of either end get one row of weights each.
+    n = v.shape[1]
     h1 = (q - 1) // 2
     h2 = q - 1 - h1
-    out = np.empty(n)
-
-    # shared interior kernel: projection row of the weighted fit at the centre
-    offsets = np.arange(-h1, h2 + 1, dtype=float)
-    w = _tricube(offsets, float(h2)) if h2 > 0 else np.ones(q)
-    sw = np.sqrt(w)
-    X = np.vander(offsets, degree + 1, increasing=True)
-    kernel = np.linalg.pinv(X * sw[:, None])[0] * sw
-    if n >= q:
-        out[h1 : n - h2] = np.correlate(y, kernel, mode="valid")
-
-    for i in range(min(h1, n)):
-        offs = np.arange(q, dtype=float) - i
-        out[i] = _local_fit(y[:q], offs, _tricube(offs, float(q - 1 - i)), degree)
-    for i in range(max(n - h2, 0), n):
-        offs = np.arange(n - q, n, dtype=float) - i
-        out[i] = _local_fit(y[n - q :], offs, _tricube(offs, float(i - n + q)), degree)
+    left = np.array([_local_weights(n, i, q, degree)[1] for i in range(h1)])
+    right = np.array([_local_weights(n, i, q, degree)[1] for i in range(n - h2, n)])
+    _, kernel = _local_weights(n, h1, q, degree)
+    out = np.empty_like(v)
+    out[:, :h1] = v[:, :q] @ left.T
+    out[:, n - h2 :] = v[:, n - q :] @ right.T
+    for smoothed, y in zip(out, v):
+        smoothed[h1 : n - h2] = np.correlate(y, kernel, mode="valid")
     return out
 
 
 def _loess_robust(y: np.ndarray, q: int, degree: int, passes: int) -> np.ndarray:
     n = y.size
-    h1 = (q - 1) // 2
     rob = np.ones(n)
-    out = y.astype(float)
     for _ in range(passes + 1):
         out = np.empty(n)
         for i in range(n):
-            lo = min(max(i - h1, 0), n - q)
-            offs = np.arange(lo, lo + q, dtype=float) - i
-            w = _tricube(offs, float(np.abs(offs).max())) * rob[lo : lo + q]
-            out[i] = _local_fit(y[lo : lo + q], offs, w, degree)
+            lo, w = _local_weights(n, i, q, degree, rob)
+            out[i] = w @ y[lo : lo + q]
         resid = y - out
         s6 = 6.0 * np.median(np.abs(resid))
         if s6 == 0.0:
             break
         rob = np.clip(1.0 - (resid / s6) ** 2, 0.0, None) ** 2
     return out
-
-
-@dataclass(frozen=True)
-class Panel:
-    """Series keyed by (geo id, variable) at one geographic level.
-
-    All member series share the same start date and length.
-    """
-
-    level: str
-    series: dict[tuple[str, str], TimeSeries]
-
-    def __post_init__(self) -> None:
-        if self.level not in GEO_LEVELS:
-            raise LeadLagError(f"unknown geo level {self.level!r}")
-        if not self.series:
-            raise LeadLagError("panel has no series")
-        ref = next(iter(self.series.values()))
-        for (geo, var), ts in self.series.items():
-            if ts.start_date != ref.start_date or ts.n != ref.n:
-                raise LeadLagError(
-                    f"series ({geo}, {var}) misaligned: "
-                    f"{ts.start_date}+{ts.n}d vs {ref.start_date}+{ref.n}d"
-                )
-
-    @property
-    def start_date(self) -> date:
-        return next(iter(self.series.values())).start_date
-
-    @property
-    def end_date(self) -> date:
-        return next(iter(self.series.values())).end_date
-
-    @property
-    def n_days(self) -> int:
-        return next(iter(self.series.values())).n
-
-    @property
-    def variables(self) -> list[str]:
-        return sorted({var for _, var in self.series})
-
-    def geo_ids(self, variable: str | None = None) -> list[str]:
-        if variable is None:
-            return sorted({geo for geo, _ in self.series})
-        return sorted({geo for geo, var in self.series if var == variable})
-
-    def get(self, geo_id: str, variable: str) -> TimeSeries:
-        return self.series[(geo_id, variable)]
-
-    def transform(self, func) -> "Panel":
-        """Apply ``func`` to every member series."""
-        return Panel(self.level, {k: func(ts) for k, ts in self.series.items()})
-
-    def window(self, start: date, end: date) -> "Panel":
-        return self.transform(lambda ts: slice_window(ts, start, end))

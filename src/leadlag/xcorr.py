@@ -1,109 +1,62 @@
-"""Cross-correlation profiles over a lead window and optimal-lead extraction.
+"""Cross-correlation at a set of leads and optimal-lead extraction.
 
-The correlation at delay ``d`` uses full-series means and denominators with
-the numerator summed over the overlapping days only, reproducing the usual
-surveillance formulation. Results are reported on a lead axis where a
-positive lead means the indicator moves before admissions:
-``lead L = -d``, i.e. the value at lead L is corr(x_t, y_{t+L}).
+The correlation at lead ``L`` is corr(x_t, y_{t+L}): a positive lead means
+the indicator moves before admissions. It uses full-series means and
+denominators with the numerator summed over the overlapping days only,
+reproducing the usual surveillance formulation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import InsufficientDataError, LeadLagError, ZeroVarianceError
-from .timeseries import TimeSeries
-
-LEAD_CONVENTION = "positive lead = indicator precedes admissions"
+from .errors import InsufficientDataError, LeadLagError
 
 
-@dataclass(frozen=True)
-class CcfProfile:
-    leads: np.ndarray = field(repr=False)   # integer leads -W..W
-    values: np.ndarray = field(repr=False)  # correlation per lead
-    window: int
-    convention: str = LEAD_CONVENTION
+def ccf_at_leads(x, y, leads) -> np.ndarray:
+    """Correlation of each row of ``x`` with the same row of ``y`` at each lead.
 
-    def value_at(self, lead: int) -> float:
-        if abs(lead) > self.window:
-            raise LeadLagError(f"lead {lead} outside window {self.window}")
-        return float(self.values[lead + self.window])
-
-
-@dataclass(frozen=True)
-class CcfResult:
-    optimal_lead: int | None
-    ccf_at_optimal: float | None
-    ccf_at_horizon: float
-    horizon: int
-    trust_id: str = ""
-    indicator: str = ""
-    wave: str = ""
-
-
-def _check_pair(x: TimeSeries, y: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
-    if x.start_date != y.start_date or x.n != y.n:
-        raise LeadLagError("x and y must be aligned (same start date and length)")
-    if not (x.is_complete and y.is_complete):
+    ``x`` and ``y`` are complete (rows, days) arrays. Returns a (rows, leads)
+    array. A row whose ``x`` or ``y`` is constant has no correlation and
+    reads NaN.
+    """
+    xv = np.asarray(x, dtype=float)
+    yv = np.asarray(y, dtype=float)
+    if xv.shape != yv.shape or xv.ndim != 2:
+        raise LeadLagError("x and y must be aligned (same shape, one series per row)")
+    if np.isnan(xv).any() or np.isnan(yv).any():
         raise LeadLagError("cross-correlation requires complete series")
-    return x.values, y.values
+    n = xv.shape[1]
+    leads = [int(lead) for lead in leads]
+    for lead in leads:
+        if abs(lead) >= n - 2:
+            raise InsufficientDataError(f"delay {-lead} too large for series of length {n}")
+    xc = xv - xv.mean(axis=1, keepdims=True)
+    yc = yv - yv.mean(axis=1, keepdims=True)
+    denom = np.sqrt(np.einsum("ij,ij->i", xc, xc)) * np.sqrt(np.einsum("ij,ij->i", yc, yc))
+    out = np.empty((xc.shape[0], len(leads)))
+    for k, lead in enumerate(leads):
+        if lead >= 0:
+            out[:, k] = np.einsum("ij,ij->i", xc[:, : n - lead], yc[:, lead:])
+        else:
+            out[:, k] = np.einsum("ij,ij->i", xc[:, -lead:], yc[:, : n + lead])
+    zero = denom == 0.0
+    out /= np.where(zero, 1.0, denom)[:, None]
+    out[zero] = np.nan
+    return out
 
 
-def ccf_at_delay(x: TimeSeries, y: TimeSeries, d: int) -> float:
-    """Correlation between x_t and y_{t-d} (full-series means and denominators)."""
-    xv, yv = _check_pair(x, y)
-    n = xv.size
-    if abs(d) >= n - 2:
-        raise InsufficientDataError(f"delay {d} too large for series of length {n}")
-    xc = xv - xv.mean()
-    yc = yv - yv.mean()
-    denom = np.sqrt(xc @ xc) * np.sqrt(yc @ yc)
-    if denom == 0.0:
-        raise ZeroVarianceError("zero variance")
-    if d >= 0:
-        num = xc[d:] @ yc[: n - d]
-    else:
-        num = xc[: n + d] @ yc[-d:]
-    return float(num / denom)
-
-
-def ccf_profile(x: TimeSeries, y: TimeSeries, window: int = 30) -> CcfProfile:
-    """Correlation at every lead in [-window, window]."""
-    if window < 1:
-        raise LeadLagError(f"window must be >= 1, got {window}")
-    leads = np.arange(-window, window + 1)
-    values = np.array([ccf_at_delay(x, y, -int(lead)) for lead in leads])
-    return CcfProfile(leads, values, window)
-
-
-def optimal_lead(profile: CcfProfile) -> tuple[int, float] | None:
+def optimal_lead(leads, values) -> tuple[int, float] | None:
     """Lead with the maximum non-negative correlation, or None if all negative.
 
     Ties break toward the smallest absolute lead, then toward the positive one.
     """
-    eligible = profile.values >= 0.0
+    leads = np.asarray(leads)
+    values = np.asarray(values, dtype=float)
+    eligible = values >= 0.0
     if not eligible.any():
         return None
-    vmax = profile.values[eligible].max()
-    at_max = profile.leads[eligible & (profile.values == vmax)]
+    vmax = values[eligible].max()
+    at_max = leads[eligible & (values == vmax)]
     best = min(at_max, key=lambda lead: (abs(lead), -lead))
     return int(best), float(vmax)
-
-
-def ccf_at_horizon(x: TimeSeries, y: TimeSeries, horizon: int = 14) -> float:
-    """Correlation at a fixed lead of ``horizon`` days (indicator earlier)."""
-    return ccf_at_delay(x, y, -horizon)
-
-
-def ccf_result(x: TimeSeries, y: TimeSeries, window: int = 30,
-               horizon: int = 14) -> CcfResult:
-    """Profile, optimal lead and fixed-horizon correlation in one record."""
-    best = optimal_lead(ccf_profile(x, y, window))
-    return CcfResult(
-        optimal_lead=best[0] if best is not None else None,
-        ccf_at_optimal=best[1] if best is not None else None,
-        ccf_at_horizon=ccf_at_horizon(x, y, horizon),
-        horizon=horizon,
-    )

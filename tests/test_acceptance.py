@@ -21,11 +21,13 @@ from leadlag.geo import apply_mapping, build_mapping, weighted_population
 from leadlag.granger import f_pvalue, granger_test
 from leadlag.pipeline import effective_lead
 from leadlag.synth import SynthSpec, derive_indicator, generate_admissions
-from leadlag.timeseries import Panel, TimeSeries, minmax_scale
-from leadlag.xcorr import ccf_profile, optimal_lead
+from leadlag.timeseries import minmax_scale
+from leadlag.xcorr import ccf_at_leads, optimal_lead
 
-from conftest import ts
+from conftest import panel, row
 from test_granger import reference_granger
+
+LEADS = np.arange(-30, 31)
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -42,18 +44,19 @@ def lead_fixture(lead: int, noise_sd: float = 0.0, seed: int = 0):
                      seed=seed)
     adm = generate_admissions(spec)
     ind = derive_indicator(adm, lead, noise_sd=noise_sd, seed=seed)
-    x = ind.get("T000", "indicator")
-    y = adm.get("T000", "admissions")
-    return x, y
+    return row(ind, "T000"), row(adm, "T000")
+
+
+def ccf_best_lead(x, y):
+    (x_scaled, y_scaled), _ = minmax_scale([x, y[: x.size]])
+    return optimal_lead(LEADS, ccf_at_leads([x_scaled], [y_scaled], LEADS)[0])
 
 
 def test_lead_recovery_ccf():
     started = time.perf_counter()
     exact_ok = True
     for lead in (5, 10, 20):
-        x, y = lead_fixture(lead)
-        y_cut = TimeSeries(y.start_date, y.values[: x.n])
-        best = optimal_lead(ccf_profile(minmax_scale(x), minmax_scale(y_cut), 30))
+        best = ccf_best_lead(*lead_fixture(lead))
         exact_ok &= best is not None and best[0] == lead
 
     noisy_ok = True
@@ -61,9 +64,7 @@ def test_lead_recovery_ccf():
     for lead in (5, 10, 20):
         hits = 0
         for rep in range(200):
-            x, y = lead_fixture(lead, noise_sd=0.1, seed=rep)
-            y_cut = TimeSeries(y.start_date, y.values[: x.n])
-            best = optimal_lead(ccf_profile(minmax_scale(x), minmax_scale(y_cut), 30))
+            best = ccf_best_lead(*lead_fixture(lead, noise_sd=0.1, seed=rep))
             hits += best is not None and abs(best[0] - lead) <= 3
         rates.append(hits / 200)
         noisy_ok &= hits / 200 >= 0.95
@@ -78,7 +79,7 @@ def test_lead_recovery_dtw():
     details = []
     for lead in (5, 10, 20):
         x, y = lead_fixture(lead)
-        q = AlignmentQuery(x.values, y.values, window=35, open_begin=True, open_end=True)
+        q = AlignmentQuery(x, y, window=35, open_begin=True, open_end=True)
         a = dtw_align(q)
         leads = [l for _, l in lead_times_from_path(a)]
         med = float(np.median(leads))
@@ -87,7 +88,7 @@ def test_lead_recovery_dtw():
         ok &= a.normalized < 0.05
 
     x, _ = lead_fixture(0)
-    a = dtw_align(AlignmentQuery(x.values, x.values, window=35,
+    a = dtw_align(AlignmentQuery(x, x, window=35,
                                  open_begin=True, open_end=True))
     identical_ok = a.normalized == 0.0 and all(l == 0 for _, l in lead_times_from_path(a))
     report("lead recovery (DTW)", ok and identical_ok, "; ".join(details))
@@ -139,7 +140,7 @@ def test_granger_correctness():
         n = 90
         y = rng.normal(size=n).cumsum() * 0.2 + rng.normal(size=n)
         x = np.roll(y, 2) + rng.normal(0, 0.4, size=n)
-        res = granger_test(ts(x), ts(y), max_lag=3)
+        res = granger_test(x, y, max_lag=3)
         f_ref, p_ref = reference_granger(x, y, 3)
         worst = max(worst, abs(res.f_stat - f_ref), abs(res.p_value - p_ref))
         oracle_ok &= abs(res.f_stat - f_ref) <= 1e-8 and abs(res.p_value - p_ref) <= 1e-8
@@ -148,12 +149,12 @@ def test_granger_correctness():
 
     y = np.sin(2 * np.pi * np.arange(121) / 60) + 0.3 * np.random.default_rng(8).normal(size=121)
     x = y[1:].copy()
-    predictor_ok = granger_test(ts(x), ts(y[:120]), max_lag=1).p_value < 1e-6
+    predictor_ok = granger_test(x, y[:120], max_lag=1).p_value < 1e-6
 
     rejections = 0
     for seed in range(500):
         rng = np.random.default_rng(10_000 + seed)
-        res = granger_test(ts(rng.normal(size=200)), ts(rng.normal(size=200)), max_lag=3)
+        res = granger_test(rng.normal(size=200), rng.normal(size=200), max_lag=3)
         rejections += res.p_value < 0.05
     size = rejections / 500
     size_ok = abs(size - 0.05) <= 0.03
@@ -176,12 +177,12 @@ def test_affine_invariance():
         c = rng.choice([-1, 1]) * rng.uniform(0.5, 4)
         b, d = rng.uniform(-10, 10, size=2)
 
-        base = granger_test(ts(x), ts(y), max_lag=3)
-        mapped = granger_test(ts(a * x + b), ts(c * y + d), max_lag=3)
+        base = granger_test(x, y, max_lag=3)
+        mapped = granger_test(a * x + b, c * y + d, max_lag=3)
         granger_ok &= abs(base.f_stat - mapped.f_stat) <= 1e-8
 
-        p_base = ccf_profile(ts(x), ts(y), 10).values
-        p_mapped = ccf_profile(ts(a * x + b), ts(c * y + d), 10).values
+        p_base = ccf_at_leads([x], [y], np.arange(-10, 11))
+        p_mapped = ccf_at_leads([a * x + b], [c * y + d], np.arange(-10, 11))
         ccf_ok &= np.max(np.abs(np.abs(p_mapped) - np.abs(p_base))) <= 1e-8
     report("affine invariance", granger_ok and ccf_ok)
 
@@ -212,14 +213,14 @@ def test_mapping_conservation():
         v1 = {l: r.normal(size=n_days) for l in m.ltla_ids}
         v2 = {l: r.normal(size=n_days) for l in m.ltla_ids}
         a, b = r.uniform(-3, 3, size=2)
-        p1 = Panel("ltla", {(l, "v"): ts(v1[l]) for l in m.ltla_ids})
-        p2 = Panel("ltla", {(l, "v"): ts(v2[l]) for l in m.ltla_ids})
-        combo = Panel("ltla", {(l, "v"): ts(a * v1[l] + b * v2[l]) for l in m.ltla_ids})
+        p1 = panel(v1, level="ltla")
+        p2 = panel(v2, level="ltla")
+        combo = panel({l: a * v1[l] + b * v2[l] for l in m.ltla_ids}, level="ltla")
         lhs = apply_mapping(combo, m)
         r1, r2 = apply_mapping(p1, m), apply_mapping(p2, m)
-        for t in m.trust_ids:
-            expected = a * r1.get(t, "v").values + b * r2.get(t, "v").values
-            linear_ok &= bool(np.allclose(lhs.get(t, "v").values, expected, atol=1e-9))
+        expected = a * r1.values + b * r2.values
+        linear_ok &= r1.geo_ids == lhs.geo_ids == m.trust_ids
+        linear_ok &= bool(np.allclose(lhs.values, expected, atol=1e-9))
     report("mapping conservation", rows_ok and pop_ok and linear_ok)
 
 

@@ -8,7 +8,6 @@ from leadlag.dtw import (
     dtw_align,
     lead_times_from_path,
     local_distance,
-    normalized_distance,
 )
 from leadlag.errors import LeadLagError, NoAdmissiblePathError, OracleScaleError
 
@@ -45,7 +44,7 @@ def test_identity_alignment_zero_distance():
     for q in (closed(x, x), opened(x, x)):
         a = dtw_align(q)
         assert a.cost == 0.0
-        assert normalized_distance(a) == 0.0
+        assert a.normalized == 0.0
         assert all(lead == 0.0 for _, lead in lead_times_from_path(a))
 
 
@@ -133,16 +132,17 @@ def test_leads_median_rule():
 
 
 def test_normalized_distance_division():
-    a = Alignment(pairs=tuple((i, i) for i in range(10)), cost=5.0, normalized=0.5,
-                  n_query=10, n_reference=10, window=35, open_begin=False, open_end=False)
-    assert normalized_distance(a) == 0.5
+    rng = np.random.default_rng(2)
+    a = dtw_align(closed(rng.normal(size=10), rng.normal(size=14)))
+    assert a.cost > 0.0
+    assert a.normalized == a.cost / 10  # divided by the query length
 
 
 def test_normalized_distance_matches_oracle():
     rng = np.random.default_rng(3)
     x, y = rng.normal(size=12), rng.normal(size=12)
     q = opened(x, y)
-    assert normalized_distance(dtw_align(q)) == brute_force_dtw(q).cost / 12
+    assert dtw_align(q).normalized == brute_force_dtw(q).cost / 12
 
 
 # ----------------------------------------------------------------- properties
@@ -205,8 +205,9 @@ def test_shift_recovery_with_zscore_and_decay():
     decay = math.log(2) / 210  # usership halves over the window
     for L in (5, 10, 20):
         ind = derive_indicator(adm, L, decay_rate=decay)
-        q = zscore_scale(ind.get("T000", "indicator")).values
-        r = zscore_scale(adm.get("T000", "admissions")).values
+        q, _ = zscore_scale(ind.values)
+        r, _ = zscore_scale(adm.values)
+        q, r = q[0], r[0]
         a = dtw_align(AlignmentQuery(q, r, window=35, open_begin=True, open_end=True))
         leads = [lead for _, lead in lead_times_from_path(a)]
         assert L - 2 <= np.median(leads) <= L + 2

@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from leadlag.errors import MappingError
 from leadlag.geo import apply_mapping, build_mapping, missing_ltlas, weighted_population
-from leadlag.timeseries import Panel
+from conftest import panel, row
 
-from conftest import ts
+
+def weights(m, ltla):
+    return m.weights[m.ltla_ids.index(ltla)]
 
 
 def two_ltla_mapping():
@@ -18,14 +20,14 @@ def two_ltla_mapping():
 
 def test_build_mapping_ratios():
     m = two_ltla_mapping()
-    assert m.row("A").tolist() == [0.6, 0.4]
-    assert m.row("B").tolist() == [1.0, 0.0]
+    assert weights(m, "A").tolist() == [0.6, 0.4]
+    assert weights(m, "B").tolist() == [1.0, 0.0]
 
 
 def test_build_mapping_zero_row_flagged():
     m = build_mapping([("A", "T1", 5), ("C", "T1", 0)])
     assert m.zero_record_ltlas == frozenset({"C"})
-    assert m.row("C").tolist() == [0.0]
+    assert weights(m, "C").tolist() == [0.0]
 
 
 def test_build_mapping_negative_count_errors():
@@ -40,7 +42,7 @@ def test_build_mapping_empty_errors():
 
 def test_build_mapping_duplicate_records_accumulate():
     m = build_mapping([("A", "T1", 30), ("A", "T1", 30), ("A", "T2", 40)])
-    assert m.row("A").tolist() == [0.6, 0.4]
+    assert weights(m, "A").tolist() == [0.6, 0.4]
 
 
 def test_row_sums_are_one():
@@ -61,40 +63,40 @@ def test_count_scaling_leaves_weights_unchanged(scale):
 
 def test_apply_mapping_weighted_sum():
     m = build_mapping([("A", "T1", 60), ("A", "T2", 40), ("B", "T1", 50), ("B", "T2", 50)])
-    panel = Panel("ltla", {("A", "v"): ts([10.0]), ("B", "v"): ts([20.0])})
-    out = apply_mapping(panel, m)
+    p = panel({"A": [10.0], "B": [20.0]}, level="ltla")
+    out = apply_mapping(p, m)
     assert out.level == "trust"
-    assert out.get("T1", "v").values[0] == pytest.approx(0.6 * 10 + 0.5 * 20)
+    assert row(out, "T1")[0] == pytest.approx(0.6 * 10 + 0.5 * 20)
 
 
 def test_apply_mapping_identity_passthrough():
     m = build_mapping([("A", "T1", 9)])
-    panel = Panel("ltla", {("A", "v"): ts([3.0, 7.0, 1.0])})
-    out = apply_mapping(panel, m)
-    assert np.array_equal(out.get("T1", "v").values, [3.0, 7.0, 1.0])
+    p = panel({"A": [3.0, 7.0, 1.0]}, level="ltla")
+    out = apply_mapping(p, m)
+    assert np.array_equal(row(out, "T1"), [3.0, 7.0, 1.0])
 
 
 def test_apply_mapping_equal_values_sum_weights():
     m = build_mapping([("A", "T1", 30), ("A", "T2", 70), ("B", "T1", 40), ("B", "T2", 60)])
-    panel = Panel("ltla", {("A", "v"): ts([5.0]), ("B", "v"): ts([5.0])})
-    out = apply_mapping(panel, m)
-    s = m.row("A")[0] + m.row("B")[0]
-    assert out.get("T1", "v").values[0] == pytest.approx(s * 5.0)
+    p = panel({"A": [5.0], "B": [5.0]}, level="ltla")
+    out = apply_mapping(p, m)
+    s = weights(m, "A")[0] + weights(m, "B")[0]
+    assert row(out, "T1")[0] == pytest.approx(s * 5.0)
 
 
 def test_apply_mapping_unknown_geo_errors():
     m = two_ltla_mapping()
-    panel = Panel("ltla", {("Z", "v"): ts([1.0])})
+    p = panel({"Z": [1.0]}, level="ltla")
     with pytest.raises(MappingError, match="Z"):
-        apply_mapping(panel, m)
+        apply_mapping(p, m)
 
 
 def test_apply_mapping_reports_missing_ltlas(caplog):
     m = two_ltla_mapping()
-    panel = Panel("ltla", {("A", "v"): ts([1.0])})
-    assert missing_ltlas(panel, m, "v") == ["B"]
+    p = panel({"A": [1.0]}, level="ltla")
+    assert missing_ltlas(p, m) == ["B"]
     with caplog.at_level("WARNING", logger="leadlag.geo"):
-        apply_mapping(panel, m)
+        apply_mapping(p, m)
     assert any("B" in rec.message for rec in caplog.records)
 
 
@@ -104,14 +106,14 @@ def test_apply_mapping_is_linear():
     v1 = {g: rng.normal(size=5) for g in "AB"}
     v2 = {g: rng.normal(size=5) for g in "AB"}
     a, b = 2.5, -1.5
-    p1 = Panel("ltla", {(g, "v"): ts(v1[g]) for g in "AB"})
-    p2 = Panel("ltla", {(g, "v"): ts(v2[g]) for g in "AB"})
-    combo = Panel("ltla", {(g, "v"): ts(a * v1[g] + b * v2[g]) for g in "AB"})
+    p1 = panel(v1, level="ltla")
+    p2 = panel(v2, level="ltla")
+    combo = panel({g: a * v1[g] + b * v2[g] for g in "AB"}, level="ltla")
     lhs = apply_mapping(combo, m)
     r1, r2 = apply_mapping(p1, m), apply_mapping(p2, m)
     for t in ("T1", "T2"):
-        expect = a * r1.get(t, "v").values + b * r2.get(t, "v").values
-        assert np.allclose(lhs.get(t, "v").values, expect, atol=1e-12)
+        expect = a * row(r1, t) + b * row(r2, t)
+        assert np.allclose(row(lhs, t), expect, atol=1e-12)
 
 
 # ------------------------------------------------------- weighted_population

@@ -7,8 +7,6 @@ from scipy.integrate import quad
 from leadlag.errors import CollinearDesignError, InsufficientDataError, LeadLagError
 from leadlag.granger import OlsFit, f_pvalue, f_statistic, granger_test, ols_fit
 
-from conftest import ts
-
 
 # ------------------------------------------------------- independent oracles
 
@@ -186,12 +184,12 @@ def test_perfect_one_step_predictor():
     y = _noisy_wave(121, seed=8)
     x = np.empty(120)
     x[:] = y[1:]
-    res = granger_test(ts(x), ts(y[:120]), max_lag=1, horizon=0)
+    res = granger_test(x, y[:120], max_lag=1, horizon=0)
     assert res.p_value < 1e-6
 
     rng = np.random.default_rng(9)
     x_jittered = x + 1e-8 * rng.normal(size=120)
-    res3 = granger_test(ts(x_jittered), ts(y[:120]), max_lag=3, horizon=0)
+    res3 = granger_test(x_jittered, y[:120], max_lag=3, horizon=0)
     assert res3.p_value < 1e-6
 
 
@@ -202,7 +200,7 @@ def test_white_noise_size_is_nominal():
         rng = np.random.default_rng(10_000 + seed)
         x = rng.normal(size=200)
         y = rng.normal(size=200)
-        res = granger_test(ts(x), ts(y), max_lag=3, horizon=0)
+        res = granger_test(x, y, max_lag=3, horizon=0)
         rejections += res.p_value < 0.05
     assert abs(rejections / reps - 0.05) <= 0.03
 
@@ -215,7 +213,7 @@ def test_shifted_ar1_detected_and_matches_reference():
         y[t] = 0.9 * y[t - 1] + rng.normal()
     x = y[2:] + rng.normal(0, 0.05, size=n)  # x_t = y_{t+2} + noise
     yv = y[:n]
-    res = granger_test(ts(x), ts(yv), max_lag=3, horizon=0)
+    res = granger_test(x, yv, max_lag=3, horizon=0)
     assert res.p_value < 0.01
     f_ref, p_ref = reference_granger(x, yv, 3)
     assert res.f_stat == pytest.approx(f_ref, abs=1e-8)
@@ -228,7 +226,7 @@ def test_granger_matches_oracle_on_seeded_cases():
         n = 80
         y = rng.normal(size=n).cumsum() * 0.1 + rng.normal(size=n)
         x = np.roll(y, 3) + rng.normal(0, 0.5, size=n)
-        res = granger_test(ts(x), ts(y), max_lag=3)
+        res = granger_test(x, y, max_lag=3)
         f_ref, p_ref = reference_granger(x, y, 3)
         assert res.f_stat == pytest.approx(f_ref, abs=1e-8)
         assert res.p_value == pytest.approx(p_ref, abs=1e-8)
@@ -239,7 +237,7 @@ def test_horizon_shifts_response():
     n = 120
     y = np.sin(2 * np.pi * np.arange(n) / 40) + 0.1 * rng.normal(size=n)
     x = rng.normal(size=n)
-    res = granger_test(ts(x), ts(y), max_lag=3, horizon=14)
+    res = granger_test(x, y, max_lag=3, horizon=14)
     assert res.horizon == 14
     # same computation done by hand: response shifted forward by 14
     z = y[14:]
@@ -251,12 +249,12 @@ def test_horizon_shifts_response():
 def test_identical_series_collinear():
     y = _noisy_wave(100, seed=2)
     with pytest.raises(CollinearDesignError):
-        granger_test(ts(y), ts(y), max_lag=3, horizon=0)
+        granger_test(y, y, max_lag=3, horizon=0)
 
 
 def test_too_short_series_errors():
     with pytest.raises(InsufficientDataError, match="insufficient"):
-        granger_test(ts(np.arange(9.0)), ts(np.arange(9.0) ** 2), max_lag=3)
+        granger_test(np.arange(9.0), np.arange(9.0) ** 2, max_lag=3)
 
 
 def test_affine_invariance():
@@ -266,7 +264,7 @@ def test_affine_invariance():
         n = 80
         y = r.normal(size=n).cumsum() * 0.2 + r.normal(size=n)
         x = np.roll(y, 2) + r.normal(0, 0.4, size=n)
-        base = granger_test(ts(x), ts(y), max_lag=3)
+        base = granger_test(x, y, max_lag=3)
         a, b, c, d = rng.uniform(0.5, 3), rng.uniform(-5, 5), rng.uniform(0.5, 3), rng.uniform(-5, 5)
-        mapped = granger_test(ts(a * x + b), ts(c * y + d), max_lag=3)
+        mapped = granger_test(a * x + b, c * y + d, max_lag=3)
         assert mapped.f_stat == pytest.approx(base.f_stat, abs=1e-8)

@@ -8,9 +8,9 @@ from leadlag.errors import ConfigError, LeadLagError
 from leadlag.geo import build_mapping
 from leadlag.pipeline import effective_lead, filter_trusts, run_analysis
 from leadlag.synth import IndicatorSpec, SynthSpec, generate_admissions, generate_indicators
-from leadlag.timeseries import Panel, TimeSeries
+from leadlag.timeseries import Panel
 
-from conftest import START
+from conftest import START, panel
 
 N_DAYS = 210
 WAVE1 = WaveSpec("w1", START + timedelta(days=20), START + timedelta(days=88))
@@ -63,8 +63,8 @@ def _admissions_panel(totals: dict[str, int]) -> Panel:
     for trust, total in totals.items():
         values = np.zeros(30)
         values[:10] = total / 10
-        series[(trust, "admissions")] = TimeSeries(date(2022, 1, 1), values)
-    return Panel("trust", series)
+        series[trust] = values
+    return panel(series, "admissions", start=date(2022, 1, 1))
 
 
 def test_filter_removes_below_threshold():
@@ -72,7 +72,8 @@ def test_filter_removes_below_threshold():
     config = study_config(admissions_filter_start=date(2022, 1, 1),
                           admissions_filter_end=date(2022, 12, 31))
     out = filter_trusts(panel, config)
-    assert out.geo_ids() == ["HIGH", "OK"]  # 10 is retained, "fewer than 10" removed
+    assert out.geo_ids == ("HIGH", "OK")
+    assert out.values.sum(axis=1).tolist() == [500, 10]  # 10 is retained, "fewer than 10" removed
 
 
 def test_filter_applies_exclusion_list():
@@ -80,7 +81,7 @@ def test_filter_applies_exclusion_list():
     config = study_config(trust_exclusions=("B",),
                           admissions_filter_start=date(2022, 1, 1),
                           admissions_filter_end=date(2022, 12, 31))
-    assert filter_trusts(panel, config).geo_ids() == ["A"]
+    assert filter_trusts(panel, config).geo_ids == ("A",)
 
 
 def test_filter_all_removed_errors():
@@ -143,10 +144,7 @@ def test_row_grid_is_complete():
 
 def test_constant_indicator_degenerate_rows():
     adm, _ = synth_inputs()
-    const = Panel("trust", {
-        (t, "flat"): TimeSeries(START, np.full(N_DAYS, 3.0))
-        for t in adm.geo_ids("admissions")
-    })
+    const = panel({t: np.full(N_DAYS, 3.0) for t in adm.geo_ids}, "flat")
     rows = run_analysis(study_config(), adm, {"flat": const}, identity_mapping())
     assert rows
     for row in rows:
@@ -160,7 +158,9 @@ def test_constant_indicator_degenerate_rows():
 def test_indicator_absent_for_wave_gets_truncated_rows():
     adm, indicators = synth_inputs()
     full = indicators["ind"]
-    wave1_only = full.window(START, WAVE1.end)
+    cols = full.day_slice(START, WAVE1.end)
+    wave1_only = Panel(full.level, full.variable, full.start_date, full.geo_ids,
+                       full.values[:, cols])
     rows = run_analysis(study_config(), adm, {"ind": wave1_only}, identity_mapping())
     w2 = [r for r in rows if r.wave == "w2"]
     assert w2
@@ -178,24 +178,21 @@ def test_wave_isolation():
     from leadlag.timeseries import loess_smooth
 
     adm, indicators = synth_inputs()
-    panel = indicators["ind"]
-    perturbed = {}
-    for (geo, var), s in panel.series.items():
-        values = s.values.copy()
-        # falling tail of wave 1, clear of wave 2's warm-up prefix even after
-        # the smoothing window spreads the change
-        i0 = (WAVE1.start - s.start_date).days + 35
-        values[i0 : i0 + 8] *= 0.85
-        mutated = TimeSeries(s.start_date, values)
-        base_s = loess_smooth(s, 0.08, 2).values
-        pert_s = loess_smooth(mutated, 0.08, 2).values
-        # precondition: the whole-period scaling anchors stay put
-        assert base_s.min() == pert_s.min() and base_s.max() == pert_s.max()
-        perturbed[(geo, var)] = mutated
+    base = indicators["ind"]
+    values = base.values.copy()
+    # falling tail of wave 1, clear of wave 2's warm-up prefix even after
+    # the smoothing window spreads the change
+    i0 = (WAVE1.start - base.start_date).days + 35
+    values[:, i0 : i0 + 8] *= 0.85
+    perturbed = Panel(base.level, base.variable, base.start_date, base.geo_ids, values)
+    base_s = loess_smooth(base.values, 0.08, 2)
+    pert_s = loess_smooth(values, 0.08, 2)
+    # precondition: the whole-period scaling anchors stay put
+    assert np.array_equal(base_s.min(axis=1), pert_s.min(axis=1))
+    assert np.array_equal(base_s.max(axis=1), pert_s.max(axis=1))
 
     rows_base = run_analysis(study_config(), adm, indicators, identity_mapping())
-    rows_pert = run_analysis(study_config(), adm, {"ind": Panel("trust", perturbed)},
-                             identity_mapping())
+    rows_pert = run_analysis(study_config(), adm, {"ind": perturbed}, identity_mapping())
 
     def stats(rows, wave):
         return {
@@ -240,12 +237,41 @@ def test_multivariate_dtw_shared_across_trusts():
 def test_ltla_panel_is_mapped():
     adm, indicators = synth_inputs()
     trust_panel = indicators["ind"]
-    ltla_series = {
-        (f"L{i:03d}", "ind"): trust_panel.get(f"T{i:03d}", "ind")
-        for i in range(3)
-    }
-    ltla_panel = Panel("ltla", ltla_series)
+    ltla_panel = Panel("ltla", "ind", trust_panel.start_date,
+                       tuple(f"L{i:03d}" for i in range(3)), trust_panel.values)
     rows = run_analysis(study_config(), adm, {"ind": ltla_panel},
                         identity_mapping(), methods=("ccf",))
     good = [r for r in rows if r.optimal_lead is not None]
     assert good and all(abs(r.optimal_lead - 10) <= 1 for r in good)
+
+
+def test_unknown_method_is_config_error():
+    adm, indicators = synth_inputs()
+    with pytest.raises(ConfigError, match="unknown methods: wavelets"):
+        run_analysis(study_config(), adm, indicators, identity_mapping(),
+                     methods=("ccf", "wavelets"))
+
+
+def test_batch_mixing_degenerate_and_missing_trusts():
+    # T001's indicator is constant and T002 has none; T000 must come out as
+    # it does when analysed alone
+    adm, indicators = synth_inputs()
+    ind = indicators["ind"]
+    values = ind.values[:2].copy()
+    values[1] = 3.0
+    mixed = Panel("trust", "ind", ind.start_date, ("T000", "T001"), values)
+    rows = run_analysis(study_config(), adm, {"ind": mixed}, identity_mapping())
+    alone = run_analysis(study_config(), adm, {"ind": panel({"T000": values[0]}, "ind",
+                                                            start=ind.start_date)},
+                         identity_mapping(), methods=("granger", "ccf"))
+    by_trust = {t: [r for r in rows if r.trust_id == t] for t in ("T000", "T001", "T002")}
+    assert [r for r in by_trust["T000"] if r.method != "dtw"] == \
+        [r for r in alone if r.trust_id == "T000"]
+    for row in by_trust["T001"]:
+        assert row.degenerate
+        if row.method != "dtw":
+            assert row.error in ("collinear design", "zero variance")
+    assert by_trust["T002"]
+    for row in by_trust["T002"]:
+        assert row.error == "no indicator series for trust"
+        assert not row.degenerate and row.p_value is None

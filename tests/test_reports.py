@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -93,6 +94,15 @@ def test_csv_quotes_commas(tmp_path):
     emit_reports([row(provenance="a,b")], tmp_path)
     line = (tmp_path / "ccf.csv").read_text().splitlines()[1]
     assert '"a,b"' in line
+
+
+def test_csv_round_trips_quotes_and_line_breaks(tmp_path):
+    names = ['a,b', 'say "hi"', "two\nlines", "carriage\rreturn", "crlf\r\nend"]
+    emit_reports([row(indicator=name) for name in names], tmp_path)
+    with (tmp_path / "ccf.csv").open(newline="", encoding="utf-8") as fh:
+        records = list(csv.DictReader(fh))
+    assert sorted(r["indicator"] for r in records) == sorted(names)
+    assert all(r["optimal_lead"] == "10" for r in records)
 
 
 def test_json_survives_infinite_f_sentinel(tmp_path):

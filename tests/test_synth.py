@@ -11,6 +11,8 @@ from leadlag.synth import (
     ground_truth,
 )
 
+from conftest import row
+
 
 def spec(**kw):
     base = dict(n_trusts=2, n_days=120, peak_day=50.0, rise_width=8.0,
@@ -21,27 +23,27 @@ def spec(**kw):
 
 def test_zero_amplitude_gives_zero_panel():
     adm = generate_admissions(spec(amplitude=0.0))
-    for trust in adm.geo_ids("admissions"):
-        assert np.all(adm.get(trust, "admissions").values == 0.0)
+    assert adm.geo_ids == ("T000", "T001")
+    assert np.all(adm.values == 0.0)
 
 
 def test_peak_location():
     adm = generate_admissions(spec(peak_day=50.0))
-    values = adm.get("T000", "admissions").values
+    values = row(adm, "T000")
     assert int(np.argmax(values)) == 50
 
 
 def test_identical_parameters_identical_series():
     adm = generate_admissions(spec())
-    a = adm.get("T000", "admissions").values
-    b = adm.get("T001", "admissions").values
+    a = row(adm, "T000")
+    b = row(adm, "T001")
     assert np.array_equal(a, b)
 
 
 def test_per_trust_parameters():
     adm = generate_admissions(spec(amplitude=(50.0, 150.0)))
-    peak0 = adm.get("T000", "admissions").values.max()
-    peak1 = adm.get("T001", "admissions").values.max()
+    peak0 = row(adm, "T000").max()
+    peak1 = row(adm, "T001").max()
     assert peak1 == pytest.approx(3 * peak0)
     with pytest.raises(LeadLagError, match="per-trust"):
         generate_admissions(spec(amplitude=(1.0, 2.0, 3.0)))
@@ -50,26 +52,24 @@ def test_per_trust_parameters():
 def test_noiseless_lead_zero_is_bit_identical():
     adm = generate_admissions(spec())
     ind = derive_indicator(adm, lead=0, noise_sd=0.0, decay_rate=0.0)
-    for trust in adm.geo_ids("admissions"):
-        assert np.array_equal(ind.get(trust, "indicator").values,
-                              adm.get(trust, "admissions").values)
+    assert ind.geo_ids == adm.geo_ids
+    assert np.array_equal(ind.values, adm.values)
 
 
 def test_lead_trims_and_shifts():
     adm = generate_admissions(spec())
     ind = derive_indicator(adm, lead=10)
-    s = ind.get("T000", "indicator")
-    assert s.n == 110
-    assert np.array_equal(s.values, adm.get("T000", "admissions").values[10:])
+    assert ind.n_days == 110
+    assert ind.start_date == adm.start_date
+    assert np.array_equal(row(ind, "T000"), row(adm, "T000")[10:])
 
 
 def test_negative_lead():
     adm = generate_admissions(spec())
     ind = derive_indicator(adm, lead=-5)
-    s = ind.get("T000", "indicator")
-    assert s.n == 115
-    assert s.start_date == adm.start_date.replace(day=adm.start_date.day + 5)
-    assert np.array_equal(s.values, adm.get("T000", "admissions").values[:-5])
+    assert ind.n_days == 115
+    assert ind.start_date == adm.start_date.replace(day=adm.start_date.day + 5)
+    assert np.array_equal(row(ind, "T000"), row(adm, "T000")[:-5])
 
 
 def test_lead_too_large_errors():
@@ -80,25 +80,24 @@ def test_lead_too_large_errors():
 
 def test_noise_determinism():
     adm = generate_admissions(spec())
-    a = derive_indicator(adm, 5, noise_sd=0.1, seed=7).get("T000", "indicator").values
-    b = derive_indicator(adm, 5, noise_sd=0.1, seed=7).get("T000", "indicator").values
-    c = derive_indicator(adm, 5, noise_sd=0.1, seed=8).get("T000", "indicator").values
+    a = derive_indicator(adm, 5, noise_sd=0.1, seed=7).values
+    b = derive_indicator(adm, 5, noise_sd=0.1, seed=7).values
+    c = derive_indicator(adm, 5, noise_sd=0.1, seed=8).values
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_derived_lead_recovered_by_ccf():
-    from leadlag.timeseries import TimeSeries, minmax_scale
-    from leadlag.xcorr import ccf_profile, optimal_lead
+    from leadlag.timeseries import minmax_scale
+    from leadlag.xcorr import ccf_at_leads, optimal_lead
 
     s = spec(n_days=210, peak_day=50.0, rise_width=7.0, fall_width=11.0,
              extra_peaks=(60.0, 125.0))
     adm = generate_admissions(s)
-    ind = derive_indicator(adm, 10)
-    x = ind.get("T000", "indicator")
-    y = adm.get("T000", "admissions")
-    y = TimeSeries(y.start_date, y.values[: x.n])
-    best = optimal_lead(ccf_profile(minmax_scale(x), minmax_scale(y), 30))
+    x = derive_indicator(adm, 10).values
+    y = adm.values[:, : x.shape[1]]
+    leads = np.arange(-30, 31)
+    best = optimal_lead(leads, ccf_at_leads(minmax_scale(x)[0], minmax_scale(y)[0], leads)[0])
     assert best[0] == 10
 
 

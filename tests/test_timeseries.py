@@ -6,18 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leadlag.errors import EmptySeriesError, EmptySliceError, InsufficientDataError, LeadLagError
-from leadlag.timeseries import (
-    Panel,
-    TimeSeries,
-    locf_impute,
-    loess_smooth,
-    minmax_scale,
-    shift_series,
-    slice_window,
-    zscore_scale,
-)
+from leadlag.timeseries import Panel, locf_impute, loess_smooth, minmax_scale, zscore_scale
 
-from conftest import START, ts
+from conftest import START, panel
 
 NAN = float("nan")
 
@@ -26,183 +17,175 @@ NAN = float("nan")
 
 def test_timeseries_rejects_empty():
     with pytest.raises(EmptySeriesError):
-        ts([])
+        panel({"T1": []})
+    with pytest.raises(EmptySeriesError):
+        locf_impute([[]])
 
 
 def test_timeseries_dates_are_consecutive():
-    s = ts([1, 2, 3])
-    assert s.dates() == [START, START + timedelta(days=1), START + timedelta(days=2)]
-    assert s.end_date == START + timedelta(days=2)
+    p = panel({"T1": [1, 2, 3]})
+    assert p.n_days == 3
+    assert p.end_date == START + timedelta(days=2)
 
 
 def test_panel_rejects_misaligned_series():
     with pytest.raises(LeadLagError, match="misaligned"):
-        Panel("trust", {
-            ("T1", "v"): ts([1, 2, 3]),
-            ("T2", "v"): ts([1, 2]),
-        })
+        Panel("trust", "v", START, ("T1", "T2"), np.ones((1, 3)))
 
 
 def test_panel_rejects_unknown_level():
     with pytest.raises(LeadLagError, match="geo level"):
-        Panel("region", {("T1", "v"): ts([1.0])})
+        panel({"T1": [1.0]}, level="region")
+
+
+def test_panel_requires_sorted_unique_geo_ids():
+    with pytest.raises(LeadLagError, match="sorted"):
+        Panel("trust", "v", START, ("T2", "T1"), np.ones((2, 3)))
+    with pytest.raises(LeadLagError, match="sorted"):
+        Panel("trust", "v", START, ("T1", "T1"), np.ones((2, 3)))
+
+
+def test_panel_values_are_read_only_copies():
+    values = np.ones((1, 3))
+    p = Panel("trust", "v", START, ("T1",), values)
+    values[0, 0] = 5.0
+    assert p.values[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        p.values[0, 0] = 2.0
 
 
 # ---------------------------------------------------------------------- locf
 
 def test_locf_fills_gaps_forward():
-    out = locf_impute(ts([1, NAN, NAN, 4]))
-    assert out.values.tolist() == [1, 1, 1, 4]
+    out = locf_impute([[1, NAN, NAN, 4]])
+    assert out.tolist() == [[1, 1, 1, 4]]
 
 
 def test_locf_backfills_leading_gap():
-    out = locf_impute(ts([NAN, 2, NAN]))
-    assert out.values.tolist() == [2, 2, 2]
+    out = locf_impute([[NAN, 2, NAN]])
+    assert out.tolist() == [[2, 2, 2]]
 
 
 def test_locf_identity_on_complete():
-    out = locf_impute(ts([5]))
-    assert out.values.tolist() == [5]
+    out = locf_impute([[5]])
+    assert out.tolist() == [[5]]
 
 
 def test_locf_all_missing_errors():
     with pytest.raises(EmptySeriesError, match="empty series"):
-        locf_impute(ts([NAN, NAN]))
+        locf_impute([[NAN, NAN]])
+    with pytest.raises(EmptySeriesError, match="empty series"):
+        locf_impute([[1.0, 2.0], [NAN, NAN]])
+
+
+def test_locf_rows_are_independent():
+    out = locf_impute([[NAN, 1, NAN], [3, NAN, 4]])
+    assert out.tolist() == [[1, 1, 1], [3, 3, 4]]
 
 
 @given(st.lists(st.one_of(st.none(), st.floats(-1e6, 1e6)), min_size=1, max_size=40)
        .filter(lambda v: any(x is not None for x in v)))
 def test_locf_idempotent(values):
-    s = TimeSeries(START, np.array([np.nan if v is None else v for v in values]))
-    once = locf_impute(s)
-    assert not once.missing.any()
-    assert np.array_equal(locf_impute(once).values, once.values)
+    once = locf_impute(np.array([[np.nan if v is None else v for v in values]]))
+    assert not np.isnan(once).any()
+    assert np.array_equal(locf_impute(once), once)
 
 
-# --------------------------------------------------------------------- shift
-
-def test_shift_forward():
-    out = shift_series(ts([1, 2, 3, 4]), 1)
-    assert out.values[:3].tolist() == [2, 3, 4]
-    assert np.isnan(out.values[3])
-
-
-def test_shift_zero_is_identity():
-    s = ts([1, 2, 3])
-    assert np.array_equal(shift_series(s, 0).values, s.values)
-
-
-def test_shift_backward():
-    out = shift_series(ts([1, 2, 3]), -1)
-    assert np.isnan(out.values[0])
-    assert out.values[1:].tolist() == [1, 2]
-
-
-def test_shift_too_far_errors():
-    with pytest.raises(InsufficientDataError):
-        shift_series(ts([1, 2, 3]), 3)
-
-
-@given(st.lists(st.floats(-100, 100), min_size=2, max_size=30), st.integers(-5, 5))
-def test_shift_roundtrip_on_overlap(values, h):
-    if abs(h) >= len(values):
-        return
-    s = ts(values)
-    back = shift_series(shift_series(s, h), -h)
-    keep = ~back.missing
-    assert np.array_equal(back.values[keep], s.values[keep])
-    assert keep.sum() == len(values) - abs(h)
-
-
-# --------------------------------------------------------------------- slice
+# ---------------------------------------------------------------- day slices
 
 def test_slice_full_range_is_identity():
-    s = ts([1, 2, 3, 4])
-    out = slice_window(s, START, s.end_date)
-    assert out.start_date == s.start_date
-    assert np.array_equal(out.values, s.values)
+    p = panel({"T1": [1, 2, 3, 4]})
+    assert np.array_equal(p.values[:, p.day_slice(START, p.end_date)], p.values)
 
 
 def test_slice_interior_window():
-    s = ts(range(10))
-    out = slice_window(s, START + timedelta(days=3), START + timedelta(days=5))
-    assert out.start_date == START + timedelta(days=3)
-    assert out.values.tolist() == [3, 4, 5]
+    p = panel({"T1": range(10)})
+    cols = p.day_slice(START + timedelta(days=3), START + timedelta(days=5))
+    assert p.values[0, cols].tolist() == [3, 4, 5]
 
 
 def test_slice_outside_range_errors():
-    s = ts([1, 2, 3])
+    p = panel({"T1": [1, 2, 3]})
     with pytest.raises(EmptySliceError, match="empty slice"):
-        slice_window(s, START - timedelta(days=9), START - timedelta(days=5))
+        p.day_slice(START - timedelta(days=9), START - timedelta(days=5))
 
 
 def test_slice_start_after_end_errors():
-    s = ts([1, 2, 3])
+    p = panel({"T1": [1, 2, 3]})
     with pytest.raises(LeadLagError):
-        slice_window(s, s.end_date, START)
+        p.day_slice(p.end_date, START)
 
 
 def test_slice_idempotent():
-    s = ts(range(10))
-    a = slice_window(s, START + timedelta(days=2), START + timedelta(days=7))
-    b = slice_window(a, START + timedelta(days=2), START + timedelta(days=7))
-    assert a.start_date == b.start_date
-    assert np.array_equal(a.values, b.values)
+    p = panel({"T1": range(10)})
+    start, end = START + timedelta(days=2), START + timedelta(days=20)  # clipped at the end
+    a = p.values[:, p.day_slice(start, end)]
+    sub = Panel(p.level, p.variable, start, p.geo_ids, a)
+    assert np.array_equal(sub.values[:, sub.day_slice(start, end)], a)
+    assert sub.end_date == p.end_date
 
 
 # ------------------------------------------------------------------- scaling
 
 def test_minmax_basic():
-    assert minmax_scale(ts([2, 4, 6])).values.tolist() == [0, 0.5, 1]
-    assert minmax_scale(ts([-1, 0, 1])).values.tolist() == [0, 0.5, 1]
+    out, flat = minmax_scale([[2, 4, 6], [-1, 0, 1]])
+    assert out.tolist() == [[0, 0.5, 1], [0, 0.5, 1]]
+    assert flat.tolist() == [False, False]
 
 
 def test_minmax_constant_flags_degenerate():
-    out = minmax_scale(ts([7, 7, 7]))
-    assert out.values.tolist() == [0, 0, 0]
-    assert out.degenerate
+    out, flat = minmax_scale([[7, 7, 7], [1, 2, 3]])
+    assert out.tolist() == [[0, 0, 0], [0, 0.5, 1]]
+    assert flat.tolist() == [True, False]
 
 
 def test_minmax_requires_complete():
     with pytest.raises(LeadLagError, match="complete"):
-        minmax_scale(ts([1, NAN]))
+        minmax_scale([[1, NAN]])
 
 
 @given(st.lists(st.floats(-1e5, 1e5), min_size=2, max_size=50)
        .filter(lambda v: max(v) > min(v)))
 def test_minmax_range_property(values):
-    out = minmax_scale(ts(values)).values
+    out, flat = minmax_scale([values])
+    out = out[0]
+    assert not flat[0]
     assert out.min() == 0.0 and out.max() == 1.0
     assert ((out >= 0) & (out <= 1)).all()
 
 
 def test_zscore_basic():
-    out = zscore_scale(ts([1, 2, 3]))
-    assert np.allclose(out.values, [-1, 0, 1], atol=1e-15)
-    out = zscore_scale(ts([2, 4]))
-    assert np.allclose(out.values, [-np.sqrt(0.5), np.sqrt(0.5)], atol=1e-15)
+    out, _ = zscore_scale([[1, 2, 3]])
+    assert np.allclose(out, [[-1, 0, 1]], atol=1e-15)
+    out, _ = zscore_scale([[2, 4]])
+    assert np.allclose(out, [[-np.sqrt(0.5), np.sqrt(0.5)]], atol=1e-15)
 
 
 def test_zscore_constant_flags_degenerate():
-    out = zscore_scale(ts([3, 3, 3]))
-    assert out.values.tolist() == [0, 0, 0]
-    assert out.degenerate
+    out, flat = zscore_scale([[3, 3, 3], [1, 2, 3]])
+    assert out[0].tolist() == [0, 0, 0]
+    assert flat.tolist() == [True, False]
 
 
 def test_zscore_too_short_errors():
     with pytest.raises(InsufficientDataError):
-        zscore_scale(ts([1]))
+        zscore_scale([[1]])
 
 
 @given(st.lists(st.floats(-1e4, 1e4), min_size=3, max_size=60)
        .filter(lambda v: max(v) - min(v) > 1e-6))
 def test_zscore_moments_property(values):
-    out = zscore_scale(ts(values)).values
+    out = zscore_scale([values])[0][0]
     assert abs(out.mean()) < 1e-12
     assert abs(out.std(ddof=1) - 1.0) < 1e-12
 
 
 # --------------------------------------------------------------------- loess
+
+def smooth(y, **kw):
+    """LOESS of a single series."""
+    return loess_smooth([y], **kw)[0]
+
 
 def _naive_loess(y, span, degree):
     # direct per-point weighted polynomial fit, the independent reference
@@ -224,15 +207,15 @@ def _naive_loess(y, span, degree):
 
 def test_loess_constant_unchanged():
     for span, degree in [(0.3, 1), (0.5, 2), (1.0, 2)]:
-        out = loess_smooth(ts([4.0] * 30), span=span, degree=degree)
-        assert np.allclose(out.values, 4.0, atol=1e-9)
+        out = smooth([4.0] * 30, span=span, degree=degree)
+        assert np.allclose(out, 4.0, atol=1e-9)
 
 
 def test_loess_reproduces_line():
     y = 2.5 * np.arange(40.0) - 3.0
     for degree in (1, 2):
-        out = loess_smooth(ts(y), span=0.3, degree=degree)
-        assert np.allclose(out.values, y, atol=1e-9)
+        out = smooth(y, span=0.3, degree=degree)
+        assert np.allclose(out, y, atol=1e-9)
 
 
 def test_loess_denoises_sine():
@@ -240,7 +223,7 @@ def test_loess_denoises_sine():
     t = np.linspace(0, 4 * np.pi, 200)
     clean = np.sin(t)
     noisy = clean + rng.normal(0, 0.2, size=200)
-    smoothed = loess_smooth(ts(noisy), span=0.15, degree=2).values
+    smoothed = smooth(noisy, span=0.15, degree=2)
     mse_raw = np.mean((noisy - clean) ** 2)
     mse_smooth = np.mean((smoothed - clean) ** 2)
     assert mse_smooth < mse_raw
@@ -248,14 +231,14 @@ def test_loess_denoises_sine():
 
 def test_loess_window_too_small_errors():
     with pytest.raises(InsufficientDataError):
-        loess_smooth(ts(range(10)), span=0.2, degree=2)  # window of 2 points
+        smooth(range(10), span=0.2, degree=2)  # window of 2 points
 
 
 def test_loess_matches_naive_reference():
     rng = np.random.default_rng(5)
     y = rng.normal(size=80).cumsum()
     for span, degree in [(0.15, 2), (0.25, 1), (0.4, 2)]:
-        fast = loess_smooth(ts(y), span=span, degree=degree).values
+        fast = smooth(y, span=span, degree=degree)
         assert np.allclose(fast, _naive_loess(y, span, degree), atol=1e-9)
 
 
@@ -264,6 +247,63 @@ def test_loess_matches_naive_reference():
 def test_loess_commutes_with_affine(a, b):
     rng = np.random.default_rng(7)
     y = rng.normal(size=60).cumsum()
-    base = loess_smooth(ts(y), span=0.25, degree=2).values
-    mapped = loess_smooth(ts(a * y + b), span=0.25, degree=2).values
+    base = smooth(y, span=0.25, degree=2)
+    mapped = smooth(a * y + b, span=0.25, degree=2)
     assert np.allclose(mapped, a * base + b, atol=1e-9)
+
+
+def _naive_robust_loess(y, span, degree, passes):
+    # per-point weighted fits with bisquare reweighting, the robust reference
+    n = y.size
+    q = int(np.ceil(span * n))
+    h1 = (q - 1) // 2
+    rob = np.ones(n)
+    for _ in range(passes + 1):
+        out = np.empty(n)
+        for i in range(n):
+            lo = min(max(i - h1, 0), n - q)
+            idx = np.arange(lo, lo + q)
+            dist = np.abs(idx - i).astype(float)
+            w = (1 - (dist / dist.max()) ** 3) ** 3 * rob[idx]
+            X = np.vander(idx - i, degree + 1, increasing=True).astype(float)
+            sw = np.sqrt(w)
+            beta, *_ = np.linalg.lstsq(X * sw[:, None], y[idx] * sw, rcond=None)
+            out[i] = beta[0]
+        resid = y - out
+        s6 = 6.0 * np.median(np.abs(resid))
+        if s6 == 0.0:
+            break
+        rob = np.clip(1.0 - (resid / s6) ** 2, 0.0, None) ** 2
+    return out
+
+
+def test_loess_robust_matches_naive_reference():
+    rng = np.random.default_rng(8)
+    y = rng.normal(size=70).cumsum()
+    y[[10, 40]] += 25.0  # outliers the reweighting must discount
+    for passes in (1, 2):
+        fast = smooth(y, span=0.25, degree=2, robustness_passes=passes)
+        assert np.allclose(fast, _naive_robust_loess(y, 0.25, 2, passes), atol=1e-9)
+
+
+# ----------------------------------------------------------- rows of a panel
+
+def test_row_wise_kernels_match_single_series():
+    # a batch mixing constant and varying rows gives each row its own result
+    rng = np.random.default_rng(21)
+    batch = np.vstack([rng.normal(size=(3, 50)).cumsum(axis=1), np.full((1, 50), 2.5),
+                       rng.normal(size=(2, 50))])
+    for kernel in (minmax_scale, zscore_scale):
+        out, flat = kernel(batch)
+        for k, values in enumerate(batch):
+            one, one_flat = kernel([values])
+            assert np.array_equal(out[k], one[0])
+            assert flat[k] == one_flat[0] == (k == 3)
+    # window of 10 points: 4 one-sided fits at the start, 5 at the end; the
+    # interior does not depend on the other rows to the last bit
+    smoothed = loess_smooth(batch, span=0.2, degree=2)
+    for k, values in enumerate(batch):
+        alone = smooth(values, span=0.2, degree=2)
+        assert np.array_equal(smoothed[k, 4:-5], alone[4:-5])
+        assert np.allclose(smoothed[k], alone, rtol=1e-13, atol=1e-13)
+        assert np.allclose(smoothed[k], _naive_loess(values, 0.2, 2), atol=1e-9)
