@@ -24,11 +24,7 @@ logger = logging.getLogger(__name__)
 
 
 def _records(path: str | Path, header: list[str]):
-    """Yield (line number, fields) for each non-empty data row of a CSV.
-
-    The header must match exactly, every row must have one field per header
-    column, and a file without data rows is rejected.
-    """
+    """(line number, fields) of each non-empty row; checks header, width, emptiness."""
     spath = str(path)
     try:
         handle = Path(path).open(newline="", encoding="utf-8")

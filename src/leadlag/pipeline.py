@@ -16,6 +16,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from datetime import date, timedelta
+from functools import cached_property
 
 import numpy as np
 
@@ -114,35 +115,37 @@ def effective_lead(lead_days: float | None,
 def _overlap(start: date, end: date, *panels: Panel) -> tuple[date, date] | None:
     start = max([start] + [p.start_date for p in panels])
     end = min([end] + [p.end_date for p in panels])
-    if start > end:
-        return None
-    return start, end
+    return (start, end) if start <= end else None
 
 
 @dataclass(frozen=True)
 class _Pair:
-    """Indicator and admissions rows of the trusts that both panels have.
+    """An indicator and the admissions of the trusts both panels have.
 
-    Row k of every array belongs to the same trust. ``smooth`` arrays are
-    LOESS output, ``linear`` ones are min-max scaled over the whole panel,
-    and ``degenerate`` marks rows that either scaling found constant.
-    """
+    Row k of ``x_smooth`` (LOESS output) belongs to admissions row ``rows[k]``;
+    ``y_smooth`` holds every smoothed admissions row."""
 
     ind: Panel
     adm: Panel
-    trusts: tuple[str, ...]
+    rows: list[int]
     x_smooth: np.ndarray
     y_smooth: np.ndarray
-    x_linear: np.ndarray
-    y_linear: np.ndarray
-    degenerate: np.ndarray
 
-    def linear_window(self, wave: WaveSpec) -> tuple[np.ndarray, np.ndarray] | None:
+    @cached_property
+    def linear(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Min-max scaled x and y over the whole period, and their constant rows."""
+        x, x_flat = minmax_scale(self.x_smooth)
+        y, y_flat = minmax_scale(self.y_smooth[self.rows])
+        return x, y, x_flat | y_flat
+
+    def linear_window(self, wave: WaveSpec) -> tuple[np.ndarray, ...] | None:
+        """Scaled x and y over the wave's overlap window, and their constant rows."""
         window = _overlap(wave.start, wave.end, self.ind, self.adm)
         if window is None:
             return None
-        return (self.x_linear[:, self.ind.day_slice(*window)],
-                self.y_linear[:, self.adm.day_slice(*window)])
+        x, y, degenerate = self.linear
+        return (x[:, self.ind.day_slice(*window)], y[:, self.adm.day_slice(*window)],
+                degenerate)
 
 
 def run_analysis(
@@ -169,7 +172,6 @@ def run_analysis(
 
     adm = filter_trusts(admissions, config)
     adm_smooth = _smooth(adm.values, config)
-    adm_linear, adm_flat = minmax_scale(adm_smooth)
 
     span, degree = config.loess_span, config.loess_degree
     provenance_linear = f"locf+loess(span={span:g},degree={degree})+minmax"
@@ -187,10 +189,7 @@ def run_analysis(
         index = {geo: i for i, geo in enumerate(ind.geo_ids)}
         shared = [i for i, trust in enumerate(adm.geo_ids) if trust in index]
         x_smooth = _smooth(ind.values[[index[adm.geo_ids[i]] for i in shared]], config)
-        x_linear, x_flat = minmax_scale(x_smooth)
-        pair = _Pair(ind, adm, tuple(adm.geo_ids[i] for i in shared),
-                     x_smooth, adm_smooth[shared], x_linear, adm_linear[shared],
-                     x_flat | adm_flat[shared])
+        pair = _Pair(ind, adm, shared, x_smooth, adm_smooth)
         latency = config.latencies.get(variable)
 
         for wave in config.waves:
@@ -199,15 +198,13 @@ def run_analysis(
                 logger.warning("indicator %s does not fully cover wave %s",
                                variable, wave.name)
             results: list[tuple[str, int | None, str, list[dict]]] = []
-            if "granger" in methods or "ccf" in methods:
-                window = pair.linear_window(wave)
             if "granger" in methods:
                 for method, horizon in (("granger", 0), ("granger14", config.horizon_days)):
                     results.append((method, horizon, provenance_linear,
-                                    _granger_cells(config, window, pair.degenerate, horizon)))
+                                    _granger_cells(config, pair, wave, horizon)))
             if "ccf" in methods:
                 results.append(("ccf", config.horizon_days, provenance_linear,
-                                _ccf_cells(config, window, pair.degenerate, latency)))
+                                _ccf_cells(config, pair, wave, latency)))
             if "dtw" in methods:
                 results.append(("dtw", None, provenance_dtw,
                                 _dtw_cells(config, pair, wave, variable, latency, dtw_paths)))
@@ -233,12 +230,13 @@ def _smooth(values: np.ndarray, config: RunConfig) -> np.ndarray:
                         config.loess_robustness_passes)
 
 
-def _granger_cells(config: RunConfig, window, degenerate: np.ndarray,
+def _granger_cells(config: RunConfig, pair: _Pair, wave: WaveSpec,
                    horizon: int) -> list[dict]:
+    window = pair.linear_window(wave)
     if window is None:
-        return [{"truncated": True, "error": "no coverage in wave"}] * len(degenerate)
+        return [{"truncated": True, "error": "no coverage in wave"}] * len(pair.rows)
     cells = []
-    for x, y, flat in zip(*window, degenerate):
+    for x, y, flat in zip(*window):
         try:
             res = granger_test(x, y, config.granger_max_lag, horizon)
         except LeadLagError as exc:
@@ -250,14 +248,16 @@ def _granger_cells(config: RunConfig, window, degenerate: np.ndarray,
     return cells
 
 
-def _ccf_cells(config: RunConfig, window, degenerate: np.ndarray,
+def _ccf_cells(config: RunConfig, pair: _Pair, wave: WaveSpec,
                latency: LatencySpec | None) -> list[dict]:
+    window = pair.linear_window(wave)
     if window is None:
-        return [{"truncated": True, "error": "no coverage in wave"}] * len(degenerate)
+        return [{"truncated": True, "error": "no coverage in wave"}] * len(pair.rows)
+    x, y, degenerate = window
     leads = np.arange(-config.ccf_window, config.ccf_window + 1)
     try:
         # the profile's leads, then the fixed horizon in the last column
-        values = ccf_at_leads(*window, np.append(leads, config.horizon_days))
+        values = ccf_at_leads(x, y, np.append(leads, config.horizon_days))
     except LeadLagError as exc:
         return [{"degenerate": bool(flat), "error": str(exc)} for flat in degenerate]
     cells = []
@@ -285,7 +285,7 @@ def _dtw_cells(config: RunConfig, pair: _Pair, wave: WaveSpec, variable: str,
     leads are excluded from the summary. Multivariate mode aligns all trusts
     jointly, one column each, and shares the result across them.
     """
-    k = len(pair.trusts)
+    k = len(pair.rows)
     if k == 0:
         return []
     warm_start = wave.start - timedelta(days=config.dtw_warmup_days)
@@ -294,14 +294,17 @@ def _dtw_cells(config: RunConfig, pair: _Pair, wave: WaveSpec, variable: str,
         return [{"error": "no coverage in wave"}] * k
     q_start, q_end = window
     ref_end = min(pair.adm.end_date, q_end + timedelta(days=config.dtw_window))
+    q_cols = pair.ind.day_slice(q_start, q_end)
+    r_cols = pair.adm.day_slice(q_start, ref_end)
     try:
-        q, q_flat = zscore_scale(pair.x_smooth[:, pair.ind.day_slice(q_start, q_end)])
-        r, r_flat = zscore_scale(pair.y_smooth[:, pair.adm.day_slice(q_start, ref_end)])
+        q, q_flat = zscore_scale(pair.x_smooth[:, q_cols])
+        r, r_flat = zscore_scale(pair.y_smooth[pair.rows, r_cols])
     except LeadLagError as exc:
         return [{"error": str(exc)}] * k
     flat = q_flat | r_flat
     if config.dtw_mode == "univariate":
-        jobs = [(trust, q[i], r[i], flat[i]) for i, trust in enumerate(pair.trusts)]
+        jobs = [(pair.adm.geo_ids[row], q[i], r[i], flat[i])
+                for i, row in enumerate(pair.rows)]
     elif k == 1:
         jobs = [("all-trusts", q[0], r[0], flat[0])]
     else:

@@ -22,7 +22,10 @@ GEO_LEVELS = ("ltla", "trust")
 
 @dataclass(frozen=True)
 class Panel:
-    """One variable at one geographic level: a row per geo id, a column per day."""
+    """One variable at one geographic level: a row per geo id, a column per day.
+
+    The panel keeps ``values`` and makes it read-only; pass an array no other
+    code writes to."""
 
     level: str
     variable: str
@@ -38,7 +41,7 @@ class Panel:
             raise LeadLagError("panel has no series")
         if list(geo_ids) != sorted(set(geo_ids)):
             raise LeadLagError("panel geo ids must be unique and sorted")
-        v = np.array(self.values, dtype=float)
+        v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] != len(geo_ids):
             raise LeadLagError(
                 f"values of shape {v.shape} misaligned with {len(geo_ids)} geo ids")
@@ -68,7 +71,7 @@ class Panel:
 
 
 def _rows(values, op: str, complete: bool = True) -> np.ndarray:
-    v = np.array(values, dtype=float)
+    v = np.asarray(values, dtype=float)
     if v.ndim != 2:
         raise LeadLagError(f"{op} takes one series per row, got shape {v.shape}")
     if v.shape[1] < 1:
@@ -108,7 +111,9 @@ def minmax_scale(values) -> tuple[np.ndarray, np.ndarray]:
     lo = v.min(axis=1, keepdims=True)
     hi = v.max(axis=1, keepdims=True)
     flat = hi - lo <= _DEGENERATE_RTOL * np.maximum(np.abs(hi), np.abs(lo))
-    return np.where(flat, 0.0, (v - lo) / np.where(flat, 1.0, hi - lo)), flat[:, 0]
+    out = (v - lo) / np.where(flat, 1.0, hi - lo)
+    out[flat[:, 0]] = 0.0
+    return out, flat[:, 0]
 
 
 def zscore_scale(values) -> tuple[np.ndarray, np.ndarray]:
@@ -119,7 +124,9 @@ def zscore_scale(values) -> tuple[np.ndarray, np.ndarray]:
     mean = v.mean(axis=1, keepdims=True)
     sd = v.std(axis=1, ddof=1, keepdims=True)
     flat = sd <= _DEGENERATE_RTOL * np.abs(mean)
-    return np.where(flat, 0.0, (v - mean) / np.where(flat, 1.0, sd)), flat[:, 0]
+    out = (v - mean) / np.where(flat, 1.0, sd)
+    out[flat[:, 0]] = 0.0
+    return out, flat[:, 0]
 
 
 def loess_smooth(
@@ -159,11 +166,8 @@ def loess_smooth(
 
 def _local_weights(n: int, i: int, q: int, degree: int,
                    robustness: np.ndarray | None = None) -> tuple[int, np.ndarray]:
-    """(lo, w) such that the local fit at point ``i`` is ``w @ y[lo:lo + q]``.
-
-    The window is the ``q`` points nearest ``i`` (clamped at the ends); ``w``
-    is the intercept row of the weighted polynomial fit's pseudo-inverse.
-    """
+    """(lo, w): the local fit at point ``i`` is ``w @ y[lo:lo + q]``, over the
+    ``q`` points nearest ``i``; ``w`` is the intercept row of its pseudo-inverse."""
     lo = min(max(i - (q - 1) // 2, 0), n - q)
     offsets = np.arange(lo - i, lo - i + q, dtype=float)
     u = np.abs(offsets) / np.abs(offsets).max()

@@ -27,7 +27,6 @@ def ccf_at_leads(x, y, leads) -> np.ndarray:
     if np.isnan(xv).any() or np.isnan(yv).any():
         raise LeadLagError("cross-correlation requires complete series")
     n = xv.shape[1]
-    leads = [int(lead) for lead in leads]
     for lead in leads:
         if abs(lead) >= n - 2:
             raise InsufficientDataError(f"delay {-lead} too large for series of length {n}")

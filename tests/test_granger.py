@@ -255,6 +255,8 @@ def test_identical_series_collinear():
 def test_too_short_series_errors():
     with pytest.raises(InsufficientDataError, match="insufficient"):
         granger_test(np.arange(9.0), np.arange(9.0) ** 2, max_lag=3)
+    with pytest.raises(InsufficientDataError, match="insufficient"):
+        granger_test(np.arange(40.0), np.arange(40.0) ** 2, max_lag=3, horizon=40)
 
 
 def test_affine_invariance():
