@@ -6,8 +6,8 @@ from .dtw import (
     AlignmentQuery,
     brute_force_dtw,
     dtw_align,
+    dtw_align_batch,
     lead_times_from_path,
-    local_distance,
 )
 from .errors import LeadLagError
 from .geo import GeoMapping, apply_mapping, build_mapping, weighted_population
@@ -48,6 +48,7 @@ __all__ = [
     "ccf_at_leads",
     "derive_indicator",
     "dtw_align",
+    "dtw_align_batch",
     "effective_lead",
     "emit_reports",
     "f_pvalue",
@@ -58,7 +59,6 @@ __all__ = [
     "ground_truth",
     "lead_times_from_path",
     "load_config",
-    "local_distance",
     "locf_impute",
     "loess_smooth",
     "minmax_scale",

@@ -12,6 +12,9 @@ begin/end the path may enter and leave the reference at any column, so a
 reference prefix or suffix is skipped at zero cost. All matched pairs must
 satisfy the band constraint |i - j| <= window.
 
+``dtw_align_batch`` runs the dynamic program once for a batch of alignments
+of equal lengths (one per Trust, say), holding a few cost rows and int8
+backpointers for the band only; ``dtw_align`` is its batch of one.
 ``brute_force_dtw`` enumerates every admissible path under identical
 constraints and is the verification oracle for the dynamic program; the two
 accumulate costs in the same order and agree to the last bit.
@@ -51,7 +54,8 @@ class AlignmentQuery:
     """Query (indicator) vs reference (admissions) alignment request.
 
     Sequences are (n,) for univariate or (n, columns) for simultaneous
-    multi-Trust alignment; column sets must match between the two.
+    multi-Trust alignment, of length >= 4; column sets must match between
+    the two.
     """
 
     query: np.ndarray = field(repr=False)
@@ -61,20 +65,10 @@ class AlignmentQuery:
     open_end: bool = True
 
     def __post_init__(self) -> None:
-        q = np.asarray(self.query, dtype=float)
-        r = np.asarray(self.reference, dtype=float)
-        if q.ndim != r.ndim or q.ndim not in (1, 2):
-            raise LeadLagError("query and reference must both be 1-D or both 2-D")
-        if q.ndim == 2 and q.shape[1] != r.shape[1]:
-            raise LeadLagError(
-                f"column mismatch: query has {q.shape[1]}, reference {r.shape[1]}"
-            )
-        if np.isnan(q).any() or np.isnan(r).any():
-            raise LeadLagError("NaN in alignment input")
-        if self.window < 1:
-            raise LeadLagError(f"window must be >= 1, got {self.window}")
-        object.__setattr__(self, "query", q)
-        object.__setattr__(self, "reference", r)
+        q, r = _batch(np.asarray(self.query)[None], np.asarray(self.reference)[None],
+                      self.window)
+        object.__setattr__(self, "query", q[0])
+        object.__setattr__(self, "reference", r[0])
 
     @property
     def n_query(self) -> int:
@@ -99,98 +93,115 @@ class Alignment:
     open_end: bool
 
 
-def local_distance(xi: np.ndarray, yj: np.ndarray) -> float:
-    """Euclidean distance between matched sample vectors (|x - y| univariate)."""
-    a = np.atleast_1d(np.asarray(xi, dtype=float))
-    b = np.atleast_1d(np.asarray(yj, dtype=float))
-    if a.shape != b.shape:
-        raise LeadLagError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.sqrt(((a - b) ** 2).sum()))
-
-
 def _local_cost_matrix(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     if q.ndim == 1:
         return np.abs(q[:, None] - r[None, :])
     return np.sqrt(((q[:, None, :] - r[None, :, :]) ** 2).sum(axis=2))
 
 
-def _band_mask(n: int, m: int, window: int) -> np.ndarray:
-    i = np.arange(n)[:, None]
-    j = np.arange(m)[None, :]
-    return np.abs(i - j) <= window
-
-
-def _validate(a: AlignmentQuery) -> None:
-    if a.n_query < 4 or a.n_reference < 4:
+def _batch(query, reference, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Checked float arrays: (B, n) and (B, m), or (B, n, k) and (B, m, k)."""
+    q = np.asarray(query, dtype=float)
+    r = np.asarray(reference, dtype=float)
+    if (q.ndim not in (2, 3) or r.ndim != q.ndim or q.shape[0] != r.shape[0]
+            or q.shape[2:] != r.shape[2:]):
+        raise LeadLagError(f"query {q.shape} and reference {r.shape} must be "
+                           "(B, n) and (B, m), or (B, n, k) and (B, m, k)")
+    if np.isnan(q).any() or np.isnan(r).any():
+        raise LeadLagError("NaN in alignment input")
+    if window < 1:
+        raise LeadLagError(f"window must be >= 1, got {window}")
+    if q.shape[1] < 4 or r.shape[1] < 4:
         raise LeadLagError("sequences must have length >= 4")
+    return q, r
 
 
-def _shifted(row: np.ndarray, k: int) -> np.ndarray:
-    if k == 0:
-        return row
-    out = np.empty_like(row)
-    out[:k] = np.inf
-    out[k:] = row[:-k]
+def dtw_align_batch(query, reference, window: int = 35, open_begin: bool = True,
+                    open_end: bool = True) -> list[Alignment | None]:
+    """Align each query row onto the reference row of the same index.
+
+    ``query`` is (B, n) or (B, n, k) and ``reference`` (B, m) or (B, m, k):
+    B independent alignments sharing lengths and band. Returns one
+    :class:`Alignment` per row, or ``None`` for a row with no admissible
+    path. One dynamic program runs over all rows at once; it keeps the last
+    three local-cost rows and the last four accumulated-cost rows, each
+    (B, m), and int8 backpointers for the band only, so memory is O(B*m)
+    floats plus n*B*(2*window+1) bytes. Costs accumulate per element in the
+    same order as :func:`brute_force_dtw`, which it matches to the last bit.
+    """
+    q, r = _batch(query, reference, window)
+    batch, n = q.shape[:2]
+    m = r.shape[1]
+    w = min(window, max(n, m))  # a wider band admits no further pairs
+
+    g = np.full((4, batch, m), np.inf)  # accumulated cost: row i in slot i % 4
+    d = np.empty((3, batch, m))  # local cost: row i in slot i % 3
+    back = np.full((n, batch, 2 * w + 1), -1, dtype=np.int8)  # column j at j - i + w
+    prod = np.empty((batch, m), dtype=np.int8)
+    for i in range(n):
+        if q.ndim == 2:
+            d_i = np.abs(q[:, i, None] - r, out=d[i % 3])
+        else:
+            d_i = np.sqrt(((q[:, i, None, :] - r) ** 2).sum(axis=2), out=d[i % 3])
+        d_i[:, : max(i - w, 0)] = np.inf
+        d_i[:, i + w + 1 :] = np.inf
+        row = g[i % 4]
+        row.fill(np.inf)
+        if i == 0:
+            if open_begin:
+                row[:] = d_i
+            else:
+                row[:, 0] = d_i[:, 0]
+            continue
+        prod.fill(-1)
+        for p_idx, (di, dj, cells) in enumerate(_STEPS):
+            if i < di:
+                continue
+            # column j of the candidate sits at j - dj; columns j < dj are unreachable
+            cand = g[(i - di) % 4][:, : m - dj]
+            for ri, rj, wt in cells:
+                cand = cand + wt * d[(i - ri) % 3][:, dj - rj : m - rj]
+            better = cand < row[:, dj:]
+            np.copyto(row[:, dj:], cand, where=better)
+            prod[:, dj:][better] = p_idx
+        lo, hi = max(i - w, 0), min(i + w, m - 1)
+        if lo <= hi:
+            back[i, :, lo - i + w : hi - i + w + 1] = prod[:, lo : hi + 1]
+
+    last = g[(n - 1) % 4]
+    ends = np.argmin(last, axis=1) if open_end else np.full(batch, m - 1)
+    out: list[Alignment | None] = []
+    for b, j_end in enumerate(ends.tolist()):
+        cost = float(last[b, j_end])
+        if not np.isfinite(cost):
+            out.append(None)
+            continue
+        pairs: list[tuple[int, int]] = []
+        i, j = n - 1, j_end
+        while i > 0:
+            di, dj, cells = _STEPS[back[i, b, j - i + w]]
+            for ri, rj, _ in cells:
+                pairs.append((i - ri, j - rj))
+            i, j = i - di, j - dj
+        pairs.append((0, j))
+        pairs.sort()
+        out.append(Alignment(pairs=tuple(pairs), cost=cost, normalized=cost / n,
+                             n_query=n, n_reference=m, window=window,
+                             open_begin=open_begin, open_end=open_end))
     return out
 
 
 def dtw_align(a: AlignmentQuery) -> Alignment:
     """Minimal-cost banded alignment of query onto reference.
 
-    Dynamic program over the banded cost matrix; the backtracked pairs
-    include every cell whose local cost the optimal path accumulated.
+    A batch of one for :func:`dtw_align_batch`; the pairs include every
+    cell whose local cost the optimal path accumulated.
     """
-    _validate(a)
-    n, m = a.n_query, a.n_reference
-    d = _local_cost_matrix(a.query, a.reference)
-    d = np.where(_band_mask(n, m, a.window), d, np.inf)
-
-    g = np.full((n, m), np.inf)
-    prod = np.full((n, m), -1, dtype=np.int8)
-    if a.open_begin:
-        g[0] = d[0]
-    else:
-        g[0, 0] = d[0, 0]
-
-    for i in range(1, n):
-        row = g[i]
-        for p_idx, (di, dj, cells) in enumerate(_STEPS):
-            if i < di:
-                continue
-            cand = _shifted(g[i - di], dj)
-            for ri, rj, w in cells:
-                cand = cand + w * _shifted(d[i - ri], rj)
-            better = cand < row
-            row[better] = cand[better]
-            prod[i][better] = p_idx
-
-    if a.open_end:
-        j_end = int(np.argmin(g[n - 1]))
-    else:
-        j_end = m - 1
-    cost = float(g[n - 1, j_end])
-    if not np.isfinite(cost):
+    (alignment,) = dtw_align_batch(a.query[None], a.reference[None], a.window,
+                                   a.open_begin, a.open_end)
+    if alignment is None:
         raise NoAdmissiblePathError("no admissible path")
-
-    pairs: list[tuple[int, int]] = []
-    i, j = n - 1, j_end
-    while i > 0:
-        di, dj, cells = _STEPS[prod[i, j]]
-        for ri, rj, _ in cells:
-            pairs.append((i - ri, j - rj))
-        i, j = i - di, j - dj
-    pairs.append((0, j))
-    pairs.sort()
-    return Alignment(
-        pairs=tuple(pairs),
-        cost=cost,
-        normalized=cost / n,
-        n_query=n,
-        n_reference=m,
-        window=a.window,
-        open_begin=a.open_begin,
-        open_end=a.open_end,
-    )
+    return alignment
 
 
 def brute_force_dtw(a: AlignmentQuery) -> Alignment:
@@ -199,7 +210,6 @@ def brute_force_dtw(a: AlignmentQuery) -> Alignment:
     Enumerates every admissible production sequence by depth-first search;
     only feasible for sequences of length <= 12.
     """
-    _validate(a)
     n, m = a.n_query, a.n_reference
     if n > _ORACLE_MAX_LEN or m > _ORACLE_MAX_LEN:
         raise OracleScaleError("oracle scale exceeded")
@@ -261,10 +271,10 @@ def lead_times_from_path(a: Alignment) -> list[tuple[int, float]]:
     """
     if not a.pairs:
         raise LeadLagError("empty alignment")
-    matched: dict[int, list[int]] = {}
-    for i, j in a.pairs:
-        matched.setdefault(i, []).append(j)
-    return [
-        (i, float(np.median(js)) - i)
-        for i, js in sorted(matched.items())
-    ]
+    i, j = np.array(a.pairs).T
+    order = np.lexsort((j, i))
+    i, j = i[order], j[order]
+    index, start, count = np.unique(i, return_index=True, return_counts=True)
+    # the median of a sorted group is the mean of its middle one or two values
+    median = (j[start + (count - 1) // 2] + j[start + count // 2]) / 2
+    return list(zip(index.tolist(), (median - index).tolist()))

@@ -4,11 +4,12 @@
 day) panel is preprocessed once (LOCF at ingest, LOESS smoothing, per-trust
 min-max scaling over the whole study period), and then the methods run once
 per (indicator, wave): the overlap window is one column slice, the
-cross-correlation profile covers every trust in one call, and the Granger
-tests (at horizon zero and at the configured horizon) and univariate
-dynamic time warping loop over the rows of that slice. Cells that cannot be
-computed yield rows carrying flags and an error note rather than failing
-the run.
+cross-correlation profile and the dynamic time warping (one alignment per
+trust, or one joint alignment) each cover every trust in one call, and the
+Granger tests (at horizon zero and at the configured horizon) loop over the
+rows of that slice. Cells that cannot be computed yield rows carrying flags
+and an error note rather than failing the run; so does every cell of an
+indicator whose mapping or smoothing fails.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import LatencySpec, RunConfig, WaveSpec
-from .dtw import AlignmentQuery, dtw_align, lead_times_from_path
+from .dtw import dtw_align_batch, lead_times_from_path
 from .errors import CollinearDesignError, ConfigError, LeadLagError
 from .geo import GeoMapping, apply_mapping
 from .granger import granger_test
@@ -138,6 +139,13 @@ class _Pair:
         y, y_flat = minmax_scale(self.y_smooth[self.rows])
         return x, y, x_flat | y_flat
 
+    def per_trust(self, cells: list[dict]) -> list[dict]:
+        """One cell per row of the pair, spread over every admissions trust."""
+        out = [{"error": "no indicator series for trust"}] * len(self.adm.geo_ids)
+        for row, cell in zip(self.rows, cells):
+            out[row] = cell
+        return out
+
     def linear_window(self, wave: WaveSpec) -> tuple[np.ndarray, ...] | None:
         """Scaled x and y over the wave's overlap window, and their constant rows."""
         window = _overlap(wave.start, wave.end, self.ind, self.adm)
@@ -178,18 +186,25 @@ def run_analysis(
     provenance_dtw = (f"locf+loess(span={span:g},degree={degree})+zscore(window)"
                       f"+{config.dtw_mode}")
 
+    grid: list[tuple[str, int | None, str]] = []  # (method, horizon, provenance)
+    if "granger" in methods:
+        grid += [("granger", 0, provenance_linear),
+                 ("granger14", config.horizon_days, provenance_linear)]
+    if "ccf" in methods:
+        grid.append(("ccf", config.horizon_days, provenance_linear))
+    if "dtw" in methods:
+        grid.append(("dtw", None, provenance_dtw))
+
     rows: list[ReportRow] = []
     for variable in sorted(indicators):
         ind = indicators[variable]
-        if ind.level == "ltla":
-            gm = mappings.get(variable, mappings.get(DEFAULT_MAPPING))
-            if gm is None:
-                raise LeadLagError(f"no mapping available for LTLA indicator {variable!r}")
-            ind = apply_mapping(ind, gm)
-        index = {geo: i for i, geo in enumerate(ind.geo_ids)}
-        shared = [i for i, trust in enumerate(adm.geo_ids) if trust in index]
-        x_smooth = _smooth(ind.values[[index[adm.geo_ids[i]] for i in shared]], config)
-        pair = _Pair(ind, adm, shared, x_smooth, adm_smooth)
+        try:
+            pair = _pair(config, variable, ind, adm, adm_smooth, mappings)
+        except LeadLagError as exc:
+            logger.warning("indicator %s failed preprocessing and is reported as "
+                           "error rows: %s", variable, exc)
+            pair = None
+            failed = [{"error": f"preprocessing failed: {exc}"}] * len(adm.geo_ids)
         latency = config.latencies.get(variable)
 
         for wave in config.waves:
@@ -197,32 +212,40 @@ def run_analysis(
             if truncated:
                 logger.warning("indicator %s does not fully cover wave %s",
                                variable, wave.name)
-            results: list[tuple[str, int | None, str, list[dict]]] = []
-            if "granger" in methods:
-                for method, horizon in (("granger", 0), ("granger14", config.horizon_days)):
-                    results.append((method, horizon, provenance_linear,
-                                    _granger_cells(config, pair, wave, horizon)))
-            if "ccf" in methods:
-                results.append(("ccf", config.horizon_days, provenance_linear,
-                                _ccf_cells(config, pair, wave, latency)))
-            if "dtw" in methods:
-                results.append(("dtw", None, provenance_dtw,
-                                _dtw_cells(config, pair, wave, variable, latency, dtw_paths)))
-
-            for method, horizon, provenance, cells in results:
-                found = iter(cells)
-                for trust in adm.geo_ids:
-                    cell = next(found) if trust in index else {
-                        "error": "no indicator series for trust"}
-                    rows.append(ReportRow(trust, variable, wave.name, method,
-                                          horizon=horizon, provenance=provenance,
-                                          **{"truncated": truncated, **cell}))
+            for method, horizon, provenance in grid:
+                if pair is None:
+                    cells = failed
+                elif method == "ccf":
+                    cells = pair.per_trust(_ccf_cells(config, pair, wave, latency))
+                elif method == "dtw":
+                    cells = pair.per_trust(_dtw_cells(config, pair, wave, variable,
+                                                      latency, dtw_paths))
+                else:
+                    cells = pair.per_trust(_granger_cells(config, pair, wave, horizon))
+                rows.extend(ReportRow(trust, variable, wave.name, method,
+                                      horizon=horizon, provenance=provenance,
+                                      **{"truncated": truncated, **cell})
+                            for trust, cell in zip(adm.geo_ids, cells))
 
     n_errors = sum(1 for row in rows if row.error)
     if n_errors:
         logger.warning("%d cell(s) recorded an error instead of statistics", n_errors)
     rows.sort(key=ReportRow.sort_key)
     return rows
+
+
+def _pair(config: RunConfig, variable: str, ind: Panel, adm: Panel,
+          adm_smooth: np.ndarray, mappings: dict[str, GeoMapping]) -> _Pair:
+    """Map an LTLA indicator to trusts and smooth the rows the admissions share."""
+    if ind.level == "ltla":
+        gm = mappings.get(variable, mappings.get(DEFAULT_MAPPING))
+        if gm is None:
+            raise LeadLagError(f"no mapping available for LTLA indicator {variable!r}")
+        ind = apply_mapping(ind, gm)
+    index = {geo: i for i, geo in enumerate(ind.geo_ids)}
+    shared = [i for i, trust in enumerate(adm.geo_ids) if trust in index]
+    x_smooth = _smooth(ind.values[[index[adm.geo_ids[i]] for i in shared]], config)
+    return _Pair(ind, adm, shared, x_smooth, adm_smooth)
 
 
 def _smooth(values: np.ndarray, config: RunConfig) -> np.ndarray:
@@ -303,26 +326,29 @@ def _dtw_cells(config: RunConfig, pair: _Pair, wave: WaveSpec, variable: str,
         return [{"error": str(exc)}] * k
     flat = q_flat | r_flat
     if config.dtw_mode == "univariate":
-        jobs = [(pair.adm.geo_ids[row], q[i], r[i], flat[i])
-                for i, row in enumerate(pair.rows)]
-    elif k == 1:
-        jobs = [("all-trusts", q[0], r[0], flat[0])]
+        scopes = [pair.adm.geo_ids[row] for row in pair.rows]
     else:
-        # (day x trust) in C order, as the Euclidean local cost's rounding depends on it
-        jobs = [("all-trusts", np.ascontiguousarray(q.T), np.ascontiguousarray(r.T),
-                 flat.any())]
+        scopes = ["all-trusts"]
+        if k > 1:
+            # one (day x trust) series in C order, as the Euclidean local cost's
+            # rounding depends on it
+            q, r, flat = (np.ascontiguousarray(q.T)[None], np.ascontiguousarray(r.T)[None],
+                          flat.any(keepdims=True))
+    try:
+        alignments = dtw_align_batch(q, r, window=config.dtw_window,
+                                     open_begin=True, open_end=True)
+    except LeadLagError as exc:
+        return [{"error": str(exc)}] * k
 
     first_reported = (wave.start - q_start).days
+    days = [q_start + timedelta(days=t) for t in range(r.shape[1])]
     cells = []
-    for scope, query, reference, degenerate in jobs:
-        try:
-            alignment = dtw_align(AlignmentQuery(query, reference, window=config.dtw_window,
-                                                 open_begin=True, open_end=True))
-            leads = lead_times_from_path(alignment)
-        except LeadLagError as exc:
-            cells.append({"error": str(exc)})
+    for scope, alignment, degenerate in zip(scopes, alignments, flat):
+        if alignment is None:
+            cells.append({"error": "no admissible path"})
             continue
-        reported = [lead for i, lead in leads if i >= first_reported]
+        reported = [lead for i, lead in lead_times_from_path(alignment)
+                    if i >= first_reported]
         if not reported:
             cells.append({"error": "no reported indices after warm-up exclusion"})
             continue
@@ -333,7 +359,6 @@ def _dtw_cells(config: RunConfig, pair: _Pair, wave: WaveSpec, variable: str,
                       "effective_lead": eff, "eroded": eroded,
                       "degenerate": bool(degenerate)})
         if dtw_paths is not None:
-            dtw_paths.extend((variable, wave.name, scope,
-                              q_start + timedelta(days=i), q_start + timedelta(days=j))
+            dtw_paths.extend((variable, wave.name, scope, days[i], days[j])
                              for i, j in alignment.pairs)
     return cells if config.dtw_mode == "univariate" else cells * k

@@ -1,13 +1,18 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from leadlag.dtw import (
     Alignment,
     AlignmentQuery,
     brute_force_dtw,
     dtw_align,
+    dtw_align_batch,
     lead_times_from_path,
-    local_distance,
 )
 from leadlag.errors import LeadLagError, NoAdmissiblePathError, OracleScaleError
 
@@ -21,19 +26,28 @@ def opened(x, y, window=35):
 
 
 # ------------------------------------------------------------- local distance
+# With closed ends and a band of 1, four points align only along the diagonal,
+# so the cost is the sum of the four local distances.
+
+def diagonal_cost(x, y):
+    (a,) = dtw_align_batch(np.array([x] * 4)[None], np.array([y] * 4)[None], window=1,
+                           open_begin=False, open_end=False)
+    assert a.pairs == tuple((i, i) for i in range(4))
+    return a.cost
+
 
 def test_local_distance_scalar():
-    assert local_distance(0.0, 0.0) == 0.0
-    assert local_distance(3.0, 7.0) == 4.0
+    assert diagonal_cost(0.0, 0.0) == 0.0
+    assert diagonal_cost(3.0, 7.0) == 4 * 4.0
 
 
 def test_local_distance_euclidean():
-    assert local_distance([1.0, 2.0], [4.0, 6.0]) == pytest.approx(5.0)
+    assert diagonal_cost([1.0, 2.0], [4.0, 6.0]) == 4 * 5.0
 
 
 def test_local_distance_dimension_mismatch():
-    with pytest.raises(LeadLagError, match="dimension"):
-        local_distance([1.0, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(LeadLagError, match="must be"):
+        dtw_align_batch(np.ones((1, 4, 2)), np.ones((1, 4, 3)))
 
 
 # ----------------------------------------------------------------- dtw_align
@@ -111,6 +125,63 @@ def test_oracle_scale_limit():
         brute_force_dtw(closed(np.ones(13), np.ones(13)))
 
 
+# ------------------------------------------------------------ dtw_align_batch
+
+@pytest.mark.parametrize("columns", [None, 3])
+@pytest.mark.parametrize("window", [1, 3, 35])
+@pytest.mark.parametrize("open_ends", [True, False])
+def test_batch_rows_equal_single_alignments(columns, window, open_ends):
+    rng = np.random.default_rng(window * 10 + (columns or 0) + open_ends)
+    feasible = 0
+    for trial in range(8):
+        n = int(rng.integers(4, 40))
+        m = max(4, n + int(rng.integers(-window, window + 1)))
+        batch = int(rng.integers(3, 8))
+        q = rng.normal(size=(batch, n) + ((columns,) if columns else ()))
+        r = rng.normal(size=(batch, m) + ((columns,) if columns else ()))
+        # flat rows as zscore_scale emits them, mixed in with normal rows
+        q[::3] = 0.0
+        r[1::3] = 0.0
+        batched = dtw_align_batch(q, r, window=window, open_begin=open_ends,
+                                  open_end=open_ends)
+        assert len(batched) == batch
+        for b, got in enumerate(batched):
+            query = AlignmentQuery(q[b], r[b], window=window, open_begin=open_ends,
+                                   open_end=open_ends)
+            if got is None:
+                with pytest.raises(NoAdmissiblePathError):
+                    dtw_align(query)
+                continue
+            feasible += 1
+            alone = dtw_align(query)
+            assert got.pairs == alone.pairs
+            assert got.cost == alone.cost
+            assert got.normalized == alone.normalized
+    assert feasible > 0
+
+
+def test_batch_without_admissible_path_marks_every_row():
+    rng = np.random.default_rng(5)
+    q, r = rng.normal(size=(3, 4)), rng.normal(size=(3, 12))
+    assert dtw_align_batch(q, r, window=35, open_begin=False, open_end=False) == \
+        [None, None, None]
+    with pytest.raises(NoAdmissiblePathError):
+        dtw_align(closed(q[0], r[0]))
+
+
+def test_multivariate_alignment_memory():
+    # the kernel holds a few (m, columns) cost rows, never the (n, m, columns) cube
+    rng = np.random.default_rng(0)
+    q = AlignmentQuery(rng.normal(size=(77, 363)), rng.normal(size=(112, 363)), window=35)
+    tracemalloc.start()
+    try:
+        dtw_align(q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 # -------------------------------------------------------- lead time extraction
 
 def test_leads_identity_and_uniform_shift():
@@ -129,6 +200,23 @@ def test_leads_median_rule():
     # query 3 matches reference 5 and 6 -> median matched index 5.5
     assert leads[3] == pytest.approx(5.5 - 3)
     assert leads[4] == pytest.approx(3.0)
+
+
+def median_leads(a):
+    matched = {}
+    for i, j in a.pairs:
+        matched.setdefault(i, []).append(j)
+    return [(i, float(np.median(js)) - i) for i, js in sorted(matched.items())]
+
+
+@given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 60)), min_size=1,
+                max_size=80))
+@example([(7, 9), (3, 6), (7, 8), (3, 5), (7, 20), (7, 7), (12, 12)])
+def test_leads_equal_median_reference(pairs):
+    a = Alignment(pairs=tuple(pairs), cost=0.0, normalized=0.0, n_query=31,
+                  n_reference=61, window=35, open_begin=True, open_end=True)
+    assert lead_times_from_path(a) == median_leads(a)
+    assert lead_times_from_path(replace(a, pairs=tuple(sorted(pairs)))) == median_leads(a)
 
 
 def test_normalized_distance_division():

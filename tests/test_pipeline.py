@@ -1,9 +1,13 @@
+import csv
+import logging
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
+from leadlag.cli import main
 from leadlag.config import LatencySpec, RunConfig, WaveSpec
+from leadlag.corpus import write_corpus
 from leadlag.errors import ConfigError, LeadLagError
 from leadlag.geo import build_mapping
 from leadlag.pipeline import effective_lead, filter_trusts, run_analysis
@@ -275,3 +279,32 @@ def test_batch_mixing_degenerate_and_missing_trusts():
     for row in by_trust["T002"]:
         assert row.error == "no indicator series for trust"
         assert not row.degenerate and row.p_value is None
+
+
+def test_indicator_failing_preprocessing_becomes_error_rows(tmp_path, caplog):
+    # 20 days leave a 2-point LOESS window: that indicator alone must fail
+    paths = write_corpus(tmp_path / "in", n_trusts=4, n_days=333, n_indicators=2,
+                         n_waves=3, seed=0)
+    lines = ["geo_id,date,variable,value"]
+    lines += [f"L{i:03d},{START + timedelta(days=t)},short,{1.0 + t + i}"
+              for i in range(4) for t in range(20)]
+    (tmp_path / "in" / "indicators" / "short.csv").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING, logger="leadlag.pipeline"):
+        code = main(["run", "--config", str(paths["config"]),
+                     "--admissions", str(paths["admissions"]),
+                     "--indicators", str(tmp_path / "in" / "indicators"),
+                     "--mapping", str(paths["mapping"]),
+                     "--population", str(paths["population"]), "--out", str(out)])
+    assert code == 0
+    assert any("indicator short" in r.getMessage() and "loess window" in r.getMessage()
+               for r in caplog.records)
+    rows = [row for name in ("granger.csv", "ccf.csv", "dtw.csv")
+            for row in csv.DictReader((out / name).read_text().splitlines())]
+    short = [row for row in rows if row["indicator"] == "short"]
+    assert len(short) == 4 * 3 * 4  # trusts x waves x (granger, granger14, ccf, dtw)
+    assert all("loess window of 2 points" in row["error"] for row in short)
+    others = [row for row in rows if row["indicator"] != "short"]
+    assert {row["indicator"] for row in others} == {"ind00", "ind01"}
+    assert len(others) == 2 * len(short)
+    assert any(row["optimal_lead"] for row in others if row["method"] == "ccf")
