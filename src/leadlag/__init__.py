@@ -11,7 +11,7 @@ from .dtw import (
 )
 from .errors import LeadLagError
 from .geo import GeoMapping, apply_mapping, build_mapping, weighted_population
-from .granger import GrangerResult, OlsFit, f_pvalue, f_statistic, granger_test, ols_fit
+from .granger import GrangerBatch, GrangerResult, f_pvalue, granger_test, granger_test_batch
 from .pipeline import ReportRow, effective_lead, filter_trusts, run_analysis
 from .ingest import (
     apply_groupings,
@@ -31,11 +31,11 @@ __all__ = [
     "Alignment",
     "AlignmentQuery",
     "GeoMapping",
+    "GrangerBatch",
     "GrangerResult",
     "IndicatorSpec",
     "LatencySpec",
     "LeadLagError",
-    "OlsFit",
     "Panel",
     "ReportRow",
     "RunConfig",
@@ -52,17 +52,16 @@ __all__ = [
     "effective_lead",
     "emit_reports",
     "f_pvalue",
-    "f_statistic",
     "filter_trusts",
     "generate_admissions",
     "granger_test",
+    "granger_test_batch",
     "ground_truth",
     "lead_times_from_path",
     "load_config",
     "locf_impute",
     "loess_smooth",
     "minmax_scale",
-    "ols_fit",
     "optimal_lead",
     "read_admissions",
     "read_groupings",

@@ -4,12 +4,12 @@
 day) panel is preprocessed once (LOCF at ingest, LOESS smoothing, per-trust
 min-max scaling over the whole study period), and then the methods run once
 per (indicator, wave): the overlap window is one column slice, the
-cross-correlation profile and the dynamic time warping (one alignment per
-trust, or one joint alignment) each cover every trust in one call, and the
-Granger tests (at horizon zero and at the configured horizon) loop over the
-rows of that slice. Cells that cannot be computed yield rows carrying flags
-and an error note rather than failing the run; so does every cell of an
-indicator whose mapping or smoothing fails.
+cross-correlation profile, the Granger tests (one batch at horizon zero and
+one at the configured horizon) and the dynamic time warping (one alignment
+per trust, or one joint alignment) each cover every trust in one call.
+Cells that cannot be computed yield rows carrying flags and an error note
+rather than failing the run; so does every cell of an indicator whose
+mapping or smoothing fails.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ import numpy as np
 
 from .config import LatencySpec, RunConfig, WaveSpec
 from .dtw import dtw_align_batch, lead_times_from_path
-from .errors import CollinearDesignError, ConfigError, LeadLagError
+from .errors import ConfigError, LeadLagError
 from .geo import GeoMapping, apply_mapping
-from .granger import granger_test
+from .granger import granger_test_batch
 from .timeseries import Panel, loess_smooth, minmax_scale, zscore_scale
 from .xcorr import ccf_at_leads, optimal_lead
 
@@ -258,17 +258,16 @@ def _granger_cells(config: RunConfig, pair: _Pair, wave: WaveSpec,
     window = pair.linear_window(wave)
     if window is None:
         return [{"truncated": True, "error": "no coverage in wave"}] * len(pair.rows)
-    cells = []
-    for x, y, flat in zip(*window):
-        try:
-            res = granger_test(x, y, config.granger_max_lag, horizon)
-        except LeadLagError as exc:
-            cells.append({"degenerate": bool(flat) or isinstance(exc, CollinearDesignError),
-                          "error": str(exc)})
-            continue
-        cells.append({"f_stat": res.f_stat, "p_value": res.p_value, "df_num": res.df_num,
-                      "df_den": res.df_den, "degenerate": bool(flat)})
-    return cells
+    x, y, degenerate = window
+    try:
+        res = granger_test_batch(x, y, config.granger_max_lag, horizon)
+    except LeadLagError as exc:
+        return [{"degenerate": bool(flat), "error": str(exc)} for flat in degenerate]
+    return [{"degenerate": True, "error": "collinear design"} if collinear else
+            {"f_stat": f, "p_value": p, "df_num": res.df_num, "df_den": res.df_den,
+             "degenerate": bool(flat)}
+            for f, p, collinear, flat in zip(res.f_stat.tolist(), res.p_value.tolist(),
+                                             res.collinear, degenerate)]
 
 
 def _ccf_cells(config: RunConfig, pair: _Pair, wave: WaveSpec,

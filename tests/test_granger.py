@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import null_space
 
 from leadlag.errors import CollinearDesignError, InsufficientDataError, LeadLagError
-from leadlag.granger import OlsFit, f_pvalue, f_statistic, granger_test, ols_fit
+from leadlag.granger import _rss, f_pvalue, granger_test, granger_test_batch
 
 
 # ------------------------------------------------------- independent oracles
@@ -70,72 +72,112 @@ def reference_granger(xv, yv, m):
     return f, quadrature_pvalue(f, df1, df2)
 
 
-# ------------------------------------------------------------------- ols_fit
+# ------------------------------------------------------- least-squares fits
+
+def _design(*columns):
+    """A batch of one design: an intercept plus the given columns."""
+    return np.column_stack([np.ones(len(columns[0]))] + list(columns))[None]
+
 
 def test_ols_exact_fit():
     x = np.array([0.0, 1.0, 2.0, 3.0])
-    fit = ols_fit(2.0 * x + 3.0, [x])
-    assert np.allclose(fit.coefficients, [3.0, 2.0], atol=1e-12)
-    assert fit.rss < 1e-20
+    rss, deficient = _rss(_design(x), (2.0 * x + 3.0)[None])
+    assert rss[0] < 1e-20
+    assert not deficient[0]
 
 
 def test_ols_orthogonal_regressor():
     y = np.array([1.0, -1.0, 1.0, -1.0])
     x = np.array([1.0, 1.0, -1.0, -1.0])
-    fit = ols_fit(y, [x])
-    assert abs(fit.coefficients[1]) < 1e-12
-    assert fit.rss == pytest.approx(4.0, abs=1e-12)
+    rss, _ = _rss(_design(x), y[None])
+    assert rss[0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_ols_matches_normal_equations_oracle():
     rng = np.random.default_rng(30)
     X = rng.normal(size=(30, 3))
     y = X @ np.array([1.5, -2.0, 0.5]) + rng.normal(0, 0.3, size=30) + 4.0
-    fit = ols_fit(y, [X[:, j] for j in range(3)])
-    beta_ref, rss_ref = normal_equations_fit(y, [X[:, j] for j in range(3)])
-    assert np.allclose(fit.coefficients, beta_ref, atol=1e-9)
-    assert fit.rss == pytest.approx(rss_ref, abs=1e-9)
+    rss, _ = _rss(_design(*X.T), y[None])
+    _, rss_ref = normal_equations_fit(y, [X[:, j] for j in range(3)])
+    assert rss[0] == pytest.approx(rss_ref, abs=1e-9)
 
 
 def test_ols_collinear_errors():
     x = np.arange(10.0)
-    with pytest.raises(CollinearDesignError, match="collinear"):
-        ols_fit(np.ones(10), [x, 2 * x])
+    _, deficient = _rss(_design(x, 2 * x), np.ones(10)[None])
+    assert deficient[0]
+    y = _noisy_wave(60, seed=4)
+    assert granger_test_batch(y[None], y[None]).collinear.tolist() == [True]
 
 
 def test_ols_underdetermined_errors():
-    with pytest.raises(InsufficientDataError):
-        ols_fit(np.ones(3), [np.arange(3.0), np.arange(3.0) ** 2])
+    # every row has the same sample size, so too few days fail the whole batch
+    rng = np.random.default_rng(6)
+    for days in (9, 10):  # 6 or 7 rows cannot leave a residual degree for 7 parameters
+        with pytest.raises(InsufficientDataError):
+            granger_test_batch(rng.normal(size=(3, days)), rng.normal(size=(3, days)))
+    assert granger_test_batch(rng.normal(size=(3, 11)),
+                              rng.normal(size=(3, 11))).df_den == 1
 
 
-# --------------------------------------------------------------- f_statistic
-
-def _fit(rss, n, p):
-    return OlsFit(np.zeros(p), rss, n, p)
-
+# ------------------------------------------------------------- F statistic
 
 def test_f_zero_when_no_improvement():
-    f, df1, df2 = f_statistic(_fit(2.0, 20, 4), _fit(2.0, 20, 7))
-    assert f == 0.0
-    assert (df1, df2) == (3, 13)
+    # the x lag is orthogonal to the intercept, the own lag and the response,
+    # so the unrestricted model fits exactly as well as the restricted one
+    z = np.array([1.0, 2.0, 4.0, 3.0, 5.0, 2.0, 6.0, 3.0])
+    v = null_space(np.column_stack([np.ones(7), z[:-1], z[1:]]).T)[:, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # rounding may clamp
+        res = granger_test_batch(np.append(v, 0.0)[None], z[None], max_lag=1)
+    assert res.f_stat[0] < 1e-12
+    assert (res.df_num, res.df_den) == (1, 4)
 
 
 def test_f_direct_substitution():
-    f, df1, df2 = f_statistic(_fit(2.0, 12, 1), _fit(1.0, 12, 2))
-    assert f == pytest.approx(10.0, abs=1e-12)
-    assert (df1, df2) == (1, 10)
+    x, y = np.random.default_rng(12).normal(size=(2, 12))
+    res = granger_test_batch(x[None], y[None], max_lag=1)
+    _, rss_r = normal_equations_fit(y[1:], [y[:-1]])
+    _, rss_u = normal_equations_fit(y[1:], [y[:-1], x[:-1]])
+    assert (res.df_num, res.df_den) == (1, 8)
+    assert res.f_stat[0] == pytest.approx(((rss_r - rss_u) / 1) / (rss_u / 8), rel=1e-9)
+
+
+def _exact_fit_row(days, seed, horizon=0):
+    """x is noise; y shifted by ``horizon`` is zero after three nonzero days, so
+    both fits at max_lag 3 are exact."""
+    y = np.zeros(days)
+    y[: 3 + horizon] = np.arange(1.0, 4.0 + horizon)
+    return np.random.default_rng(seed).normal(size=days), y
 
 
 def test_f_perfect_fit_sentinel():
-    f, _, _ = f_statistic(_fit(1.0, 20, 4), _fit(0.0, 20, 7))
-    assert math.isinf(f)
-    assert f_pvalue(f, 3, 13) == 0.0
+    x, y = _exact_fit_row(40, seed=3)
+    res = granger_test(x, y, max_lag=3)
+    assert math.isinf(res.f_stat)
+    assert res.p_value == 0.0
+    assert f_pvalue(math.inf, 3, 13) == 0.0
+
+
+def _rounding_rows(rows, days, seed):
+    """y = t/10 + sin(t/3) obeys an exact AR(3) recursion with an intercept, so
+    both models fit it to rounding and the F numerator is rounding noise."""
+    t = np.arange(float(days))
+    y = np.tile(t / 10 + np.sin(t / 3), (rows, 1))
+    return np.random.default_rng(seed).normal(size=(rows, days)), y
 
 
 def test_f_negative_numerator_clamps_with_warning():
-    with pytest.warns(RuntimeWarning, match="clamping"):
-        f, _, _ = f_statistic(_fit(1.0, 20, 4), _fit(1.0 + 1e-9, 20, 7))
-    assert f == 0.0
+    x, y = _rounding_rows(16, 80, seed=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = granger_test_batch(x, y, max_lag=3)
+    clamped = res.f_stat == 0.0
+    assert clamped.any()
+    assert np.all(res.p_value[clamped] == 1.0)
+    assert len(caught) == 1  # one warning for the whole batch
+    assert issubclass(caught[0].category, RuntimeWarning)
+    assert "clamping" in str(caught[0].message)
 
 
 # ------------------------------------------------------------------ f_pvalue
@@ -270,3 +312,78 @@ def test_affine_invariance():
         a, b, c, d = rng.uniform(0.5, 3), rng.uniform(-5, 5), rng.uniform(0.5, 3), rng.uniform(-5, 5)
         mapped = granger_test(a * x + b, c * y + d, max_lag=3)
         assert mapped.f_stat == pytest.approx(base.f_stat, abs=1e-8)
+
+
+# -------------------------------------------------------- granger_test_batch
+
+def _mixed_batch(days=90, horizon=0):
+    """Rows of every kind the pipeline meets, with the kind of each row."""
+    rows, kinds = [], []
+    for seed in range(6):
+        rng = np.random.default_rng(500 + seed)
+        y = rng.normal(size=days).cumsum() * 0.1 + rng.normal(size=days)
+        rows.append((np.roll(y, 3) + rng.normal(0, 0.5, size=days), y))
+        kinds.append("normal")
+    y = _noisy_wave(days, seed=7)
+    rows += [(np.full(days, 2.0), y), (y[::-1].copy(), np.full(days, 0.5)),
+             (np.roll(y, -horizon), y)]
+    kinds += ["collinear"] * 3  # flat x, flat y, x lags identical to the own lags
+    rows.append(_exact_fit_row(days, seed=8, horizon=horizon))
+    kinds.append("exact")
+    x, y = _rounding_rows(8, days, seed=9)
+    rows += list(zip(x, y))
+    kinds += ["rounding"] * 8
+    order = np.random.default_rng(10).permutation(len(rows))  # interleave the kinds
+    return (np.array([rows[i][0] for i in order]), np.array([rows[i][1] for i in order]),
+            [kinds[i] for i in order])
+
+
+@pytest.mark.parametrize("horizon", [0, 14])
+def test_batch_rows_equal_batch_of_one(horizon):
+    x, y, kinds = _mixed_batch(horizon=horizon)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = granger_test_batch(x, y, max_lag=3, horizon=horizon)
+        for i, kind in enumerate(kinds):
+            assert res.collinear[i] == (kind == "collinear"), i
+            if kind == "collinear":
+                assert math.isnan(res.f_stat[i]) and math.isnan(res.p_value[i])
+                with pytest.raises(CollinearDesignError):
+                    granger_test(x[i], y[i], max_lag=3, horizon=horizon)
+                continue
+            one = granger_test(x[i], y[i], max_lag=3, horizon=horizon)
+            assert (one.f_stat, one.p_value) == (res.f_stat[i], res.p_value[i]), i
+            assert (one.df_num, one.df_den, one.horizon) == (res.df_num, res.df_den, horizon)
+            if kind == "exact":
+                assert math.isinf(one.f_stat) and one.p_value == 0.0
+
+
+def test_batch_rows_match_oracle():
+    x, y, kinds = _mixed_batch()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = granger_test_batch(x, y, max_lag=3)
+    assert ["clamping" in str(w.message) for w in caught] == [True]
+    for i, kind in enumerate(kinds):
+        if kind == "normal":
+            f_ref, p_ref = reference_granger(x[i], y[i], 3)
+            assert res.f_stat[i] == pytest.approx(f_ref, abs=1e-8)
+            assert res.p_value[i] == pytest.approx(p_ref, abs=1e-8)
+        elif kind == "exact":
+            assert math.isinf(res.f_stat[i]) and res.p_value[i] == 0.0
+    clamped = [i for i, kind in enumerate(kinds) if kind == "rounding" and res.f_stat[i] == 0]
+    assert clamped and all(res.p_value[i] == 1.0 for i in clamped)
+
+
+def test_batch_shape_and_completeness_errors():
+    x = np.random.default_rng(11).normal(size=(3, 40))
+    with pytest.raises(LeadLagError, match="aligned"):
+        granger_test_batch(x, x[:, :-1])
+    with pytest.raises(LeadLagError, match="aligned"):
+        granger_test_batch(x[0], x[0])
+    y = x.copy()
+    y[1, 5] = np.nan
+    with pytest.raises(LeadLagError, match="complete"):
+        granger_test_batch(x, y)
+    empty = granger_test_batch(np.empty((0, 40)), np.empty((0, 40)))
+    assert empty.f_stat.shape == empty.collinear.shape == (0,)
