@@ -97,8 +97,11 @@ def _run(args: argparse.Namespace) -> int:
     if dtw_paths is not None:
         path_file = Path(args.out) / "dtw_paths.csv"
         lines = ["indicator,wave,scope,query_date,ref_date,lead_days"]
-        for ind, wave, scope, q_date, r_date in sorted(dtw_paths):
-            lines.append(f"{ind},{wave},{scope},{q_date},{r_date},{(r_date - q_date).days}")
+        # blocks by (indicator, wave) name; a stable sort keeps each block's
+        # scope order and its sorted pairs
+        for ind, wave, scope, days, pairs in sorted(dtw_paths, key=lambda rec: rec[:2]):
+            head = f"{ind},{wave},{scope},"
+            lines.extend(f"{head}{days[i]},{days[j]},{j - i}" for i, j in pairs)
         path_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(path_file)
 

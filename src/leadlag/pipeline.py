@@ -169,8 +169,10 @@ def run_analysis(
     Returns one row per cell and method (the Granger method yields a row at
     horizon 0 and one at the configured horizon). Rows are sorted by
     (trust, indicator, wave, method) so output is deterministic. Pass a list
-    as ``dtw_paths`` to collect the matched warping pairs as
-    (indicator, wave, scope, query_date, ref_date) records.
+    as ``dtw_paths`` to collect one (indicator, wave, scope, days, pairs)
+    record per alignment: ``pairs`` are its sorted (query, reference) index
+    pairs into ``days``, the window's ISO dates. Records arrive per
+    (indicator, wave) in scope order.
     """
     unknown = set(methods) - set(METHODS)
     if unknown:
@@ -340,7 +342,7 @@ def _dtw_cells(config: RunConfig, pair: _Pair, wave: WaveSpec, variable: str,
         return [{"error": str(exc)}] * k
 
     first_reported = (wave.start - q_start).days
-    days = [q_start + timedelta(days=t) for t in range(r.shape[1])]
+    days = [(q_start + timedelta(days=t)).isoformat() for t in range(r.shape[1])]
     cells = []
     for scope, alignment, degenerate in zip(scopes, alignments, flat):
         if alignment is None:
@@ -358,6 +360,5 @@ def _dtw_cells(config: RunConfig, pair: _Pair, wave: WaveSpec, variable: str,
                       "effective_lead": eff, "eroded": eroded,
                       "degenerate": bool(degenerate)})
         if dtw_paths is not None:
-            dtw_paths.extend((variable, wave.name, scope, days[i], days[j])
-                             for i, j in alignment.pairs)
+            dtw_paths.append((variable, wave.name, scope, days, alignment.pairs))
     return cells if config.dtw_mode == "univariate" else cells * k

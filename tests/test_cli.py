@@ -1,7 +1,9 @@
 import json
+from datetime import date
 from pathlib import Path
 
 import pytest
+import yaml
 
 from leadlag.cli import main
 from leadlag.config import load_config
@@ -91,6 +93,31 @@ def test_export_dtw_paths(corpus, tmp_path):
     assert scope == "all-trusts"
     from datetime import date
     assert (date.fromisoformat(r_date) - date.fromisoformat(q_date)).days == int(lead)
+
+
+def test_dtw_paths_order_by_name_not_config_order(tmp_path):
+    # chronological waves whose names sort the other way round, one path per Trust
+    corpus = tmp_path / "c"
+    paths = write_corpus(corpus, n_trusts=4, n_days=240, n_indicators=2, n_waves=2, seed=5)
+    config = yaml.safe_load(paths["config"].read_text())
+    for wave, name in zip(config["waves"], ("wave_b", "wave_a")):
+        wave["name"] = name
+    config["dtw_mode"] = "univariate"
+    paths["config"].write_text(yaml.safe_dump(config))
+    out = tmp_path / "out"
+    assert main(run_args(corpus, out, ("--methods", "dtw", "--export-dtw-paths"))) == 0
+    header, *body = (out / "dtw_paths.csv").read_text().splitlines()
+    records = []
+    for line in body:
+        ind, wave, scope, q_date, r_date, _ = line.split(",")
+        records.append((ind, wave, scope, date.fromisoformat(q_date),
+                        date.fromisoformat(r_date)))
+    # the former writer: every record sorted, two dates formatted per line
+    assert body == [f"{ind},{wave},{scope},{q},{r},{(r - q).days}"
+                    for ind, wave, scope, q, r in sorted(records)]
+    assert [rec[:2] for rec in records[:1] + records[-1:]] == [("ind00", "wave_a"),
+                                                               ("ind01", "wave_b")]
+    assert len({rec[2] for rec in records}) == 4
 
 
 def test_groupings_file(corpus, tmp_path):
