@@ -84,8 +84,14 @@ def _quantiles(values: list[float]) -> dict:
 
 
 def summarize(rows: list[ReportRow]) -> dict:
-    """Per-indicator, per-wave quantiles of each method's headline statistic."""
+    """Per-indicator, per-wave quantiles of each method's headline statistic.
+
+    Every (indicator, wave) with rows appears; one without any statistic
+    (every cell failed, say) maps to an empty dict.
+    """
     summary: dict = {}
+    for row in rows:
+        summary.setdefault(row.indicator, {}).setdefault(row.wave, {})
     for method, attr, label in _SUMMARY_STATS:
         buckets: dict[tuple[str, str], list[float]] = {}
         for row in rows:

@@ -1,4 +1,5 @@
 import csv
+import json
 import logging
 from datetime import date, timedelta
 
@@ -281,8 +282,9 @@ def test_batch_mixing_degenerate_and_missing_trusts():
         assert not row.degenerate and row.p_value is None
 
 
-def test_indicator_failing_preprocessing_becomes_error_rows(tmp_path, caplog):
-    # 20 days leave a 2-point LOESS window: that indicator alone must fail
+def run_with_short_indicator(tmp_path):
+    """Run a 4-Trust corpus plus ``short``, an indicator covering 20 days (a
+    2-point LOESS window, so that indicator alone fails); returns the output dir."""
     paths = write_corpus(tmp_path / "in", n_trusts=4, n_days=333, n_indicators=2,
                          n_waves=3, seed=0)
     lines = ["geo_id,date,variable,value"]
@@ -290,13 +292,17 @@ def test_indicator_failing_preprocessing_becomes_error_rows(tmp_path, caplog):
               for i in range(4) for t in range(20)]
     (tmp_path / "in" / "indicators" / "short.csv").write_text("\n".join(lines) + "\n")
     out = tmp_path / "out"
+    assert main(["run", "--config", str(paths["config"]),
+                 "--admissions", str(paths["admissions"]),
+                 "--indicators", str(tmp_path / "in" / "indicators"),
+                 "--mapping", str(paths["mapping"]),
+                 "--population", str(paths["population"]), "--out", str(out)]) == 0
+    return out
+
+
+def test_indicator_failing_preprocessing_becomes_error_rows(tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="leadlag.pipeline"):
-        code = main(["run", "--config", str(paths["config"]),
-                     "--admissions", str(paths["admissions"]),
-                     "--indicators", str(tmp_path / "in" / "indicators"),
-                     "--mapping", str(paths["mapping"]),
-                     "--population", str(paths["population"]), "--out", str(out)])
-    assert code == 0
+        out = run_with_short_indicator(tmp_path)
     assert any("indicator short" in r.getMessage() and "loess window" in r.getMessage()
                for r in caplog.records)
     rows = [row for name in ("granger.csv", "ccf.csv", "dtw.csv")
@@ -308,3 +314,11 @@ def test_indicator_failing_preprocessing_becomes_error_rows(tmp_path, caplog):
     assert {row["indicator"] for row in others} == {"ind00", "ind01"}
     assert len(others) == 2 * len(short)
     assert any(row["optimal_lead"] for row in others if row["method"] == "ccf")
+
+
+def test_summary_keeps_indicator_without_statistics(tmp_path):
+    summary = json.loads((run_with_short_indicator(tmp_path) / "summary.json").read_text())
+    assert sorted(summary) == ["ind00", "ind01", "short"]
+    assert summary["short"] == {"wave1": {}, "wave2": {}, "wave3": {}}
+    assert all(summary[ind][wave] for ind in ("ind00", "ind01")
+               for wave in ("wave1", "wave2", "wave3"))

@@ -78,6 +78,15 @@ def test_summary_skips_missing_values():
     assert "optimal_lead" not in summary.get("ind", {}).get("w1", {})
 
 
+def test_summary_lists_pairs_without_statistics():
+    failed = dict(optimal_lead=None, ccf_at_optimal=None, ccf_at_horizon=None,
+                  error="preprocessing failed")
+    rows = [row(), row(wave="w2", **failed), row(indicator="bad", **failed)]
+    summary = summarize(rows)
+    assert summary["ind"]["w2"] == {} and summary["bad"] == {"w1": {}}
+    assert summary["ind"]["w1"]["optimal_lead"]["n"] == 1
+
+
 def test_json_format(tmp_path):
     emit_reports([row()], tmp_path, fmt="json")
     payload = json.loads((tmp_path / "ccf.json").read_text())
