@@ -43,8 +43,6 @@ class GrangerBatch:
     collinear: np.ndarray = field(repr=False)
     df_num: int
     df_den: int
-    max_lag: int
-    horizon: int
 
 
 def _upper_tail(f, df1: int, df2: int):
@@ -127,7 +125,7 @@ def granger_test_batch(x, y, max_lag: int = 3, horizon: int = 0) -> GrangerBatch
         f = (np.where(clamped, 0.0, num) / df1) / (rss_u / df2)
     f[rss_u == 0.0] = math.inf
     f[collinear] = math.nan
-    return GrangerBatch(f, _upper_tail(f, df1, df2), collinear, df1, df2, m, horizon)
+    return GrangerBatch(f, _upper_tail(f, df1, df2), collinear, df1, df2)
 
 
 def granger_test(x, y, max_lag: int = 3, horizon: int = 0) -> GrangerResult:
@@ -137,12 +135,10 @@ def granger_test(x, y, max_lag: int = 3, horizon: int = 0) -> GrangerResult:
     of one of :func:`granger_test_batch`. A rank-deficient design raises
     :class:`CollinearDesignError`.
     """
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    if xv.ndim != 1 or xv.shape != yv.shape:
+    if np.ndim(x) != 1 or np.shape(x) != np.shape(y):
         raise LeadLagError("x and y must be aligned (same length)")
-    res = granger_test_batch(xv[None], yv[None], max_lag, horizon)
+    res = granger_test_batch(np.asarray(x)[None], np.asarray(y)[None], max_lag, horizon)
     if res.collinear[0]:
         raise CollinearDesignError("collinear design")
     return GrangerResult(float(res.f_stat[0]), float(res.p_value[0]), res.df_num,
-                         res.df_den, res.max_lag, res.horizon)
+                         res.df_den, max_lag, horizon)

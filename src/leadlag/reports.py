@@ -27,14 +27,13 @@ _METHOD_FIELDS = {
 }
 _METHOD_FILES = {"granger": ("granger", "granger14"), "ccf": ("ccf",), "dtw": ("dtw",)}
 
-_SUMMARY_STATS = (
-    ("granger", "p_value", "granger_p"),
-    ("granger14", "p_value", "granger14_p"),
-    ("ccf", "optimal_lead", "optimal_lead"),
-    ("ccf", "ccf_at_horizon", "ccf_at_horizon"),
-    ("dtw", "dtw_median_lead", "dtw_median_lead"),
-    ("dtw", "dtw_normalized_distance", "dtw_normalized_distance"),
-)
+_SUMMARY_STATS = {  # method: its (attribute, summary label) pairs
+    "granger": (("p_value", "granger_p"),),
+    "granger14": (("p_value", "granger14_p"),),
+    "ccf": (("optimal_lead", "optimal_lead"), ("ccf_at_horizon", "ccf_at_horizon")),
+    "dtw": (("dtw_median_lead", "dtw_median_lead"),
+            ("dtw_normalized_distance", "dtw_normalized_distance")),
+}
 
 
 def _format(value) -> str:
@@ -90,20 +89,15 @@ def summarize(rows: list[ReportRow]) -> dict:
     (every cell failed, say) maps to an empty dict.
     """
     summary: dict = {}
+    buckets: dict[tuple[str, str, str], list[float]] = {}
     for row in rows:
         summary.setdefault(row.indicator, {}).setdefault(row.wave, {})
-    for method, attr, label in _SUMMARY_STATS:
-        buckets: dict[tuple[str, str], list[float]] = {}
-        for row in rows:
-            if row.method != method:
-                continue
+        for attr, label in _SUMMARY_STATS.get(row.method, ()):
             value = getattr(row, attr)
-            if value is None:
-                continue
-            buckets.setdefault((row.indicator, row.wave), []).append(float(value))
-        for (indicator, wave), values in buckets.items():
-            summary.setdefault(indicator, {}).setdefault(wave, {})[label] = \
-                _quantiles(values)
+            if value is not None:
+                buckets.setdefault((row.indicator, row.wave, label), []).append(float(value))
+    for (indicator, wave, label), values in buckets.items():
+        summary[indicator][wave][label] = _quantiles(values)
     return summary
 
 
