@@ -381,9 +381,10 @@ def test_batch_shape_and_completeness_errors():
         granger_test_batch(x, x[:, :-1])
     with pytest.raises(LeadLagError, match="aligned"):
         granger_test_batch(x[0], x[0])
-    y = x.copy()
-    y[1, 5] = np.nan
-    with pytest.raises(LeadLagError, match="complete"):
-        granger_test_batch(x, y)
+    for bad in (np.nan, np.inf):
+        y = x.copy()
+        y[1, 5] = bad
+        with pytest.raises(LeadLagError, match="complete, finite"):
+            granger_test_batch(x, y)
     empty = granger_test_batch(np.empty((0, 40)), np.empty((0, 40)))
     assert empty.f_stat.shape == empty.collinear.shape == (0,)
