@@ -103,7 +103,7 @@ def granger_test_batch(x, y, max_lag: int = 3, horizon: int = 0) -> GrangerBatch
     if xv.ndim != 2 or xv.shape != yv.shape:
         raise LeadLagError("x and y must be aligned (same shape, one series per row)")
     if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
-        raise LeadLagError("granger_test requires complete, finite series")
+        raise LeadLagError("Granger test requires complete, finite series")
     m = max_lag
     n_rows = yv.shape[1] - horizon - m
     if n_rows <= 2 * m + 1:
