@@ -4,6 +4,13 @@ All readers are strict about schema (header row mandatory, ISO-8601 dates,
 finite numbers) and report the offending line number on malformed input.
 Panels come out rectangular over each variable's observed date range, with
 gaps imputed by last observation carried forward.
+
+Every reader goes through one columnar scan: ``csv.reader`` tokenizes the
+rows in short blocks, each block is transposed into one typed buffer per
+column (int32 first-seen codes for text, float64 for the numeric column),
+and the checks then run as masks over whole columns.  The error raised is
+that of the earliest offending line; when one line fails several checks,
+the check listed first wins.
 """
 
 from __future__ import annotations
@@ -11,8 +18,12 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from array import array
+from collections import defaultdict
 from datetime import date
+from itertools import compress, count, islice
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,96 +33,251 @@ from .timeseries import Panel, locf_impute
 
 logger = logging.getLogger(__name__)
 
+# Rows tokenized per block.  A block holds one list per row, and zip(*block)
+# adds one iterator per row; at 256 rows the two stay below the default
+# gen-0 threshold of 700 tracked objects, so no collection runs while a
+# block is alive and its rows never reach the older generations.  At 512
+# rows, collections ran on every block and cost about 20% of the reading.
+_BLOCK = 256
 
-def _records(path: str | Path, header: list[str]):
-    """(line number, fields) of each non-empty row; checks header, width, emptiness."""
+
+_Checks = list[tuple[np.ndarray, Callable[[list[str]], str]]]
+
+
+class _Columns(NamedTuple):
+    """The data rows of one CSV file, column by column."""
+
+    path: str
+    lines: np.ndarray            # line number of each data row
+    codes: list[np.ndarray | None]  # per text column: first-seen code of each row's text
+    names: list[list[str]]       # per column: the text of each code
+    numbers: np.ndarray | None   # the numeric column, NaN where not numeric
+    not_numeric: np.ndarray      # rows whose numeric field failed to parse
+    tail: SchemaError | None     # what stopped tokenizing after the last row
+
+
+def _tokenizer_error(exc: Exception, spath: str, reader) -> SchemaError:
+    if isinstance(exc, UnicodeDecodeError):
+        return SchemaError(f"not valid UTF-8: {exc.reason}", spath)
+    return SchemaError(f"malformed CSV: {exc}", spath, reader.line_num)
+
+
+def _scan(path: str | Path, header: list[str], number: int | None = None) -> _Columns:
+    """Tokenize a CSV file into columns; ``number`` indexes the numeric column.
+
+    Checks the header and each row's width.  Text columns (every column but
+    ``number``) are stored as codes.  Tokenizing stops at the first row of
+    the wrong width, at a field that fails to parse as a number, or at an
+    error of the tokenizer; the rows read before it are kept for the checks.
+    """
     spath = str(path)
     try:
         handle = Path(path).open(newline="", encoding="utf-8")
     except OSError as exc:
         raise SchemaError(f"cannot open file: {exc}", path=spath) from exc
+    width = len(header)
+    tables = [defaultdict(count().__next__) for _ in header]
+    buffers = [array("d" if i == number else "i") for i in range(width)]
+    lines = array("i")
+    tail: SchemaError | None = None
+    not_numeric: int | None = None
     with handle:
         reader = csv.reader(handle)
-        found = next(reader, None)
+        try:
+            found = next(reader, None)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise _tokenizer_error(exc, spath, reader) from None
         if found != header:
             raise SchemaError(f"expected header {','.join(header)!r}, got {found!r}",
                               path=spath, line=1)
-        empty = True
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
+        next_line = 2
+        while tail is None and not_numeric is None:
+            block: list[list[str]] = []
+            try:
+                block.extend(islice(reader, _BLOCK))
+            except (csv.Error, UnicodeDecodeError) as exc:
+                tail = _tokenizer_error(exc, spath, reader)
+            if not block:
+                break
+            numbered = range(next_line, next_line + len(block))
+            next_line += len(block)
+            if not all(block):  # csv.reader yields an empty list for a blank line
+                numbered = list(compress(numbered, block))
+                block = list(filter(None, block))
+            wrong = np.flatnonzero(np.fromiter(map(len, block), np.intp, len(block)) != width)
+            if wrong.size:
+                cut = int(wrong[0])
+                tail = SchemaError(f"expected {width} fields, got {len(block[cut])}",
+                                   spath, numbered[cut])
+                block, numbered = block[:cut], numbered[:cut]
+            if not block:  # a block of blank lines, or a width error on its first row
                 continue
-            if len(row) != len(header):
-                raise SchemaError(f"expected {len(header)} fields, got {len(row)}",
-                                  spath, lineno)
-            empty = False
-            yield lineno, row
-    if empty:
-        raise SchemaError("no data rows", spath)
+            columns = list(zip(*block))
+            if number is not None:
+                values = buffers[number]
+                before = len(values)
+                try:
+                    values.extend(map(float, columns[number]))
+                except ValueError:
+                    not_numeric = len(values)
+                    values.append(math.nan)
+                    keep = not_numeric - before + 1
+                    columns, numbered = [c[:keep] for c in columns], numbered[:keep]
+            lines.extend(numbered)
+            for i, column in enumerate(columns):
+                if i != number:
+                    buffers[i].extend(map(tables[i].__getitem__, column))
+    unparsed = np.zeros(len(lines), dtype=bool)
+    if not_numeric is not None:
+        unparsed[not_numeric] = True
+    return _Columns(
+        spath, np.frombuffer(lines, dtype=np.int32),
+        [np.frombuffer(b, dtype=np.int32) if i != number else None
+         for i, b in enumerate(buffers)],
+        [list(t) for t in tables],
+        None if number is None else np.frombuffer(buffers[number], dtype=np.float64),
+        unparsed, tail)
 
 
-def _parse_date(text: str, path: str, line: int) -> date:
+def _fields(path: str, line: int) -> list[str]:
+    """The fields of one line, tokenized again to quote them in an error."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        return next(islice(csv.reader(handle), line - 1, None))
+
+
+def _check(cols: _Columns, checks: _Checks) -> None:
+    """Raise the error of the earliest offending row, in ``checks`` order at a tie.
+
+    Each check is a mask over the rows and the message for a failing row's
+    fields.  A failure that stopped tokenizing comes after every row read.
+    """
+    hits = [(int(mask.argmax()), k) for k, (mask, _) in enumerate(checks) if mask.any()]
+    if hits:
+        row, k = min(hits)
+        line = int(cols.lines[row])
+        raise SchemaError(checks[k][1](_fields(cols.path, line)), cols.path, line)
+    if cols.tail is not None:
+        raise cols.tail
+    if not cols.lines.size:
+        raise SchemaError("no data rows", cols.path)
+
+
+def _parse_each(texts: list[str], parse: Callable[[str], float], invalid: float) -> np.ndarray:
+    """``parse`` of each distinct text, ``invalid`` where it raises ValueError."""
+    out = np.full(len(texts), invalid, dtype=np.float64)
+    for i, text in enumerate(texts):
+        try:
+            out[i] = parse(text)
+        except ValueError:
+            pass
+    return out
+
+
+def _ordinal(text: str) -> int:
+    return date.fromisoformat(text).toordinal()
+
+
+def _count(text: str) -> float:
+    n = int(text)
     try:
-        return date.fromisoformat(text)
-    except ValueError:
-        raise SchemaError(f"invalid ISO date {text!r}", path=path, line=line) from None
+        return float(n)
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
 
 
-def _parse_number(text: str, what: str, path: str, line: int) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise SchemaError(f"{what} {text!r} is not numeric", path, line) from None
-    if not math.isfinite(value):
-        raise SchemaError(f"{what} {text!r} is not a finite number", path, line)
-    return value
+def _repeats(key: np.ndarray) -> np.ndarray:
+    """Rows whose key equals that of an earlier row."""
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    mask = np.zeros(key.size, dtype=bool)
+    mask[order[1:][ordered[1:] == ordered[:-1]]] = True
+    return mask
 
 
-def _build_panel(per_geo: dict[str, dict[date, float]], level: str, variable: str) -> Panel:
-    start = min(min(obs) for obs in per_geo.values())
-    end = max(max(obs) for obs in per_geo.values())
-    geo_ids = sorted(per_geo)
-    values = np.full((len(geo_ids), (end - start).days + 1), np.nan)
-    for row, geo in zip(values, geo_ids):
-        obs = per_geo[geo]
-        row[[(d - start).days for d in obs]] = list(obs.values())
-    return Panel(level, variable, start, tuple(geo_ids), locf_impute(values))
+class _Grid(NamedTuple):
+    """Where each row lands when the panels of a file are laid end to end."""
+
+    cell: np.ndarray   # flat index of each row's (geo, day) cell; -1 without a date
+    size: int          # cells of all panels
+    panels: list[tuple[int, tuple[str, ...], int, int]]  # offset, geo ids, start, days
+
+
+def _grid(cols: _Columns, geo: int, day: int, variable: int | None = None) -> _Grid:
+    """Panel layout per variable (one variable without ``variable``).
+
+    Each variable's panel has the geos it observes, in sorted order, and the
+    days from its first to its last date.  A row whose date is not an ISO
+    date gets cell -1.
+    """
+    names = cols.names[geo]
+    ranked = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(ranked), dtype=np.int32)
+    rank[ranked] = np.arange(len(ranked), dtype=np.int32)
+    # each distinct date text is parsed once; 0 marks one that is not a date
+    ordinals = _parse_each(cols.names[day], _ordinal, 0).astype(np.int32)
+    days = ordinals[cols.codes[day]]
+    dated = days > 0
+    cell = np.full(days.size, -1, dtype=np.int64)
+    panels, size = [], 0
+    for v in range(1 if variable is None else len(cols.names[variable])):
+        rows = dated if variable is None else dated & (cols.codes[variable] == v)
+        g, d = rank[cols.codes[geo][rows]], days[rows]
+        if not d.size:  # every row of the variable fails the date check
+            panels.append((size, (), 0, 0))
+            continue
+        present = np.bincount(g, minlength=len(ranked)) > 0
+        start = int(d.min())
+        n_days = int(d.max()) - start + 1
+        at = np.cumsum(present)[g] - 1
+        at *= n_days
+        at += d
+        at += size - start
+        cell[rows] = at
+        geo_ids = tuple(names[ranked[i]] for i in np.flatnonzero(present))
+        panels.append((size, geo_ids, start, n_days))
+        size += len(geo_ids) * n_days
+    return _Grid(cell, size, panels)
+
+
+def _panels(grid: _Grid, values: np.ndarray, level: str,
+            variables: list[str]) -> dict[str, Panel]:
+    """One LOCF-imputed panel per variable, scattered from validated rows."""
+    flat = np.full(grid.size, np.nan)
+    flat[grid.cell] = values
+    return {var: Panel(level, var, date.fromordinal(start), geo_ids,
+                       locf_impute(flat[offset:offset + len(geo_ids) * n_days]
+                                   .reshape(len(geo_ids), n_days)))
+            for var, (offset, geo_ids, start, n_days) in zip(variables, grid.panels)}
 
 
 def read_admissions(path: str | Path) -> Panel:
     """Trust-level admissions panel from ``trust_id,date,admissions`` rows."""
-    spath = str(path)
-    per_trust: dict[str, dict[date, float]] = {}
-    for lineno, (trust, d_text, count_text) in _records(path, ["trust_id", "date",
-                                                              "admissions"]):
-        d = _parse_date(d_text, spath, lineno)
-        try:
-            count = int(count_text)
-        except ValueError:
-            raise SchemaError(f"admissions {count_text!r} is not an integer",
-                              spath, lineno) from None
-        if count < 0:
-            raise SchemaError(f"negative admissions {count}", spath, lineno)
-        obs = per_trust.setdefault(trust, {})
-        if d in obs:
-            raise SchemaError(f"duplicate record for ({trust}, {d})", spath, lineno)
-        obs[d] = float(count)
-    return _build_panel(per_trust, "trust", "admissions")
+    cols = _scan(path, ["trust_id", "date", "admissions"])
+    counts = _parse_each(cols.names[2], _count, math.nan)[cols.codes[2]]
+    grid = _grid(cols, 0, 1)
+    _check(cols, [
+        (grid.cell < 0, lambda f: f"invalid ISO date {f[1]!r}"),
+        (np.isnan(counts), lambda f: f"admissions {f[2]!r} is not an integer"),
+        (np.isinf(counts), lambda f: f"admissions {f[2]!r} is not a finite number"),
+        (counts < 0, lambda f: f"negative admissions {int(f[2])}"),
+        (_repeats(grid.cell),
+         lambda f: f"duplicate record for ({f[0]}, {date.fromisoformat(f[1])})"),
+    ])
+    return _panels(grid, counts, "trust", ["admissions"])["admissions"]
 
 
 def read_indicator_file(path: str | Path, level: str = "ltla") -> dict[str, Panel]:
     """Panels per variable from ``geo_id,date,variable,value`` rows."""
-    spath = str(path)
-    per_var: dict[str, dict[str, dict[date, float]]] = {}
-    for lineno, (geo, d_text, variable, value_text) in _records(
-            path, ["geo_id", "date", "variable", "value"]):
-        d = _parse_date(d_text, spath, lineno)
-        value = _parse_number(value_text, "value", spath, lineno)
-        obs = per_var.setdefault(variable, {}).setdefault(geo, {})
-        if d in obs:
-            raise SchemaError(f"duplicate record for ({geo}, {d}, {variable})",
-                              spath, lineno)
-        obs[d] = value
-    return {var: _build_panel(per_geo, level, var) for var, per_geo in per_var.items()}
+    cols = _scan(path, ["geo_id", "date", "variable", "value"], number=3)
+    grid = _grid(cols, 0, 1, 2)
+    _check(cols, [
+        (grid.cell < 0, lambda f: f"invalid ISO date {f[1]!r}"),
+        (cols.not_numeric, lambda f: f"value {f[3]!r} is not numeric"),
+        (~np.isfinite(cols.numbers), lambda f: f"value {f[3]!r} is not a finite number"),
+        (_repeats(grid.cell), lambda f: f"duplicate record for "
+                                        f"({f[0]}, {date.fromisoformat(f[1])}, {f[2]})"),
+    ])
+    return _panels(grid, cols.numbers, level, cols.names[2])
 
 
 def read_indicator_dir(directory: str | Path, level: str = "ltla") -> dict[str, Panel]:
@@ -130,44 +296,44 @@ def read_indicator_dir(directory: str | Path, level: str = "ltla") -> dict[str, 
     return panels
 
 
+def _number_checks(cols: _Columns, what: str, field: int) -> _Checks:
+    """The checks shared by numeric fields that must be finite and non-negative."""
+    return [
+        (cols.not_numeric, lambda f: f"{what} {f[field]!r} is not numeric"),
+        (~np.isfinite(cols.numbers), lambda f: f"{what} {f[field]!r} is not a finite number"),
+        (cols.numbers < 0, lambda f: f"negative {what} {float(f[field])}"),
+    ]
+
+
 def read_mapping(path: str | Path) -> GeoMapping:
     """LTLA->Trust mapping from ``ltla_id,trust_id,admissions`` count rows."""
-    spath = str(path)
-    records: list[tuple[str, str, float]] = []
-    for lineno, (ltla, trust, count_text) in _records(path, ["ltla_id", "trust_id",
-                                                            "admissions"]):
-        count = _parse_number(count_text, "count", spath, lineno)
-        if count < 0:
-            raise SchemaError(f"negative count {count}", spath, lineno)
-        records.append((ltla, trust, count))
-    return build_mapping(records)
+    cols = _scan(path, ["ltla_id", "trust_id", "admissions"], number=2)
+    _check(cols, _number_checks(cols, "count", 2))
+    ltlas, trusts = (map(cols.names[i].__getitem__, cols.codes[i].tolist()) for i in (0, 1))
+    return build_mapping(list(zip(ltlas, trusts, cols.numbers.tolist())))
 
 
 def read_population(path: str | Path) -> dict[str, float]:
     """LTLA residential populations from ``ltla_id,population`` rows."""
-    spath = str(path)
-    populations: dict[str, float] = {}
-    for lineno, (ltla, pop_text) in _records(path, ["ltla_id", "population"]):
-        pop = _parse_number(pop_text, "population", spath, lineno)
-        if pop < 0:
-            raise SchemaError(f"negative population {pop}", spath, lineno)
-        if ltla in populations:
-            raise SchemaError(f"duplicate LTLA {ltla}", spath, lineno)
-        populations[ltla] = pop
-    return populations
+    cols = _scan(path, ["ltla_id", "population"], number=1)
+    _check(cols, _number_checks(cols, "population", 1) + [
+        (_repeats(cols.codes[0]), lambda f: f"duplicate LTLA {f[0]}"),
+    ])
+    # without repeats, the n-th LTLA first seen is the n-th row
+    return dict(zip(cols.names[0], cols.numbers.tolist()))
 
 
 def read_groupings(path: str | Path) -> dict[str, tuple[str, ...]]:
     """Variable grouping declarations from ``group,member_variable`` rows."""
-    spath = str(path)
-    groups: dict[str, list[str]] = {}
-    for lineno, (group, member) in _records(path, ["group", "member_variable"]):
-        members = groups.setdefault(group, [])
-        if member in members:
-            raise SchemaError(f"member {member!r} repeated in group {group!r}",
-                              spath, lineno)
-        members.append(member)
-    return {g: tuple(m) for g, m in groups.items()}
+    cols = _scan(path, ["group", "member_variable"])
+    group, member = cols.codes
+    _check(cols, [
+        (_repeats(group.astype(np.int64) * len(cols.names[1]) + member),
+         lambda f: f"member {f[1]!r} repeated in group {f[0]!r}"),
+    ])
+    members = cols.names[1]
+    return {name: tuple(members[m] for m in member[group == g].tolist())
+            for g, name in enumerate(cols.names[0])}
 
 
 def apply_groupings(

@@ -1,4 +1,5 @@
 import json
+import re
 from datetime import date
 from pathlib import Path
 
@@ -58,6 +59,22 @@ def test_missing_input_exits_input_schema(corpus, tmp_path, capsys):
     args[args.index("--admissions") + 1] = str(corpus / "nope.csv")
     assert main(args) == 2
     assert "error [input-schema]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("defect, where", [
+    (b"T0,2021-10-01,5\nT0,2021-10-02,\xff\n", r"not valid UTF-8.*admissions\.csv\]"),
+    (b"T0,2021-10-01,5\nT0,2021-10-02," + b"9" * 200_000 + b"\n",
+     r"field larger than field limit.*admissions\.csv:3\]"),
+], ids=["undecodable", "oversized-field"])
+def test_unreadable_admissions_exit_input_schema(corpus, tmp_path, capsys, defect, where):
+    bad = tmp_path / "admissions.csv"
+    bad.write_bytes(b"trust_id,date,admissions\n" + defect)
+    args = run_args(corpus, tmp_path / "out")
+    args[args.index("--admissions") + 1] = str(bad)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "error [input-schema]" in err
+    assert re.search(where, err)
 
 
 def test_bad_config_exits_config(corpus, tmp_path, capsys):

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import pytest
 
+from leadlag.corpus import write_corpus
 from leadlag.errors import SchemaError
 from leadlag.ingest import (
     apply_groupings,
@@ -118,6 +121,19 @@ def test_read_indicator_dir_empty_errors(tmp_path):
     with pytest.raises(SchemaError, match="no indicator CSV"):
         read_indicator_dir(tmp_path)
 
+
+
+def test_read_indicator_file_memory(tmp_path):
+    # rows are tokenized in short blocks into typed column buffers, so the
+    # file's rows are never all held as Python lists at once
+    path = write_corpus(tmp_path, n_trusts=363, n_days=333, n_indicators=1, n_waves=3)["ind00"]
+    tracemalloc.start()
+    try:
+        read_indicator_file(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2**20
 
 # ------------------------------------------------------- mapping & population
 
