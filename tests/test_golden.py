@@ -9,7 +9,9 @@ output check (``perfbench/checks.py``): ids, integer leads, flags, errors
 and ``dtw_paths.csv`` exactly, floats within 1e-9 relative.
 
 ``python tests/golden/regenerate.py`` rewrites the golden files from the
-current code; do that only for an intended output change.
+current code; do that only for an intended output change.  It re-records
+only the files that no longer pass, so an intended change to one file does
+not re-anchor the floats of the others.
 """
 
 import importlib.util
@@ -65,6 +67,19 @@ def run_golden(inputs: Path, out: Path) -> int:
                  "--out", str(out), "--export-dtw-paths"])
 
 
+def golden_reference(out: Path, digests: dict[str, str], old: dict | None) -> dict:
+    """The reference for a run's outputs that keeps ``old``'s entry for every
+    file that still passes against it."""
+    reference = checks.make_reference(out, digests)
+    if old is None:
+        return reference
+    failing = {problem.split(":", 1)[0] for problem in checks.compare_outputs(out, old)}
+    reference["outputs"] = {
+        name: entry if name in failing else old["outputs"].get(name, entry)
+        for name, entry in reference["outputs"].items()}
+    return reference
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_golden_outputs(mode, tmp_path):
     digests = write_inputs(tmp_path / "inputs", mode)
@@ -72,3 +87,27 @@ def test_golden_outputs(mode, tmp_path):
     reference = checks.read_reference(GOLDEN / f"{mode}.json.gz")
     assert digests == reference["inputs"]
     assert checks.compare_outputs(tmp_path / "out", reference) == []
+    # regenerating from unchanged code rewrites the golden file byte for byte
+    regenerated = tmp_path / "regenerated.json.gz"
+    checks.write_reference(regenerated, golden_reference(tmp_path / "out", digests, reference))
+    assert regenerated.read_bytes() == (GOLDEN / f"{mode}.json.gz").read_bytes()
+
+
+def test_regeneration_rerecords_only_failing_files(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "kept.csv").write_text("a,0.30000000000000004\n")
+    (out / "changed.csv").write_text("a,0.5,new\n")
+    (out / "added.csv").write_text("a,1.5\n")
+    old = {"inputs": {}, "outputs": {
+        "kept.csv": {"skeleton_sha256": checks.split_floats(b"a,0.1\n")[0],
+                     "floats": ["0.3"]},
+        "changed.csv": {"skeleton_sha256": checks.split_floats(b"a,0.1\n")[0],
+                        "floats": ["0.5"]},
+        "dropped.csv": {"skeleton_sha256": "", "floats": []}}}
+    reference = golden_reference(out, {"x.csv": "digest"}, old)
+    assert reference["inputs"] == {"x.csv": "digest"}
+    assert reference["outputs"]["kept.csv"] == old["outputs"]["kept.csv"]
+    assert reference["outputs"]["changed.csv"]["floats"] == ["0.5"]
+    assert reference["outputs"]["changed.csv"] != old["outputs"]["changed.csv"]
+    assert sorted(reference["outputs"]) == ["added.csv", "changed.csv", "kept.csv"]
