@@ -248,7 +248,8 @@ def test_end_to_end_determinism_and_scale(tmp_path):
         for name in ("granger.csv", "ccf.csv", "dtw.csv", "summary.json",
                      "trust_population.csv")
     )
-    rows = sum(1 for _ in (tmp_path / "out1" / "ccf.csv").open()) - 1
+    with (tmp_path / "out1" / "ccf.csv").open() as fh:
+        rows = sum(1 for _ in fh) - 1
     grid_ok = rows == 3 * 121 * 20
     report("end-to-end determinism and scale",
            identical and grid_ok and t1 < 120.0 and t2 < 120.0,
