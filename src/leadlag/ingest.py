@@ -40,7 +40,7 @@ logger = logging.getLogger(__name__)
 # rows, collections ran on every block and cost about 20% of the reading.
 _BLOCK = 256
 
-
+# per check: a mask over the rows, and the message for a failing row's fields
 _Checks = list[tuple[np.ndarray, Callable[[list[str]], str]]]
 
 
@@ -48,12 +48,12 @@ class _Columns(NamedTuple):
     """The data rows of one CSV file, column by column."""
 
     path: str
-    lines: np.ndarray            # line number of each data row
+    lines: np.ndarray               # line number of each data row
     codes: list[np.ndarray | None]  # per text column: first-seen code of each row's text
-    names: list[list[str]]       # per column: the text of each code
-    numbers: np.ndarray | None   # the numeric column, NaN where not numeric
-    not_numeric: np.ndarray      # rows whose numeric field failed to parse
-    tail: SchemaError | None     # what stopped tokenizing after the last row
+    names: list[list[str]]          # per column: the text of each code
+    numbers: np.ndarray | None      # the numeric column, NaN where not numeric
+    not_numeric: np.ndarray         # rows whose numeric field failed to parse
+    tail: SchemaError | None        # what stopped tokenizing after the last row
 
 
 def _tokenizer_error(exc: Exception, spath: str, reader) -> SchemaError:
@@ -148,8 +148,7 @@ def _fields(path: str, line: int) -> list[str]:
 def _check(cols: _Columns, checks: _Checks) -> None:
     """Raise the error of the earliest offending row, in ``checks`` order at a tie.
 
-    Each check is a mask over the rows and the message for a failing row's
-    fields.  A failure that stopped tokenizing comes after every row read.
+    A failure that stopped tokenizing comes after every row read.
     """
     hits = [(int(mask.argmax()), k) for k, (mask, _) in enumerate(checks) if mask.any()]
     if hits:

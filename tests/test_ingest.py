@@ -122,7 +122,6 @@ def test_read_indicator_dir_empty_errors(tmp_path):
         read_indicator_dir(tmp_path)
 
 
-
 def test_read_indicator_file_memory(tmp_path):
     # rows are tokenized in short blocks into typed column buffers, so the
     # file's rows are never all held as Python lists at once
@@ -134,6 +133,7 @@ def test_read_indicator_file_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 9 * 2**20
+
 
 # ------------------------------------------------------- mapping & population
 
