@@ -12,7 +12,7 @@ from .dtw import (
 from .errors import LeadLagError
 from .geo import GeoMapping, apply_mapping, build_mapping, weighted_population
 from .granger import GrangerBatch, GrangerResult, f_pvalue, granger_test, granger_test_batch
-from .pipeline import ReportRow, effective_lead, filter_trusts, run_analysis
+from .pipeline import ResultTable, effective_lead, filter_trusts, run_analysis
 from .ingest import (
     apply_groupings,
     read_admissions,
@@ -37,7 +37,7 @@ __all__ = [
     "LatencySpec",
     "LeadLagError",
     "Panel",
-    "ReportRow",
+    "ResultTable",
     "RunConfig",
     "SynthSpec",
     "WaveSpec",

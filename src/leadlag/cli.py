@@ -20,7 +20,7 @@ from .ingest import (
     read_population,
 )
 from .pipeline import DEFAULT_MAPPING, METHODS, run_analysis
-from .reports import emit_reports
+from .reports import emit_reports, write_dtw_paths
 
 logger = logging.getLogger(__name__)
 
@@ -91,19 +91,12 @@ def _run(args: argparse.Namespace) -> int:
     trust_pop = weighted_population(mappings[DEFAULT_MAPPING], populations)
 
     dtw_paths: list[tuple] | None = [] if args.export_dtw_paths else None
-    rows = run_analysis(config, admissions, indicators, mappings, methods=methods,
-                        dtw_paths=dtw_paths)
-    written = emit_reports(rows, args.out, fmt=args.format)
+    tables = run_analysis(config, admissions, indicators, mappings, methods=methods,
+                          dtw_paths=dtw_paths)
+    written = emit_reports(tables, args.out, fmt=args.format)
     if dtw_paths is not None:
-        path_file = Path(args.out) / "dtw_paths.csv"
-        lines = ["indicator,wave,scope,query_date,ref_date,lead_days"]
-        # blocks by (indicator, wave) name; a stable sort keeps each block's
-        # scope order and its sorted pairs
-        for ind, wave, scope, days, pairs in sorted(dtw_paths, key=lambda rec: rec[:2]):
-            head = f"{ind},{wave},{scope},"
-            lines.extend(f"{head}{days[i]},{days[j]},{j - i}" for i, j in pairs)
-        path_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(path_file)
+        written.append(Path(args.out) / "dtw_paths.csv")
+        write_dtw_paths(written[-1], dtw_paths)
 
     pop_path = Path(args.out) / "trust_population.csv"
     pop_lines = ["trust_id,population"]
@@ -111,7 +104,7 @@ def _run(args: argparse.Namespace) -> int:
     pop_path.write_text("\n".join(pop_lines) + "\n", encoding="utf-8")
     written.append(pop_path)
 
-    logger.info("wrote %d rows across %s", len(rows),
+    logger.info("wrote %d rows across %s", sum(len(t.trust_ids) for t in tables),
                 ", ".join(p.name for p in written))
     return 0
 

@@ -27,7 +27,7 @@ from .errors import ConfigError, LeadLagError
 from .geo import GeoMapping, apply_mapping
 from .granger import granger_test_batch
 from .timeseries import Panel, loess_smooth, minmax_scale, zscore_scale
-from .xcorr import ccf_at_leads, optimal_lead
+from .xcorr import ccf_at_leads, optimal_leads
 
 logger = logging.getLogger(__name__)
 
@@ -36,32 +36,28 @@ METHODS = ("granger", "ccf", "dtw")
 
 
 @dataclass(frozen=True)
-class ReportRow:
-    """One method result for one (trust, indicator, wave) cell."""
+class ResultTable:
+    """One method's results for one (indicator, wave), a row per trust.
 
-    trust_id: str
+    Row k belongs to ``trust_ids[k]``. ``columns`` holds the statistics as
+    float arrays, NaN where a cell has none (no statistic the methods
+    compute is NaN), and the flags (eroded, degenerate, truncated) as bool
+    arrays; a column left out is absent, or false, in every row. ``error``
+    is empty for the cells that succeeded.
+    """
+
+    trust_ids: tuple[str, ...]
     indicator: str
     wave: str
     method: str  # granger | granger14 | ccf | dtw
-    horizon: int | None = None
-    f_stat: float | None = None
-    p_value: float | None = None
-    df_num: int | None = None
-    df_den: int | None = None
-    optimal_lead: int | None = None
-    ccf_at_optimal: float | None = None
-    ccf_at_horizon: float | None = None
-    dtw_median_lead: float | None = None
-    dtw_normalized_distance: float | None = None
-    effective_lead: float | None = None
-    eroded: bool = False
-    degenerate: bool = False
-    truncated: bool = False
-    provenance: str = ""
-    error: str = ""
+    horizon: int | None
+    provenance: str
+    columns: dict[str, np.ndarray]
+    error: list[str]
 
-    def sort_key(self) -> tuple[str, str, str, str]:
-        return (self.trust_id, self.indicator, self.wave, self.method)
+
+# a method helper's cells for the rows of a pair: (columns, error), as in ResultTable
+_Cells = tuple[dict[str, np.ndarray], list[str]]
 
 
 def filter_trusts(panel: Panel, config: RunConfig) -> Panel:
@@ -113,6 +109,16 @@ def effective_lead(lead_days: float | None,
     return eff, False
 
 
+def effective_leads(lead_days: np.ndarray,
+                    latency: LatencySpec | None) -> tuple[np.ndarray, np.ndarray]:
+    """``effective_lead`` of every element; a NaN (absent) lead stays NaN."""
+    if latency is None:
+        return np.full(lead_days.shape, np.nan), np.zeros(lead_days.shape, bool)
+    eff = lead_days - latency.reporting_lag_days - (latency.release_cadence_days - 1)
+    eroded = (eff < 0) & (lead_days >= 0)
+    return np.where(eroded, 0.0, eff), eroded
+
+
 def _overlap(start: date, end: date, *panels: Panel) -> tuple[date, date] | None:
     start = max([start] + [p.start_date for p in panels])
     end = min([end] + [p.end_date for p in panels])
@@ -139,13 +145,6 @@ class _Pair:
         y, y_flat = minmax_scale(self.y_smooth[self.rows])
         return x, y, x_flat | y_flat
 
-    def per_trust(self, cells: list[dict]) -> list[dict]:
-        """One cell per row of the pair, spread over every admissions trust."""
-        out = [{"error": "no indicator series for trust"}] * len(self.adm.geo_ids)
-        for row, cell in zip(self.rows, cells):
-            out[row] = cell
-        return out
-
     def linear_window(self, wave: WaveSpec) -> tuple[np.ndarray, ...] | None:
         """Scaled x and y over the wave's overlap window, and their constant rows."""
         window = _overlap(wave.start, wave.end, self.ind, self.adm)
@@ -163,16 +162,16 @@ def run_analysis(
     mappings: GeoMapping | dict[str, GeoMapping],
     methods: tuple[str, ...] = METHODS,
     dtw_paths: list[tuple] | None = None,
-) -> list[ReportRow]:
+) -> list[ResultTable]:
     """Run the configured methods over every (wave, trust, indicator) cell.
 
-    Returns one row per cell and method (the Granger method yields a row at
-    horizon 0 and one at the configured horizon). Rows are sorted by
-    (trust, indicator, wave, method) so output is deterministic. Pass a list
-    as ``dtw_paths`` to collect one (indicator, wave, scope, days, pairs)
-    record per alignment: ``pairs`` are its sorted (query, reference) index
-    pairs into ``days``, the window's ISO dates. Records arrive per
-    (indicator, wave) in scope order.
+    Returns one table per (indicator, wave) and method, each with a row per
+    retained trust (the Granger method yields a table at horizon 0 and one
+    at the configured horizon), by indicator name, then wave and method in
+    configuration order. Pass a list as ``dtw_paths`` to collect one
+    (indicator, wave, scope, days, pairs) record per alignment: ``pairs``
+    are its sorted (query, reference) index pairs into ``days``, the
+    window's ISO dates. Records arrive per (indicator, wave) in scope order.
     """
     unknown = set(methods) - set(METHODS)
     if unknown:
@@ -182,6 +181,7 @@ def run_analysis(
 
     adm = filter_trusts(admissions, config)
     adm_smooth = _smooth(adm.values, config)
+    n = len(adm.geo_ids)
 
     span, degree = config.loess_span, config.loess_degree
     provenance_linear = f"locf+loess(span={span:g},degree={degree})+minmax"
@@ -197,7 +197,7 @@ def run_analysis(
     if "dtw" in methods:
         grid.append(("dtw", None, provenance_dtw))
 
-    rows: list[ReportRow] = []
+    tables: list[ResultTable] = []
     for variable in sorted(indicators):
         ind = indicators[variable]
         try:
@@ -206,7 +206,7 @@ def run_analysis(
             logger.warning("indicator %s failed preprocessing and is reported as "
                            "error rows: %s", variable, exc)
             pair = None
-            failed = [{"error": f"preprocessing failed: {exc}"}] * len(adm.geo_ids)
+            failed = f"preprocessing failed: {exc}"
         latency = config.latencies.get(variable)
 
         for wave in config.waves:
@@ -216,24 +216,33 @@ def run_analysis(
                                variable, wave.name)
             for method, horizon, provenance in grid:
                 if pair is None:
-                    cells = failed
-                elif method == "ccf":
-                    cells = pair.per_trust(_ccf_cells(config, pair, wave, latency))
-                elif method == "dtw":
-                    cells = pair.per_trust(_dtw_cells(config, pair, wave, variable,
-                                                      latency, dtw_paths))
+                    columns, error = {}, [failed] * n
                 else:
-                    cells = pair.per_trust(_granger_cells(config, pair, wave, horizon))
-                rows.extend(ReportRow(trust, variable, wave.name, method,
-                                      horizon=horizon, provenance=provenance,
-                                      **{"truncated": truncated, **cell})
-                            for trust, cell in zip(adm.geo_ids, cells))
+                    if method == "ccf":
+                        cells = _ccf_cells(config, pair, wave, latency)
+                    elif method == "dtw":
+                        cells = _dtw_cells(config, pair, wave, variable, latency, dtw_paths)
+                    else:
+                        cells = _granger_cells(config, pair, wave, horizon)
+                    columns, error = _spread(pair.rows, n, *cells)
+                columns["truncated"] = columns.get("truncated", np.zeros(n, bool)) | truncated
+                tables.append(ResultTable(adm.geo_ids, variable, wave.name, method,
+                                          horizon, provenance, columns, error))
 
-    n_errors = sum(1 for row in rows if row.error)
+    n_errors = sum(1 for table in tables for text in table.error if text)
     if n_errors:
         logger.warning("%d cell(s) recorded an error instead of statistics", n_errors)
-    rows.sort(key=ReportRow.sort_key)
-    return rows
+    return tables
+
+
+def _spread(rows: list[int], n: int, columns: dict[str, np.ndarray],
+            error: list[str]) -> _Cells:
+    """Place a pair's cells among all ``n`` trusts; the others have no indicator."""
+    take = np.full(n, len(rows))
+    take[rows] = np.arange(len(rows))
+    error = error + ["no indicator series for trust"]
+    return ({name: np.append(values, np.nan if values.dtype == float else False)[take]
+             for name, values in columns.items()}, [error[i] for i in take.tolist()])
 
 
 def _pair(config: RunConfig, variable: str, ind: Panel, adm: Panel,
@@ -256,50 +265,49 @@ def _smooth(values: np.ndarray, config: RunConfig) -> np.ndarray:
 
 
 def _granger_cells(config: RunConfig, pair: _Pair, wave: WaveSpec,
-                   horizon: int) -> list[dict]:
+                   horizon: int) -> _Cells:
+    k = len(pair.rows)
     window = pair.linear_window(wave)
     if window is None:
-        return [{"truncated": True, "error": "no coverage in wave"}] * len(pair.rows)
+        return {"truncated": np.ones(k, bool)}, ["no coverage in wave"] * k
     x, y, degenerate = window
     try:
         res = granger_test_batch(x, y, config.granger_max_lag, horizon)
     except LeadLagError as exc:
-        return [{"degenerate": bool(flat), "error": str(exc)} for flat in degenerate]
-    return [{"degenerate": True, "error": "collinear design"} if collinear else
-            {"f_stat": f, "p_value": p, "df_num": res.df_num, "df_den": res.df_den,
-             "degenerate": bool(flat)}
-            for f, p, collinear, flat in zip(res.f_stat.tolist(), res.p_value.tolist(),
-                                             res.collinear, degenerate)]
+        return {"degenerate": degenerate}, [str(exc)] * k
+    # collinear rows read NaN in F and p already
+    return ({"f_stat": res.f_stat, "p_value": res.p_value,
+             "df_num": np.where(res.collinear, np.nan, res.df_num),
+             "df_den": np.where(res.collinear, np.nan, res.df_den),
+             "degenerate": degenerate | res.collinear},
+            np.where(res.collinear, "collinear design", "").tolist())
 
 
 def _ccf_cells(config: RunConfig, pair: _Pair, wave: WaveSpec,
-               latency: LatencySpec | None) -> list[dict]:
+               latency: LatencySpec | None) -> _Cells:
+    k = len(pair.rows)
     window = pair.linear_window(wave)
     if window is None:
-        return [{"truncated": True, "error": "no coverage in wave"}] * len(pair.rows)
+        return {"truncated": np.ones(k, bool)}, ["no coverage in wave"] * k
     x, y, degenerate = window
     leads = np.arange(-config.ccf_window, config.ccf_window + 1)
     try:
         # the profile's leads, then the fixed horizon in the last column
         values = ccf_at_leads(x, y, np.append(leads, config.horizon_days))
     except LeadLagError as exc:
-        return [{"degenerate": bool(flat), "error": str(exc)} for flat in degenerate]
-    cells = []
-    for profile, flat in zip(values, degenerate):
-        if np.isnan(profile[-1]):
-            cells.append({"degenerate": True, "error": "zero variance"})
-            continue
-        best = optimal_lead(leads, profile[:-1])
-        lead, at_lead = best if best is not None else (None, None)
-        eff, eroded = effective_lead(lead, latency)
-        cells.append({"optimal_lead": lead, "ccf_at_optimal": at_lead,
-                      "ccf_at_horizon": float(profile[-1]), "effective_lead": eff,
-                      "eroded": eroded, "degenerate": bool(flat)})
-    return cells
+        return {"degenerate": degenerate}, [str(exc)] * k
+    # a constant row reads NaN at every lead, so it has no optimal lead either
+    zero = np.isnan(values[:, -1])
+    lead, at_lead = optimal_leads(leads, values[:, :-1])
+    eff, eroded = effective_leads(lead, latency)
+    return ({"optimal_lead": lead, "ccf_at_optimal": at_lead,
+             "ccf_at_horizon": values[:, -1], "effective_lead": eff, "eroded": eroded,
+             "degenerate": degenerate | zero},
+            np.where(zero, "zero variance", "").tolist())
 
 
 def _dtw_cells(config: RunConfig, pair: _Pair, wave: WaveSpec, variable: str,
-               latency: LatencySpec | None, dtw_paths: list[tuple] | None) -> list[dict]:
+               latency: LatencySpec | None, dtw_paths: list[tuple] | None) -> _Cells:
     """Align indicator against admissions around one wave.
 
     The query covers the wave plus a warm-up prefix; the reference gets an
@@ -311,11 +319,11 @@ def _dtw_cells(config: RunConfig, pair: _Pair, wave: WaveSpec, variable: str,
     """
     k = len(pair.rows)
     if k == 0:
-        return []
+        return {}, []
     warm_start = wave.start - timedelta(days=config.dtw_warmup_days)
     window = _overlap(warm_start, wave.end, pair.ind, pair.adm)
     if window is None:
-        return [{"error": "no coverage in wave"}] * k
+        return {}, ["no coverage in wave"] * k
     q_start, q_end = window
     ref_end = min(pair.adm.end_date, q_end + timedelta(days=config.dtw_window))
     q_cols = pair.ind.day_slice(q_start, q_end)
@@ -324,7 +332,7 @@ def _dtw_cells(config: RunConfig, pair: _Pair, wave: WaveSpec, variable: str,
         q, q_flat = zscore_scale(pair.x_smooth[:, q_cols])
         r, r_flat = zscore_scale(pair.y_smooth[pair.rows, r_cols])
     except LeadLagError as exc:
-        return [{"error": str(exc)}] * k
+        return {}, [str(exc)] * k
     flat = q_flat | r_flat
     if config.dtw_mode == "univariate":
         scopes = [pair.adm.geo_ids[row] for row in pair.rows]
@@ -339,26 +347,30 @@ def _dtw_cells(config: RunConfig, pair: _Pair, wave: WaveSpec, variable: str,
         alignments = dtw_align_batch(q, r, window=config.dtw_window,
                                      open_begin=True, open_end=True)
     except LeadLagError as exc:
-        return [{"error": str(exc)}] * k
+        return {}, [str(exc)] * k
 
     first_reported = (wave.start - q_start).days
     days = [(q_start + timedelta(days=t)).isoformat() for t in range(r.shape[1])]
-    cells = []
-    for scope, alignment, degenerate in zip(scopes, alignments, flat):
+    median = np.full(len(alignments), np.nan)
+    distance = np.full(len(alignments), np.nan)
+    error = [""] * len(alignments)
+    for b, (scope, alignment) in enumerate(zip(scopes, alignments)):
         if alignment is None:
-            cells.append({"error": "no admissible path"})
+            error[b] = "no admissible path"
             continue
         reported = [lead for i, lead in lead_times_from_path(alignment)
                     if i >= first_reported]
         if not reported:
-            cells.append({"error": "no reported indices after warm-up exclusion"})
+            error[b] = "no reported indices after warm-up exclusion"
             continue
-        median = float(np.median(reported))
-        eff, eroded = effective_lead(median, latency)
-        cells.append({"dtw_median_lead": median,
-                      "dtw_normalized_distance": alignment.normalized,
-                      "effective_lead": eff, "eroded": eroded,
-                      "degenerate": bool(degenerate)})
+        median[b] = np.median(reported)
+        distance[b] = alignment.normalized
         if dtw_paths is not None:
             dtw_paths.append((variable, wave.name, scope, days, alignment.pairs))
-    return cells if config.dtw_mode == "univariate" else cells * k
+    eff, eroded = effective_leads(median, latency)
+    columns = {"dtw_median_lead": median, "dtw_normalized_distance": distance,
+               "effective_lead": eff, "eroded": eroded,
+               "degenerate": flat & ~np.isnan(median)}
+    if config.dtw_mode == "univariate":
+        return columns, error
+    return {name: np.repeat(values, k) for name, values in columns.items()}, error * k

@@ -1,18 +1,22 @@
 """Deterministic report emission: per-method tables plus a quantile summary.
 
-Identical inputs always produce byte-identical files: rows are sorted, float
-formatting uses ``repr``, and JSON keys are sorted.
+Identical inputs always produce byte-identical files: rows are ordered by
+(trust, indicator, wave, method), float formatting uses ``repr``, and JSON
+keys are sorted. Each column of a result table is formatted once.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Callable
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .errors import LeadLagError
-from .pipeline import ReportRow
+from .pipeline import ResultTable
 
 _COMMON_FIELDS = ["trust_id", "indicator", "wave", "method"]
 _METHOD_FIELDS = {
@@ -26,8 +30,11 @@ _METHOD_FIELDS = {
                              "degenerate", "truncated", "provenance", "error"],
 }
 _METHOD_FILES = {"granger": ("granger", "granger14"), "ccf": ("ccf",), "dtw": ("dtw",)}
+_TEXT = ("trust_id", "indicator", "wave", "method", "provenance", "error")
+_INTEGERS = ("horizon", "df_num", "df_den", "optimal_lead")
+_FLAGS = ("eroded", "degenerate", "truncated")
 
-_SUMMARY_STATS = {  # method: its (attribute, summary label) pairs
+_SUMMARY_STATS = {  # method: its (column, summary label) pairs
     "granger": (("p_value", "granger_p"),),
     "granger14": (("p_value", "granger14_p"),),
     "ccf": (("optimal_lead", "optimal_lead"), ("ccf_at_horizon", "ccf_at_horizon")),
@@ -36,72 +43,85 @@ _SUMMARY_STATS = {  # method: its (attribute, summary label) pairs
 }
 
 
-def _format(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _csv_text(text: str) -> str:
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _write_csv(path: Path, fields: list[str], rows: list[ReportRow]) -> None:
-    lines = [",".join(fields)]
-    for row in rows:
-        record = []
-        for f in fields:
-            text = _format(getattr(row, f))
-            if "," in text or '"' in text or "\n" in text or "\r" in text:
-                text = '"' + text.replace('"', '""') + '"'
-            record.append(text)
-        lines.append(",".join(record))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _json_safe(value):
+def _column(table: ResultTable, field: str) -> list:
+    """One field of every row of ``table`` as JSON values, None where absent."""
+    if field in ("trust_id", "error"):
+        return list(table.trust_ids) if field == "trust_id" else table.error
+    values = table.columns.get(field)
+    if values is None:  # a field of the whole table, or an absent column
+        value = False if field in _FLAGS else getattr(table, field, None)
+        return [value] * len(table.trust_ids)
+    if values.dtype == bool:
+        return values.tolist()
     # JSON has no Infinity; the F = +inf sentinel becomes its repr string
-    if isinstance(value, float) and not np.isfinite(value):
-        return repr(value)
-    return value
+    return [None if v != v else (int(v) if field in _INTEGERS else v)
+            if math.isfinite(v) else repr(v) for v in values.tolist()]
 
 
-def _write_json_rows(path: Path, fields: list[str], rows: list[ReportRow]) -> None:
-    payload = [{f: _json_safe(getattr(row, f)) for f in fields} for row in rows]
+def _csv_column(table: ResultTable, field: str) -> list[str]:
+    """One field of every row of ``table`` as CSV text, empty where absent."""
+    values = _column(table, field)
+    if field in _FLAGS:
+        return ["true" if v else "false" for v in values]
+    # str of a float is its repr, and of the F = +inf sentinel "inf"
+    text = _csv_text if field in _TEXT else str
+    return ["" if v is None else text(v) for v in values]
+
+
+def _rows(tables: list[ResultTable], fields: list[str],
+          column: Callable[[ResultTable, str], list]) -> list[tuple]:
+    """The tables' rows in (trust, indicator, wave, method) order, as tuples of
+    ``column(table, field)`` values; equal keys keep their input order."""
+    tables = sorted(tables, key=lambda table: (table.indicator, table.wave, table.method))
+    rows = [(trust, row) for table in tables
+            for trust, row in zip(table.trust_ids, zip(*(column(table, f) for f in fields)))]
+    rows.sort(key=itemgetter(0))  # stable, so each trust keeps the tables' order
+    return [row for _, row in rows]
+
+
+def _write_csv(path: Path, fields: list[str], tables: list[ResultTable]) -> None:
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(",".join(fields) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in _rows(tables, fields, _csv_column))
+
+
+def _write_json_rows(path: Path, fields: list[str], tables: list[ResultTable]) -> None:
+    payload = [dict(zip(fields, row)) for row in _rows(tables, fields, _column)]
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
                     encoding="utf-8")
 
 
-def _quantiles(values: list[float]) -> dict:
-    arr = np.asarray(values, dtype=float)
-    return {
-        "n": int(arr.size),
-        "q25": float(np.quantile(arr, 0.25)),
-        "median": float(np.quantile(arr, 0.5)),
-        "q75": float(np.quantile(arr, 0.75)),
-    }
-
-
-def summarize(rows: list[ReportRow]) -> dict:
+def summarize(tables: list[ResultTable]) -> dict:
     """Per-indicator, per-wave quantiles of each method's headline statistic.
 
     Every (indicator, wave) with rows appears; one without any statistic
     (every cell failed, say) maps to an empty dict.
     """
     summary: dict = {}
-    buckets: dict[tuple[str, str, str], list[float]] = {}
-    for row in rows:
-        summary.setdefault(row.indicator, {}).setdefault(row.wave, {})
-        for attr, label in _SUMMARY_STATS.get(row.method, ()):
-            value = getattr(row, attr)
-            if value is not None:
-                buckets.setdefault((row.indicator, row.wave, label), []).append(float(value))
-    for (indicator, wave, label), values in buckets.items():
-        summary[indicator][wave][label] = _quantiles(values)
+    buckets: dict[tuple[str, str, str], list[np.ndarray]] = {}
+    for table in tables:
+        if table.trust_ids:
+            summary.setdefault(table.indicator, {}).setdefault(table.wave, {})
+        for column, label in _SUMMARY_STATS.get(table.method, ()):
+            values = table.columns.get(column, np.empty(0))
+            buckets.setdefault((table.indicator, table.wave, label), []).append(
+                values[~np.isnan(values)])
+    for (indicator, wave, label), parts in buckets.items():
+        values = np.concatenate(parts)
+        if values.size:
+            q25, median, q75 = np.quantile(values, [0.25, 0.5, 0.75]).tolist()
+            summary[indicator][wave][label] = {"n": values.size, "q25": q25,
+                                               "median": median, "q75": q75}
     return summary
 
 
-def emit_reports(rows: list[ReportRow], out_dir: str | Path,
+def emit_reports(tables: list[ResultTable], out_dir: str | Path,
                  fmt: str = "csv") -> list[Path]:
     """Write granger/ccf/dtw tables and summary.json into ``out_dir``.
 
@@ -116,22 +136,31 @@ def emit_reports(rows: list[ReportRow], out_dir: str | Path,
     except OSError as exc:
         raise LeadLagError(f"cannot create output directory {out}: {exc}") from exc
 
-    ordered = sorted(rows, key=ReportRow.sort_key)
+    write = _write_csv if fmt == "csv" else _write_json_rows
     written: list[Path] = []
     try:
         for group, methods in _METHOD_FILES.items():
-            subset = [r for r in ordered if r.method in methods]
             path = out / f"{group}.{fmt}"
-            if fmt == "csv":
-                _write_csv(path, _METHOD_FIELDS[group], subset)
-            else:
-                _write_json_rows(path, _METHOD_FIELDS[group], subset)
+            write(path, _METHOD_FIELDS[group], [t for t in tables if t.method in methods])
             written.append(path)
         summary_path = out / "summary.json"
         summary_path.write_text(
-            json.dumps(summarize(ordered), indent=2, sort_keys=True, allow_nan=False) + "\n",
+            json.dumps(summarize(tables), indent=2, sort_keys=True, allow_nan=False) + "\n",
             encoding="utf-8")
         written.append(summary_path)
     except OSError as exc:
         raise LeadLagError(f"cannot write report in {out}: {exc}") from exc
     return written
+
+
+def write_dtw_paths(path: Path, records: list[tuple]) -> None:
+    """Write ``run_analysis``'s DTW path records as CSV, a line per matched pair.
+
+    Blocks follow (indicator, wave) name order; the stable sort keeps each
+    block's scope order and each record's sorted pairs.
+    """
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write("indicator,wave,scope,query_date,ref_date,lead_days\n")
+        for ind, wave, scope, days, pairs in sorted(records, key=lambda rec: rec[:2]):
+            head = f"{ind},{wave},{scope},"
+            fh.write("".join([f"{head}{days[i]},{days[j]},{j - i}\n" for i, j in pairs]))

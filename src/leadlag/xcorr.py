@@ -59,3 +59,16 @@ def optimal_lead(leads, values) -> tuple[int, float] | None:
     at_max = leads[eligible & (values == vmax)]
     best = min(at_max, key=lambda lead: (abs(lead), -lead))
     return int(best), float(vmax)
+
+
+def optimal_leads(leads, values) -> tuple[np.ndarray, np.ndarray]:
+    """``optimal_lead`` of each row of a (rows, leads) array, for non-empty ``leads``:
+    the leads and their correlations as floats, NaN where a row has none."""
+    leads = np.asarray(leads)
+    eligible = values >= 0.0
+    vmax = np.where(eligible, values, -np.inf).max(axis=1)
+    rank = np.lexsort((-leads, np.abs(leads)))  # ties: smallest |lead|, then positive
+    at_max = (eligible & (values == vmax[:, None]))[:, rank]
+    found = at_max.any(axis=1)
+    return (np.where(found, leads[rank][at_max.argmax(axis=1)], np.nan),
+            np.where(found, vmax, np.nan))

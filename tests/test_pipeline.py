@@ -15,7 +15,7 @@ from leadlag.pipeline import effective_lead, filter_trusts, run_analysis
 from leadlag.synth import IndicatorSpec, SynthSpec, generate_admissions, generate_indicators
 from leadlag.timeseries import Panel
 
-from conftest import START, panel
+from conftest import START, panel, records
 
 N_DAYS = 210
 WAVE1 = WaveSpec("w1", START + timedelta(days=20), START + timedelta(days=88))
@@ -128,8 +128,8 @@ def test_effective_lead_negative_stays_below_statistical():
 
 def test_recovers_injected_lead_in_ccf_rows():
     adm, indicators = synth_inputs(lead=10)
-    rows = run_analysis(study_config(), adm, indicators, identity_mapping(),
-                        methods=("ccf",))
+    rows = records(run_analysis(study_config(), adm, indicators, identity_mapping(),
+                                methods=("ccf",)))
     ccf_rows = [r for r in rows if r.method == "ccf" and r.optimal_lead is not None]
     assert ccf_rows
     for row in ccf_rows:
@@ -139,7 +139,7 @@ def test_recovers_injected_lead_in_ccf_rows():
 def test_row_grid_is_complete():
     adm, indicators = synth_inputs()
     config = study_config()
-    rows = run_analysis(config, adm, indicators, identity_mapping())
+    rows = records(run_analysis(config, adm, indicators, identity_mapping()))
     # granger yields two rows per cell (horizon 0 and 14), ccf and dtw one each
     expected = len(config.waves) * 3 * len(indicators) * 4
     assert len(rows) == expected
@@ -150,7 +150,7 @@ def test_row_grid_is_complete():
 def test_constant_indicator_degenerate_rows():
     adm, _ = synth_inputs()
     const = panel({t: np.full(N_DAYS, 3.0) for t in adm.geo_ids}, "flat")
-    rows = run_analysis(study_config(), adm, {"flat": const}, identity_mapping())
+    rows = records(run_analysis(study_config(), adm, {"flat": const}, identity_mapping()))
     assert rows
     for row in rows:
         assert row.degenerate
@@ -166,7 +166,7 @@ def test_indicator_absent_for_wave_gets_truncated_rows():
     cols = full.day_slice(START, WAVE1.end)
     wave1_only = Panel(full.level, full.variable, full.start_date, full.geo_ids,
                        full.values[:, cols])
-    rows = run_analysis(study_config(), adm, {"ind": wave1_only}, identity_mapping())
+    rows = records(run_analysis(study_config(), adm, {"ind": wave1_only}, identity_mapping()))
     w2 = [r for r in rows if r.wave == "w2"]
     assert w2
     for row in w2:
@@ -196,8 +196,9 @@ def test_wave_isolation():
     assert np.array_equal(base_s.min(axis=1), pert_s.min(axis=1))
     assert np.array_equal(base_s.max(axis=1), pert_s.max(axis=1))
 
-    rows_base = run_analysis(study_config(), adm, indicators, identity_mapping())
-    rows_pert = run_analysis(study_config(), adm, {"ind": perturbed}, identity_mapping())
+    rows_base = records(run_analysis(study_config(), adm, indicators, identity_mapping()))
+    rows_pert = records(run_analysis(study_config(), adm, {"ind": perturbed},
+                                     identity_mapping()))
 
     def stats(rows, wave):
         return {
@@ -214,7 +215,7 @@ def test_wave_isolation():
 def test_effective_never_exceeds_statistical():
     adm, indicators = synth_inputs()
     config = study_config(latencies={"ind": LatencySpec(2, 7)})
-    rows = run_analysis(config, adm, indicators, identity_mapping())
+    rows = records(run_analysis(config, adm, indicators, identity_mapping()))
     for row in rows:
         if row.effective_lead is None:
             continue
@@ -224,16 +225,16 @@ def test_effective_never_exceeds_statistical():
 
 def test_univariate_dtw_mode():
     adm, indicators = synth_inputs()
-    rows = run_analysis(study_config(dtw_mode="univariate"), adm, indicators,
-                        identity_mapping(), methods=("dtw",))
+    rows = records(run_analysis(study_config(dtw_mode="univariate"), adm, indicators,
+                                identity_mapping(), methods=("dtw",)))
     leads = [r.dtw_median_lead for r in rows if r.dtw_median_lead is not None]
     assert leads and all(7 <= lead <= 13 for lead in leads)
 
 
 def test_multivariate_dtw_shared_across_trusts():
     adm, indicators = synth_inputs()
-    rows = run_analysis(study_config(), adm, indicators, identity_mapping(),
-                        methods=("dtw",))
+    rows = records(run_analysis(study_config(), adm, indicators, identity_mapping(),
+                                methods=("dtw",)))
     for wave in ("w1", "w2"):
         values = {r.dtw_median_lead for r in rows if r.wave == wave}
         assert len(values) == 1  # one joint alignment per indicator and wave
@@ -244,8 +245,8 @@ def test_ltla_panel_is_mapped():
     trust_panel = indicators["ind"]
     ltla_panel = Panel("ltla", "ind", trust_panel.start_date,
                        tuple(f"L{i:03d}" for i in range(3)), trust_panel.values)
-    rows = run_analysis(study_config(), adm, {"ind": ltla_panel},
-                        identity_mapping(), methods=("ccf",))
+    rows = records(run_analysis(study_config(), adm, {"ind": ltla_panel},
+                                identity_mapping(), methods=("ccf",)))
     good = [r for r in rows if r.optimal_lead is not None]
     assert good and all(abs(r.optimal_lead - 10) <= 1 for r in good)
 
@@ -265,10 +266,10 @@ def test_batch_mixing_degenerate_and_missing_trusts():
     values = ind.values[:2].copy()
     values[1] = 3.0
     mixed = Panel("trust", "ind", ind.start_date, ("T000", "T001"), values)
-    rows = run_analysis(study_config(), adm, {"ind": mixed}, identity_mapping())
-    alone = run_analysis(study_config(), adm, {"ind": panel({"T000": values[0]}, "ind",
-                                                            start=ind.start_date)},
-                         identity_mapping(), methods=("granger", "ccf"))
+    rows = records(run_analysis(study_config(), adm, {"ind": mixed}, identity_mapping()))
+    alone = records(run_analysis(study_config(), adm, {"ind": panel({"T000": values[0]}, "ind",
+                                                                    start=ind.start_date)},
+                                 identity_mapping(), methods=("granger", "ccf")))
     by_trust = {t: [r for r in rows if r.trust_id == t] for t in ("T000", "T001", "T002")}
     assert [r for r in by_trust["T000"] if r.method != "dtw"] == \
         [r for r in alone if r.trust_id == "T000"]

@@ -1,11 +1,24 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from leadlag.errors import LeadLagError
-from leadlag.pipeline import ReportRow
+from leadlag.pipeline import ResultTable
 from leadlag.reports import emit_reports, summarize
+
+from conftest import CELL_DEFAULTS
+
+
+def table(trust_id, indicator, wave, method, horizon=None, provenance="", error="",
+          **cell):
+    """A one-row table; statistics left out or None are absent."""
+    columns = {name: np.array([np.nan if value is None else value],
+                              dtype=bool if CELL_DEFAULTS[name] is False else float)
+               for name, value in cell.items()}
+    return ResultTable((trust_id,), indicator, wave, method, horizon, provenance,
+                       columns, [error])
 
 
 def row(**kw):
@@ -13,7 +26,7 @@ def row(**kw):
                 horizon=14, optimal_lead=10, ccf_at_optimal=0.9,
                 ccf_at_horizon=0.7, effective_lead=8.0)
     base.update(kw)
-    return ReportRow(**base)
+    return table(**base)
 
 
 def test_empty_rows_write_headers_and_empty_summary(tmp_path):
@@ -54,8 +67,8 @@ def test_rows_sorted_deterministically(tmp_path):
 
 def test_granger_file_contains_both_horizons(tmp_path):
     rows = [
-        ReportRow("T1", "ind", "w1", "granger", horizon=0, f_stat=3.0, p_value=0.04),
-        ReportRow("T1", "ind", "w1", "granger14", horizon=14, f_stat=1.0, p_value=0.4),
+        table("T1", "ind", "w1", "granger", horizon=0, f_stat=3.0, p_value=0.04),
+        table("T1", "ind", "w1", "granger14", horizon=14, f_stat=1.0, p_value=0.4),
     ]
     emit_reports(rows, tmp_path)
     lines = (tmp_path / "granger.csv").read_text().splitlines()
@@ -115,8 +128,8 @@ def test_csv_round_trips_quotes_and_line_breaks(tmp_path):
 
 
 def test_json_survives_infinite_f_sentinel(tmp_path):
-    rows = [ReportRow("T1", "ind", "w1", "granger", horizon=0,
-                      f_stat=float("inf"), p_value=0.0)]
+    rows = [table("T1", "ind", "w1", "granger", horizon=0,
+                  f_stat=float("inf"), p_value=0.0)]
     emit_reports(rows, tmp_path, fmt="json")
     payload = json.loads((tmp_path / "granger.json").read_text())
     assert payload[0]["f_stat"] == "inf"

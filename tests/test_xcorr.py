@@ -2,15 +2,17 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from leadlag.config import RunConfig, WaveSpec
+from leadlag.config import LatencySpec, RunConfig, WaveSpec
 from leadlag.errors import InsufficientDataError, LeadLagError
 from leadlag.geo import build_mapping
-from leadlag.pipeline import run_analysis
+from leadlag.pipeline import effective_lead, effective_leads, run_analysis
 from leadlag.timeseries import minmax_scale
-from leadlag.xcorr import ccf_at_leads, optimal_lead
+from leadlag.xcorr import ccf_at_leads, optimal_lead, optimal_leads
 
-from conftest import START, panel
+from conftest import START, panel, records
 
 LEADS = np.arange(-30, 31)
 
@@ -77,8 +79,9 @@ def test_constant_series_errors():
                                        START + timedelta(days=100)),),
                        admissions_filter_start=START,
                        admissions_filter_end=START + timedelta(days=119))
-    rows = run_analysis(config, adm, {"flat": flat},
-                        build_mapping([("L1", "T1", 1), ("L2", "T2", 1)]), methods=("ccf",))
+    rows = records(run_analysis(config, adm, {"flat": flat},
+                                build_mapping([("L1", "T1", 1), ("L2", "T2", 1)]),
+                                methods=("ccf",)))
     assert [(r.trust_id, r.error, r.degenerate) for r in rows] == [
         ("T1", "zero variance", True), ("T2", "", False)]
 
@@ -175,6 +178,56 @@ def test_optimal_tie_prefers_positive_small_lead():
     values[0] = 0.8   # lead -3
     values[6] = 0.8   # lead +3
     assert optimal_lead(np.arange(-3, 4), values) == (3, 0.8)
+
+
+# a few levels, so that rows often tie at their maximum
+TIE_LEVELS = st.sampled_from([-0.75, -0.5, 0.0, 0.25, 0.5, 1.0])
+
+
+@st.composite
+def lead_profiles(draw):
+    """(leads, profile, latency): rows of ties, all-negative, zero and NaN
+    (zero-variance) rows mixed with arbitrary correlations."""
+    window = draw(st.integers(0, 5))
+    width = 2 * window + 1
+    row = st.one_of(
+        st.lists(TIE_LEVELS, min_size=width, max_size=width),
+        st.lists(st.floats(-1.0, 1.0), min_size=width, max_size=width),
+        st.lists(st.floats(-1.0, -1e-12), min_size=width, max_size=width),
+        st.just([0.0] * width),
+        st.just([np.nan] * width),
+    )
+    rows = draw(st.lists(row, max_size=8))
+    latency = draw(st.none() | st.builds(LatencySpec, st.integers(0, 10), st.integers(1, 7)))
+    return np.arange(-window, window + 1), np.array(rows).reshape(len(rows), width), latency
+
+
+@given(lead_profiles())
+@example((np.arange(-3, 4), np.array([[0.8, 0, 0, 0, 0, 0, 0.8]]), None))  # tie at +-L
+@example((np.arange(-2, 3), np.array([[0.5, 0.5, -1, 0.5, 0.5], [-0.1] * 5,
+                                      [np.nan] * 5, [0.0] * 5]), LatencySpec(2, 7)))
+def test_vector_lead_matches_scalar_per_row(case):
+    leads, profile, latency = case
+    lead, at_lead = optimal_leads(leads, profile)
+    eff, eroded = effective_leads(lead, latency)
+    for k, values in enumerate(profile):
+        best = optimal_lead(leads, values)
+        if best is None:
+            assert np.isnan(lead[k]) and np.isnan(at_lead[k])
+        else:
+            assert (lead[k], at_lead[k]) == best
+        want_eff, want_eroded = effective_lead(None if best is None else best[0], latency)
+        assert (None if np.isnan(eff[k]) else eff[k], eroded[k]) == (want_eff, want_eroded)
+
+
+@given(st.lists(st.none() | st.integers(-80, 80).map(lambda half: half / 2), max_size=10),
+       st.builds(LatencySpec, st.integers(0, 10), st.integers(1, 7)))
+def test_vector_effective_lead_matches_scalar(leads, latency):
+    # DTW median leads are multiples of one half, and absent where a cell failed
+    eff, eroded = effective_leads(np.array([np.nan if v is None else v for v in leads]),
+                                  latency)
+    assert [(None if np.isnan(e) else e, bool(f)) for e, f in zip(eff, eroded)] == \
+        [effective_lead(v, latency) for v in leads]
 
 
 # ------------------------------------------------------------ fixed horizon
