@@ -9,6 +9,11 @@ serves both the same-day and the 14-day test.
 ``granger_test_batch`` tests every row of a pair of (rows, days) arrays at
 once, with one stacked least-squares fit per model; ``granger_test`` is its
 batch of one.
+
+The F tail is the regularized incomplete beta function, evaluated in numpy
+for the whole batch as the continued fraction of Abramowitz & Stegun 26.5.8
+(Numerical Recipes, 3rd ed., section 6.4) by the modified Lentz method
+(Lentz 1976, Appl. Opt. 15:668).
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import betainc
 
 from .errors import CollinearDesignError, InsufficientDataError, LeadLagError
 
@@ -45,9 +49,91 @@ class GrangerBatch:
     df_den: int
 
 
-def _upper_tail(f, df1: int, df2: int):
-    # P(F > f) = I_x(df2/2, df1/2) with x = df2 / (df2 + df1 f); x = 0 at f = +inf
-    return betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * f))
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny  # smallest normal double
+_FPMIN = _TINY / _EPS  # Lentz's stand-in for a zero denominator
+# A converged Lentz factor still wanders a few ulps around 1 (up to 11 eps
+# over df1 <= 1000, df2 <= 10000), so a row is done once a factor comes
+# within 16 eps of 1.
+_CF_TOL = 16 * _EPS
+_CF_MAX_TERMS = 10_000
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _lgamma_rest(z: float) -> float:
+    """lgamma(z) minus Stirling's (z - 1/2) log z - z + log sqrt(2 pi)."""
+    if z < 10.0:
+        return math.lgamma(z) - (z - 0.5) * math.log(z) + z - _LOG_SQRT_2PI
+    w = 1.0 / (z * z)  # the asymptotic series to z^-9; the next term is below 2e-14
+    return (1 / 12 + w * (-1 / 360 + w * (1 / 1260 + w * (-1 / 1680 + w / 1188)))) / z
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b), without the cancellation of lgamma(a) + lgamma(b) - lgamma(a + b)
+    when a or b is large."""
+    lo, s = min(a, b), a + b
+    return (_LOG_SQRT_2PI - 0.5 * math.log(s) + (lo - 0.5) * math.log(lo / s)
+            + (s - lo - 0.5) * math.log1p(-lo / s)
+            + _lgamma_rest(a) + _lgamma_rest(b) - _lgamma_rest(s))
+
+
+def _cf_terms(a: float, b: float, m: int) -> tuple[float, float]:
+    # coefficients d_2m and d_2m+1 of the fraction of I_x(a, b), over x
+    return (m * (b - m) / ((a + 2 * m - 1) * (a + 2 * m)),
+            -(a + m) * (a + b + m) / ((a + 2 * m) * (a + 2 * m + 1)))
+
+
+def _beta_cf(a: float, b: float, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """The continued fraction of I_xa(a, b) in rows where xb is 0, and of
+    I_xb(b, a) in rows where xa is 0, by modified Lentz.
+
+    A row stops after the first pair of terms whose last factor is within
+    _CF_TOL of 1, so its value does not depend on the rest of the batch.
+    Both arguments must lie below (p + 1) / (p + q + 2) for their I_x(p, q),
+    where the fraction converges fast and its first denominator is positive.
+    """
+    v = np.ones((2, len(xa)))  # Lentz's d and 1/c, row by row
+    v[0] -= (a + b) / (a + 1.0) * xa + (a + b) / (b + 1.0) * xb
+    h = np.reciprocal(v[0], out=v[0]).copy()
+    active = np.ones(len(xa), dtype=bool)
+    for m in range(1, _CF_MAX_TERMS + 1):
+        for ca, cb in zip(_cf_terms(a, b, m), _cf_terms(b, a, m)):
+            w = v * (ca * xa + cb * xb)
+            w += 1.0  # the denominators of d and of c
+            w[np.abs(w) < _FPMIN] = _FPMIN
+            np.reciprocal(w, out=v)
+            delta = v[0] * w[1]
+            np.multiply(h, delta, out=h, where=active)
+        active &= np.abs(delta - 1.0) > _CF_TOL
+        if not active.any():
+            return h
+    raise LeadLagError(f"F tail did not converge in {_CF_MAX_TERMS} terms "
+                       f"at degrees of freedom ({2 * b:g}, {2 * a:g})")
+
+
+def _upper_tail(f: np.ndarray, df1: int, df2: int) -> np.ndarray:
+    """P(F > f) for an array of f >= 0; NaN stays NaN, and results below the
+    smallest normal double are 0.0.
+
+    P(F > f) = I_x(a, b) with a = df2/2, b = df1/2 and x = 1 / (1 + r),
+    r = df1 f / df2. Above x = (a + 1) / (a + b + 2) it is 1 - I_y(b, a) with
+    y = 1 - x = 1 / (1 + 1/r), where that fraction converges fast instead.
+    """
+    a, b = df2 / 2.0, df1 / 2.0
+    with np.errstate(divide="ignore", over="ignore"):
+        r = f * (df1 / df2) + 0.0  # -0.0 becomes +0.0, so 1/r is +inf at f = 0
+        inv_r = 1.0 / r
+        # x^a y^b / B(a, b), from log x and log y that keep their digits at both ends
+        front = np.exp(-a * np.log1p(r) - b * np.log1p(inv_r) - _log_beta(a, b))
+        x, y = 1.0 / (1.0 + r), 1.0 / (1.0 + inv_r)
+    switch = (a + 1.0) / (a + b + 2.0)
+    lower, upper = x <= switch, x > switch
+    # NaN rows are neither, so their fraction is a constant and front keeps them NaN
+    q = front * _beta_cf(a, b, np.where(lower, x, 0.0), np.where(upper, y, 0.0))
+    q /= np.where(upper, b, a)
+    p = np.where(upper, 1.0 - q, q)
+    p[p < _TINY] = 0.0  # no subnormals: output checks compare relative differences only
+    return p
 
 
 def f_pvalue(f: float, df1: int, df2: int) -> float:
@@ -60,7 +146,7 @@ def f_pvalue(f: float, df1: int, df2: int) -> float:
         raise LeadLagError(f"degrees of freedom must be >= 1, got ({df1}, {df2})")
     if math.isnan(f) or f < 0:
         raise LeadLagError(f"invalid F statistic {f}")
-    return float(_upper_tail(f, df1, df2))
+    return float(_upper_tail(np.array([f], dtype=float), df1, df2)[0])
 
 
 def _lags(v: np.ndarray, m: int, n_rows: int) -> np.ndarray:

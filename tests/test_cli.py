@@ -1,11 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from datetime import date
 from pathlib import Path
 
 import pytest
 import yaml
 
+import leadlag
 from leadlag.cli import main
 from leadlag.config import load_config
 from leadlag.corpus import write_corpus
@@ -98,6 +102,41 @@ def test_synth_subcommand_roundtrip(tmp_path):
     out = tmp_path / "o"
     assert main(run_args(corpus, out)) == 0
     assert (out / "summary.json").exists()
+
+
+# Runs in a fresh interpreter in which importing scipy fails.
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from leadlag.cli import main
+
+corpus, out = sys.argv[1:]
+assert main(["synth", "--out", corpus, "--trusts", "4", "--days", "150",
+             "--indicators", "2", "--waves", "1", "--seed", "3"]) == 0
+assert main(["run", "--config", corpus + "/config.yaml",
+             "--admissions", corpus + "/admissions.csv",
+             "--indicators", corpus + "/indicators",
+             "--mapping", corpus + "/mapping.csv",
+             "--population", corpus + "/population.csv",
+             "--out", out, "--methods", "granger,ccf,dtw"]) == 0
+"""
+
+
+def _python(code, *args):
+    src = str(Path(leadlag.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    done = _python(WITHOUT_SCIPY, str(tmp_path / "c"), str(tmp_path / "o"))
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "o" / "granger.csv").read_text().count("\n") > 1
+    done = _python("import sys, leadlag.cli; "
+                   "print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_export_dtw_paths(corpus, tmp_path):

@@ -3,11 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import null_space
+from scipy.special import betainc, betaincc
 
+from leadlag import granger
 from leadlag.errors import CollinearDesignError, InsufficientDataError, LeadLagError
-from leadlag.granger import _rss, f_pvalue, granger_test, granger_test_batch
+from leadlag.granger import _rss, _upper_tail, f_pvalue, granger_test, granger_test_batch
 
 
 # ------------------------------------------------------- independent oracles
@@ -210,6 +214,101 @@ def test_pvalue_monotone_in_f():
 def test_pvalue_rejects_nan():
     with pytest.raises(LeadLagError):
         f_pvalue(float("nan"), 2, 10)
+
+
+# ------------------------------------------------- the F tail against scipy
+
+DF1 = (1, 2, 3, 4, 7, 10, 14, 21, 30)
+DF2 = (1, 2, 3, 5, 10, 13, 20, 50, 100, 200, 350, 700, 1000, 2000)
+TINY = np.finfo(float).tiny
+# Below about 1e-300 scipy itself loses digits: at df = (30, 350) and
+# F = 812.15, mpmath at 50 digits gives 1.188233034334868e-303, the
+# continued fraction agrees to 3e-14, and scipy returns 2.57e-303. So the
+# comparison with scipy stops at p = 1e-280.
+SCIPY_FLOOR = 1e-280
+
+
+def scipy_upper_tail(f, df1, df2):
+    """scipy's P(F > f), on whichever side of I_x(a, b) = 1 - I_{1-x}(b, a)
+    keeps the digits of its argument.
+
+    betainc receives x = df2 / (df2 + df1 f) rounded to a double, which loses
+    the digits of 1 - x when f is small: at df = (1, 2000) and f = 1.9e-8 the
+    plain betainc call is 5.8e-10 off.
+    """
+    v = df1 * np.asarray(f, dtype=float)
+    with np.errstate(invalid="ignore"):
+        return np.where(v > df2, betainc(df2 / 2, df1 / 2, df2 / (df2 + v)),
+                        betaincc(df1 / 2, df2 / 2, v / (df2 + v)))
+
+
+def assert_matches_scipy(f, df1, df2):
+    ref, got = scipy_upper_tail(f, df1, df2), _upper_tail(f, df1, df2)
+    checked = ref >= SCIPY_FLOOR
+    rel = np.abs(got[checked] - ref[checked]) / ref[checked]
+    assert rel.max(initial=0.0) <= 1e-11, (df1, df2, f[checked][rel.argmax()])
+    assert np.all(got[~checked] < 1e-270), (df1, df2)
+    assert not np.any((got > 0.0) & (got < TINY)), (df1, df2)
+
+
+@pytest.mark.parametrize("df1", DF1)
+def test_upper_tail_matches_scipy_on_grid(df1):
+    draws = 10.0 ** np.random.default_rng(df1).uniform(-8.0, 6.0, 200)
+    f = np.concatenate([np.logspace(-8.0, 6.0, 141), draws])
+    for df2 in DF2:
+        assert_matches_scipy(f, df1, df2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(DF1), st.sampled_from(DF2),
+       st.lists(st.floats(-8.0, 6.0), min_size=1, max_size=40))
+def test_upper_tail_matches_scipy_on_draws(df1, df2, log_f):
+    assert_matches_scipy(10.0 ** np.array(log_f), df1, df2)
+
+
+def test_upper_tail_matches_scipy_on_long_series():
+    # Just above x = (a + 1) / (a + b + 2) the tail is 1 - I_{1-x}(b, a),
+    # which magnifies an error in log B(a, b) most; at df2 = 5000 taking
+    # log B as lgamma(a) + lgamma(b) - lgamma(a + b) is 2.6e-11 off there.
+    for df2 in (5000, 20000):
+        for df1 in (1, 2, 3, 7):
+            a, b = df2 / 2, df1 / 2
+            f_switch = ((a + b + 2) / (a + 1) - 1) * df2 / df1
+            assert_matches_scipy(f_switch * np.linspace(0.95, 1.0, 201), df1, df2)
+
+
+def test_upper_tail_below_scipy_floor_matches_mpmath():
+    assert f_pvalue(812.15, 30, 350) == pytest.approx(1.188233034334868e-303, rel=1e-11)
+    assert f_pvalue(1.9e-8, 1, 2000) == pytest.approx(0.99989003295024178, rel=1e-14)
+
+
+def test_upper_tail_edges_are_exact():
+    f = np.array([0.0, -0.0, 5e-324, np.inf, np.nan])
+    through_underflow = np.logspace(0.0, 6.0, 2001)
+    for df1 in DF1:
+        for df2 in DF2:
+            p = _upper_tail(f, df1, df2)
+            assert p[:3].tolist() == [1.0, 1.0, 1.0], (df1, df2)
+            assert p[3] == 0.0 and math.isnan(p[4]), (df1, df2)
+            p = _upper_tail(through_underflow, df1, df2)
+            assert not np.any((p > 0.0) & (p < TINY)), (df1, df2)
+            assert np.all(np.diff(p) <= 0.0), (df1, df2)
+    assert f_pvalue(0.0, 3, 10) == 1.0
+    assert f_pvalue(math.inf, 3, 10) == 0.0
+
+
+def test_upper_tail_row_does_not_depend_on_batch():
+    f = np.concatenate([[0.0, np.inf, np.nan, 1e-8, 1e6],
+                        10.0 ** np.random.default_rng(3).uniform(-3.0, 3.0, 60)])
+    for df1, df2 in ((3, 39), (1, 2000), (30, 13)):
+        alone = np.array([_upper_tail(f[i:i + 1], df1, df2)[0] for i in range(len(f))])
+        assert np.array_equal(_upper_tail(f, df1, df2), alone, equal_nan=True)
+
+
+def test_upper_tail_without_convergence_errors(monkeypatch):
+    monkeypatch.setattr(granger, "_CF_MAX_TERMS", 2)
+    with pytest.raises(LeadLagError, match="did not converge"):
+        _upper_tail(np.array([1.0]), 3, 300)
 
 
 # -------------------------------------------------------------- granger_test
