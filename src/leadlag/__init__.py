@@ -1,17 +1,10 @@
 """Lead-lag analytics between surveillance indicators and hospital admissions."""
 
 from .config import LatencySpec, RunConfig, WaveSpec, load_config
-from .dtw import (
-    Alignment,
-    AlignmentQuery,
-    brute_force_dtw,
-    dtw_align,
-    dtw_align_batch,
-    lead_times_from_path,
-)
+from .dtw import brute_force_dtw, dtw_align_batch, lead_times_from_path
 from .errors import LeadLagError
 from .geo import GeoMapping, apply_mapping, build_mapping, weighted_population
-from .granger import GrangerBatch, GrangerResult, f_pvalue, granger_test, granger_test_batch
+from .granger import GrangerBatch, granger_test_batch
 from .pipeline import ResultTable, effective_lead, filter_trusts, run_analysis
 from .ingest import (
     apply_groupings,
@@ -28,11 +21,8 @@ from .timeseries import Panel, locf_impute, loess_smooth, minmax_scale, zscore_s
 from .xcorr import ccf_at_leads, optimal_lead
 
 __all__ = [
-    "Alignment",
-    "AlignmentQuery",
     "GeoMapping",
     "GrangerBatch",
-    "GrangerResult",
     "IndicatorSpec",
     "LatencySpec",
     "LeadLagError",
@@ -47,14 +37,11 @@ __all__ = [
     "build_mapping",
     "ccf_at_leads",
     "derive_indicator",
-    "dtw_align",
     "dtw_align_batch",
     "effective_lead",
     "emit_reports",
-    "f_pvalue",
     "filter_trusts",
     "generate_admissions",
-    "granger_test",
     "granger_test_batch",
     "ground_truth",
     "lead_times_from_path",

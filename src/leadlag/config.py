@@ -94,6 +94,31 @@ def _as_cadence(value) -> int:
     return int(value)
 
 
+def _latencies(value) -> dict[str, LatencySpec]:
+    return {str(name): LatencySpec(
+                reporting_lag_days=int(entry.get("reporting_lag_days", 0)),
+                release_cadence_days=_as_cadence(entry.get("release_cadence", 1)))
+            for name, entry in (value or {}).items()}
+
+
+# RunConfig field: (config key, conversion of its YAML value)
+_FIELDS = {
+    **{key: (key, int) for key in ("horizon_days", "granger_max_lag", "ccf_window",
+                                   "dtw_window", "dtw_warmup_days", "min_annual_admissions",
+                                   "loess_degree", "loess_robustness_passes")},
+    "loess_span": ("loess_span", float),
+    "dtw_mode": ("dtw_mode", str),
+    "trust_exclusions": ("trust_exclusions", lambda v: tuple(str(t) for t in v)),
+    "admissions_filter_start": ("admissions_filter_start",
+                                lambda v: _as_date(v, "admissions_filter_start")),
+    "admissions_filter_end": ("admissions_filter_end",
+                              lambda v: _as_date(v, "admissions_filter_end")),
+    "latencies": ("latency", _latencies),
+    "indicator_mappings": ("indicator_mappings",
+                           lambda v: {str(k): str(path) for k, path in v.items()}),
+}
+
+
 def load_config(path: str | Path) -> RunConfig:
     """Parse a YAML run configuration file."""
     try:
@@ -114,34 +139,11 @@ def load_config(path: str | Path) -> RunConfig:
     except (KeyError, TypeError) as exc:
         raise ConfigError("each wave needs name, start and end") from exc
 
-    latencies = {}
-    for name, entry in (raw.get("latency") or {}).items():
-        latencies[str(name)] = LatencySpec(
-            reporting_lag_days=int(entry.get("reporting_lag_days", 0)),
-            release_cadence_days=_as_cadence(entry.get("release_cadence", 1)),
-        )
-
     kwargs = {}
-    for key in ("horizon_days", "granger_max_lag", "ccf_window", "dtw_window",
-                "dtw_warmup_days", "min_annual_admissions", "loess_degree",
-                "loess_robustness_passes"):
+    for name, (key, convert) in _FIELDS.items():
         if key in raw:
-            kwargs[key] = int(raw[key])
-    if "loess_span" in raw:
-        kwargs["loess_span"] = float(raw["loess_span"])
-    if "dtw_mode" in raw:
-        kwargs["dtw_mode"] = str(raw["dtw_mode"])
-    if "trust_exclusions" in raw:
-        kwargs["trust_exclusions"] = tuple(str(t) for t in raw["trust_exclusions"])
-    if "admissions_filter_start" in raw:
-        kwargs["admissions_filter_start"] = _as_date(raw["admissions_filter_start"],
-                                                     "admissions_filter_start")
-    if "admissions_filter_end" in raw:
-        kwargs["admissions_filter_end"] = _as_date(raw["admissions_filter_end"],
-                                                   "admissions_filter_end")
-    if "indicator_mappings" in raw:
-        kwargs["indicator_mappings"] = {
-            str(k): str(v) for k, v in raw["indicator_mappings"].items()
-        }
-
-    return RunConfig(waves=waves, latencies=latencies, **kwargs)
+            try:
+                kwargs[name] = convert(raw[key])
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ConfigError(f"config {key}: invalid value {raw[key]!r}") from exc
+    return RunConfig(waves=waves, **kwargs)

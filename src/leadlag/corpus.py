@@ -12,7 +12,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import LeadLagError
+from .errors import ConfigError
 from .synth import IndicatorSpec, SynthSpec, generate_admissions, generate_indicators
 
 _LEAD_CYCLE = (5, 10, 14, 20, 7, 12)
@@ -29,7 +29,7 @@ def _wave_layout(n_days: int, n_waves: int) -> tuple[list[float], list[tuple[int
     spacing = n_days / (n_waves + 1)
     half = int(min(45, spacing / 2 - 10))
     if half < 25:
-        raise LeadLagError(f"{n_days} days is too short for {n_waves} waves")
+        raise ConfigError(f"{n_days} days is too short for {n_waves} waves")
     windows = [
         (max(int(p) - half, 0), min(int(p) + half, n_days - 1)) for p in peaks
     ]
@@ -66,10 +66,17 @@ def build_spec(n_trusts: int, n_days: int, n_indicators: int, n_waves: int,
 def write_corpus(out_dir: str | Path, n_trusts: int = 121, n_days: int = 333,
                  n_indicators: int = 20, n_waves: int = 3, seed: int = 0,
                  start: date = date(2021, 10, 1)) -> dict[str, Path]:
-    """Write a complete synthetic input set; returns the paths written."""
+    """Write a complete synthetic input set; returns the paths written.
+
+    The sizes and the wave layout are checked before anything is written.
+    """
+    for name, count in (("trusts", n_trusts), ("indicators", n_indicators),
+                        ("waves", n_waves)):
+        if count < 1:
+            raise ConfigError(f"{name} must be >= 1, got {count}")
+    spec = build_spec(n_trusts, n_days, n_indicators, n_waves, seed, start)
     out = Path(out_dir)
     (out / "indicators").mkdir(parents=True, exist_ok=True)
-    spec = build_spec(n_trusts, n_days, n_indicators, n_waves, seed, start)
     admissions = generate_admissions(spec)
     trusts = spec.trust_ids()
     ltlas = [f"L{i:03d}" for i in range(n_trusts)]

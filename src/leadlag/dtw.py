@@ -7,26 +7,27 @@ transition table: from g(i, j) the admissible productions are
     g(i-2, j-3) + (2/3)*(d(i-1, j-2) + d(i, j-1) + d(i, j))
     g(i-3, j-2) +        d(i-2, j-1) + d(i-1, j) + d(i, j)
 
-normalized by the query length. Every query index is consumed; with open
-begin/end the path may enter and leave the reference at any column, so a
-reference prefix or suffix is skipped at zero cost. All matched pairs must
-satisfy the band constraint |i - j| <= window.
+and the pipeline divides the cost by the query length to compare alignments.
+Every query index is consumed; with open begin/end the path may enter and
+leave the reference at any column, so a reference prefix or suffix is
+skipped at zero cost. All matched pairs must satisfy the band constraint
+|i - j| <= window.
 
 ``dtw_align_batch`` runs the dynamic program once for a batch of alignments
 of equal lengths (one per Trust, say), holding a few cost rows and int8
-backpointers for the band only; ``dtw_align`` is its batch of one.
-``brute_force_dtw`` enumerates every admissible path under identical
-constraints and is the verification oracle for the dynamic program; the two
-accumulate costs in the same order and agree to the last bit.
+backpointers for the band only. An alignment is its accumulated cost and
+its matched (query, reference) index pairs, an (L, 2) int array in
+ascending order. ``brute_force_dtw`` enumerates every admissible path under
+identical constraints and is the verification oracle for the dynamic
+program; the two accumulate costs in the same order and agree to the last
+bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import LeadLagError, NoAdmissiblePathError, OracleScaleError
+from .errors import LeadLagError, OracleScaleError
 
 _W23 = 2.0 / 3.0
 
@@ -47,50 +48,6 @@ _FORWARD_STEPS = (
 )
 
 _ORACLE_MAX_LEN = 12
-
-
-@dataclass(frozen=True)
-class AlignmentQuery:
-    """Query (indicator) vs reference (admissions) alignment request.
-
-    Sequences are (n,) for univariate or (n, columns) for simultaneous
-    multi-Trust alignment, of length >= 4; column sets must match between
-    the two.
-    """
-
-    query: np.ndarray = field(repr=False)
-    reference: np.ndarray = field(repr=False)
-    window: int = 35
-    open_begin: bool = True
-    open_end: bool = True
-
-    def __post_init__(self) -> None:
-        q, r = _batch(np.asarray(self.query)[None], np.asarray(self.reference)[None],
-                      self.window)
-        object.__setattr__(self, "query", q[0])
-        object.__setattr__(self, "reference", r[0])
-
-    @property
-    def n_query(self) -> int:
-        return self.query.shape[0]
-
-    @property
-    def n_reference(self) -> int:
-        return self.reference.shape[0]
-
-
-@dataclass(frozen=True)
-class Alignment:
-    """Matched index pairs with accumulated and query-normalized cost."""
-
-    pairs: tuple[tuple[int, int], ...]
-    cost: float
-    normalized: float
-    n_query: int
-    n_reference: int
-    window: int
-    open_begin: bool
-    open_end: bool
 
 
 def _local_cost_matrix(q: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -117,17 +74,20 @@ def _batch(query, reference, window: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dtw_align_batch(query, reference, window: int = 35, open_begin: bool = True,
-                    open_end: bool = True) -> list[Alignment | None]:
+                    open_end: bool = True) -> tuple[np.ndarray, list[np.ndarray | None]]:
     """Align each query row onto the reference row of the same index.
 
     ``query`` is (B, n) or (B, n, k) and ``reference`` (B, m) or (B, m, k):
-    B independent alignments sharing lengths and band. Returns one
-    :class:`Alignment` per row, or ``None`` for a row with no admissible
-    path. One dynamic program runs over all rows at once; it keeps the last
-    three local-cost rows and the last four accumulated-cost rows, each
-    (B, m), and int8 backpointers for the band only, so memory is O(B*m)
-    floats plus n*B*(2*window+1) bytes. Costs accumulate per element in the
-    same order as :func:`brute_force_dtw`, which it matches to the last bit.
+    B independent alignments sharing lengths and band. Returns each row's
+    accumulated cost, a (B,) array that reads +inf where a row has no
+    admissible path, and a list of each row's matched pairs, a sorted
+    (L, 2) int32 array (``None`` where the cost is +inf). The pairs include
+    every cell whose local cost the optimal path accumulated. One dynamic
+    program runs over all rows at once; it keeps the last three local-cost
+    rows and the last four accumulated-cost rows, each (B, m), and int8
+    backpointers for the band only, so memory is O(B*m) floats plus
+    n*B*(2*window+1) bytes. Costs accumulate per element in the same order
+    as :func:`brute_force_dtw`, which it matches to the last bit.
     """
     q, r = _batch(query, reference, window)
     batch, n = q.shape[:2]
@@ -170,51 +130,40 @@ def dtw_align_batch(query, reference, window: int = 35, open_begin: bool = True,
 
     last = g[(n - 1) % 4]
     ends = np.argmin(last, axis=1) if open_end else np.full(batch, m - 1)
-    out: list[Alignment | None] = []
+    cost = last[np.arange(batch), ends]
+    paths: list[np.ndarray | None] = []
     for b, j_end in enumerate(ends.tolist()):
-        cost = float(last[b, j_end])
-        if not np.isfinite(cost):
-            out.append(None)
+        if cost[b] == np.inf:
+            paths.append(None)
             continue
-        pairs: list[tuple[int, int]] = []
+        path: list[int] = []  # i, j of each pair, from the last pair backwards
         i, j = n - 1, j_end
         while i > 0:
             di, dj, cells = _STEPS[back[i, b, j - i + w]]
-            for ri, rj, _ in cells:
-                pairs.append((i - ri, j - rj))
+            for ri, rj, _ in reversed(cells):
+                path += (i - ri, j - rj)
             i, j = i - di, j - dj
-        pairs.append((0, j))
-        pairs.sort()
-        out.append(Alignment(pairs=tuple(pairs), cost=cost, normalized=cost / n,
-                             n_query=n, n_reference=m, window=window,
-                             open_begin=open_begin, open_end=open_end))
-    return out
+        path += (0, j)
+        paths.append(np.array(path, dtype=np.int32).reshape(-1, 2)[::-1])
+    return cost, paths
 
 
-def dtw_align(a: AlignmentQuery) -> Alignment:
-    """Minimal-cost banded alignment of query onto reference.
-
-    A batch of one for :func:`dtw_align_batch`; the pairs include every
-    cell whose local cost the optimal path accumulated.
-    """
-    (alignment,) = dtw_align_batch(a.query[None], a.reference[None], a.window,
-                                   a.open_begin, a.open_end)
-    if alignment is None:
-        raise NoAdmissiblePathError("no admissible path")
-    return alignment
-
-
-def brute_force_dtw(a: AlignmentQuery) -> Alignment:
+def brute_force_dtw(query, reference, window: int = 35, open_begin: bool = True,
+                    open_end: bool = True) -> tuple[float, np.ndarray | None]:
     """Exhaustive-path verification oracle; identical constraints and arithmetic.
 
+    ``query`` (n,) or (n, k) and ``reference`` (m,) or (m, k) are checked
+    as a batch of one. Returns their alignment in the form of one row of
+    :func:`dtw_align_batch`: the accumulated cost (+inf where no path is
+    admissible) and the sorted (L, 2) int32 pairs (``None`` then).
     Enumerates every admissible production sequence by depth-first search;
     only feasible for sequences of length <= 12.
     """
-    n, m = a.n_query, a.n_reference
+    q, r = _batch(np.asarray(query)[None], np.asarray(reference)[None], window)
+    n, m = q.shape[1], r.shape[1]
     if n > _ORACLE_MAX_LEN or m > _ORACLE_MAX_LEN:
         raise OracleScaleError("oracle scale exceeded")
-    d = _local_cost_matrix(a.query, a.reference)
-    window = a.window
+    d = _local_cost_matrix(q[0], r[0])
 
     best_cost = np.inf
     best_pairs: list[tuple[int, int]] | None = None
@@ -222,7 +171,7 @@ def brute_force_dtw(a: AlignmentQuery) -> Alignment:
     def walk(i: int, j: int, cost: float, pairs: list[tuple[int, int]]) -> None:
         nonlocal best_cost, best_pairs
         if i == n - 1:
-            if (a.open_end or j == m - 1) and cost < best_cost:
+            if (open_end or j == m - 1) and cost < best_cost:
                 best_cost = cost
                 best_pairs = list(pairs)
             return
@@ -244,37 +193,30 @@ def brute_force_dtw(a: AlignmentQuery) -> Alignment:
                 walk(i + di, j + dj, c, pairs)
             del pairs[len(pairs) - added :]
 
-    start_cols = range(min(window, m - 1) + 1) if a.open_begin else (0,)
+    start_cols = range(min(window, m - 1) + 1) if open_begin else (0,)
     for j0 in start_cols:
         walk(0, j0, float(d[0, j0]), [(0, j0)])
 
     if best_pairs is None:
-        raise NoAdmissiblePathError("no admissible path")
-    best_pairs.sort()
-    return Alignment(
-        pairs=tuple(best_pairs),
-        cost=float(best_cost),
-        normalized=float(best_cost) / n,
-        n_query=n,
-        n_reference=m,
-        window=window,
-        open_begin=a.open_begin,
-        open_end=a.open_end,
-    )
+        return np.inf, None
+    return float(best_cost), np.array(sorted(best_pairs), dtype=np.int32)
 
 
-def lead_times_from_path(a: Alignment) -> list[tuple[int, float]]:
+def lead_times_from_path(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-query-index lead: matched reference index minus query index.
 
-    A query index matched to several reference indices collapses to the
-    median matched index. Positive lead = indicator ahead of admissions.
+    ``pairs`` is an (L, 2) array of (query, reference) index pairs, as
+    :func:`dtw_align_batch` returns them. Returns the matched query indices
+    in ascending order and the lead of each, as float. A query index matched
+    to several reference indices collapses to the median matched index.
+    Positive lead = indicator ahead of admissions.
     """
-    if not a.pairs:
+    if len(pairs) == 0:
         raise LeadLagError("empty alignment")
-    i, j = np.array(a.pairs).T
+    i, j = np.asarray(pairs).T
     order = np.lexsort((j, i))
     i, j = i[order], j[order]
     index, start, count = np.unique(i, return_index=True, return_counts=True)
     # the median of a sorted group is the mean of its middle one or two values
     median = (j[start + (count - 1) // 2] + j[start + count // 2]) / 2
-    return list(zip(index.tolist(), (median - index).tolist()))
+    return index, median - index

@@ -17,14 +17,6 @@ class InsufficientDataError(LeadLagError):
     """Not enough observations for the requested computation."""
 
 
-class CollinearDesignError(LeadLagError):
-    """Regression design matrix is rank deficient."""
-
-
-class NoAdmissiblePathError(LeadLagError):
-    """No warping path satisfies the band and step constraints."""
-
-
 class OracleScaleError(LeadLagError):
     """Input exceeds the size the exhaustive oracle can enumerate."""
 

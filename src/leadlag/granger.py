@@ -7,8 +7,7 @@ shifted forward by a horizon (e.g. admissions in 14 days) so one code path
 serves both the same-day and the 14-day test.
 
 ``granger_test_batch`` tests every row of a pair of (rows, days) arrays at
-once, with one stacked least-squares fit per model; ``granger_test`` is its
-batch of one.
+once, with one stacked least-squares fit per model.
 
 The F tail is the regularized incomplete beta function, evaluated in numpy
 for the whole batch as the continued fraction of Abramowitz & Stegun 26.5.8
@@ -25,17 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import CollinearDesignError, InsufficientDataError, LeadLagError
-
-
-@dataclass(frozen=True)
-class GrangerResult:
-    f_stat: float
-    p_value: float
-    df_num: int
-    df_den: int
-    max_lag: int
-    horizon: int
+from .errors import InsufficientDataError, LeadLagError
 
 
 @dataclass(frozen=True)
@@ -136,19 +125,6 @@ def _upper_tail(f: np.ndarray, df1: int, df2: int) -> np.ndarray:
     return p
 
 
-def f_pvalue(f: float, df1: int, df2: int) -> float:
-    """Upper-tail probability of the F(df1, df2) distribution.
-
-    Computed through the regularized incomplete beta function:
-    P(F > f) = I_x(df2/2, df1/2) with x = df2 / (df2 + df1 f).
-    """
-    if df1 < 1 or df2 < 1:
-        raise LeadLagError(f"degrees of freedom must be >= 1, got ({df1}, {df2})")
-    if math.isnan(f) or f < 0:
-        raise LeadLagError(f"invalid F statistic {f}")
-    return float(_upper_tail(np.array([f], dtype=float), df1, df2)[0])
-
-
 def _lags(v: np.ndarray, m: int, n_rows: int) -> np.ndarray:
     # (B, n_rows, m): column j-1 is each row lagged by j, aligned to days m..m+n_rows-1
     return sliding_window_view(v, n_rows, axis=1)[:, m - 1::-1].transpose(0, 2, 1)
@@ -213,18 +189,3 @@ def granger_test_batch(x, y, max_lag: int = 3, horizon: int = 0) -> GrangerBatch
     f[collinear] = math.nan
     return GrangerBatch(f, _upper_tail(f, df1, df2), collinear, df1, df2)
 
-
-def granger_test(x, y, max_lag: int = 3, horizon: int = 0) -> GrangerResult:
-    """Test whether lags 1..max_lag of ``x`` help predict ``y`` at ``horizon``.
-
-    ``x`` and ``y`` are complete daily series over the same days; the batch
-    of one of :func:`granger_test_batch`. A rank-deficient design raises
-    :class:`CollinearDesignError`.
-    """
-    if np.ndim(x) != 1 or np.shape(x) != np.shape(y):
-        raise LeadLagError("x and y must be aligned (same length)")
-    res = granger_test_batch(np.asarray(x)[None], np.asarray(y)[None], max_lag, horizon)
-    if res.collinear[0]:
-        raise CollinearDesignError("collinear design")
-    return GrangerResult(float(res.f_stat[0]), float(res.p_value[0]), res.df_num,
-                         res.df_den, max_lag, horizon)

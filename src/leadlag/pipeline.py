@@ -170,8 +170,9 @@ def run_analysis(
     at the configured horizon), by indicator name, then wave and method in
     configuration order. Pass a list as ``dtw_paths`` to collect one
     (indicator, wave, scope, days, pairs) record per alignment: ``pairs``
-    are its sorted (query, reference) index pairs into ``days``, the
-    window's ISO dates. Records arrive per (indicator, wave) in scope order.
+    is its sorted (L, 2) int array of (query, reference) index pairs into
+    ``days``, the window's ISO dates. Records arrive per (indicator, wave)
+    in scope order.
     """
     unknown = set(methods) - set(METHODS)
     if unknown:
@@ -344,29 +345,29 @@ def _dtw_cells(config: RunConfig, pair: _Pair, wave: WaveSpec, variable: str,
             q, r, flat = (np.ascontiguousarray(q.T)[None], np.ascontiguousarray(r.T)[None],
                           flat.any(keepdims=True))
     try:
-        alignments = dtw_align_batch(q, r, window=config.dtw_window,
-                                     open_begin=True, open_end=True)
+        cost, paths = dtw_align_batch(q, r, window=config.dtw_window,
+                                      open_begin=True, open_end=True)
     except LeadLagError as exc:
         return {}, [str(exc)] * k
 
     first_reported = (wave.start - q_start).days
     days = [(q_start + timedelta(days=t)).isoformat() for t in range(r.shape[1])]
-    median = np.full(len(alignments), np.nan)
-    distance = np.full(len(alignments), np.nan)
-    error = [""] * len(alignments)
-    for b, (scope, alignment) in enumerate(zip(scopes, alignments)):
-        if alignment is None:
+    median = np.full(len(paths), np.nan)
+    distance = np.full(len(paths), np.nan)
+    error = [""] * len(paths)
+    for b, (scope, pairs) in enumerate(zip(scopes, paths)):
+        if pairs is None:
             error[b] = "no admissible path"
             continue
-        reported = [lead for i, lead in lead_times_from_path(alignment)
-                    if i >= first_reported]
-        if not reported:
+        index, lead = lead_times_from_path(pairs)
+        reported = lead[index >= first_reported]
+        if not reported.size:
             error[b] = "no reported indices after warm-up exclusion"
             continue
         median[b] = np.median(reported)
-        distance[b] = alignment.normalized
+        distance[b] = cost[b] / q.shape[1]  # normalized by the query length
         if dtw_paths is not None:
-            dtw_paths.append((variable, wave.name, scope, days, alignment.pairs))
+            dtw_paths.append((variable, wave.name, scope, days, pairs))
     eff, eroded = effective_leads(median, latency)
     columns = {"dtw_median_lead": median, "dtw_normalized_distance": distance,
                "effective_lead": eff, "eroded": eroded,

@@ -126,30 +126,25 @@ def emit_reports(tables: list[ResultTable], out_dir: str | Path,
     """Write granger/ccf/dtw tables and summary.json into ``out_dir``.
 
     Row order is (trust, indicator, wave, method); reruns on identical
-    inputs are byte-identical.
+    inputs are byte-identical. A directory or file that cannot be written
+    raises the ``OSError``.
     """
     if fmt not in ("csv", "json"):
         raise LeadLagError(f"unknown report format {fmt!r}")
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise LeadLagError(f"cannot create output directory {out}: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
 
     write = _write_csv if fmt == "csv" else _write_json_rows
     written: list[Path] = []
-    try:
-        for group, methods in _METHOD_FILES.items():
-            path = out / f"{group}.{fmt}"
-            write(path, _METHOD_FIELDS[group], [t for t in tables if t.method in methods])
-            written.append(path)
-        summary_path = out / "summary.json"
-        summary_path.write_text(
-            json.dumps(summarize(tables), indent=2, sort_keys=True, allow_nan=False) + "\n",
-            encoding="utf-8")
-        written.append(summary_path)
-    except OSError as exc:
-        raise LeadLagError(f"cannot write report in {out}: {exc}") from exc
+    for group, methods in _METHOD_FILES.items():
+        path = out / f"{group}.{fmt}"
+        write(path, _METHOD_FIELDS[group], [t for t in tables if t.method in methods])
+        written.append(path)
+    summary_path = out / "summary.json"
+    summary_path.write_text(
+        json.dumps(summarize(tables), indent=2, sort_keys=True, allow_nan=False) + "\n",
+        encoding="utf-8")
+    written.append(summary_path)
     return written
 
 
@@ -163,4 +158,5 @@ def write_dtw_paths(path: Path, records: list[tuple]) -> None:
         fh.write("indicator,wave,scope,query_date,ref_date,lead_days\n")
         for ind, wave, scope, days, pairs in sorted(records, key=lambda rec: rec[:2]):
             head = f"{ind},{wave},{scope},"
-            fh.write("".join([f"{head}{days[i]},{days[j]},{j - i}\n" for i, j in pairs]))
+            fh.write("".join([f"{head}{days[i]},{days[j]},{j - i}\n"
+                              for i, j in pairs.tolist()]))

@@ -10,22 +10,21 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from leadlag.cli import main as cli_main
 from leadlag.config import LatencySpec
 from leadlag.corpus import write_corpus
-from leadlag.dtw import AlignmentQuery, brute_force_dtw, dtw_align, lead_times_from_path
-from leadlag.errors import NoAdmissiblePathError
+from leadlag.dtw import brute_force_dtw, lead_times_from_path
 from leadlag.geo import apply_mapping, build_mapping, weighted_population
-from leadlag.granger import f_pvalue, granger_test
+from leadlag.granger import _upper_tail
 from leadlag.pipeline import effective_lead
 from leadlag.synth import SynthSpec, derive_indicator, generate_admissions
 from leadlag.timeseries import minmax_scale
 from leadlag.xcorr import ccf_at_leads, optimal_lead
 
 from conftest import panel, row
-from test_granger import reference_granger
+from test_dtw import align
+from test_granger import granger_one, reference_granger
 
 LEADS = np.arange(-30, 31)
 
@@ -79,18 +78,17 @@ def test_lead_recovery_dtw():
     details = []
     for lead in (5, 10, 20):
         x, y = lead_fixture(lead)
-        q = AlignmentQuery(x, y, window=35, open_begin=True, open_end=True)
-        a = dtw_align(q)
-        leads = [l for _, l in lead_times_from_path(a)]
+        cost, pairs = align(x, y, window=35, open_begin=True, open_end=True)
+        _, leads = lead_times_from_path(pairs)
         med = float(np.median(leads))
-        details.append(f"L={lead}: median={med:g}, dist={a.normalized:.3g}")
+        normalized = cost / len(x)
+        details.append(f"L={lead}: median={med:g}, dist={normalized:.3g}")
         ok &= lead - 2 <= med <= lead + 2
-        ok &= a.normalized < 0.05
+        ok &= normalized < 0.05
 
     x, _ = lead_fixture(0)
-    a = dtw_align(AlignmentQuery(x, x, window=35,
-                                 open_begin=True, open_end=True))
-    identical_ok = a.normalized == 0.0 and all(l == 0 for _, l in lead_times_from_path(a))
+    cost, pairs = align(x, x, window=35, open_begin=True, open_end=True)
+    identical_ok = cost / len(x) == 0.0 and all(lead_times_from_path(pairs)[1] == 0)
     report("lead recovery (DTW)", ok and identical_ok, "; ".join(details))
 
 
@@ -113,18 +111,15 @@ def test_dtw_oracle_equivalence():
         else:
             x, y = rng.normal(size=n), rng.normal(size=m)
         open_ends = (trial // 3) % 2 == 0
-        q = AlignmentQuery(x, y, window=window,
-                           open_begin=open_ends, open_end=open_ends)
-        try:
-            a = dtw_align(q)
-        except NoAdmissiblePathError:
-            with pytest.raises(NoAdmissiblePathError):
-                brute_force_dtw(q)
+        kw = dict(window=window, open_begin=open_ends, open_end=open_ends)
+        cost, pairs = align(x, y, **kw)
+        oracle_cost, oracle_pairs = brute_force_dtw(x, y, **kw)
+        assert cost == oracle_cost, f"trial {trial}: {cost} != {oracle_cost}"
+        assert cost / n == oracle_cost / n
+        if pairs is None:
+            assert oracle_pairs is None
             infeasible += 1
             continue
-        o = brute_force_dtw(q)
-        assert a.cost == o.cost, f"trial {trial}: {a.cost} != {o.cost}"
-        assert a.normalized == o.normalized
         checked += 1
     elapsed = time.perf_counter() - started
     report("DTW oracle equivalence",
@@ -140,22 +135,22 @@ def test_granger_correctness():
         n = 90
         y = rng.normal(size=n).cumsum() * 0.2 + rng.normal(size=n)
         x = np.roll(y, 2) + rng.normal(0, 0.4, size=n)
-        res = granger_test(x, y, max_lag=3)
+        f, p, _ = granger_one(x, y, max_lag=3)
         f_ref, p_ref = reference_granger(x, y, 3)
-        worst = max(worst, abs(res.f_stat - f_ref), abs(res.p_value - p_ref))
-        oracle_ok &= abs(res.f_stat - f_ref) <= 1e-8 and abs(res.p_value - p_ref) <= 1e-8
+        worst = max(worst, abs(f - f_ref), abs(p - p_ref))
+        oracle_ok &= abs(f - f_ref) <= 1e-8 and abs(p - p_ref) <= 1e-8
 
-    f11_ok = abs(f_pvalue(1.0, 1, 1) - 0.5) <= 1e-10
+    f11_ok = abs(_upper_tail(np.array([1.0]), 1, 1)[0] - 0.5) <= 1e-10
 
     y = np.sin(2 * np.pi * np.arange(121) / 60) + 0.3 * np.random.default_rng(8).normal(size=121)
     x = y[1:].copy()
-    predictor_ok = granger_test(x, y[:120], max_lag=1).p_value < 1e-6
+    predictor_ok = granger_one(x, y[:120], max_lag=1)[1] < 1e-6
 
     rejections = 0
     for seed in range(500):
         rng = np.random.default_rng(10_000 + seed)
-        res = granger_test(rng.normal(size=200), rng.normal(size=200), max_lag=3)
-        rejections += res.p_value < 0.05
+        _, p, _ = granger_one(rng.normal(size=200), rng.normal(size=200), max_lag=3)
+        rejections += p < 0.05
     size = rejections / 500
     size_ok = abs(size - 0.05) <= 0.03
 
@@ -177,9 +172,9 @@ def test_affine_invariance():
         c = rng.choice([-1, 1]) * rng.uniform(0.5, 4)
         b, d = rng.uniform(-10, 10, size=2)
 
-        base = granger_test(x, y, max_lag=3)
-        mapped = granger_test(a * x + b, c * y + d, max_lag=3)
-        granger_ok &= abs(base.f_stat - mapped.f_stat) <= 1e-8
+        base, _, _ = granger_one(x, y, max_lag=3)
+        mapped, _, _ = granger_one(a * x + b, c * y + d, max_lag=3)
+        granger_ok &= abs(base - mapped) <= 1e-8
 
         p_base = ccf_at_leads([x], [y], np.arange(-10, 11))
         p_mapped = ccf_at_leads([a * x + b], [c * y + d], np.arange(-10, 11))

@@ -81,18 +81,49 @@ def test_unreadable_admissions_exit_input_schema(corpus, tmp_path, capsys, defec
     assert re.search(where, err)
 
 
-def test_bad_config_exits_config(corpus, tmp_path, capsys):
+@pytest.mark.parametrize("entry, key", [
+    ("waves: []", "wave"),
+    ("horizon_days: abc", "horizon_days"),
+    ("loess_span: [1]", "loess_span"),
+    ("latency: {ind00: 3}", "latency"),
+    ("indicator_mappings: [a]", "indicator_mappings"),
+], ids=["empty-waves", "horizon-text", "span-list", "latency-number", "mappings-list"])
+def test_bad_config_exits_config(corpus, tmp_path, capsys, entry, key):
+    # one bad entry in an otherwise valid config
+    config = yaml.safe_load((corpus / "config.yaml").read_text())
+    config.update(yaml.safe_load(entry))
     bad = tmp_path / "bad.yaml"
-    bad.write_text("waves: []\n")
+    bad.write_text(yaml.safe_dump(config))
     args = run_args(corpus, tmp_path / "out")
     args[args.index("--config") + 1] = str(bad)
     assert main(args) == 3
-    assert "error [config]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error [config]" in err
+    assert key in err
 
 
 def test_unknown_method_exits_config(corpus, tmp_path, capsys):
     assert main(run_args(corpus, tmp_path / "out", ("--methods", "wavelets"))) == 3
     assert "error [config]" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_io(corpus, tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    assert main(run_args(corpus, tmp_path / "afile" / "sub")) == 6
+    assert "error [io]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sizes", [
+    ("--trusts", "8", "--days", "200", "--indicators", "2", "--waves", "2"),
+    ("--trusts", "0", "--days", "150", "--indicators", "2", "--waves", "1"),
+    ("--trusts", "4", "--days", "150", "--indicators", "0", "--waves", "1"),
+    ("--trusts", "4", "--days", "150", "--indicators", "2", "--waves", "0"),
+], ids=["short-days", "no-trusts", "no-indicators", "no-waves"])
+def test_synth_bad_sizes_exit_config_and_write_nothing(tmp_path, capsys, sizes):
+    corpus = tmp_path / "c"
+    assert main(["synth", "--out", str(corpus), *sizes]) == 3
+    assert "error [config]" in capsys.readouterr().err
+    assert not corpus.exists()
 
 
 def test_synth_subcommand_roundtrip(tmp_path):
@@ -118,7 +149,9 @@ assert main(["run", "--config", corpus + "/config.yaml",
              "--indicators", corpus + "/indicators",
              "--mapping", corpus + "/mapping.csv",
              "--population", corpus + "/population.csv",
-             "--out", out, "--methods", "granger,ccf,dtw"]) == 0
+             "--out", out, "--methods", "granger,ccf,dtw", "--export-dtw-paths"]) == 0
+with open(out + "/dtw_paths.csv", encoding="utf-8") as fh:
+    assert len(fh.readlines()) > 1
 """
 
 
