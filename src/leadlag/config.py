@@ -85,30 +85,43 @@ def _as_date(value, context: str) -> date:
         raise ConfigError(f"{context}: invalid date {value!r}") from exc
 
 
+def _as_number(value, kind=int):
+    # int() and float() would take YAML's true/yes as 1, and int() would cut 3.7 to 3
+    if isinstance(value, bool) or kind(value) != float(value):  # NaN != NaN, too
+        raise ValueError(f"not a valid {kind.__name__}: {value!r}")
+    return kind(value)
+
+
+def _as_strings(value) -> tuple[str, ...]:
+    if not isinstance(value, list):  # a bare string would split into its characters
+        raise TypeError(f"{value!r} is not a list")
+    return tuple(str(t) for t in value)
+
+
 def _as_cadence(value) -> int:
     if isinstance(value, str):
         try:
             return _CADENCE_NAMES[value.lower()]
         except KeyError:
             raise ConfigError(f"unknown release cadence {value!r}") from None
-    return int(value)
+    return _as_number(value)
 
 
 def _latencies(value) -> dict[str, LatencySpec]:
     return {str(name): LatencySpec(
-                reporting_lag_days=int(entry.get("reporting_lag_days", 0)),
+                reporting_lag_days=_as_number(entry.get("reporting_lag_days", 0)),
                 release_cadence_days=_as_cadence(entry.get("release_cadence", 1)))
             for name, entry in (value or {}).items()}
 
 
 # RunConfig field: (config key, conversion of its YAML value)
 _FIELDS = {
-    **{key: (key, int) for key in ("horizon_days", "granger_max_lag", "ccf_window",
-                                   "dtw_window", "dtw_warmup_days", "min_annual_admissions",
-                                   "loess_degree", "loess_robustness_passes")},
-    "loess_span": ("loess_span", float),
+    **{key: (key, _as_number) for key in (
+        "horizon_days", "granger_max_lag", "ccf_window", "dtw_window", "dtw_warmup_days",
+        "min_annual_admissions", "loess_degree", "loess_robustness_passes")},
+    "loess_span": ("loess_span", lambda v: _as_number(v, float)),
     "dtw_mode": ("dtw_mode", str),
-    "trust_exclusions": ("trust_exclusions", lambda v: tuple(str(t) for t in v)),
+    "trust_exclusions": ("trust_exclusions", _as_strings),
     "admissions_filter_start": ("admissions_filter_start",
                                 lambda v: _as_date(v, "admissions_filter_start")),
     "admissions_filter_end": ("admissions_filter_end",
@@ -144,6 +157,6 @@ def load_config(path: str | Path) -> RunConfig:
         if key in raw:
             try:
                 kwargs[name] = convert(raw[key])
-            except (AttributeError, TypeError, ValueError) as exc:
+            except (AttributeError, TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"config {key}: invalid value {raw[key]!r}") from exc
     return RunConfig(waves=waves, **kwargs)

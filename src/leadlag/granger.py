@@ -7,7 +7,9 @@ shifted forward by a horizon (e.g. admissions in 14 days) so one code path
 serves both the same-day and the 14-day test.
 
 ``granger_test_batch`` tests every row of a pair of (rows, days) arrays at
-once, with one stacked least-squares fit per model.
+once with one stacked QR of ``[1, y lags, x lags, response]``; R's last
+column holds both models' residuals (Lovell 1963, JASA 58:993; Golub & Van
+Loan, Matrix Computations, 5.3), so the F numerator is never negative.
 
 The F tail is the regularized incomplete beta function, evaluated in numpy
 for the whole batch as the continued fraction of Abramowitz & Stegun 26.5.8
@@ -18,7 +20,6 @@ for the whole batch as the continued fraction of Abramowitz & Stegun 26.5.8
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,18 +131,16 @@ def _lags(v: np.ndarray, m: int, n_rows: int) -> np.ndarray:
     return sliding_window_view(v, n_rows, axis=1)[:, m - 1::-1].transpose(0, 2, 1)
 
 
-def _rss(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residual sum of squares of each row's least-squares fit, and its rank deficiency.
-
-    One stacked SVD (lagged smooth series are nearly collinear, so normal
-    equations are avoided). A singular value at or below
-    eps * max(n, p) * s_max counts as zero, as in ``numpy.linalg.lstsq``.
-    """
-    u, s, _ = np.linalg.svd(design, full_matrices=False)
-    deficient = s[:, -1] <= np.finfo(float).eps * max(design.shape[1:]) * s[:, 0]
-    proj = np.matmul(response[:, None, :], u)
-    resid = response - np.matmul(proj, u.transpose(0, 2, 1))[:, 0]
-    return np.einsum("ij,ij->i", resid, resid), deficient
+def _nested_fits(aug: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """From one QR of each ``aug`` = [design | response]: the RSS of the fit on
+    every design column, the RSS that the columns after the first ``k`` remove,
+    and whether either design is rank deficient by ``numpy.linalg.lstsq``'s rule."""
+    r = np.linalg.qr(aug, mode="r")
+    n, p = aug.shape[1], aug.shape[2] - 1  # n > p, so lstsq's eps * max(n, columns) is eps * n
+    # a design's R is the leading block of R and has the design's singular values
+    s_r, s_u = (np.linalg.svd(r[:, :j, :j], compute_uv=False) for j in (k, p))
+    deficient = (s_r[:, -1] <= _EPS * n * s_r[:, 0]) | (s_u[:, -1] <= _EPS * n * s_u[:, 0])
+    return r[:, p, -1] ** 2, np.sum(r[:, k:p, -1] ** 2, axis=1), deficient
 
 
 def granger_test_batch(x, y, max_lag: int = 3, horizon: int = 0) -> GrangerBatch:
@@ -171,20 +170,13 @@ def granger_test_batch(x, y, max_lag: int = 3, horizon: int = 0) -> GrangerBatch
     if n_rows <= 2 * m + 1:
         raise InsufficientDataError("insufficient observations")
     z = yv[:, horizon:]
-    design = np.concatenate([np.ones((len(z), n_rows, 1)), _lags(z, m, n_rows),
-                             _lags(xv[:, : z.shape[1]], m, n_rows)], axis=2)
-    rss_r, collinear_r = _rss(design[:, :, : 1 + m], z[:, m:])
-    rss_u, collinear_u = _rss(design, z[:, m:])
-    collinear = collinear_r | collinear_u
+    aug = np.concatenate([np.ones((len(z), n_rows, 1)), _lags(z, m, n_rows),
+                          _lags(xv[:, : z.shape[1]], m, n_rows), z[:, m:, None]], axis=2)
+    rss_u, drop, collinear = _nested_fits(aug, 1 + m)
 
     df1, df2 = m, n_rows - (1 + 2 * m)
-    num = rss_r - rss_u
-    clamped = (num < 0.0) & (rss_u != 0.0) & ~collinear
-    if clamped.any():
-        warnings.warn(f"restricted RSS below unrestricted RSS in {clamped.sum()} row(s); "
-                      "clamping F to 0", RuntimeWarning, stacklevel=2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        f = (np.where(clamped, 0.0, num) / df1) / (rss_u / df2)
+        f = (drop / df1) / (rss_u / df2)
     f[rss_u == 0.0] = math.inf
     f[collinear] = math.nan
     return GrangerBatch(f, _upper_tail(f, df1, df2), collinear, df1, df2)

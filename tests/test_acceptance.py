@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from leadlag.cli import main as cli_main
 from leadlag.config import LatencySpec
@@ -219,6 +220,7 @@ def test_mapping_conservation():
     report("mapping conservation", rows_ok and pop_ok and linear_ok)
 
 
+@pytest.mark.slow
 def test_end_to_end_determinism_and_scale(tmp_path):
     corpus = tmp_path / "corpus"
     write_corpus(corpus, n_trusts=121, n_days=333, n_indicators=20, n_waves=3, seed=0)

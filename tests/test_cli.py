@@ -11,7 +11,7 @@ import yaml
 
 import leadlag
 from leadlag.cli import main
-from leadlag.config import load_config
+from leadlag.config import LatencySpec, load_config
 from leadlag.corpus import write_corpus
 
 
@@ -87,7 +87,15 @@ def test_unreadable_admissions_exit_input_schema(corpus, tmp_path, capsys, defec
     ("loess_span: [1]", "loess_span"),
     ("latency: {ind00: 3}", "latency"),
     ("indicator_mappings: [a]", "indicator_mappings"),
-], ids=["empty-waves", "horizon-text", "span-list", "latency-number", "mappings-list"])
+    ("trust_exclusions: T001", "trust_exclusions"),
+    ("horizon_days: 3.7", "horizon_days"),
+    ("horizon_days: true", "horizon_days"),
+    ("ccf_window: .inf", "ccf_window"),
+    ("loess_span: yes", "loess_span"),
+    ("latency: {ind00: {reporting_lag_days: 1.5}}", "latency"),
+], ids=["empty-waves", "horizon-text", "span-list", "latency-number", "mappings-list",
+        "exclusions-string", "horizon-fraction", "horizon-bool", "window-inf", "span-bool",
+        "latency-fraction"])
 def test_bad_config_exits_config(corpus, tmp_path, capsys, entry, key):
     # one bad entry in an otherwise valid config
     config = yaml.safe_load((corpus / "config.yaml").read_text())
@@ -217,6 +225,18 @@ def test_groupings_file(corpus, tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert "pair" in summary
     assert "ind00" not in summary
+
+
+def test_whole_numbers_in_config_load(tmp_path):
+    path = tmp_path / "config.yaml"
+    path.write_text("waves: [{name: w, start: 2022-01-01, end: 2022-03-01}]\n"
+                    "horizon_days: 7.0\nloess_span: 1\ntrust_exclusions: [T001, 7]\n"
+                    "latency: {ind00: {reporting_lag_days: 2.0, release_cadence: 7}}\n")
+    config = load_config(path)
+    assert config.horizon_days == 7 and type(config.horizon_days) is int
+    assert config.loess_span == 1.0 and type(config.loess_span) is float
+    assert config.trust_exclusions == ("T001", "7")
+    assert config.latencies["ind00"] == LatencySpec(2, 7)
 
 
 def test_shipped_example_config_loads():

@@ -11,7 +11,7 @@ from scipy.special import betainc, betaincc
 
 from leadlag import granger
 from leadlag.errors import InsufficientDataError, LeadLagError
-from leadlag.granger import _rss, _upper_tail, granger_test_batch
+from leadlag.granger import _nested_fits, _upper_tail, granger_test_batch
 
 
 def granger_one(x, y, **kw):
@@ -73,12 +73,18 @@ def quadrature_pvalue(f, df1, df2):
     return p
 
 
+def lag_columns(xv, zv, m):
+    """Lags 1..m of the response series ``zv`` and of ``xv``, aligned to zv[m:]."""
+    n_rows = len(zv) - m
+    return ([zv[m - j: m - j + n_rows] for j in range(1, m + 1)],
+            [xv[m - j: m - j + n_rows] for j in range(1, m + 1)])
+
+
 def reference_granger(xv, yv, m):
     """Granger F and p built only from the oracle pieces above."""
     n_rows = len(yv) - m
     resp = yv[m:]
-    own = [yv[m - j: m - j + n_rows] for j in range(1, m + 1)]
-    other = [xv[m - j: m - j + n_rows] for j in range(1, m + 1)]
+    own, other = lag_columns(xv, yv, m)
     _, rss_r = normal_equations_fit(resp, own)
     _, rss_u = normal_equations_fit(resp, own + other)
     df1, df2 = m, n_rows - (2 * m + 1)
@@ -88,38 +94,45 @@ def reference_granger(xv, yv, m):
 
 # ------------------------------------------------------- least-squares fits
 
-def _design(*columns):
-    """A batch of one design: an intercept plus the given columns."""
-    return np.column_stack([np.ones(len(columns[0]))] + list(columns))[None]
+def _fits(y, *columns, k=1):
+    """For a batch of one: the RSS of y on an intercept plus all ``columns``, the
+    RSS that ``columns[k - 1:]`` remove, and the deficiency flag."""
+    aug = np.column_stack([np.ones(len(y)), *columns, y])[None]
+    rss, drop, deficient = _nested_fits(aug, k)
+    return rss[0], drop[0], deficient[0]
 
 
 def test_ols_exact_fit():
     x = np.array([0.0, 1.0, 2.0, 3.0])
-    rss, deficient = _rss(_design(x), (2.0 * x + 3.0)[None])
-    assert rss[0] < 1e-20
-    assert not deficient[0]
+    rss, drop, deficient = _fits(2.0 * x + 3.0, x)
+    assert rss < 1e-20
+    assert drop == pytest.approx(20.0, rel=1e-12)  # the intercept-only RSS of [3, 5, 7, 9]
+    assert not deficient
 
 
 def test_ols_orthogonal_regressor():
     y = np.array([1.0, -1.0, 1.0, -1.0])
     x = np.array([1.0, 1.0, -1.0, -1.0])
-    rss, _ = _rss(_design(x), y[None])
-    assert rss[0] == pytest.approx(4.0, abs=1e-12)
+    rss, drop, _ = _fits(y, x)
+    assert rss == pytest.approx(4.0, abs=1e-12)
+    assert drop == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ols_matches_normal_equations_oracle():
     rng = np.random.default_rng(30)
     X = rng.normal(size=(30, 3))
     y = X @ np.array([1.5, -2.0, 0.5]) + rng.normal(0, 0.3, size=30) + 4.0
-    rss, _ = _rss(_design(*X.T), y[None])
+    rss, drop, _ = _fits(y, *X.T, k=2)
     _, rss_ref = normal_equations_fit(y, [X[:, j] for j in range(3)])
-    assert rss[0] == pytest.approx(rss_ref, abs=1e-9)
+    _, rss_r_ref = normal_equations_fit(y, [X[:, 0]])
+    assert rss == pytest.approx(rss_ref, abs=1e-9)
+    assert drop == pytest.approx(rss_r_ref - rss_ref, abs=1e-9)
 
 
 def test_ols_collinear_errors():
     x = np.arange(10.0)
-    _, deficient = _rss(_design(x, 2 * x), np.ones(10)[None])
-    assert deficient[0]
+    assert _fits(np.ones(10), x, 2 * x)[2]
+    assert not _fits(np.ones(10), x, x ** 2)[2]
     y = _noisy_wave(60, seed=4)
     assert granger_test_batch(y[None], y[None]).collinear.tolist() == [True]
 
@@ -141,10 +154,8 @@ def test_f_zero_when_no_improvement():
     # so the unrestricted model fits exactly as well as the restricted one
     z = np.array([1.0, 2.0, 4.0, 3.0, 5.0, 2.0, 6.0, 3.0])
     v = null_space(np.column_stack([np.ones(7), z[:-1], z[1:]]).T)[:, 0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # rounding may clamp
-        res = granger_test_batch(np.append(v, 0.0)[None], z[None], max_lag=1)
-    assert res.f_stat[0] < 1e-12
+    res = granger_test_batch(np.append(v, 0.0)[None], z[None], max_lag=1)
+    assert 0.0 <= res.f_stat[0] < 1e-12
     assert (res.df_num, res.df_den) == (1, 4)
 
 
@@ -181,17 +192,14 @@ def _rounding_rows(rows, days, seed):
     return np.random.default_rng(seed).normal(size=(rows, days)), y
 
 
-def test_f_negative_numerator_clamps_with_warning():
+def test_f_rounding_numerator_is_nonnegative_without_warning():
     x, y = _rounding_rows(16, 80, seed=1)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         res = granger_test_batch(x, y, max_lag=3)
-    clamped = res.f_stat == 0.0
-    assert clamped.any()
-    assert np.all(res.p_value[clamped] == 1.0)
-    assert len(caught) == 1  # one warning for the whole batch
-    assert issubclass(caught[0].category, RuntimeWarning)
-    assert "clamping" in str(caught[0].message)
+    assert not res.collinear.any()
+    assert np.all(res.f_stat >= 0.0)
+    assert np.all((res.p_value >= 0.0) & (res.p_value <= 1.0))
 
 
 # ------------------------------------------------------------ the F tail
@@ -444,29 +452,26 @@ def _mixed_batch(days=90, horizon=0):
 @pytest.mark.parametrize("horizon", [0, 14])
 def test_batch_rows_equal_batch_of_one(horizon):
     x, y, kinds = _mixed_batch(horizon=horizon)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        res = granger_test_batch(x, y, max_lag=3, horizon=horizon)
-        for i, kind in enumerate(kinds):
-            assert res.collinear[i] == (kind == "collinear"), i
-            one = granger_test_batch(x[i:i + 1], y[i:i + 1], max_lag=3, horizon=horizon)
-            assert one.collinear[0] == res.collinear[i], i
-            assert (one.df_num, one.df_den) == (res.df_num, res.df_den)
-            if kind == "collinear":
-                assert math.isnan(res.f_stat[i]) and math.isnan(res.p_value[i])
-                assert math.isnan(one.f_stat[0]) and math.isnan(one.p_value[0])
-                continue
-            assert (one.f_stat[0], one.p_value[0]) == (res.f_stat[i], res.p_value[i]), i
-            if kind == "exact":
-                assert math.isinf(one.f_stat[0]) and one.p_value[0] == 0.0
+    res = granger_test_batch(x, y, max_lag=3, horizon=horizon)
+    for i, kind in enumerate(kinds):
+        assert res.collinear[i] == (kind == "collinear"), i
+        one = granger_test_batch(x[i:i + 1], y[i:i + 1], max_lag=3, horizon=horizon)
+        assert one.collinear[0] == res.collinear[i], i
+        assert (one.df_num, one.df_den) == (res.df_num, res.df_den)
+        if kind == "collinear":
+            assert math.isnan(res.f_stat[i]) and math.isnan(res.p_value[i])
+            assert math.isnan(one.f_stat[0]) and math.isnan(one.p_value[0])
+            continue
+        assert (one.f_stat[0], one.p_value[0]) == (res.f_stat[i], res.p_value[i]), i
+        if kind == "exact":
+            assert math.isinf(one.f_stat[0]) and one.p_value[0] == 0.0
 
 
 def test_batch_rows_match_oracle():
     x, y, kinds = _mixed_batch()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning at all
         res = granger_test_batch(x, y, max_lag=3)
-    assert ["clamping" in str(w.message) for w in caught] == [True]
     for i, kind in enumerate(kinds):
         if kind == "normal":
             f_ref, p_ref = reference_granger(x[i], y[i], 3)
@@ -474,8 +479,51 @@ def test_batch_rows_match_oracle():
             assert res.p_value[i] == pytest.approx(p_ref, abs=1e-8)
         elif kind == "exact":
             assert math.isinf(res.f_stat[i]) and res.p_value[i] == 0.0
-    clamped = [i for i, kind in enumerate(kinds) if kind == "rounding" and res.f_stat[i] == 0]
-    assert clamped and all(res.p_value[i] == 1.0 for i in clamped)
+    rounding = [i for i, kind in enumerate(kinds) if kind == "rounding"]
+    assert all(res.f_stat[i] >= 0.0 and 0.0 <= res.p_value[i] <= 1.0 for i in rounding)
+
+
+def _lagged_designs(x, y, m, horizon):
+    """Each row's restricted and unrestricted designs and its response, built
+    column by column."""
+    out = []
+    for xi, zi in zip(x, y[:, horizon:]):
+        own, other = lag_columns(xi, zi, m)
+        ones = np.ones(len(zi) - m)
+        out.append((np.column_stack([ones] + own), np.column_stack([ones] + own + other),
+                    zi[m:]))
+    return out
+
+
+def _lstsq_deficient(design):
+    # numpy.linalg.lstsq's rule with its default rcond
+    s = np.linalg.svd(design, compute_uv=False)
+    return s[-1] <= np.finfo(float).eps * max(design.shape) * s[0]
+
+
+@pytest.mark.parametrize("horizon", [0, 14])
+def test_collinear_mask_is_lstsq_rank_rule(horizon):
+    x, y, kinds = _mixed_batch(horizon=horizon)
+    res = granger_test_batch(x, y, max_lag=3, horizon=horizon)
+    expected = [_lstsq_deficient(d_r) or _lstsq_deficient(d_u)
+                for d_r, d_u, _ in _lagged_designs(x, y, 3, horizon)]
+    assert res.collinear.tolist() == expected
+    assert expected == [kind == "collinear" for kind in kinds]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_f_matches_lstsq_residuals(seed):
+    rng = np.random.default_rng(600 + seed)
+    rows, days, m, horizon = 12, int(rng.integers(40, 120)), int(rng.integers(1, 5)), 7 * seed
+    y = rng.normal(size=(rows, days)).cumsum(axis=1) * 0.2 + rng.normal(size=(rows, days))
+    x = np.roll(y, 2, axis=1) * rng.uniform(0, 1, size=(rows, 1)) + rng.normal(size=(rows, days))
+    res = granger_test_batch(x, y, max_lag=m, horizon=horizon)
+    assert not res.collinear.any()
+    for i, (d_r, d_u, resp) in enumerate(_lagged_designs(x, y, m, horizon)):
+        rss_r = np.sum((resp - d_r @ np.linalg.lstsq(d_r, resp, rcond=None)[0]) ** 2)
+        rss_u = np.sum((resp - d_u @ np.linalg.lstsq(d_u, resp, rcond=None)[0]) ** 2)
+        f_ref = ((rss_r - rss_u) / res.df_num) / (rss_u / res.df_den)
+        assert res.f_stat[i] == pytest.approx(f_ref, rel=1e-9), i
 
 
 def test_batch_shape_and_completeness_errors():
