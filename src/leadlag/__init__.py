@@ -1,7 +1,7 @@
 """Lead-lag analytics between surveillance indicators and hospital admissions."""
 
 from .config import LatencySpec, RunConfig, WaveSpec, load_config
-from .dtw import brute_force_dtw, dtw_align_batch, lead_times_from_path
+from .dtw import brute_force_dtw, dtw_align_batch, path_pairs
 from .errors import LeadLagError
 from .geo import GeoMapping, apply_mapping, build_mapping, weighted_population
 from .granger import GrangerBatch, granger_test_batch
@@ -44,12 +44,12 @@ __all__ = [
     "generate_admissions",
     "granger_test_batch",
     "ground_truth",
-    "lead_times_from_path",
     "load_config",
     "locf_impute",
     "loess_smooth",
     "minmax_scale",
     "optimal_lead",
+    "path_pairs",
     "read_admissions",
     "read_groupings",
     "read_indicator_dir",

@@ -20,7 +20,7 @@ from .ingest import (
     read_population,
 )
 from .pipeline import DEFAULT_MAPPING, METHODS, run_analysis
-from .reports import emit_reports, write_dtw_paths
+from .reports import _csv_text, emit_reports, write_dtw_paths
 
 logger = logging.getLogger(__name__)
 
@@ -100,7 +100,7 @@ def _run(args: argparse.Namespace) -> int:
 
     pop_path = Path(args.out) / "trust_population.csv"
     pop_lines = ["trust_id,population"]
-    pop_lines.extend(f"{t},{repr(p)}" for t, p in sorted(trust_pop.items()))
+    pop_lines.extend(f"{_csv_text(t)},{repr(p)}" for t, p in sorted(trust_pop.items()))
     pop_path.write_text("\n".join(pop_lines) + "\n", encoding="utf-8")
     written.append(pop_path)
 

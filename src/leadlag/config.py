@@ -74,6 +74,12 @@ class RunConfig:
             raise ConfigError("dtw_warmup_days must be >= 0")
         if self.dtw_mode not in ("multivariate", "univariate"):
             raise ConfigError(f"dtw_mode must be multivariate or univariate, got {self.dtw_mode!r}")
+        if not 0.0 < self.loess_span <= 1.0:
+            raise ConfigError(f"loess_span must be in (0, 1], got {self.loess_span}")
+        if self.loess_degree not in (1, 2):
+            raise ConfigError(f"loess_degree must be 1 or 2, got {self.loess_degree}")
+        if self.loess_robustness_passes < 0:
+            raise ConfigError("loess_robustness_passes must be >= 0")
 
 
 def _as_date(value, context: str) -> date:

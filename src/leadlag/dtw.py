@@ -8,19 +8,20 @@ transition table: from g(i, j) the admissible productions are
     g(i-3, j-2) +        d(i-2, j-1) + d(i-1, j) + d(i, j)
 
 and the pipeline divides the cost by the query length to compare alignments.
-Every query index is consumed; with open begin/end the path may enter and
-leave the reference at any column, so a reference prefix or suffix is
-skipped at zero cost. All matched pairs must satisfy the band constraint
-|i - j| <= window.
+Every query index is consumed; the ends are open, so the path may enter and
+leave the reference at any column and a reference prefix or suffix is
+skipped at zero cost. All matched pairs must satisfy the Sakoe-Chiba band
+constraint |i - j| <= window.
 
 ``dtw_align_batch`` runs the dynamic program once for a batch of alignments
-of equal lengths (one per Trust, say), holding a few cost rows and int8
-backpointers for the band only. An alignment is its accumulated cost and
-its matched (query, reference) index pairs, an (L, 2) int array in
-ascending order. ``brute_force_dtw`` enumerates every admissible path under
-identical constraints and is the verification oracle for the dynamic
-program; the two accumulate costs in the same order and agree to the last
-bit.
+of equal lengths (one per Trust, say) in band coordinates, holding a few
+cost rows and int8 backpointers for the band only. An alignment is its
+accumulated cost and, for each query index, the lowest and highest
+reference index it matched; ``path_pairs`` expands that into the matched
+(query, reference) index pairs, an (L, 2) int array in ascending order.
+``brute_force_dtw`` enumerates every admissible path under identical
+constraints and is the verification oracle for the dynamic program; the
+two accumulate costs in the same order and agree to the last bit.
 """
 
 from __future__ import annotations
@@ -73,89 +74,101 @@ def _batch(query, reference, window: int) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def dtw_align_batch(query, reference, window: int = 35, open_begin: bool = True,
-                    open_end: bool = True) -> tuple[np.ndarray, list[np.ndarray | None]]:
+def dtw_align_batch(query, reference, window: int = 35) -> tuple[np.ndarray, np.ndarray]:
     """Align each query row onto the reference row of the same index.
 
     ``query`` is (B, n) or (B, n, k) and ``reference`` (B, m) or (B, m, k):
-    B independent alignments sharing lengths and band. Returns each row's
-    accumulated cost, a (B,) array that reads +inf where a row has no
-    admissible path, and a list of each row's matched pairs, a sorted
-    (L, 2) int32 array (``None`` where the cost is +inf). The pairs include
-    every cell whose local cost the optimal path accumulated. One dynamic
-    program runs over all rows at once; it keeps the last three local-cost
-    rows and the last four accumulated-cost rows, each (B, m), and int8
-    backpointers for the band only, so memory is O(B*m) floats plus
-    n*B*(2*window+1) bytes. Costs accumulate per element in the same order
-    as :func:`brute_force_dtw`, which it matches to the last bit.
+    B independent alignments sharing lengths and band. Returns ``(cost,
+    match)``: each row's accumulated cost, a (B,) array that reads +inf
+    where a row has no admissible path, and a (B, n, 2) int32 array holding
+    the lowest and highest reference index matched to each query index (-1
+    where the cost is +inf). The step pattern matches every query index to
+    one reference index or to two adjacent ones, so ``match`` is the whole
+    alignment; :func:`path_pairs` expands a row into its pairs.
+
+    One dynamic program runs over all rows at once in band coordinates:
+    band column c of query row i is reference column i - w + c, and every
+    row keeps its 2w + 1 band columns between two columns of +inf, so each
+    production reads its candidates and local costs at fixed offsets. Memory
+    is the last three local-cost and four accumulated-cost band rows, the
+    reference padded with +inf columns, and n*B*(2w+1) int8 backpointers.
+    Costs accumulate per element in the same order as
+    :func:`brute_force_dtw`, which it matches to the last bit.
     """
     q, r = _batch(query, reference, window)
     batch, n = q.shape[:2]
     m = r.shape[1]
     w = min(window, max(n, m))  # a wider band admits no further pairs
+    band = 2 * w + 1
 
-    g = np.full((4, batch, m), np.inf)  # accumulated cost: row i in slot i % 4
-    d = np.empty((3, batch, m))  # local cost: row i in slot i % 3
-    back = np.full((n, batch, 2 * w + 1), -1, dtype=np.int8)  # column j at j - i + w
-    prod = np.empty((batch, m), dtype=np.int8)
+    # reference column j at j + w, so row i's band is ref[:, i : i + band]
+    ref = np.full((batch, n + 2 * w) + r.shape[2:], np.inf)
+    ref[:, w : w + m] = r[:, : n + w]
+    g = np.full((4, batch, band + 2), np.inf)  # accumulated cost: row i in slot i % 4
+    d = np.full((3, batch, band + 2), np.inf)  # local cost: row i in slot i % 3
+    back = np.full((n, batch, band), -1, dtype=np.int8)
     for i in range(n):
+        d_i = d[i % 3][:, 1:-1]
         if q.ndim == 2:
-            d_i = np.abs(q[:, i, None] - r, out=d[i % 3])
+            np.abs(q[:, i, None] - ref[:, i : i + band], out=d_i)
         else:
-            d_i = np.sqrt(((q[:, i, None, :] - r) ** 2).sum(axis=2), out=d[i % 3])
-        d_i[:, : max(i - w, 0)] = np.inf
-        d_i[:, i + w + 1 :] = np.inf
-        row = g[i % 4]
-        row.fill(np.inf)
+            np.sqrt(((q[:, i, None, :] - ref[:, i : i + band]) ** 2).sum(axis=2), out=d_i)
+        row = g[i % 4][:, 1:-1]
         if i == 0:
-            if open_begin:
-                row[:] = d_i
-            else:
-                row[:, 0] = d_i[:, 0]
+            row[:] = d_i  # open begin: the path may enter at any column
             continue
-        prod.fill(-1)
+        row.fill(np.inf)
         for p_idx, (di, dj, cells) in enumerate(_STEPS):
             if i < di:
                 continue
-            # column j of the candidate sits at j - dj; columns j < dj are unreachable
-            cand = g[(i - di) % 4][:, : m - dj]
+            # for band column c, cell (i - a, j - b) is at c + 1 + a - b in its slot
+            at = 1 + di - dj
+            cand = g[(i - di) % 4][:, at : at + band]
             for ri, rj, wt in cells:
-                cand = cand + wt * d[(i - ri) % 3][:, dj - rj : m - rj]
-            better = cand < row[:, dj:]
-            np.copyto(row[:, dj:], cand, where=better)
-            prod[:, dj:][better] = p_idx
-        lo, hi = max(i - w, 0), min(i + w, m - 1)
-        if lo <= hi:
-            back[i, :, lo - i + w : hi - i + w + 1] = prod[:, lo : hi + 1]
+                at = 1 + ri - rj
+                cand = cand + wt * d[(i - ri) % 3][:, at : at + band]
+            better = cand < row
+            np.copyto(row, cand, where=better)
+            back[i][better] = p_idx
 
-    last = g[(n - 1) % 4]
-    ends = np.argmin(last, axis=1) if open_end else np.full(batch, m - 1)
+    last = g[(n - 1) % 4][:, 1:-1]
+    ends = np.argmin(last, axis=1)  # open end: the cheapest column of the last row
     cost = last[np.arange(batch), ends]
-    paths: list[np.ndarray | None] = []
-    for b, j_end in enumerate(ends.tolist()):
-        if cost[b] == np.inf:
-            paths.append(None)
-            continue
-        path: list[int] = []  # i, j of each pair, from the last pair backwards
-        i, j = n - 1, j_end
+    match = np.full((batch, n, 2), -1, dtype=np.int32)
+    for b in np.flatnonzero(cost < np.inf).tolist():
+        lo, hi = [0] * n, [0] * n
+        i, j = n - 1, n - 1 - w + int(ends[b])
         while i > 0:
             di, dj, cells = _STEPS[back[i, b, j - i + w]]
+            for ri, rj, _ in cells:  # ascending, so a query index's last cell is its highest
+                hi[i - ri] = j - rj
             for ri, rj, _ in reversed(cells):
-                path += (i - ri, j - rj)
+                lo[i - ri] = j - rj
             i, j = i - di, j - dj
-        path += (0, j)
-        paths.append(np.array(path, dtype=np.int32).reshape(-1, 2)[::-1])
-    return cost, paths
+        lo[0] = hi[0] = j
+        match[b, :, 0], match[b, :, 1] = lo, hi
+    return cost, match
 
 
-def brute_force_dtw(query, reference, window: int = 35, open_begin: bool = True,
-                    open_end: bool = True) -> tuple[float, np.ndarray | None]:
+def path_pairs(match: np.ndarray) -> np.ndarray:
+    """One row of ``dtw_align_batch``'s ``match`` as its sorted (L, 2) int32
+    (query, reference) index pairs: one pair per query index, two where it
+    matched two reference indices."""
+    pairs = np.empty((len(match), 2, 2), dtype=np.int32)
+    pairs[:, :, 0] = np.arange(len(match))[:, None]
+    pairs[:, :, 1] = match
+    keep = np.ones((len(match), 2), dtype=bool)
+    keep[:, 1] = match[:, 1] != match[:, 0]
+    return pairs[keep]
+
+
+def brute_force_dtw(query, reference, window: int = 35) -> tuple[float, np.ndarray | None]:
     """Exhaustive-path verification oracle; identical constraints and arithmetic.
 
     ``query`` (n,) or (n, k) and ``reference`` (m,) or (m, k) are checked
-    as a batch of one. Returns their alignment in the form of one row of
-    :func:`dtw_align_batch`: the accumulated cost (+inf where no path is
-    admissible) and the sorted (L, 2) int32 pairs (``None`` then).
+    as a batch of one. Returns the accumulated cost (+inf where no path is
+    admissible) and the sorted (L, 2) int32 pairs (``None`` then), the form
+    :func:`path_pairs` gives one row of :func:`dtw_align_batch`.
     Enumerates every admissible production sequence by depth-first search;
     only feasible for sequences of length <= 12.
     """
@@ -171,7 +184,7 @@ def brute_force_dtw(query, reference, window: int = 35, open_begin: bool = True,
     def walk(i: int, j: int, cost: float, pairs: list[tuple[int, int]]) -> None:
         nonlocal best_cost, best_pairs
         if i == n - 1:
-            if (open_end or j == m - 1) and cost < best_cost:
+            if cost < best_cost:
                 best_cost = cost
                 best_pairs = list(pairs)
             return
@@ -193,30 +206,9 @@ def brute_force_dtw(query, reference, window: int = 35, open_begin: bool = True,
                 walk(i + di, j + dj, c, pairs)
             del pairs[len(pairs) - added :]
 
-    start_cols = range(min(window, m - 1) + 1) if open_begin else (0,)
-    for j0 in start_cols:
+    for j0 in range(min(window, m - 1) + 1):
         walk(0, j0, float(d[0, j0]), [(0, j0)])
 
     if best_pairs is None:
         return np.inf, None
     return float(best_cost), np.array(sorted(best_pairs), dtype=np.int32)
-
-
-def lead_times_from_path(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-query-index lead: matched reference index minus query index.
-
-    ``pairs`` is an (L, 2) array of (query, reference) index pairs, as
-    :func:`dtw_align_batch` returns them. Returns the matched query indices
-    in ascending order and the lead of each, as float. A query index matched
-    to several reference indices collapses to the median matched index.
-    Positive lead = indicator ahead of admissions.
-    """
-    if len(pairs) == 0:
-        raise LeadLagError("empty alignment")
-    i, j = np.asarray(pairs).T
-    order = np.lexsort((j, i))
-    i, j = i[order], j[order]
-    index, start, count = np.unique(i, return_index=True, return_counts=True)
-    # the median of a sorted group is the mean of its middle one or two values
-    median = (j[start + (count - 1) // 2] + j[start + count // 2]) / 2
-    return index, median - index

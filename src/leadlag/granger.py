@@ -137,10 +137,11 @@ def _nested_fits(aug: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.nd
     and whether either design is rank deficient by ``numpy.linalg.lstsq``'s rule."""
     r = np.linalg.qr(aug, mode="r")
     n, p = aug.shape[1], aug.shape[2] - 1  # n > p, so lstsq's eps * max(n, columns) is eps * n
-    # a design's R is the leading block of R and has the design's singular values
-    s_r, s_u = (np.linalg.svd(r[:, :j, :j], compute_uv=False) for j in (k, p))
-    deficient = (s_r[:, -1] <= _EPS * n * s_r[:, 0]) | (s_u[:, -1] <= _EPS * n * s_u[:, 0])
-    return r[:, p, -1] ** 2, np.sum(r[:, k:p, -1] ** 2, axis=1), deficient
+    # the design's R is the leading block of R and has the design's singular
+    # values; those of its first k columns interlace them, so when the full
+    # design passes the rule the restricted one does too (Golub & Van Loan 8.6)
+    s = np.linalg.svd(r[:, :p, :p], compute_uv=False)
+    return r[:, p, -1] ** 2, np.sum(r[:, k:p, -1] ** 2, axis=1), s[:, -1] <= _EPS * n * s[:, 0]
 
 
 def granger_test_batch(x, y, max_lag: int = 3, horizon: int = 0) -> GrangerBatch:

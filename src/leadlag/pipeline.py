@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import LatencySpec, RunConfig, WaveSpec
-from .dtw import dtw_align_batch, lead_times_from_path
+from .dtw import dtw_align_batch
 from .errors import ConfigError, LeadLagError
 from .geo import GeoMapping, apply_mapping
 from .granger import granger_test_batch
@@ -169,10 +169,10 @@ def run_analysis(
     retained trust (the Granger method yields a table at horizon 0 and one
     at the configured horizon), by indicator name, then wave and method in
     configuration order. Pass a list as ``dtw_paths`` to collect one
-    (indicator, wave, scope, days, pairs) record per alignment: ``pairs``
-    is its sorted (L, 2) int array of (query, reference) index pairs into
-    ``days``, the window's ISO dates. Records arrive per (indicator, wave)
-    in scope order.
+    (indicator, wave, scope, days, match) record per alignment: ``match``
+    is its (n, 2) row of ``dtw_align_batch``'s lowest and highest matched
+    reference index per query index, indices into ``days``, the window's
+    ISO dates. Records arrive per (indicator, wave) in scope order.
     """
     unknown = set(methods) - set(METHODS)
     if unknown:
@@ -345,29 +345,26 @@ def _dtw_cells(config: RunConfig, pair: _Pair, wave: WaveSpec, variable: str,
             q, r, flat = (np.ascontiguousarray(q.T)[None], np.ascontiguousarray(r.T)[None],
                           flat.any(keepdims=True))
     try:
-        cost, paths = dtw_align_batch(q, r, window=config.dtw_window,
-                                      open_begin=True, open_end=True)
+        cost, match = dtw_align_batch(q, r, window=config.dtw_window)
     except LeadLagError as exc:
         return {}, [str(exc)] * k
 
-    first_reported = (wave.start - q_start).days
-    days = [(q_start + timedelta(days=t)).isoformat() for t in range(r.shape[1])]
-    median = np.full(len(paths), np.nan)
-    distance = np.full(len(paths), np.nan)
-    error = [""] * len(paths)
-    for b, (scope, pairs) in enumerate(zip(scopes, paths)):
-        if pairs is None:
-            error[b] = "no admissible path"
-            continue
-        index, lead = lead_times_from_path(pairs)
-        reported = lead[index >= first_reported]
-        if not reported.size:
-            error[b] = "no reported indices after warm-up exclusion"
-            continue
-        median[b] = np.median(reported)
-        distance[b] = cost[b] / q.shape[1]  # normalized by the query length
-        if dtw_paths is not None:
-            dtw_paths.append((variable, wave.name, scope, days, pairs))
+    n = q.shape[1]
+    first = min(max((wave.start - q_start).days, 0), n)  # warm-up leads are not reported
+    found = cost < np.inf
+    median = np.full(len(cost), np.nan)
+    if first < n:
+        # a query index's lead is its mean matched reference index (the median
+        # of its one or two) minus the index
+        lead = match[found, first:].mean(axis=2) - np.arange(first, n)
+        median[found] = np.median(lead, axis=1)
+    distance = np.where(np.isnan(median), np.nan, cost / n)  # normalized by the query length
+    error = np.where(found, "" if first < n else "no reported indices after warm-up exclusion",
+                     "no admissible path").tolist()
+    if dtw_paths is not None:
+        days = [(q_start + timedelta(days=t)).isoformat() for t in range(r.shape[1])]
+        dtw_paths += [(variable, wave.name, scope, days, match[b])
+                      for b, scope in enumerate(scopes) if not np.isnan(median[b])]
     eff, eroded = effective_leads(median, latency)
     columns = {"dtw_median_lead": median, "dtw_normalized_distance": distance,
                "effective_lead": eff, "eroded": eroded,

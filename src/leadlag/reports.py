@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dtw import path_pairs
 from .errors import LeadLagError
 from .pipeline import ResultTable
 
@@ -152,11 +153,12 @@ def write_dtw_paths(path: Path, records: list[tuple]) -> None:
     """Write ``run_analysis``'s DTW path records as CSV, a line per matched pair.
 
     Blocks follow (indicator, wave) name order; the stable sort keeps each
-    block's scope order and each record's sorted pairs.
+    block's scope order, and each record's pairs come sorted from
+    :func:`~leadlag.dtw.path_pairs`.
     """
     with path.open("w", encoding="utf-8") as fh:
         fh.write("indicator,wave,scope,query_date,ref_date,lead_days\n")
-        for ind, wave, scope, days, pairs in sorted(records, key=lambda rec: rec[:2]):
-            head = f"{ind},{wave},{scope},"
+        for ind, wave, scope, days, match in sorted(records, key=lambda rec: rec[:2]):
+            head = "".join(_csv_text(text) + "," for text in (ind, wave, scope))
             fh.write("".join([f"{head}{days[i]},{days[j]},{j - i}\n"
-                              for i, j in pairs.tolist()]))
+                              for i, j in path_pairs(match).tolist()]))

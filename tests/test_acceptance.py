@@ -15,7 +15,7 @@ import pytest
 from leadlag.cli import main as cli_main
 from leadlag.config import LatencySpec
 from leadlag.corpus import write_corpus
-from leadlag.dtw import brute_force_dtw, lead_times_from_path
+from leadlag.dtw import brute_force_dtw, path_pairs
 from leadlag.geo import apply_mapping, build_mapping, weighted_population
 from leadlag.granger import _upper_tail
 from leadlag.pipeline import effective_lead
@@ -24,7 +24,7 @@ from leadlag.timeseries import minmax_scale
 from leadlag.xcorr import ccf_at_leads, optimal_lead
 
 from conftest import panel, row
-from test_dtw import align
+from test_dtw import align, leads
 from test_granger import granger_one, reference_granger
 
 LEADS = np.arange(-30, 31)
@@ -79,17 +79,16 @@ def test_lead_recovery_dtw():
     details = []
     for lead in (5, 10, 20):
         x, y = lead_fixture(lead)
-        cost, pairs = align(x, y, window=35, open_begin=True, open_end=True)
-        _, leads = lead_times_from_path(pairs)
-        med = float(np.median(leads))
+        cost, match = align(x, y, window=35)
+        med = float(np.median(leads(match)))
         normalized = cost / len(x)
         details.append(f"L={lead}: median={med:g}, dist={normalized:.3g}")
         ok &= lead - 2 <= med <= lead + 2
         ok &= normalized < 0.05
 
     x, _ = lead_fixture(0)
-    cost, pairs = align(x, x, window=35, open_begin=True, open_end=True)
-    identical_ok = cost / len(x) == 0.0 and all(lead_times_from_path(pairs)[1] == 0)
+    cost, match = align(x, x, window=35)
+    identical_ok = cost / len(x) == 0.0 and all(lead == 0 for lead in leads(match))
     report("lead recovery (DTW)", ok and identical_ok, "; ".join(details))
 
 
@@ -111,16 +110,15 @@ def test_dtw_oracle_equivalence():
             x, y = rng.normal(size=(n, 3)), rng.normal(size=(m, 3))
         else:
             x, y = rng.normal(size=n), rng.normal(size=m)
-        open_ends = (trial // 3) % 2 == 0
-        kw = dict(window=window, open_begin=open_ends, open_end=open_ends)
-        cost, pairs = align(x, y, **kw)
-        oracle_cost, oracle_pairs = brute_force_dtw(x, y, **kw)
+        cost, match = align(x, y, window=window)
+        oracle_cost, oracle_pairs = brute_force_dtw(x, y, window=window)
         assert cost == oracle_cost, f"trial {trial}: {cost} != {oracle_cost}"
         assert cost / n == oracle_cost / n
-        if pairs is None:
-            assert oracle_pairs is None
+        if oracle_pairs is None:
+            assert (match == -1).all()
             infeasible += 1
             continue
+        assert np.array_equal(path_pairs(match), oracle_pairs), f"trial {trial}"
         checked += 1
     elapsed = time.perf_counter() - started
     report("DTW oracle equivalence",

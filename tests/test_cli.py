@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -93,9 +94,12 @@ def test_unreadable_admissions_exit_input_schema(corpus, tmp_path, capsys, defec
     ("ccf_window: .inf", "ccf_window"),
     ("loess_span: yes", "loess_span"),
     ("latency: {ind00: {reporting_lag_days: 1.5}}", "latency"),
+    ("loess_degree: 3", "loess_degree"),
+    ("loess_span: 1.5", "loess_span"),
+    ("loess_robustness_passes: -2", "loess_robustness_passes"),
 ], ids=["empty-waves", "horizon-text", "span-list", "latency-number", "mappings-list",
         "exclusions-string", "horizon-fraction", "horizon-bool", "window-inf", "span-bool",
-        "latency-fraction"])
+        "latency-fraction", "degree-3", "span-above-1", "passes-negative"])
 def test_bad_config_exits_config(corpus, tmp_path, capsys, entry, key):
     # one bad entry in an otherwise valid config
     config = yaml.safe_load((corpus / "config.yaml").read_text())
@@ -190,6 +194,35 @@ def test_export_dtw_paths(corpus, tmp_path):
     assert scope == "all-trusts"
     from datetime import date
     assert (date.fromisoformat(r_date) - date.fromisoformat(q_date)).days == int(lead)
+
+
+def _rename_in_csv(path, old, new):
+    with path.open(newline="", encoding="utf-8") as fh:
+        rows = [[new if field == old else field for field in row] for row in csv.reader(fh)]
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def test_names_with_commas_are_quoted(tmp_path):
+    corpus = tmp_path / "c"
+    paths = write_corpus(corpus, n_trusts=3, n_days=180, n_indicators=1, n_waves=1, seed=11)
+    indicator = corpus / "indicators" / "ind00.csv"
+    _rename_in_csv(indicator, "ind00", "ind,00")
+    indicator.rename(indicator.with_name("ind,00.csv"))
+    for name in ("admissions.csv", "mapping.csv"):
+        _rename_in_csv(corpus / name, "T001", "T,001")
+    config = yaml.safe_load(paths["config"].read_text())
+    config["dtw_mode"] = "univariate"  # one path per Trust, its id as the scope
+    paths["config"].write_text(yaml.safe_dump(config))
+    out = tmp_path / "out"
+    assert main(run_args(corpus, out, ("--methods", "dtw", "--export-dtw-paths"))) == 0
+    for name, column, value in (("dtw_paths.csv", "scope", "T,001"),
+                                ("trust_population.csv", "trust_id", "T,001"),
+                                ("dtw_paths.csv", "indicator", "ind,00")):
+        with (out / name).open(newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert rows and all(len(row) == len(header) for row in rows), name
+        assert value in {row[header.index(column)] for row in rows}, name
 
 
 def test_dtw_paths_order_by_name_not_config_order(tmp_path):

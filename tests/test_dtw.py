@@ -1,33 +1,33 @@
 import tracemalloc
+from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
-from leadlag.dtw import brute_force_dtw, dtw_align_batch, lead_times_from_path
+from leadlag.config import WaveSpec
+from leadlag.dtw import brute_force_dtw, dtw_align_batch, path_pairs
 from leadlag.errors import LeadLagError, OracleScaleError
 
-CLOSED = dict(open_begin=False, open_end=False)
+
+def align(x, y, window=35):
+    """(cost, match) of the batch of one ``x`` onto ``y``."""
+    (cost,), (match,) = dtw_align_batch(np.asarray(x)[None], np.asarray(y)[None], window)
+    return cost, match
 
 
-def align(x, y, **kw):
-    """(cost, pairs) of the batch of one ``x`` onto ``y``."""
-    (cost,), (pairs,) = dtw_align_batch(np.asarray(x)[None], np.asarray(y)[None], **kw)
-    return cost, pairs
-
-
-def leads(pairs):
-    return lead_times_from_path(pairs)[1].tolist()
+def leads(match):
+    """Each query index's lead: its mean (= median) matched reference index minus it."""
+    return (match.mean(axis=1) - np.arange(len(match))).tolist()
 
 
 # ------------------------------------------------------------- local distance
-# With closed ends and a band of 1, four points align only along the diagonal,
-# so the cost is the sum of the four local distances.
+# A point sits on a ramp of step 10, so the diagonal is the only cheap path and
+# the cost of four points is the sum of their four local distances.
 
 def diagonal_cost(x, y):
-    cost, pairs = align([x] * 4, [y] * 4, window=1, **CLOSED)
-    assert pairs.tolist() == [[i, i] for i in range(4)]
+    cost, match = align([np.add(x, 10.0 * i) for i in range(4)],
+                        [np.add(y, 10.0 * i) for i in range(4)], window=1)
+    assert path_pairs(match).tolist() == [[i, i] for i in range(4)]
     return cost
 
 
@@ -50,17 +50,16 @@ def test_local_distance_dimension_mismatch():
 def test_identity_alignment_zero_distance():
     rng = np.random.default_rng(1)
     x = rng.normal(size=20)
-    for ends in (CLOSED, {}):
-        cost, pairs = align(x, x, **ends)
-        assert cost == 0.0
-        assert all(lead == 0.0 for lead in leads(pairs))
+    cost, match = align(x, x)
+    assert cost == 0.0
+    assert all(lead == 0.0 for lead in leads(match))
 
 
 def test_delayed_impulse_matches_at_shift():
     x = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
     y = np.concatenate([np.zeros(6), x])  # same impulse six days later
-    cost, pairs = align(x, y)
-    impulse_pairs = [(i, j) for i, j in pairs.tolist() if x[i] == 1.0]
+    cost, match = align(x, y)
+    impulse_pairs = [(i, j) for i, j in path_pairs(match).tolist() if x[i] == 1.0]
     assert impulse_pairs and all(j - i == 6 for i, j in impulse_pairs)
     assert cost / 6 == pytest.approx(0.0, abs=1e-12)
     oracle_cost, _ = brute_force_dtw(x, y)
@@ -71,8 +70,10 @@ def test_seeded_pair_matches_oracle_exactly():
     rng = np.random.default_rng(10)
     x = rng.normal(size=10)
     y = rng.normal(size=12)
-    for ends in (CLOSED, {}):
-        assert align(x, y, **ends)[0] == brute_force_dtw(x, y, **ends)[0]
+    cost, match = align(x, y)
+    oracle_cost, oracle_pairs = brute_force_dtw(x, y)
+    assert cost == oracle_cost
+    assert np.array_equal(path_pairs(match), oracle_pairs)
 
 
 def test_nan_input_rejected():
@@ -85,47 +86,39 @@ def test_nan_input_rejected():
 
 def test_short_sequence_rejected():
     with pytest.raises(LeadLagError, match="length >= 4"):
-        align(np.ones(3), np.ones(8), **CLOSED)
+        align(np.ones(3), np.ones(8))
 
 
 def test_infeasible_band_errors():
-    # closed ends with a huge length gap: the slope cap makes it impossible
-    x, y = np.ones(4), np.arange(12.0)
-    assert align(x, y, window=35, **CLOSED) == (np.inf, None)
-    assert brute_force_dtw(x, y, window=35, **CLOSED) == (np.inf, None)
+    # every query index is consumed at a slope of at least 2/3, so a 12-point
+    # query cannot fit onto a 4-point reference even with open ends
+    x, y = np.ones(12), np.arange(4.0)
+    cost, match = align(x, y, window=35)
+    assert cost == np.inf and (match == -1).all()
+    assert brute_force_dtw(x, y, window=35) == (np.inf, None)
 
 
 # ------------------------------------------------------------ brute_force_dtw
 
 def test_oracle_identity_five_points():
     x = np.array([1.0, 2.0, 0.5, 3.0, 2.5])
-    cost, _ = brute_force_dtw(x, x, **CLOSED)
+    cost, pairs = brute_force_dtw(x, x)
     assert cost == 0.0
-
-
-def test_oracle_band_one_forces_diagonal():
-    # with a 5-point pair and band 1, the only admissible path is the diagonal
-    rng = np.random.default_rng(2)
-    x, y = rng.normal(size=5), rng.normal(size=5)
-    cost, pairs = brute_force_dtw(x, y, window=1, **CLOSED)
     assert pairs.tolist() == [[i, i] for i in range(5)]
-    d = np.abs(x - y)
-    assert cost == pytest.approx(float(d[0] + d[1] + d[2] + d[3] + d[4]))
-    assert align(x, y, window=1, **CLOSED)[0] == cost
 
 
 def test_oracle_scale_limit():
     with pytest.raises(OracleScaleError, match="oracle scale"):
-        brute_force_dtw(np.ones(13), np.ones(13), **CLOSED)
+        brute_force_dtw(np.ones(13), np.ones(13))
 
 
 # ------------------------------------------------------------ dtw_align_batch
 
 @pytest.mark.parametrize("columns", [None, 3])
 @pytest.mark.parametrize("window", [1, 3, 35])
-@pytest.mark.parametrize("open_ends", [True, False])
-def test_batch_rows_equal_single_alignments(columns, window, open_ends):
-    rng = np.random.default_rng(window * 10 + (columns or 0) + open_ends)
+@pytest.mark.parametrize("ties", [True, False])
+def test_batch_rows_equal_single_alignments(columns, window, ties):
+    rng = np.random.default_rng(window * 10 + (columns or 0) + ties)
     feasible = 0
     for trial in range(8):
         n = int(rng.integers(4, 40))
@@ -133,37 +126,34 @@ def test_batch_rows_equal_single_alignments(columns, window, open_ends):
         batch = int(rng.integers(3, 8))
         q = rng.normal(size=(batch, n) + ((columns,) if columns else ()))
         r = rng.normal(size=(batch, m) + ((columns,) if columns else ()))
+        if ties:  # coarse values make equal-cost productions and end columns common
+            q, r = np.round(q), np.round(r)
         # flat rows as zscore_scale emits them, mixed in with normal rows
         q[::3] = 0.0
         r[1::3] = 0.0
-        cost, paths = dtw_align_batch(q, r, window=window, open_begin=open_ends,
-                                      open_end=open_ends)
-        assert cost.shape == (batch,) and len(paths) == batch
-        for b, got in enumerate(paths):
-            (alone_cost,), (alone,) = dtw_align_batch(q[b:b + 1], r[b:b + 1], window=window,
-                                                      open_begin=open_ends,
-                                                      open_end=open_ends)
+        cost, match = dtw_align_batch(q, r, window=window)
+        assert cost.shape == (batch,)
+        assert match.shape == (batch, n, 2) and match.dtype == np.int32
+        for b in range(batch):
+            alone_cost, alone = align(q[b], r[b], window=window)
             assert cost[b] == alone_cost
-            if got is None:
-                assert alone is None and cost[b] == np.inf
-                continue
-            feasible += 1
-            assert np.array_equal(got, alone)
-            assert got.dtype == np.int32 and got.shape[1] == 2
+            assert np.array_equal(match[b], alone)
+            feasible += cost[b] < np.inf
     assert feasible > 0
 
 
 def test_batch_without_admissible_path_marks_every_row():
     rng = np.random.default_rng(5)
-    q, r = rng.normal(size=(3, 4)), rng.normal(size=(3, 12))
-    cost, paths = dtw_align_batch(q, r, window=35, **CLOSED)
+    q, r = rng.normal(size=(3, 12)), rng.normal(size=(3, 4))
+    cost, match = dtw_align_batch(q, r, window=35)
     assert cost.tolist() == [np.inf] * 3
-    assert paths == [None, None, None]
-    assert brute_force_dtw(q[0], r[0], **CLOSED) == (np.inf, None)
+    assert (match == -1).all()
+    assert brute_force_dtw(q[0], r[0]) == (np.inf, None)
 
 
 def test_multivariate_alignment_memory():
-    # the kernel holds a few (m, columns) cost rows, never the (n, m, columns) cube
+    # the kernel holds a few band rows and the padded (n + 2w, columns) reference,
+    # never the (n, m, columns) cube
     rng = np.random.default_rng(0)
     q, r = rng.normal(size=(77, 363)), rng.normal(size=(112, 363))
     tracemalloc.start()
@@ -178,33 +168,55 @@ def test_multivariate_alignment_memory():
 # -------------------------------------------------------- lead time extraction
 
 def test_leads_identity_and_uniform_shift():
-    diagonal = np.array([(i, i) for i in range(5)], dtype=np.int32)
-    assert leads(diagonal) == [0.0] * 5
-    assert leads(diagonal + [0, 6]) == [6.0] * 5
-
-
-def test_leads_median_rule():
-    index, lead = lead_times_from_path(np.array([(3, 5), (3, 6), (4, 7)], dtype=np.int32))
-    by_index = dict(zip(index.tolist(), lead.tolist()))
-    # query 3 matches reference 5 and 6 -> median matched index 5.5
-    assert by_index[3] == pytest.approx(5.5 - 3)
-    assert by_index[4] == pytest.approx(3.0)
+    x = np.arange(8.0) ** 2  # distinct values: the zero-cost path is unique
+    cost, match = align(x, x)
+    assert cost == 0.0 and match.tolist() == [[i, i] for i in range(8)]
+    cost, match = align(x, np.concatenate([-np.ones(6), x]))
+    assert cost == 0.0 and match.tolist() == [[i + 6, i + 6] for i in range(8)]
+    assert leads(match) == [6.0] * 8
 
 
 def median_leads(pairs):
     matched = {}
     for i, j in pairs:
         matched.setdefault(i, []).append(j)
-    return [(i, float(np.median(js)) - i) for i, js in sorted(matched.items())]
+    return [float(np.median(js)) - i for i, js in sorted(matched.items())]
 
 
-@given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 60)), min_size=1,
-                max_size=80))
-@example([(7, 9), (3, 6), (7, 8), (3, 5), (7, 20), (7, 7), (12, 12)])
-def test_leads_equal_median_reference(pairs):
-    for ordered in (pairs, sorted(pairs)):
-        index, lead = lead_times_from_path(np.array(ordered, dtype=np.int32))
-        assert list(zip(index.tolist(), lead.tolist())) == median_leads(pairs)
+def test_leads_equal_median_reference(monkeypatch):
+    # the pipeline's lead on a wave short enough for the oracle: 2 warm-up
+    # days, 8 reported days and a 2-day reference tail
+    from leadlag import pipeline
+
+    from test_pipeline import START, identity_mapping, study_config, synth_inputs
+
+    batches = []
+
+    def recording(q, r, window):
+        batches.append((q, r, window))
+        return dtw_align_batch(q, r, window)
+
+    monkeypatch.setattr(pipeline, "dtw_align_batch", recording)
+    wave = WaveSpec("short", START + timedelta(days=26), START + timedelta(days=33))
+    adm, indicators = synth_inputs()
+    two_matched = 0
+    for dtw_mode in ("univariate", "multivariate"):
+        config = study_config(waves=(wave,), dtw_mode=dtw_mode, dtw_warmup_days=2,
+                              dtw_window=2)
+        (table,) = pipeline.run_analysis(config, adm, indicators, identity_mapping(),
+                                         methods=("dtw",))
+        q, r, window = batches.pop()
+        assert q.shape[1] == 10 and r.shape[1] == 12
+        expected = []
+        for b in range(len(q)):
+            cost, pairs = brute_force_dtw(q[b], r[b], window)
+            reported = median_leads(pairs.tolist())[2:]
+            two_matched += sum(lead % 1 != 0 for lead in reported)
+            expected.append(float(np.median(reported)))
+        if dtw_mode == "multivariate":  # one joint alignment, shared by the 3 trusts
+            expected *= 3
+        assert table.columns["dtw_median_lead"].tolist() == expected
+    assert two_matched  # some reported query index matched two reference indices
 
 
 def test_normalized_distance_division(monkeypatch):
@@ -214,10 +226,10 @@ def test_normalized_distance_division(monkeypatch):
 
     batches = []
 
-    def recording(q, r, **kw):
-        cost, paths = dtw_align_batch(q, r, **kw)
+    def recording(q, r, window):
+        cost, match = dtw_align_batch(q, r, window)
         batches.append((cost, q.shape[1]))
-        return cost, paths
+        return cost, match
 
     monkeypatch.setattr(pipeline, "dtw_align_batch", recording)
     adm, indicators = synth_inputs()
@@ -248,28 +260,36 @@ def test_randomized_oracle_equivalence():
         else:
             x, y = rng.normal(size=n), rng.normal(size=m)
         window = (1, 3, 35)[trial % 3]
-        open_ends = (trial // 3) % 2 == 0
-        kw = dict(window=window, open_begin=open_ends, open_end=open_ends)
-        cost, pairs = align(x, y, **kw)
-        oracle_cost, oracle_pairs = brute_force_dtw(x, y, **kw)
+        cost, match = align(x, y, window=window)
+        oracle_cost, oracle_pairs = brute_force_dtw(x, y, window=window)
         assert cost == oracle_cost
         assert cost / n == oracle_cost / n
-        if pairs is None:
-            assert oracle_pairs is None
+        if oracle_pairs is None:
+            assert (match == -1).all()
             continue
+        assert np.array_equal(path_pairs(match), oracle_pairs)
         feasible += 1
     assert feasible > 20
 
 
 def test_path_monotone_and_banded():
     rng = np.random.default_rng(9)
-    for _ in range(10):
-        x, y = rng.normal(size=30), rng.normal(size=34)
-        cost, pairs = align(x, y, window=7)
-        assert np.all(np.diff(pairs, axis=0) >= 0)
-        assert np.all(np.abs(pairs[:, 0] - pairs[:, 1]) <= 7)
-        assert set(pairs[:, 0].tolist()) == set(range(30))
-        assert cost >= 0.0
+    for window in (1, 3, 7, 35):
+        n, m = 30, 34
+        q, r = rng.normal(size=(6, n)), rng.normal(size=(6, m))
+        cost, match = dtw_align_batch(q, r, window=window)
+        for b in np.flatnonzero(cost < np.inf):
+            lo, hi = match[b].T
+            # one reference index per query index, or two adjacent ones
+            assert np.all(lo <= hi) and np.all(hi <= lo + 1)
+            assert np.all(hi[:-1] <= lo[1:])  # monotone
+            assert lo.min() >= 0 and hi.max() < m
+            pairs = path_pairs(match[b])
+            assert np.all(np.abs(pairs[:, 0] - pairs[:, 1]) <= window)
+            assert pairs.dtype == np.int32
+            assert pairs.tolist() == sorted(pairs.tolist())
+            assert len(pairs) == n + np.count_nonzero(hi != lo)
+            assert cost[b] >= 0.0
 
 
 def test_column_permutation_invariance():
@@ -294,5 +314,5 @@ def test_shift_recovery_with_zscore_and_decay():
         q, _ = zscore_scale(ind.values)
         r, _ = zscore_scale(adm.values)
         q, r = q[0], r[0]
-        _, pairs = align(q, r, window=35, open_begin=True, open_end=True)
-        assert L - 2 <= np.median(leads(pairs)) <= L + 2
+        _, match = align(q, r, window=35)
+        assert L - 2 <= np.median(leads(match)) <= L + 2
