@@ -1,5 +1,10 @@
 """Lead-lag analytics between surveillance indicators and hospital admissions."""
 
+import os
+
+# Before numpy loads: every matrix here is small, and an idle OpenBLAS worker slows each stage.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .config import LatencySpec, RunConfig, WaveSpec, load_config
 from .dtw import brute_force_dtw, dtw_align_batch, path_pairs
 from .errors import LeadLagError

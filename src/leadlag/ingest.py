@@ -257,10 +257,11 @@ def read_admissions(path: str | Path) -> Panel:
     _check(cols, [
         (grid.cell < 0, lambda f: f"invalid ISO date {f[1]!r}"),
         (np.isnan(counts), lambda f: f"admissions {f[2]!r} is not an integer"),
-        (np.isinf(counts), lambda f: f"admissions {f[2]!r} is not a finite number"),
         (counts < 0, lambda f: f"negative admissions {int(f[2])}"),
         (_repeats(grid.cell),
          lambda f: f"duplicate record for ({f[0]}, {date.fromisoformat(f[1])})"),
+        # last: a count too large for a float only fails a row that passes the rest
+        (np.isinf(counts), lambda f: f"admissions {f[2]!r} is not a finite number"),
     ])
     return _panels(grid, counts, "trust", ["admissions"])["admissions"]
 

@@ -177,6 +177,8 @@ def run_analysis(
     unknown = set(methods) - set(METHODS)
     if unknown:
         raise ConfigError(f"unknown methods: {', '.join(sorted(unknown))}")
+    if not methods:
+        raise ConfigError(f"no methods to run: --methods needs one of {','.join(METHODS)}")
     if isinstance(mappings, GeoMapping):
         mappings = {DEFAULT_MAPPING: mappings}
 

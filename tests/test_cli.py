@@ -119,6 +119,15 @@ def test_unknown_method_exits_config(corpus, tmp_path, capsys):
     assert "error [config]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("methods", ["", ","])
+def test_empty_method_list_exits_config(corpus, tmp_path, capsys, methods):
+    out = tmp_path / "out"
+    assert main(run_args(corpus, out, ("--methods", methods))) == 3
+    err = capsys.readouterr().err
+    assert "error [config]" in err and "--methods" in err
+    assert not (out / "granger.csv").exists()
+
+
 def test_unwritable_out_exits_io(corpus, tmp_path, capsys):
     (tmp_path / "afile").write_text("")
     assert main(run_args(corpus, tmp_path / "afile" / "sub")) == 6
@@ -167,11 +176,16 @@ with open(out + "/dtw_paths.csv", encoding="utf-8") as fh:
 """
 
 
-def _python(code, *args):
+def _python(code, *args, blas_threads=None):
+    """Run ``code`` in a fresh interpreter, OPENBLAS_NUM_THREADS unset unless given."""
     src = str(Path(leadlag.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = path
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+                          text=True, env=env, timeout=120)
 
 
 def test_runtime_needs_no_scipy(tmp_path):
@@ -287,3 +301,32 @@ def test_deterministic_reruns(corpus, tmp_path):
     for name in ("granger.csv", "ccf.csv", "dtw.csv", "summary.json",
                  "trust_population.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+# the mapping GEMM's shape at study scale, after importing leadlag first
+BLAS_PIN = """
+import os
+import leadlag
+import numpy as np
+
+rng = np.random.default_rng(0)
+rng.standard_normal((121, 121)).T @ rng.standard_normal((121, 328))
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+if os.path.isdir("/proc/self/task"):
+    print(len(os.listdir("/proc/self/task")))
+"""
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")],
+                         ids=["unset-pinned", "preset-kept"])
+def test_import_sets_blas_threads_unless_preset(preset, expected):
+    done = _python(BLAS_PIN, blas_threads=preset)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[0] == expected
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+def test_pinned_process_runs_one_thread_after_a_matmul():
+    done = _python(BLAS_PIN)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[1] == "1"

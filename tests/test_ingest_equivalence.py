@@ -306,6 +306,11 @@ def test_columnar_readers_match_row_readers(kind, data):
                  id="line-numbers"),
     pytest.param("admissions", "trust_id,date,admissions\r\nT1,20220101,1\r\n"
                  "T1,2022-01-01,2\r\n", id="crlf-compact-date-duplicate"),
+    # a count too large for a float fails after the duplicate and negative checks
+    pytest.param("admissions", "trust_id,date,admissions\nL1,2022-01-03,0\n"
+                 "L1,2022-01-03," + "9" * 400 + "\n", id="duplicate-before-huge-count"),
+    pytest.param("admissions", "trust_id,date,admissions\nL1,2022-01-03,-" + "9" * 400
+                 + "\n", id="huge-negative-count"),
     # more rows than one block
     pytest.param("admissions", "trust_id,date,admissions\n" + "T1,2022-01-01,1\n" * 700,
                  id="duplicate-in-later-block"),
