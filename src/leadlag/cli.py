@@ -19,8 +19,8 @@ from .ingest import (
     read_mapping,
     read_population,
 )
-from .pipeline import DEFAULT_MAPPING, METHODS, run_analysis
-from .reports import _csv_text, emit_reports, write_dtw_paths
+from .pipeline import METHODS, check_methods, run_analysis
+from .reports import emit_reports, write_dtw_paths, write_trust_population
 
 logger = logging.getLogger(__name__)
 
@@ -71,8 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    check_methods(methods)
+
     admissions = read_admissions(args.admissions)
     logger.info("admissions: %d trusts, %s to %s",
                 len(admissions.geo_ids),
@@ -83,26 +84,23 @@ def _run(args: argparse.Namespace) -> int:
         indicators = apply_groupings(indicators, read_groupings(args.groupings))
     logger.info("indicators: %s", ", ".join(sorted(indicators)))
 
-    mappings = {DEFAULT_MAPPING: read_mapping(args.mapping)}
-    for variable, path in config.indicator_mappings.items():
-        mappings[variable] = read_mapping(path)
+    mapping = read_mapping(args.mapping)
+    overrides = {variable: read_mapping(path)
+                 for variable, path in config.indicator_mappings.items()}
 
     populations = read_population(args.population)
-    trust_pop = weighted_population(mappings[DEFAULT_MAPPING], populations)
+    trust_pop = weighted_population(mapping, populations)
 
     dtw_paths: list[tuple] | None = [] if args.export_dtw_paths else None
-    tables = run_analysis(config, admissions, indicators, mappings, methods=methods,
-                          dtw_paths=dtw_paths)
+    tables = run_analysis(config, admissions, indicators, mapping, overrides,
+                          methods=methods, dtw_paths=dtw_paths)
     written = emit_reports(tables, args.out, fmt=args.format)
     if dtw_paths is not None:
         written.append(Path(args.out) / "dtw_paths.csv")
         write_dtw_paths(written[-1], dtw_paths)
 
-    pop_path = Path(args.out) / "trust_population.csv"
-    pop_lines = ["trust_id,population"]
-    pop_lines.extend(f"{_csv_text(t)},{repr(p)}" for t, p in sorted(trust_pop.items()))
-    pop_path.write_text("\n".join(pop_lines) + "\n", encoding="utf-8")
-    written.append(pop_path)
+    written.append(Path(args.out) / "trust_population.csv")
+    write_trust_population(written[-1], trust_pop)
 
     logger.info("wrote %d rows across %s", sum(len(t.trust_ids) for t in tables),
                 ", ".join(p.name for p in written))

@@ -113,11 +113,20 @@ def _as_cadence(value) -> int:
     return _as_number(value)
 
 
+def _check_keys(raw: dict, known, context: str) -> None:
+    for key in raw.keys():  # AttributeError for a value that is not a mapping
+        if key not in known:
+            raise ConfigError(f"{context}: unknown key {key!r}")
+
+
+def _latency(name: str, entry) -> LatencySpec:
+    _check_keys(entry, ("reporting_lag_days", "release_cadence"), f"config latency {name}")
+    return LatencySpec(reporting_lag_days=_as_number(entry.get("reporting_lag_days", 0)),
+                       release_cadence_days=_as_cadence(entry.get("release_cadence", 1)))
+
+
 def _latencies(value) -> dict[str, LatencySpec]:
-    return {str(name): LatencySpec(
-                reporting_lag_days=_as_number(entry.get("reporting_lag_days", 0)),
-                release_cadence_days=_as_cadence(entry.get("release_cadence", 1)))
-            for name, entry in (value or {}).items()}
+    return {str(name): _latency(name, entry) for name, entry in (value or {}).items()}
 
 
 # RunConfig field: (config key, conversion of its YAML value)
@@ -144,10 +153,11 @@ def load_config(path: str | Path) -> RunConfig:
         raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # undecodable bytes, a date like 2022-13-01
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a mapping")
+    _check_keys(raw, {"waves"} | {key for key, _ in _FIELDS.values()}, f"config {path}")
 
     try:
         waves = tuple(

@@ -31,7 +31,6 @@ from .xcorr import ccf_at_leads, optimal_leads
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_MAPPING = "__default__"
 METHODS = ("granger", "ccf", "dtw")
 
 
@@ -129,8 +128,8 @@ def _overlap(start: date, end: date, *panels: Panel) -> tuple[date, date] | None
 class _Pair:
     """An indicator and the admissions of the trusts both panels have.
 
-    Row k of ``x_smooth`` (LOESS output) belongs to admissions row ``rows[k]``;
-    ``y_smooth`` holds every smoothed admissions row."""
+    Row k of ``x_smooth`` and of ``y_smooth`` (LOESS output) belongs to
+    admissions row ``rows[k]``."""
 
     ind: Panel
     adm: Panel
@@ -142,24 +141,25 @@ class _Pair:
     def linear(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Min-max scaled x and y over the whole period, and their constant rows."""
         x, x_flat = minmax_scale(self.x_smooth)
-        y, y_flat = minmax_scale(self.y_smooth[self.rows])
+        y, y_flat = minmax_scale(self.y_smooth)
         return x, y, x_flat | y_flat
 
-    def linear_window(self, wave: WaveSpec) -> tuple[np.ndarray, ...] | None:
-        """Scaled x and y over the wave's overlap window, and their constant rows."""
-        window = _overlap(wave.start, wave.end, self.ind, self.adm)
-        if window is None:
-            return None
-        x, y, degenerate = self.linear
-        return (x[:, self.ind.day_slice(*window)], y[:, self.adm.day_slice(*window)],
-                degenerate)
+
+def check_methods(methods: tuple[str, ...]) -> None:
+    """Raise ``ConfigError`` unless ``methods`` names one or more of ``METHODS``."""
+    unknown = set(methods) - set(METHODS)
+    if unknown:
+        raise ConfigError(f"unknown methods: {', '.join(sorted(unknown))}")
+    if not methods:
+        raise ConfigError(f"no methods to run: --methods needs one of {','.join(METHODS)}")
 
 
 def run_analysis(
     config: RunConfig,
     admissions: Panel,
     indicators: dict[str, Panel],
-    mappings: GeoMapping | dict[str, GeoMapping],
+    mapping: GeoMapping,
+    overrides: dict[str, GeoMapping] | None = None,
     methods: tuple[str, ...] = METHODS,
     dtw_paths: list[tuple] | None = None,
 ) -> list[ResultTable]:
@@ -172,16 +172,11 @@ def run_analysis(
     (indicator, wave, scope, days, match) record per alignment: ``match``
     is its (n, 2) row of ``dtw_align_batch``'s lowest and highest matched
     reference index per query index, indices into ``days``, the window's
-    ISO dates. Records arrive per (indicator, wave) in scope order.
+    ISO dates. Records arrive per (indicator, wave) in scope order. An LTLA
+    indicator is mapped to trusts with ``overrides[variable]`` where given,
+    else with ``mapping``.
     """
-    unknown = set(methods) - set(METHODS)
-    if unknown:
-        raise ConfigError(f"unknown methods: {', '.join(sorted(unknown))}")
-    if not methods:
-        raise ConfigError(f"no methods to run: --methods needs one of {','.join(METHODS)}")
-    if isinstance(mappings, GeoMapping):
-        mappings = {DEFAULT_MAPPING: mappings}
-
+    check_methods(methods)
     adm = filter_trusts(admissions, config)
     adm_smooth = _smooth(adm.values, config)
     n = len(adm.geo_ids)
@@ -191,12 +186,12 @@ def run_analysis(
     provenance_dtw = (f"locf+loess(span={span:g},degree={degree})+zscore(window)"
                       f"+{config.dtw_mode}")
 
-    grid: list[tuple[str, int | None, str]] = []  # (method, horizon, provenance)
+    linear: list[tuple[str, int]] = []  # (method, horizon) of the min-max scaled methods
     if "granger" in methods:
-        grid += [("granger", 0, provenance_linear),
-                 ("granger14", config.horizon_days, provenance_linear)]
+        linear += [("granger", 0), ("granger14", config.horizon_days)]
     if "ccf" in methods:
-        grid.append(("ccf", config.horizon_days, provenance_linear))
+        linear.append(("ccf", config.horizon_days))
+    grid = [(method, horizon, provenance_linear) for method, horizon in linear]
     if "dtw" in methods:
         grid.append(("dtw", None, provenance_dtw))
 
@@ -204,7 +199,7 @@ def run_analysis(
     for variable in sorted(indicators):
         ind = indicators[variable]
         try:
-            pair = _pair(config, variable, ind, adm, adm_smooth, mappings)
+            pair = _pair(config, ind, adm, adm_smooth, (overrides or {}).get(variable, mapping))
         except LeadLagError as exc:
             logger.warning("indicator %s failed preprocessing and is reported as "
                            "error rows: %s", variable, exc)
@@ -217,17 +212,14 @@ def run_analysis(
             if truncated:
                 logger.warning("indicator %s does not fully cover wave %s",
                                variable, wave.name)
-            for method, horizon, provenance in grid:
-                if pair is None:
-                    columns, error = {}, [failed] * n
-                else:
-                    if method == "ccf":
-                        cells = _ccf_cells(config, pair, wave, latency)
-                    elif method == "dtw":
-                        cells = _dtw_cells(config, pair, wave, variable, latency, dtw_paths)
-                    else:
-                        cells = _granger_cells(config, pair, wave, horizon)
-                    columns, error = _spread(pair.rows, n, *cells)
+            if pair is None:
+                cells = [({}, [failed] * n) for _ in grid]
+            else:
+                cells = _linear_cells(config, pair, wave, linear, latency)
+                if "dtw" in methods:
+                    cells.append(_dtw_cells(config, pair, wave, variable, latency, dtw_paths))
+                cells = [_spread(pair.rows, n, *c) for c in cells]
+            for (method, horizon, provenance), (columns, error) in zip(grid, cells):
                 columns["truncated"] = columns.get("truncated", np.zeros(n, bool)) | truncated
                 tables.append(ResultTable(adm.geo_ids, variable, wave.name, method,
                                           horizon, provenance, columns, error))
@@ -248,18 +240,15 @@ def _spread(rows: list[int], n: int, columns: dict[str, np.ndarray],
              for name, values in columns.items()}, [error[i] for i in take.tolist()])
 
 
-def _pair(config: RunConfig, variable: str, ind: Panel, adm: Panel,
-          adm_smooth: np.ndarray, mappings: dict[str, GeoMapping]) -> _Pair:
+def _pair(config: RunConfig, ind: Panel, adm: Panel, adm_smooth: np.ndarray,
+          mapping: GeoMapping) -> _Pair:
     """Map an LTLA indicator to trusts and smooth the rows the admissions share."""
     if ind.level == "ltla":
-        gm = mappings.get(variable, mappings.get(DEFAULT_MAPPING))
-        if gm is None:
-            raise LeadLagError(f"no mapping available for LTLA indicator {variable!r}")
-        ind = apply_mapping(ind, gm)
+        ind = apply_mapping(ind, mapping)
     index = {geo: i for i, geo in enumerate(ind.geo_ids)}
     shared = [i for i, trust in enumerate(adm.geo_ids) if trust in index]
     x_smooth = _smooth(ind.values[[index[adm.geo_ids[i]] for i in shared]], config)
-    return _Pair(ind, adm, shared, x_smooth, adm_smooth)
+    return _Pair(ind, adm, shared, x_smooth, adm_smooth[shared])
 
 
 def _smooth(values: np.ndarray, config: RunConfig) -> np.ndarray:
@@ -267,17 +256,28 @@ def _smooth(values: np.ndarray, config: RunConfig) -> np.ndarray:
                         config.loess_robustness_passes)
 
 
-def _granger_cells(config: RunConfig, pair: _Pair, wave: WaveSpec,
-                   horizon: int) -> _Cells:
+def _linear_cells(config: RunConfig, pair: _Pair, wave: WaveSpec,
+                  linear: list[tuple[str, int]], latency: LatencySpec | None) -> list[_Cells]:
+    """Cells of each (method, horizon) in ``linear`` over the wave's overlap window."""
     k = len(pair.rows)
-    window = pair.linear_window(wave)
-    if window is None:
-        return {"truncated": np.ones(k, bool)}, ["no coverage in wave"] * k
-    x, y, degenerate = window
-    try:
-        res = granger_test_batch(x, y, config.granger_max_lag, horizon)
-    except LeadLagError as exc:
-        return {"degenerate": degenerate}, [str(exc)] * k
+    window = _overlap(wave.start, wave.end, pair.ind, pair.adm)
+    if window is None or not linear:  # nothing is scaled for a run without them
+        return [({"truncated": np.ones(k, bool)}, ["no coverage in wave"] * k) for _ in linear]
+    x, y, degenerate = pair.linear
+    x, y = x[:, pair.ind.day_slice(*window)], y[:, pair.adm.day_slice(*window)]
+    cells = []
+    for method, horizon in linear:
+        try:
+            cells.append(_ccf_cells(config, x, y, degenerate, latency) if method == "ccf"
+                         else _granger_cells(config, x, y, degenerate, horizon))
+        except LeadLagError as exc:
+            cells.append(({"degenerate": degenerate}, [str(exc)] * k))
+    return cells
+
+
+def _granger_cells(config: RunConfig, x: np.ndarray, y: np.ndarray, degenerate: np.ndarray,
+                   horizon: int) -> _Cells:
+    res = granger_test_batch(x, y, config.granger_max_lag, horizon)
     # collinear rows read NaN in F and p already
     return ({"f_stat": res.f_stat, "p_value": res.p_value,
              "df_num": np.where(res.collinear, np.nan, res.df_num),
@@ -286,19 +286,11 @@ def _granger_cells(config: RunConfig, pair: _Pair, wave: WaveSpec,
             np.where(res.collinear, "collinear design", "").tolist())
 
 
-def _ccf_cells(config: RunConfig, pair: _Pair, wave: WaveSpec,
+def _ccf_cells(config: RunConfig, x: np.ndarray, y: np.ndarray, degenerate: np.ndarray,
                latency: LatencySpec | None) -> _Cells:
-    k = len(pair.rows)
-    window = pair.linear_window(wave)
-    if window is None:
-        return {"truncated": np.ones(k, bool)}, ["no coverage in wave"] * k
-    x, y, degenerate = window
     leads = np.arange(-config.ccf_window, config.ccf_window + 1)
-    try:
-        # the profile's leads, then the fixed horizon in the last column
-        values = ccf_at_leads(x, y, np.append(leads, config.horizon_days))
-    except LeadLagError as exc:
-        return {"degenerate": degenerate}, [str(exc)] * k
+    # the profile's leads, then the fixed horizon in the last column
+    values = ccf_at_leads(x, y, np.append(leads, config.horizon_days))
     # a constant row reads NaN at every lead, so it has no optimal lead either
     zero = np.isnan(values[:, -1])
     lead, at_lead = optimal_leads(leads, values[:, :-1])
@@ -329,24 +321,17 @@ def _dtw_cells(config: RunConfig, pair: _Pair, wave: WaveSpec, variable: str,
         return {}, ["no coverage in wave"] * k
     q_start, q_end = window
     ref_end = min(pair.adm.end_date, q_end + timedelta(days=config.dtw_window))
-    q_cols = pair.ind.day_slice(q_start, q_end)
-    r_cols = pair.adm.day_slice(q_start, ref_end)
+    univariate = config.dtw_mode == "univariate"
+    scopes = [pair.adm.geo_ids[row] for row in pair.rows] if univariate else ["all-trusts"]
     try:
-        q, q_flat = zscore_scale(pair.x_smooth[:, q_cols])
-        r, r_flat = zscore_scale(pair.y_smooth[pair.rows, r_cols])
-    except LeadLagError as exc:
-        return {}, [str(exc)] * k
-    flat = q_flat | r_flat
-    if config.dtw_mode == "univariate":
-        scopes = [pair.adm.geo_ids[row] for row in pair.rows]
-    else:
-        scopes = ["all-trusts"]
-        if k > 1:
+        q, q_flat = zscore_scale(pair.x_smooth[:, pair.ind.day_slice(q_start, q_end)])
+        r, r_flat = zscore_scale(pair.y_smooth[:, pair.adm.day_slice(q_start, ref_end)])
+        flat = q_flat | r_flat
+        if not univariate and k > 1:
             # one (day x trust) series in C order, as the Euclidean local cost's
             # rounding depends on it
             q, r, flat = (np.ascontiguousarray(q.T)[None], np.ascontiguousarray(r.T)[None],
                           flat.any(keepdims=True))
-    try:
         cost, match = dtw_align_batch(q, r, window=config.dtw_window)
     except LeadLagError as exc:
         return {}, [str(exc)] * k
@@ -371,6 +356,6 @@ def _dtw_cells(config: RunConfig, pair: _Pair, wave: WaveSpec, variable: str,
     columns = {"dtw_median_lead": median, "dtw_normalized_distance": distance,
                "effective_lead": eff, "eroded": eroded,
                "degenerate": flat & ~np.isnan(median)}
-    if config.dtw_mode == "univariate":
+    if univariate:
         return columns, error
     return {name: np.repeat(values, k) for name, values in columns.items()}, error * k

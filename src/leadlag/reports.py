@@ -162,3 +162,10 @@ def write_dtw_paths(path: Path, records: list[tuple]) -> None:
             head = "".join(_csv_text(text) + "," for text in (ind, wave, scope))
             fh.write("".join([f"{head}{days[i]},{days[j]},{j - i}\n"
                               for i, j in path_pairs(match).tolist()]))
+
+
+def write_trust_population(path: Path, populations: dict[str, float]) -> None:
+    """Write each trust's catchment population as CSV, in trust id order."""
+    lines = ["trust_id,population"]
+    lines.extend(f"{_csv_text(trust)},{pop!r}" for trust, pop in sorted(populations.items()))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")

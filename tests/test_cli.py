@@ -97,9 +97,22 @@ def test_unreadable_admissions_exit_input_schema(corpus, tmp_path, capsys, defec
     ("loess_degree: 3", "loess_degree"),
     ("loess_span: 1.5", "loess_span"),
     ("loess_robustness_passes: -2", "loess_robustness_passes"),
+    ("horizon_day: 7", "unknown key 'horizon_day'"),
+    ("dtw_mod: univariate", "unknown key 'dtw_mod'"),
+    ("latency: {ind00: {reporting_lag: 3}}", "unknown key 'reporting_lag'"),
+    ("dtw_mode: joint", "dtw_mode"),
+    ("dtw_warmup_days: -1", "dtw_warmup_days"),
+    ("min_annual_admissions: 0", "min_annual_admissions"),
+    ("latency: {ind00: {reporting_lag_days: -1}}", "latency lag"),
+    ("latency: {ind00: {release_cadence: monthly}}", "release cadence 'monthly'"),
+    ("admissions_filter_start: first of May", "admissions_filter_start"),
+    ("waves: [{name: w, start: 2021-11-01}]", "each wave needs name, start and end"),
 ], ids=["empty-waves", "horizon-text", "span-list", "latency-number", "mappings-list",
         "exclusions-string", "horizon-fraction", "horizon-bool", "window-inf", "span-bool",
-        "latency-fraction", "degree-3", "span-above-1", "passes-negative"])
+        "latency-fraction", "degree-3", "span-above-1", "passes-negative",
+        "unknown-key", "unknown-key-dtw", "unknown-latency-key", "dtw-mode", "warmup-negative",
+        "threshold-zero", "latency-negative", "cadence-unknown", "filter-start-date",
+        "wave-without-end"])
 def test_bad_config_exits_config(corpus, tmp_path, capsys, entry, key):
     # one bad entry in an otherwise valid config
     config = yaml.safe_load((corpus / "config.yaml").read_text())
@@ -112,6 +125,32 @@ def test_bad_config_exits_config(corpus, tmp_path, capsys, entry, key):
     err = capsys.readouterr().err
     assert "error [config]" in err
     assert key in err
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read config"),
+    (b"waves: [\n", "is not valid YAML"),
+    (b"- waves\n", "must be a mapping"),
+    (b"admissions_filter_start: 2022-13-01\n", "month must be in 1..12"),
+    (b"horizon_days: \xff\n", "can't decode byte 0xff"),
+], ids=["missing", "not-yaml", "not-mapping", "yaml-date-out-of-range", "undecodable"])
+def test_unloadable_config_exits_config(corpus, tmp_path, capsys, content, message):
+    bad = tmp_path / "bad.yaml"
+    if content is not None:
+        bad.write_bytes(content)
+    args = run_args(corpus, tmp_path / "out")
+    args[args.index("--config") + 1] = str(bad)
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert "error [config]" in err and message in err
+
+
+@pytest.mark.parametrize("methods", [",", "wavelets"])
+def test_bad_methods_exit_config_before_any_read(corpus, tmp_path, capsys, methods):
+    args = run_args(corpus, tmp_path / "out", ("--methods", methods))
+    args[args.index("--admissions") + 1] = str(tmp_path / "nope.csv")
+    assert main(args) == 3
+    assert "error [config]" in capsys.readouterr().err
 
 
 def test_unknown_method_exits_config(corpus, tmp_path, capsys):
@@ -272,6 +311,45 @@ def test_groupings_file(corpus, tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert "pair" in summary
     assert "ind00" not in summary
+
+
+def _rows_by_indicator(out):
+    rows: dict[str, list[str]] = {}
+    for name in ("granger.csv", "ccf.csv", "dtw.csv"):
+        for line in (out / name).read_text().splitlines()[1:]:
+            rows.setdefault(line.split(",")[1], []).append(line)
+    return rows
+
+
+def test_indicator_mapping_override(corpus, tmp_path):
+    # a second mapping weighting each LTLA's two Trusts the other way round,
+    # configured for ind01 only
+    header, *lines = (corpus / "mapping.csv").read_text().splitlines()
+    swapped = tmp_path / "swapped.csv"
+    swapped.write_text("\n".join([header] + [
+        f"{ltla},{trust},{100 - int(count)}"
+        for ltla, trust, count in (line.split(",") for line in lines)]) + "\n")
+    config = yaml.safe_load((corpus / "config.yaml").read_text())
+    config["indicator_mappings"] = {"ind01": str(swapped)}
+    override = tmp_path / "override.yaml"
+    override.write_text(yaml.safe_dump(config))
+    outs = {name: tmp_path / name for name in ("plain", "override", "swapped")}
+    assert main(run_args(corpus, outs["plain"])) == 0
+    args = run_args(corpus, outs["override"])
+    args[args.index("--config") + 1] = str(override)
+    assert main(args) == 0
+    args = run_args(corpus, outs["swapped"])
+    args[args.index("--mapping") + 1] = str(swapped)
+    assert main(args) == 0
+    rows = {name: _rows_by_indicator(out) for name, out in outs.items()}
+    assert sorted(rows["override"]) == ["ind00", "ind01", "ind02"]
+    for ind, got in rows["override"].items():
+        want = rows["swapped" if ind == "ind01" else "plain"][ind]
+        assert got == want, ind
+    assert rows["override"]["ind01"] != rows["plain"]["ind01"]
+    # the Trust populations come from the --mapping file
+    assert ((outs["override"] / "trust_population.csv").read_bytes()
+            == (outs["plain"] / "trust_population.csv").read_bytes())
 
 
 def test_whole_numbers_in_config_load(tmp_path):

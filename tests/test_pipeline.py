@@ -283,6 +283,45 @@ def test_batch_mixing_degenerate_and_missing_trusts():
         assert not row.degenerate and row.p_value is None
 
 
+def test_kernel_errors_become_rows():
+    # a 20-day wave is too short for the horizon-14 Granger test and the
+    # +-30-day CCF profile, and a 2-day wave without warm-up for DTW; T001's
+    # indicator is constant
+    adm, indicators = synth_inputs()
+    ind = indicators["ind"]
+    values = ind.values.copy()
+    values[1] = 3.0
+    flat = Panel("trust", "ind", ind.start_date, ind.geo_ids, values)
+    short = WaveSpec("short", START + timedelta(days=40), START + timedelta(days=59))
+    tiny = WaveSpec("tiny", START + timedelta(days=100), START + timedelta(days=101))
+    config = study_config(waves=(short, tiny), dtw_warmup_days=0)
+    rows = records(run_analysis(config, adm, {"flat": flat}, identity_mapping()))
+    assert len(rows) == 2 * 3 * 4
+
+    def cells(wave, method):
+        return [r for r in rows if r.wave == wave and r.method == method]
+
+    for wave in ("short", "tiny"):
+        for method, error in (("granger14", "insufficient observations"),
+                              ("ccf", f"delay 30 too large for series of length "
+                                      f"{20 if wave == 'short' else 2}")):
+            got = cells(wave, method)
+            assert [r.error for r in got] == [error] * 3
+            # a linear kernel error keeps the constant rows' flag, and nothing else
+            assert [r.degenerate for r in got] == [False, True, False]
+            assert all(r.p_value is None and r.optimal_lead is None and r.effective_lead is None
+                       and not r.truncated and not r.eroded for r in got)
+    assert [r.error for r in cells("tiny", "granger")] == ["insufficient observations"] * 3
+    assert all(r.p_value is not None for r in cells("short", "granger")
+               if r.trust_id != "T001")
+    assert all(r.dtw_median_lead is not None for r in cells("short", "dtw"))
+    # a DTW kernel error keeps no column, so not even the flag
+    for row in cells("tiny", "dtw"):
+        assert row.error == "sequences must have length >= 4"
+        assert not row.degenerate and not row.truncated
+        assert row.dtw_median_lead is None and row.dtw_normalized_distance is None
+
+
 def run_with_short_indicator(tmp_path):
     """Run a 4-Trust corpus plus ``short``, an indicator covering 20 days (a
     2-point LOESS window, so that indicator alone fails); returns the output dir."""
