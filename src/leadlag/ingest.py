@@ -6,11 +6,16 @@ Panels come out rectangular over each variable's observed date range, with
 gaps imputed by last observation carried forward.
 
 Every reader goes through one columnar scan: ``csv.reader`` tokenizes the
-rows in short blocks, each block is transposed into one typed buffer per
-column (int32 first-seen codes for text, float64 for the numeric column),
-and the checks then run as masks over whole columns.  The error raised is
-that of the earliest offending line; when one line fails several checks,
-the check listed first wins.
+rows in short blocks, and C-level calls turn each block into one typed
+array per column: ``np.fromiter`` over ``map`` of a code table's lookup
+gives int32 first-seen codes for text, and over ``map(float, ...)`` the
+float64 numeric column.  The blocks' arrays are joined once per column,
+and the checks then run as masks over whole columns.  Python code
+runs per row only to find the row that stopped a block: a wrong width
+(the strict transpose raised) or a field that is not a number (``float``
+raised).  The error raised is that of the earliest offending line; when
+one line fails several checks, the check listed first wins.  A byte that
+is not UTF-8 is located by reading the file again, on that error only.
 """
 
 from __future__ import annotations
@@ -18,8 +23,9 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from array import array
+import re
 from collections import defaultdict
+from contextlib import suppress
 from datetime import date
 from itertools import compress, count, islice
 from pathlib import Path
@@ -40,6 +46,9 @@ logger = logging.getLogger(__name__)
 # rows, collections ran on every block and cost about 20% of the reading.
 _BLOCK = 256
 
+# what errors="surrogateescape" decodes each byte that is not UTF-8 to, and nothing else
+_ESCAPED = re.compile("[\udc80-\udcff]")
+
 # per check: a mask over the rows, and the message for a failing row's fields
 _Checks = list[tuple[np.ndarray, Callable[[list[str]], str]]]
 
@@ -58,8 +67,15 @@ class _Columns(NamedTuple):
 
 def _tokenizer_error(exc: Exception, spath: str, reader) -> SchemaError:
     if isinstance(exc, UnicodeDecodeError):
-        return SchemaError(f"not valid UTF-8: {exc.reason}", spath)
+        return SchemaError(f"not valid UTF-8: {exc.reason}", spath, _undecodable_line(spath))
     return SchemaError(f"malformed CSV: {exc}", spath, reader.line_num)
+
+
+def _undecodable_line(path: str) -> int | None:
+    """The first line holding a byte that is not UTF-8, numbered as the tokenizer does."""
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
+        return next((line for line, text in enumerate(handle, start=1)
+                     if _ESCAPED.search(text)), None)
 
 
 def _scan(path: str | Path, header: list[str], number: int | None = None) -> _Columns:
@@ -77,8 +93,8 @@ def _scan(path: str | Path, header: list[str], number: int | None = None) -> _Co
         raise SchemaError(f"cannot open file: {exc}", path=spath) from exc
     width = len(header)
     tables = [defaultdict(count().__next__) for _ in header]
-    buffers = [array("d" if i == number else "i") for i in range(width)]
-    lines = array("i")
+    # per column, and last for the line numbers: an array per block, joined at the end
+    parts = [[np.empty(0, np.float64 if i == number else np.int32)] for i in range(width + 1)]
     tail: SchemaError | None = None
     not_numeric: int | None = None
     with handle:
@@ -99,44 +115,47 @@ def _scan(path: str | Path, header: list[str], number: int | None = None) -> _Co
                 tail = _tokenizer_error(exc, spath, reader)
             if not block:
                 break
-            numbered = range(next_line, next_line + len(block))
+            lines = np.arange(next_line, next_line + len(block), dtype=np.int32)
             next_line += len(block)
             if not all(block):  # csv.reader yields an empty list for a blank line
-                numbered = list(compress(numbered, block))
+                lines = np.fromiter(compress(lines.tolist(), block), np.int32)
                 block = list(filter(None, block))
-            wrong = np.flatnonzero(np.fromiter(map(len, block), np.intp, len(block)) != width)
-            if wrong.size:
-                cut = int(wrong[0])
+                if not block:
+                    continue
+            try:
+                columns = list(zip(*block, strict=True))
+                if len(columns) != width:
+                    raise ValueError
+            except ValueError:  # a row of the wrong width: keep the rows before it
+                cut = next(k for k, row in enumerate(block) if len(row) != width)
                 tail = SchemaError(f"expected {width} fields, got {len(block[cut])}",
-                                   spath, numbered[cut])
-                block, numbered = block[:cut], numbered[:cut]
-            if not block:  # a block of blank lines, or a width error on its first row
-                continue
-            columns = list(zip(*block))
+                                   spath, int(lines[cut]))
+                # the rows before it as columns, empty ones when there are none
+                columns, lines = list(zip(*block[:cut])) or [()] * width, lines[:cut]
             if number is not None:
-                values = buffers[number]
-                before = len(values)
                 try:
-                    values.extend(map(float, columns[number]))
-                except ValueError:
-                    not_numeric = len(values)
-                    values.append(math.nan)
-                    keep = not_numeric - before + 1
-                    columns, numbered = [c[:keep] for c in columns], numbered[:keep]
-            lines.extend(numbered)
+                    parts[number].append(np.fromiter(map(float, columns[number]),
+                                                     np.float64, len(lines)))
+                except ValueError:  # keep the rows up to the one that failed, as NaN
+                    parsed: list[float] = []
+                    with suppress(ValueError):
+                        parsed.extend(map(float, columns[number]))
+                    not_numeric = sum(map(len, parts[width])) + len(parsed)
+                    parts[number].append(np.array(parsed + [math.nan]))
+                    keep = len(parsed) + 1
+                    columns, lines = [c[:keep] for c in columns], lines[:keep]
             for i, column in enumerate(columns):
                 if i != number:
-                    buffers[i].extend(map(tables[i].__getitem__, column))
-    unparsed = np.zeros(len(lines), dtype=bool)
+                    parts[i].append(np.fromiter(map(tables[i].__getitem__, column),
+                                                np.int32, len(lines)))
+            parts[width].append(lines)
+    *joined, lines = [np.concatenate(p) for p in parts]
+    unparsed = np.zeros(lines.size, dtype=bool)
     if not_numeric is not None:
         unparsed[not_numeric] = True
-    return _Columns(
-        spath, np.frombuffer(lines, dtype=np.int32),
-        [np.frombuffer(b, dtype=np.int32) if i != number else None
-         for i, b in enumerate(buffers)],
-        [list(t) for t in tables],
-        None if number is None else np.frombuffer(buffers[number], dtype=np.float64),
-        unparsed, tail)
+    return _Columns(spath, lines, [c if i != number else None for i, c in enumerate(joined)],
+                    [list(t) for t in tables],
+                    None if number is None else joined[number], unparsed, tail)
 
 
 def _fields(path: str, line: int) -> list[str]:

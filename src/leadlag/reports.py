@@ -2,7 +2,12 @@
 
 Identical inputs always produce byte-identical files: rows are ordered by
 (trust, indicator, wave, method), float formatting uses ``repr``, and JSON
-keys are sorted. Each column of a result table is formatted once.
+keys are sorted. Each column of a result table is formatted once, into
+text: CSV quoting for strings in CSV, json's own string encoder in JSON.
+A CSV row joins its fields; a JSON row fills one template per file that
+holds the sorted keys and the layout of ``json.dumps(..., indent=2)``, so
+no value passes through json's pure-Python encoder.  ``summary.json`` is
+small and is written by ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 
@@ -50,38 +56,40 @@ def _csv_text(text: str) -> str:
     return text
 
 
-def _column(table: ResultTable, field: str) -> list:
-    """One field of every row of ``table`` as JSON values, None where absent."""
+def _text_column(table: ResultTable, field: str, text: Callable[[str], str],
+                 absent: str) -> list[str]:
+    """One field of every row of ``table`` as output text.
+
+    A string goes through ``text``, a number through ``repr`` (an integer
+    field's as an int), a flag becomes ``true`` or ``false``, and a missing
+    value ``absent``.  JSON has no Infinity, so the F = +inf sentinel goes
+    through ``text`` as its repr: ``"inf"`` in JSON, ``inf`` in CSV.
+    """
+    n = len(table.trust_ids)
     if field in ("trust_id", "error"):
-        return list(table.trust_ids) if field == "trust_id" else table.error
+        return list(map(text, table.trust_ids if field == "trust_id" else table.error))
     values = table.columns.get(field)
     if values is None:  # a field of the whole table, or an absent column
-        value = False if field in _FLAGS else getattr(table, field, None)
-        return [value] * len(table.trust_ids)
+        if field in _FLAGS:
+            return ["false"] * n
+        value = getattr(table, field, None)
+        if value is None:
+            return [absent] * n
+        return [text(value) if field in _TEXT else repr(value)] * n
     if values.dtype == bool:
-        return values.tolist()
-    # JSON has no Infinity; the F = +inf sentinel becomes its repr string
-    return [None if v != v else (int(v) if field in _INTEGERS else v)
-            if math.isfinite(v) else repr(v) for v in values.tolist()]
+        return ["true" if v else "false" for v in values.tolist()]
+    kind = int if field in _INTEGERS else float
+    return [absent if v != v else repr(kind(v)) if math.isfinite(v) else text(repr(v))
+            for v in values.tolist()]
 
 
-def _csv_column(table: ResultTable, field: str) -> list[str]:
-    """One field of every row of ``table`` as CSV text, empty where absent."""
-    values = _column(table, field)
-    if field in _FLAGS:
-        return ["true" if v else "false" for v in values]
-    # str of a float is its repr, and of the F = +inf sentinel "inf"
-    text = _csv_text if field in _TEXT else str
-    return ["" if v is None else text(v) for v in values]
-
-
-def _rows(tables: list[ResultTable], fields: list[str],
-          column: Callable[[ResultTable, str], list]) -> list[tuple]:
+def _rows(tables: list[ResultTable], fields: list[str], text: Callable[[str], str],
+          absent: str) -> list[tuple[str, ...]]:
     """The tables' rows in (trust, indicator, wave, method) order, as tuples of
-    ``column(table, field)`` values; equal keys keep their input order."""
+    ``fields`` text; equal keys keep their input order."""
     tables = sorted(tables, key=lambda table: (table.indicator, table.wave, table.method))
-    rows = [(trust, row) for table in tables
-            for trust, row in zip(table.trust_ids, zip(*(column(table, f) for f in fields)))]
+    rows = [(trust, row) for table in tables for trust, row in zip(
+        table.trust_ids, zip(*(_text_column(table, f, text, absent) for f in fields)))]
     rows.sort(key=itemgetter(0))  # stable, so each trust keeps the tables' order
     return [row for _, row in rows]
 
@@ -89,12 +97,16 @@ def _rows(tables: list[ResultTable], fields: list[str],
 def _write_csv(path: Path, fields: list[str], tables: list[ResultTable]) -> None:
     with path.open("w", encoding="utf-8") as fh:
         fh.write(",".join(fields) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in _rows(tables, fields, _csv_column))
+        fh.writelines(",".join(row) + "\n" for row in _rows(tables, fields, _csv_text, ""))
 
 
 def _write_json_rows(path: Path, fields: list[str], tables: list[ResultTable]) -> None:
-    payload = [dict(zip(fields, row)) for row in _rows(tables, fields, _column)]
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
+    """The rows as ``json.dumps(rows, indent=2, sort_keys=True)`` would write them."""
+    keys = sorted(fields)
+    template = "{\n" + ",\n".join(f"    {encode_basestring_ascii(k)}: %s"
+                                    for k in keys) + "\n  }"
+    rows = [template % row for row in _rows(tables, keys, encode_basestring_ascii, "null")]
+    path.write_text("[\n  " + ",\n  ".join(rows) + "\n]\n" if rows else "[]\n",
                     encoding="utf-8")
 
 

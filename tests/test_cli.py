@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import os
 import re
 import subprocess
@@ -59,6 +60,40 @@ def test_run_json_format(corpus, tmp_path):
     assert payload and payload[0]["method"] == "ccf"
 
 
+def _as_csv_text(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value if isinstance(value, str) else repr(value)
+
+
+def test_json_records_equal_csv_rows(corpus, tmp_path):
+    # no latency for ind02 (empty effective leads), one that erodes every ind01 lead
+    config = yaml.safe_load((corpus / "config.yaml").read_text())
+    del config["latency"]["ind02"]
+    config["latency"]["ind01"]["reporting_lag_days"] = 40
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(config))
+    outs = {fmt: tmp_path / fmt for fmt in ("csv", "json")}
+    for fmt, out in outs.items():
+        args = run_args(corpus, out, ("--format", fmt))
+        args[args.index("--config") + 1] = str(path)
+        assert main(args) == 0
+    seen = set()
+    for name in ("granger", "ccf", "dtw"):
+        with (outs["csv"] / f"{name}.csv").open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        records = json.loads((outs["json"] / f"{name}.json").read_text(encoding="utf-8"))
+        assert rows and len(records) == len(rows), name
+        for record, row in zip(records, rows):
+            assert list(record) == sorted(row)
+            assert {key: _as_csv_text(value) for key, value in record.items()} == row
+            seen.update(map(type, record.values()))
+            seen.add(record.get("eroded"))
+    assert {type(None), bool, int, float, str, True} <= seen
+
+
 def test_missing_input_exits_input_schema(corpus, tmp_path, capsys):
     args = run_args(corpus, tmp_path / "out")
     args[args.index("--admissions") + 1] = str(corpus / "nope.csv")
@@ -67,7 +102,7 @@ def test_missing_input_exits_input_schema(corpus, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("defect, where", [
-    (b"T0,2021-10-01,5\nT0,2021-10-02,\xff\n", r"not valid UTF-8.*admissions\.csv\]"),
+    (b"T0,2021-10-01,5\nT0,2021-10-02,\xff\n", r"not valid UTF-8.*admissions\.csv:3\]"),
     (b"T0,2021-10-01,5\nT0,2021-10-02," + b"9" * 200_000 + b"\n",
      r"field larger than field limit.*admissions\.csv:3\]"),
 ], ids=["undecodable", "oversized-field"])
@@ -80,6 +115,39 @@ def test_unreadable_admissions_exit_input_schema(corpus, tmp_path, capsys, defec
     err = capsys.readouterr().err
     assert "error [input-schema]" in err
     assert re.search(where, err)
+
+
+def test_undecodable_indicator_line_exits_input_schema(corpus, tmp_path, capsys):
+    # past the first chunk the decoder reads, so the error comes mid-file
+    indicators = tmp_path / "indicators"
+    indicators.mkdir()
+    lines = (corpus / "indicators" / "ind00.csv").read_bytes().splitlines(keepends=True)
+    lines[599] = lines[599].replace(b",", b",\xe2\x82", 1)  # a truncated euro sign
+    (indicators / "ind00.csv").write_bytes(b"".join(lines))
+    args = run_args(corpus, tmp_path / "out")
+    args[args.index("--indicators") + 1] = str(indicators)
+    assert main(args) == 2
+    assert re.search(r"error \[input-schema\]: not valid UTF-8.*ind00\.csv:600\]",
+                     capsys.readouterr().err)
+
+
+def test_config_names_no_indicator_read_warns(corpus, tmp_path, caplog):
+    config = yaml.safe_load((corpus / "config.yaml").read_text())
+    config["latency"]["ind0"] = config["latency"].pop("ind00")  # misspelt
+    config["indicator_mappings"] = {"ind9": str(corpus / "mapping.csv")}
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(config))
+    args = run_args(corpus, tmp_path / "out", ("--methods", "ccf"))
+    args[args.index("--config") + 1] = str(path)
+    with caplog.at_level(logging.WARNING, logger="leadlag.cli"):
+        assert main(args) == 0
+    warnings = [r.getMessage() for r in caplog.records
+                if r.name == "leadlag.cli" and r.levelno == logging.WARNING]
+    assert warnings == ["config latency names no indicator read: ind0",
+                        "config indicator_mappings names no indicator read: ind9"]
+    with (tmp_path / "out" / "ccf.csv").open(newline="", encoding="utf-8") as fh:
+        leads = {row["indicator"]: row["effective_lead"] for row in csv.DictReader(fh)}
+    assert leads["ind00"] == "" and leads["ind01"] != ""
 
 
 @pytest.mark.parametrize("entry, key", [

@@ -289,6 +289,22 @@ def test_columnar_readers_match_row_readers(kind, data):
     check_equivalent(kind, data.draw(csv_files(kind)))
 
 
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("kind", sorted(SCHEMAS))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_columnar_readers_match_row_readers_on_short_blocks(kind, block, data):
+    # most rows then sit at a block's first or last place
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_BLOCK", block)
+        check_equivalent(kind, data.draw(csv_files(kind)))
+
+
+BLOCK = ingest._BLOCK
+POPULATIONS = "ltla_id,population\n" + "".join(f"L{i},{i}\n" for i in range(BLOCK))
+
+
 @pytest.mark.parametrize("kind, text", [
     # a row failing several checks raises the check the row reader made first
     pytest.param("indicator", "geo_id,date,variable,value\nL1,2022-13-01,v,nan\n",
@@ -319,6 +335,12 @@ def test_columnar_readers_match_row_readers(kind, data):
     pytest.param("indicator", "geo_id,date,variable,value\n"
                  + "".join(f"L{i},2022-01-0{1 + i % 5},v,{i}\n" for i in range(600))
                  + "L9,2022-01-02,v,x\n", id="non-numeric-in-later-block"),
+    # at the edges of a block: BLOCK data rows fill the first one
+    pytest.param("population", POPULATIONS + "L\n", id="width-error-starts-a-block"),
+    pytest.param("population", POPULATIONS[:POPULATIONS.rindex("L")] + "L,x\nL9,1\n",
+                 id="non-numeric-ends-a-block"),
+    pytest.param("population", POPULATIONS + "\n" * BLOCK + "L,-1\n",
+                 id="a-block-of-blank-lines"),
     pytest.param("groupings", "group,member_variable\n", id="no-data-rows"),
     pytest.param("groupings", "", id="empty-file"),
 ])

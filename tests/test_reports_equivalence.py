@@ -235,6 +235,11 @@ def one_table(trusts, indicator, wave, method, **columns):
     one_table(["T1"], "ind", "w1", "ccf", optimal_lead=np.array([np.nan]),
               degenerate=np.array([True])),
 ])
+@example([  # text that JSON escapes: quotes, backslashes, control and non-BMP characters
+    ResultTable(('T"1', "T\\2", "T\t3\x00", "\U0001F600"), 'in"d\\', "w\x1f", "dtw", None,
+                "p\u2028", {"dtw_median_lead": np.array([1.0, np.nan, -0.0, 5e-324])},
+                ['say "no"', "C:\\path\\", "bell\x07\r\n", "\U0001F4A9 \ud7ff\ue000"]),
+])
 def test_column_writers_match_row_writers(tables):
     rows = [ReportRow(**vars(record)) for record in records(tables)]
     for fmt in ("csv", "json"):
