@@ -82,11 +82,19 @@ class RunConfig:
             raise ConfigError("loess_robustness_passes must be >= 0")
 
 
+def iso_date(text: str) -> date:
+    """The date of a ``YYYY-MM-DD`` text, the one form every supported Python reads."""
+    day = date.fromisoformat(text)
+    if day.isoformat() != text:  # Python 3.11+ also reads 20220104 and 2022-W01-2
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return day
+
+
 def _as_date(value, context: str) -> date:
     if isinstance(value, date):
         return value
     try:
-        return date.fromisoformat(str(value))
+        return iso_date(str(value))
     except ValueError as exc:
         raise ConfigError(f"{context}: invalid date {value!r}") from exc
 

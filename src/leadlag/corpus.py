@@ -7,7 +7,7 @@ populations, run config) with known injected leads.
 
 from __future__ import annotations
 
-from datetime import date, timedelta
+from datetime import timedelta
 from pathlib import Path
 
 import yaml
@@ -22,6 +22,7 @@ _LATENCY_CYCLE = (
     {"reporting_lag_days": 1, "release_cadence": "weekly"},
     {"reporting_lag_days": 3, "release_cadence": "weekly"},
 )
+_NOISE_SD = 0.05  # every indicator's noise, relative to each trust's peak
 
 
 def _wave_layout(n_days: int, n_waves: int) -> tuple[list[float], list[tuple[int, int]]]:
@@ -37,13 +38,12 @@ def _wave_layout(n_days: int, n_waves: int) -> tuple[list[float], list[tuple[int
 
 
 def build_spec(n_trusts: int, n_days: int, n_indicators: int, n_waves: int,
-               seed: int, start: date = date(2021, 10, 1),
-               noise_sd: float = 0.05) -> SynthSpec:
+               seed: int) -> SynthSpec:
     peaks, _ = _wave_layout(n_days, n_waves)
     indicators = tuple(
         (f"ind{k:02d}", IndicatorSpec(
             lead=_LEAD_CYCLE[k % len(_LEAD_CYCLE)],
-            noise_sd=noise_sd,
+            noise_sd=_NOISE_SD,
             decay_rate=0.004 if k % 5 == 4 else 0.0,
         ))
         for k in range(n_indicators)
@@ -59,13 +59,11 @@ def build_spec(n_trusts: int, n_days: int, n_indicators: int, n_waves: int,
         extra_peaks=tuple(p - peaks[0] for p in peaks[1:]),
         indicators=indicators,
         seed=seed,
-        start_date=start,
     )
 
 
 def write_corpus(out_dir: str | Path, n_trusts: int = 121, n_days: int = 333,
-                 n_indicators: int = 20, n_waves: int = 3, seed: int = 0,
-                 start: date = date(2021, 10, 1)) -> dict[str, Path]:
+                 n_indicators: int = 20, n_waves: int = 3, seed: int = 0) -> dict[str, Path]:
     """Write a complete synthetic input set; returns the paths written.
 
     The sizes and the wave layout are checked before anything is written.
@@ -74,7 +72,8 @@ def write_corpus(out_dir: str | Path, n_trusts: int = 121, n_days: int = 333,
                         ("waves", n_waves)):
         if count < 1:
             raise ConfigError(f"{name} must be >= 1, got {count}")
-    spec = build_spec(n_trusts, n_days, n_indicators, n_waves, seed, start)
+    spec = build_spec(n_trusts, n_days, n_indicators, n_waves, seed)
+    start = spec.start_date  # SynthSpec's default first day
     out = Path(out_dir)
     (out / "indicators").mkdir(parents=True, exist_ok=True)
     admissions = generate_admissions(spec)

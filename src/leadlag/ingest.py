@@ -1,21 +1,19 @@
 """File-based ingestion of admissions, indicator, mapping and population CSVs.
 
-All readers are strict about schema (header row mandatory, ISO-8601 dates,
-finite numbers) and report the offending line number on malformed input.
+All readers are strict about schema (header row mandatory, ``YYYY-MM-DD``
+dates, finite numbers) and name the file and line of malformed input.
 Panels come out rectangular over each variable's observed date range, with
 gaps imputed by last observation carried forward.
 
 Every reader goes through one columnar scan: ``csv.reader`` tokenizes the
-rows in short blocks, and C-level calls turn each block into one typed
-array per column: ``np.fromiter`` over ``map`` of a code table's lookup
-gives int32 first-seen codes for text, and over ``map(float, ...)`` the
-float64 numeric column.  The blocks' arrays are joined once per column,
-and the checks then run as masks over whole columns.  Python code
-runs per row only to find the row that stopped a block: a wrong width
-(the strict transpose raised) or a field that is not a number (``float``
-raised).  The error raised is that of the earliest offending line; when
-one line fails several checks, the check listed first wins.  A byte that
-is not UTF-8 is located by reading the file again, on that error only.
+rows in short blocks, and ``np.fromiter`` over ``map`` turns each block into
+one typed array per column (int32 first-seen codes for text, float64 for
+the number).  Only a record the tokenizer cannot read stops the scan; every
+other fault is a mask over the rows: a text field holding a byte that is
+not UTF-8, a row of the wrong width (read as empty fields), a field that is
+not a number (read as NaN), and each reader's own checks.  The earliest
+offending row wins, and at a tie the check listed first.  Only then is the
+file read again, to name the record's first physical line and quote it.
 """
 
 from __future__ import annotations
@@ -23,16 +21,16 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import re
 from collections import defaultdict
 from contextlib import suppress
 from datetime import date
-from itertools import compress, count, islice
+from itertools import count, islice
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .config import iso_date
 from .errors import SchemaError
 from .geo import GeoMapping, build_mapping
 from .timeseries import Panel, locf_impute
@@ -46,9 +44,6 @@ logger = logging.getLogger(__name__)
 # rows, collections ran on every block and cost about 20% of the reading.
 _BLOCK = 256
 
-# what errors="surrogateescape" decodes each byte that is not UTF-8 to, and nothing else
-_ESCAPED = re.compile("[\udc80-\udcff]")
-
 # per check: a mask over the rows, and the message for a failing row's fields
 _Checks = list[tuple[np.ndarray, Callable[[list[str]], str]]]
 
@@ -57,142 +52,139 @@ class _Columns(NamedTuple):
     """The data rows of one CSV file, column by column."""
 
     path: str
-    lines: np.ndarray               # line number of each data row
     codes: list[np.ndarray | None]  # per text column: first-seen code of each row's text
     names: list[list[str]]          # per column: the text of each code
     numbers: np.ndarray | None      # the numeric column, NaN where not numeric
+    wrong_width: np.ndarray         # rows of the wrong width, read as empty fields
     not_numeric: np.ndarray         # rows whose numeric field failed to parse
-    tail: SchemaError | None        # what stopped tokenizing after the last row
-
-
-def _tokenizer_error(exc: Exception, spath: str, reader) -> SchemaError:
-    if isinstance(exc, UnicodeDecodeError):
-        return SchemaError(f"not valid UTF-8: {exc.reason}", spath, _undecodable_line(spath))
-    return SchemaError(f"malformed CSV: {exc}", spath, reader.line_num)
-
-
-def _undecodable_line(path: str) -> int | None:
-    """The first line holding a byte that is not UTF-8, numbered as the tokenizer does."""
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
-        return next((line for line, text in enumerate(handle, start=1)
-                     if _ESCAPED.search(text)), None)
+    tail: str | None                # what stopped tokenizing after the last row
 
 
 def _scan(path: str | Path, header: list[str], number: int | None = None) -> _Columns:
     """Tokenize a CSV file into columns; ``number`` indexes the numeric column.
 
-    Checks the header and each row's width.  Text columns (every column but
-    ``number``) are stored as codes.  Tokenizing stops at the first row of
-    the wrong width, at a field that fails to parse as a number, or at an
-    error of the tokenizer; the rows read before it are kept for the checks.
+    Checks the header.  Text columns (every column but ``number``) are stored
+    as codes.  Only an error of the tokenizer stops the scan; the rows read
+    before it are kept for the checks.  A row of the wrong width is flagged
+    and read as empty fields, a field that is not a number as NaN.
     """
     spath = str(path)
     try:
-        handle = Path(path).open(newline="", encoding="utf-8")
+        handle = Path(path).open(newline="", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise SchemaError(f"cannot open file: {exc}", path=spath) from exc
     width = len(header)
     tables = [defaultdict(count().__next__) for _ in header]
-    # per column, and last for the line numbers: an array per block, joined at the end
-    parts = [[np.empty(0, np.float64 if i == number else np.int32)] for i in range(width + 1)]
-    tail: SchemaError | None = None
-    not_numeric: int | None = None
+    # per column: an array per block, joined at the end
+    parts = [[np.empty(0, np.float64 if i == number else np.int32)] for i in range(width)]
+    wrong_width: list[int] = []
+    not_numeric: list[int] = []
+    rows, tail = 0, None
     with handle:
         reader = csv.reader(handle)
         try:
             found = next(reader, None)
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise _tokenizer_error(exc, spath, reader) from None
+        except csv.Error as exc:
+            raise SchemaError(f"malformed CSV: {exc}", spath, 1) from None
         if found != header:
             raise SchemaError(f"expected header {','.join(header)!r}, got {found!r}",
                               path=spath, line=1)
-        next_line = 2
-        while tail is None and not_numeric is None:
+        records = filter(None, reader)  # csv.reader yields an empty list for a blank line
+        while tail is None:
             block: list[list[str]] = []
             try:
-                block.extend(islice(reader, _BLOCK))
-            except (csv.Error, UnicodeDecodeError) as exc:
-                tail = _tokenizer_error(exc, spath, reader)
+                block.extend(islice(records, _BLOCK))
+            except csv.Error as exc:
+                tail = f"malformed CSV: {exc}"
             if not block:
                 break
-            lines = np.arange(next_line, next_line + len(block), dtype=np.int32)
-            next_line += len(block)
-            if not all(block):  # csv.reader yields an empty list for a blank line
-                lines = np.fromiter(compress(lines.tolist(), block), np.int32)
-                block = list(filter(None, block))
-                if not block:
-                    continue
             try:
                 columns = list(zip(*block, strict=True))
                 if len(columns) != width:
                     raise ValueError
-            except ValueError:  # a row of the wrong width: keep the rows before it
-                cut = next(k for k, row in enumerate(block) if len(row) != width)
-                tail = SchemaError(f"expected {width} fields, got {len(block[cut])}",
-                                   spath, int(lines[cut]))
-                # the rows before it as columns, empty ones when there are none
-                columns, lines = list(zip(*block[:cut])) or [()] * width, lines[:cut]
+            except ValueError:  # rows of the wrong width: flag them, read them as empty fields
+                wrong_width += [rows + k for k, row in enumerate(block) if len(row) != width]
+                columns = list(zip(*(row if len(row) == width else [""] * width
+                                     for row in block)))
             if number is not None:
                 try:
                     parts[number].append(np.fromiter(map(float, columns[number]),
-                                                     np.float64, len(lines)))
-                except ValueError:  # keep the rows up to the one that failed, as NaN
-                    parsed: list[float] = []
-                    with suppress(ValueError):
-                        parsed.extend(map(float, columns[number]))
-                    not_numeric = sum(map(len, parts[width])) + len(parsed)
-                    parts[number].append(np.array(parsed + [math.nan]))
-                    keep = len(parsed) + 1
-                    columns, lines = [c[:keep] for c in columns], lines[:keep]
+                                                     np.float64, len(block)))
+                except ValueError:  # parse field by field: NaN and flagged where it fails
+                    values, failed = _parse_each(columns[number], float)
+                    parts[number].append(values)
+                    not_numeric += (rows + np.flatnonzero(failed)).tolist()
             for i, column in enumerate(columns):
                 if i != number:
                     parts[i].append(np.fromiter(map(tables[i].__getitem__, column),
-                                                np.int32, len(lines)))
-            parts[width].append(lines)
-    *joined, lines = [np.concatenate(p) for p in parts]
-    unparsed = np.zeros(lines.size, dtype=bool)
-    if not_numeric is not None:
-        unparsed[not_numeric] = True
-    return _Columns(spath, lines, [c if i != number else None for i, c in enumerate(joined)],
-                    [list(t) for t in tables],
-                    None if number is None else joined[number], unparsed, tail)
+                                                np.int32, len(block)))
+            rows += len(block)
+    joined = [np.concatenate(p) for p in parts]
+    return _Columns(spath, [c if i != number else None for i, c in enumerate(joined)],
+                    [list(t) for t in tables], None if number is None else joined[number],
+                    np.bincount(wrong_width, minlength=rows) > 0,
+                    np.bincount(not_numeric, minlength=rows) > 0, tail)
 
 
-def _fields(path: str, line: int) -> list[str]:
-    """The fields of one line, tokenized again to quote them in an error."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        return next(islice(csv.reader(handle), line - 1, None))
+def _locate(path: str, row: int) -> tuple[int, list[str]]:
+    """The first line and the fields of data row ``row``, tokenized again.
+
+    Blank lines are not rows.  Where the tokenizer stops before that row,
+    the first line of the record it stopped in, and no fields.
+    """
+    row += 1  # the header is the first record, on line 1
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
+        reader, line = csv.reader(handle), 1
+        with suppress(csv.Error):
+            for fields in reader:
+                if fields and not row:
+                    return line, fields
+                row -= bool(fields)
+                line = reader.line_num + 1
+    return line, []
 
 
 def _check(cols: _Columns, checks: _Checks) -> None:
     """Raise the error of the earliest offending row, in ``checks`` order at a tie.
 
-    A failure that stopped tokenizing comes after every row read.
+    A text field holding a byte that is not UTF-8 and a row of the wrong
+    width come before ``checks``; a record the tokenizer stopped in comes
+    after every row read.
     """
+    rows = cols.wrong_width.size
+    # surrogateescape decodes a byte that is not UTF-8 to a lone surrogate, which
+    # str.encode refuses; each text column is checked once per distinct text
+    escaped = np.any([_parse_each(names, lambda t: len(t.encode()))[1][codes]
+                      for codes, names in zip(cols.codes, cols.names) if codes is not None],
+                     axis=0)
+    width = len(cols.names)
+    checks = [(escaped, lambda f: "not valid UTF-8"),
+              (cols.wrong_width, lambda f: f"expected {width} fields, got {len(f)}"), *checks]
     hits = [(int(mask.argmax()), k) for k, (mask, _) in enumerate(checks) if mask.any()]
     if hits:
         row, k = min(hits)
-        line = int(cols.lines[row])
-        raise SchemaError(checks[k][1](_fields(cols.path, line)), cols.path, line)
+        line, fields = _locate(cols.path, row)
+        raise SchemaError(checks[k][1](fields), cols.path, line)
     if cols.tail is not None:
-        raise cols.tail
-    if not cols.lines.size:
+        raise SchemaError(cols.tail, cols.path, _locate(cols.path, rows)[0])
+    if not rows:
         raise SchemaError("no data rows", cols.path)
 
 
-def _parse_each(texts: list[str], parse: Callable[[str], float], invalid: float) -> np.ndarray:
-    """``parse`` of each distinct text, ``invalid`` where it raises ValueError."""
-    out = np.full(len(texts), invalid, dtype=np.float64)
+def _parse_each(texts: Sequence[str], parse: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """``parse`` of each text, NaN where it raises ValueError, and where it did."""
+    out = np.full(len(texts), np.nan)
+    failed = np.zeros(len(texts), dtype=bool)
     for i, text in enumerate(texts):
         try:
             out[i] = parse(text)
         except ValueError:
-            pass
-    return out
+            failed[i] = True
+    return out, failed
 
 
 def _ordinal(text: str) -> int:
-    return date.fromisoformat(text).toordinal()
+    return iso_date(text).toordinal()
 
 
 def _count(text: str) -> float:
@@ -224,16 +216,16 @@ def _grid(cols: _Columns, geo: int, day: int, variable: int | None = None) -> _G
     """Panel layout per variable (one variable without ``variable``).
 
     Each variable's panel has the geos it observes, in sorted order, and the
-    days from its first to its last date.  A row whose date is not an ISO
-    date gets cell -1.
+    days from its first to its last date.  A row whose date is not a
+    ``YYYY-MM-DD`` date gets cell -1.
     """
     names = cols.names[geo]
     ranked = sorted(range(len(names)), key=names.__getitem__)
     rank = np.empty(len(ranked), dtype=np.int32)
     rank[ranked] = np.arange(len(ranked), dtype=np.int32)
     # each distinct date text is parsed once; 0 marks one that is not a date
-    ordinals = _parse_each(cols.names[day], _ordinal, 0).astype(np.int32)
-    days = ordinals[cols.codes[day]]
+    ordinals, undated = _parse_each(cols.names[day], _ordinal)
+    days = np.where(undated, 0, ordinals).astype(np.int32)[cols.codes[day]]
     dated = days > 0
     cell = np.full(days.size, -1, dtype=np.int64)
     panels, size = [], 0
@@ -271,14 +263,13 @@ def _panels(grid: _Grid, values: np.ndarray, level: str,
 def read_admissions(path: str | Path) -> Panel:
     """Trust-level admissions panel from ``trust_id,date,admissions`` rows."""
     cols = _scan(path, ["trust_id", "date", "admissions"])
-    counts = _parse_each(cols.names[2], _count, math.nan)[cols.codes[2]]
+    counts = _parse_each(cols.names[2], _count)[0][cols.codes[2]]
     grid = _grid(cols, 0, 1)
     _check(cols, [
         (grid.cell < 0, lambda f: f"invalid ISO date {f[1]!r}"),
         (np.isnan(counts), lambda f: f"admissions {f[2]!r} is not an integer"),
         (counts < 0, lambda f: f"negative admissions {int(f[2])}"),
-        (_repeats(grid.cell),
-         lambda f: f"duplicate record for ({f[0]}, {date.fromisoformat(f[1])})"),
+        (_repeats(grid.cell), lambda f: f"duplicate record for ({f[0]}, {f[1]})"),
         # last: a count too large for a float only fails a row that passes the rest
         (np.isinf(counts), lambda f: f"admissions {f[2]!r} is not a finite number"),
     ])
@@ -293,8 +284,7 @@ def read_indicator_file(path: str | Path, level: str = "ltla") -> dict[str, Pane
         (grid.cell < 0, lambda f: f"invalid ISO date {f[1]!r}"),
         (cols.not_numeric, lambda f: f"value {f[3]!r} is not numeric"),
         (~np.isfinite(cols.numbers), lambda f: f"value {f[3]!r} is not a finite number"),
-        (_repeats(grid.cell), lambda f: f"duplicate record for "
-                                        f"({f[0]}, {date.fromisoformat(f[1])}, {f[2]})"),
+        (_repeats(grid.cell), lambda f: f"duplicate record for ({f[0]}, {f[1]}, {f[2]})"),
     ])
     return _panels(grid, cols.numbers, level, cols.names[2])
 

@@ -131,6 +131,54 @@ def test_undecodable_indicator_line_exits_input_schema(corpus, tmp_path, capsys)
                      capsys.readouterr().err)
 
 
+def test_mapping_of_zero_counts_exits_mapping(corpus, tmp_path, capsys):
+    bad = tmp_path / "mapping.csv"
+    bad.write_text("ltla_id,trust_id,admissions\nL000,T000,0\nL001,T001,0\n")
+    args = run_args(corpus, tmp_path / "out")
+    args[args.index("--mapping") + 1] = str(bad)
+    assert main(args) == 4
+    assert "error [mapping]: all mapping records have zero counts" in capsys.readouterr().err
+
+
+def test_grouping_with_no_member_present_warns(corpus, tmp_path, caplog):
+    groups = tmp_path / "groups.csv"
+    groups.write_text("group,member_variable\ncombo,nope\n")
+    args = run_args(corpus, tmp_path / "out", ("--methods", "ccf", "--groupings", str(groups)))
+    with caplog.at_level(logging.WARNING, logger="leadlag.ingest"):
+        assert main(args) == 0
+    assert "grouping combo: no member variables present" in caplog.messages
+    with (tmp_path / "out" / "ccf.csv").open(newline="", encoding="utf-8") as fh:
+        assert {row["indicator"] for row in csv.DictReader(fh)} == {"ind00", "ind01", "ind02"}
+
+
+def test_grouping_members_without_common_dates_exit_input_schema(corpus, tmp_path, capsys):
+    indicators = tmp_path / "indicators"
+    indicators.mkdir()
+    (indicators / "ind00.csv").write_bytes((corpus / "indicators" / "ind00.csv").read_bytes())
+    # the same LTLAs, a year after ind00 ends
+    (indicators / "late.csv").write_text("geo_id,date,variable,value\n" + "".join(
+        f"L{i:03d},2023-01-0{day},late,1\n" for i in range(5) for day in (1, 2)))
+    groups = tmp_path / "groups.csv"
+    groups.write_text("group,member_variable\ncombo,ind00\ncombo,late\n")
+    args = run_args(corpus, tmp_path / "out", ("--groupings", str(groups)))
+    args[args.index("--indicators") + 1] = str(indicators)
+    assert main(args) == 2
+    assert ("error [input-schema]: grouping 'combo': member date ranges do not overlap"
+            in capsys.readouterr().err)
+
+
+def test_filter_window_outside_admissions_exits_analysis(corpus, tmp_path, capsys):
+    config = yaml.safe_load((corpus / "config.yaml").read_text())
+    config.update(admissions_filter_start=date(2030, 1, 1),
+                  admissions_filter_end=date(2030, 12, 31))
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(config))
+    args = run_args(corpus, tmp_path / "out")
+    args[args.index("--config") + 1] = str(path)
+    assert main(args) == 5
+    assert "error [analysis]: no trusts retained after filtering" in capsys.readouterr().err
+
+
 def test_config_names_no_indicator_read_warns(corpus, tmp_path, caplog):
     config = yaml.safe_load((corpus / "config.yaml").read_text())
     config["latency"]["ind0"] = config["latency"].pop("ind00")  # misspelt
@@ -174,13 +222,18 @@ def test_config_names_no_indicator_read_warns(corpus, tmp_path, caplog):
     ("latency: {ind00: {reporting_lag_days: -1}}", "latency lag"),
     ("latency: {ind00: {release_cadence: monthly}}", "release cadence 'monthly'"),
     ("admissions_filter_start: first of May", "admissions_filter_start"),
+    # Python 3.11+ reads both with date.fromisoformat, 3.10 neither
+    ("admissions_filter_start: 20211001",
+     "admissions_filter_start: invalid date 20211001"),
+    ("waves: [{name: w, start: 2021-W47-4, end: 2022-02-03}]",
+     "wave start: invalid date '2021-W47-4'"),
     ("waves: [{name: w, start: 2021-11-01}]", "each wave needs name, start and end"),
 ], ids=["empty-waves", "horizon-text", "span-list", "latency-number", "mappings-list",
         "exclusions-string", "horizon-fraction", "horizon-bool", "window-inf", "span-bool",
         "latency-fraction", "degree-3", "span-above-1", "passes-negative",
         "unknown-key", "unknown-key-dtw", "unknown-latency-key", "dtw-mode", "warmup-negative",
         "threshold-zero", "latency-negative", "cadence-unknown", "filter-start-date",
-        "wave-without-end"])
+        "filter-start-compact-date", "wave-start-week-date", "wave-without-end"])
 def test_bad_config_exits_config(corpus, tmp_path, capsys, entry, key):
     # one bad entry in an otherwise valid config
     config = yaml.safe_load((corpus / "config.yaml").read_text())

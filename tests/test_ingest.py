@@ -213,3 +213,61 @@ def test_read_population_rejects_non_finite(tmp_path, text):
     path = write(tmp_path, "pop.csv", f"ltla_id,population\nL1,1000\nL2,{text}\n")
     with pytest.raises(SchemaError, match=r"not a finite number.*pop\.csv:3\]"):
         read_population(path)
+
+
+# ------------------------------------------------------------ dates and lines
+
+@pytest.mark.parametrize("text", ["20220104", "2022-W01-2"])
+def test_read_admissions_accepts_only_yyyy_mm_dd(tmp_path, text):
+    # date.fromisoformat reads both on Python 3.11+ but not on 3.10
+    path = write(tmp_path, "adm.csv",
+                 f"trust_id,date,admissions\nT1,2022-01-03,5\nT1,{text},5\n")
+    with pytest.raises(SchemaError, match=rf"invalid ISO date '{text}' \[.*adm\.csv:3\]"):
+        read_admissions(path)
+
+
+@pytest.mark.parametrize("rows, message, line", [
+    ("L2,abc\n", "population 'abc' is not numeric", 4),
+    ("L2\n", "expected 2 fields, got 1", 4),
+    ("\nL2,1\nL2,7\n", "duplicate LTLA L2", 6),
+    ('L2,"' + "9" * 200_000 + '"\n', "malformed CSV: field larger than field limit", 4),
+    ('L2,"5\n' + "9" * 200_000 + '"\n', "malformed CSV: field larger than field limit", 4),
+], ids=["check", "width", "check-after-blank", "malformed", "malformed-on-two-lines"])
+def test_errors_after_a_record_on_two_lines_name_the_physical_line(tmp_path, rows, message,
+                                                                   line):
+    # the record on lines 2-3 holds a quoted line break
+    path = write(tmp_path, "pop.csv", 'ltla_id,population\n"L\n1",5\n' + rows)
+    with pytest.raises(SchemaError) as info:
+        read_population(path)
+    assert str(info.value).startswith(message)
+    assert info.value.line == line
+
+
+def test_earlier_fault_beats_a_later_undecodable_byte(tmp_path):
+    # both faults sit in the first 8 KB the decoder reads
+    path = tmp_path / "adm.csv"
+    path.write_bytes(b"trust_id,date,admissions\nT1,2022-01-01,1\nT1,2022-01-02,-3\n"
+                     b"T1,2022-01-03,1\nT1,2022-01-04,\xff\n")
+    with pytest.raises(SchemaError, match=r"negative admissions -3 \[.*adm\.csv:3\]"):
+        read_admissions(path)
+
+
+@pytest.mark.parametrize("reader, data, message", [
+    # text fields, the dates and admissions counts among them
+    (read_admissions, b"trust_id,date,admissions\nT1,2022-01-01,1\nT\xff,2022-01-02,1\n",
+     r"not valid UTF-8 \[.*:3\]"),
+    (read_admissions, b"trust_id,date,admissions\nT1,2022-01-01,1\nT1,2022-01-02,\xe2\x82\n",
+     r"not valid UTF-8 \[.*:3\]"),
+    # a numeric field, a row of the wrong width and the header fail their own check
+    (read_population, b"ltla_id,population\nL1,1\nL2,5\xff\n",
+     r"population '5\\udcff' is not numeric \[.*:3\]"),
+    (read_population, b"ltla_id,population\nL1,1\nL2\xff\n", r"expected 2 fields, got 1 \[.*:3\]"),
+    (read_population, b"ltla_id,populati\xf6n\nL1,1\n", r"expected header .* \[.*:1\]"),
+    # a text field with a bad byte fails before its row's other checks
+    (read_population, b"ltla_id,population\nL\xff,-1\n", r"not valid UTF-8 \[.*:2\]"),
+], ids=["text", "count", "number", "width", "header", "text-before-number"])
+def test_undecodable_byte_fails_its_fields_check(tmp_path, reader, data, message):
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    with pytest.raises(SchemaError, match=message):
+        reader(path)

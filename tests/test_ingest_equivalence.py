@@ -1,13 +1,15 @@
 """The columnar readers against the row-at-a-time readers they replaced.
 
 The reference below is the earlier ``leadlag.ingest`` row loop, copied
-verbatim.  Hypothesis writes small CSV files from valid rows with injected
-defects (bad or non-ISO dates, non-numeric, non-finite, negative and
-non-integer numbers, duplicates, wrong widths, blank lines, quoted fields,
-CRLF line ends, a wrong header), and each reader must agree with its
-reference: equal results when the reference returns, the same error class,
-message and line when it raises a ``LeadLagError``, and a ``SchemaError``
-where the reference let any other exception escape.
+verbatim but for two rules: a record's line is the first physical line it
+spans, and a date is exactly ``YYYY-MM-DD``.  Hypothesis writes small CSV
+files from valid rows with injected defects (bad or non-ISO dates,
+non-numeric, non-finite, negative and non-integer numbers, duplicates, wrong
+widths, blank lines, quoted fields, CRLF line ends, a wrong header), and
+each reader must agree with its reference: equal results when the reference
+returns, the same error class, message and line when it raises a
+``LeadLagError``, and a ``SchemaError`` where the reference let any other
+exception escape.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 import tempfile
 from datetime import date
 from pathlib import Path
@@ -33,7 +36,11 @@ from leadlag.timeseries import Panel, locf_impute
 # ------------------------------------------------ reference: the row readers
 
 def _records(path: str | Path, header: list[str]):
-    """(line number, fields) of each non-empty row; checks header, width, emptiness."""
+    """(first line, fields) of each non-empty record; checks header, width, emptiness.
+
+    A record's line is the first physical line it spans, as the tokenizer
+    counts lines.
+    """
     spath = str(path)
     try:
         handle = Path(path).open(newline="", encoding="utf-8")
@@ -46,20 +53,24 @@ def _records(path: str | Path, header: list[str]):
             raise SchemaError(f"expected header {','.join(header)!r}, got {found!r}",
                               path=spath, line=1)
         empty = True
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SchemaError(f"expected {len(header)} fields, got {len(row)}",
-                                  spath, lineno)
-            empty = False
-            yield lineno, row
+        lineno = reader.line_num + 1
+        for row in reader:
+            if row:
+                if len(row) != len(header):
+                    raise SchemaError(f"expected {len(header)} fields, got {len(row)}",
+                                      spath, lineno)
+                empty = False
+                yield lineno, row
+            lineno = reader.line_num + 1
     if empty:
         raise SchemaError("no data rows", spath)
 
 
 def _parse_date(text: str, path: str, line: int) -> date:
+    # exactly YYYY-MM-DD: date.fromisoformat reads more forms on Python 3.11+ than on 3.10
     try:
+        if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+            raise ValueError(text)
         return date.fromisoformat(text)
     except ValueError:
         raise SchemaError(f"invalid ISO date {text!r}", path=path, line=line) from None
@@ -317,9 +328,15 @@ POPULATIONS = "ltla_id,population\n" + "".join(f"L{i},{i}\n" for i in range(BLOC
     # rows before a width error are still checked first, and the other way round
     pytest.param("population", "ltla_id,population\nL1,-1\nL2\n", id="row-then-width"),
     pytest.param("population", "ltla_id,population\nL1\nL2,-1\n", id="width-then-row"),
-    # blank lines count as lines; a quoted newline does not
+    # blank lines and quoted line breaks count as lines
     pytest.param("mapping", 'ltla_id,trust_id,admissions\n\n"L\n1",T1,5\n\nL2,T1,inf\n',
                  id="line-numbers"),
+    pytest.param("population", 'ltla_id,population\n"L\n1",5\nL2,abc\n',
+                 id="check-after-a-record-on-two-lines"),
+    pytest.param("population", 'ltla_id,population\n"L\n1",5\nL2\n',
+                 id="width-after-a-record-on-two-lines"),
+    pytest.param("groupings", 'group,member_variable\ng,"a\nb"\ng,"a\nb"\n',
+                 id="repeat-of-a-record-on-two-lines"),
     pytest.param("admissions", "trust_id,date,admissions\r\nT1,20220101,1\r\n"
                  "T1,2022-01-01,2\r\n", id="crlf-compact-date-duplicate"),
     # a count too large for a float fails after the duplicate and negative checks

@@ -251,6 +251,23 @@ def test_ltla_panel_is_mapped():
     assert good and all(abs(r.optimal_lead - 10) <= 1 for r in good)
 
 
+@pytest.mark.parametrize("mode", ["multivariate", "univariate"])
+def test_indicator_sharing_no_trust_gets_no_series_rows(mode):
+    # every method runs on a batch of no rows, and DTW aligns nothing
+    adm, indicators = synth_inputs()
+    ind = indicators["ind"]
+    elsewhere = Panel("trust", "elsewhere", ind.start_date,
+                      tuple(f"X{i:03d}" for i in range(3)), ind.values)
+    paths: list[tuple] = []
+    tables = run_analysis(study_config(dtw_mode=mode), adm, {**indicators, "elsewhere": elsewhere},
+                          identity_mapping(), dtw_paths=paths)
+    rows = [r for r in records(tables) if r.indicator == "elsewhere"]
+    assert {r.method for r in rows} == {"granger", "granger14", "ccf", "dtw"}
+    assert len(rows) == 4 * len(adm.geo_ids) * len(study_config().waves)
+    assert all(r.error == "no indicator series for trust" for r in rows)
+    assert paths and {record[0] for record in paths} == {"ind"}
+
+
 def test_unknown_method_is_config_error():
     adm, indicators = synth_inputs()
     with pytest.raises(ConfigError, match="unknown methods: wavelets"):
