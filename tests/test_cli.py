@@ -370,6 +370,45 @@ def test_export_dtw_paths(corpus, tmp_path):
     assert (date.fromisoformat(r_date) - date.fromisoformat(q_date)).days == int(lead)
 
 
+@pytest.mark.parametrize("dtw_mode, fmt, extra", [
+    ("multivariate", "csv", ("--export-dtw-paths",)),
+    ("univariate", "csv", ("--export-dtw-paths",)),
+    ("multivariate", "json", ()),
+], ids=["multivariate-csv", "univariate-csv", "multivariate-json"])
+def test_trust_level_indicators_match_a_one_to_one_mapping(corpus, tmp_path, dtw_mode,
+                                                           fmt, extra):
+    # the corpus's LTLA L00i becomes Trust T00i: read as trusts, or mapped one to one
+    one_to_one = tmp_path / "mapping.csv"
+    one_to_one.write_text("ltla_id,trust_id,admissions\n" + "".join(
+        f"L{i:03d},T{i:03d},100\n" for i in range(5)))
+    trusts = tmp_path / "trust_indicators"
+    trusts.mkdir()
+    for path in sorted((corpus / "indicators").glob("*.csv")):
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        (trusts / path.name).write_text(
+            "".join([lines[0]] + [re.sub("^L", "T", line) for line in lines[1:]]),
+            encoding="utf-8")
+    config = yaml.safe_load((corpus / "config.yaml").read_text())
+    config["dtw_mode"] = dtw_mode
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(yaml.safe_dump(config))
+    outs = {}
+    for level, indicators in (("ltla", corpus / "indicators"), ("trust", trusts)):
+        outs[level] = tmp_path / level
+        args = run_args(corpus, outs[level], ("--format", fmt, "--indicator-level", level,
+                                              *extra))
+        for flag, value in (("--config", config_path), ("--mapping", one_to_one),
+                            ("--indicators", indicators)):
+            args[args.index(flag) + 1] = str(value)
+        assert main(args) == 0
+    names = sorted(p.name for p in outs["ltla"].iterdir())
+    assert names == sorted(p.name for p in outs["trust"].iterdir())
+    assert f"dtw.{fmt}" in names and ("dtw_paths.csv" in names) == bool(extra)
+    for name in names:
+        assert (outs["trust"] / name).read_bytes() == (outs["ltla"] / name).read_bytes(), name
+    assert b"no indicator series" not in (outs["trust"] / f"ccf.{fmt}").read_bytes()
+
+
 def _rename_in_csv(path, old, new):
     with path.open(newline="", encoding="utf-8") as fh:
         rows = [[new if field == old else field for field in row] for row in csv.reader(fh)]
