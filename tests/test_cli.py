@@ -101,14 +101,19 @@ def test_missing_input_exits_input_schema(corpus, tmp_path, capsys):
     assert "error [input-schema]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("defect, where", [
-    (b"T0,2021-10-01,5\nT0,2021-10-02,\xff\n", r"not valid UTF-8.*admissions\.csv:3\]"),
-    (b"T0,2021-10-01,5\nT0,2021-10-02," + b"9" * 200_000 + b"\n",
+HEADER = b"trust_id,date,admissions\n"
+
+
+@pytest.mark.parametrize("content, where", [
+    (HEADER + b"T0,2021-10-01,5\nT0,2021-10-02,\xff\n", r"not valid UTF-8.*admissions\.csv:3\]"),
+    (HEADER + b"T0,2021-10-01,5\nT0,2021-10-02," + b"9" * 200_000 + b"\n",
      r"field larger than field limit.*admissions\.csv:3\]"),
-], ids=["undecodable", "oversized-field"])
-def test_unreadable_admissions_exit_input_schema(corpus, tmp_path, capsys, defect, where):
+    (b"trust_id,date," + b"a" * 200_000 + b"\nT0,2021-10-01,5\n",
+     r"field larger than field limit.*admissions\.csv:1\]"),
+], ids=["undecodable", "oversized-field", "oversized-header"])
+def test_unreadable_admissions_exit_input_schema(corpus, tmp_path, capsys, content, where):
     bad = tmp_path / "admissions.csv"
-    bad.write_bytes(b"trust_id,date,admissions\n" + defect)
+    bad.write_bytes(content)
     args = run_args(corpus, tmp_path / "out")
     args[args.index("--admissions") + 1] = str(bad)
     assert main(args) == 2

@@ -87,6 +87,8 @@ def test_nan_input_rejected():
 def test_short_sequence_rejected():
     with pytest.raises(LeadLagError, match="length >= 4"):
         align(np.ones(3), np.ones(8))
+    with pytest.raises(LeadLagError, match="window must be >= 1, got 0"):
+        align(np.ones(8), np.ones(8), window=0)
 
 
 def test_infeasible_band_errors():

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leadlag.errors import MappingError
-from leadlag.geo import apply_mapping, build_mapping, missing_ltlas, weighted_population
+from leadlag.geo import (GeoMapping, apply_mapping, build_mapping, missing_ltlas,
+                         weighted_population)
 from conftest import panel, row
 
 
@@ -43,6 +44,16 @@ def test_build_mapping_empty_errors():
 def test_build_mapping_duplicate_records_accumulate():
     m = build_mapping([("A", "T1", 30), ("A", "T1", 30), ("A", "T2", 40)])
     assert weights(m, "A").tolist() == [0.6, 0.4]
+
+
+@pytest.mark.parametrize("weights, message", [
+    (np.ones((2, 1)), "does not match 2 LTLAs x 2 Trusts"),
+    (np.array([[0.5, 1.5], [1.0, 0.0]]), r"\[0, 1\]"),
+    (np.array([[0.5, 0.5], [-0.1, 1.0]]), r"\[0, 1\]"),
+], ids=["shape", "above-1", "negative"])
+def test_mapping_rejects_bad_weights(weights, message):
+    with pytest.raises(MappingError, match=message):
+        GeoMapping(("A", "B"), ("T1", "T2"), weights)
 
 
 def test_row_sums_are_one():
@@ -143,6 +154,8 @@ def test_weighted_population_missing_ltla_errors():
     m = two_ltla_mapping()
     with pytest.raises(MappingError, match="B"):
         weighted_population(m, {"A": 100})
+    with pytest.raises(MappingError, match="non-negative"):
+        weighted_population(m, {"A": 100, "B": -1})
 
 
 @settings(max_examples=30, deadline=None)

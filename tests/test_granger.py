@@ -537,5 +537,9 @@ def test_batch_shape_and_completeness_errors():
         y[1, 5] = bad
         with pytest.raises(LeadLagError, match="complete, finite"):
             granger_test_batch(x, y)
+    with pytest.raises(LeadLagError, match="max_lag must be >= 1, got 0"):
+        granger_test_batch(x, x, max_lag=0)
+    with pytest.raises(LeadLagError, match="horizon must be >= 0, got -1"):
+        granger_test_batch(x, x, horizon=-1)
     empty = granger_test_batch(np.empty((0, 40)), np.empty((0, 40)))
     assert empty.f_stat.shape == empty.collinear.shape == (0,)

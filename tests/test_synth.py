@@ -112,3 +112,5 @@ def test_ground_truth_roundtrip():
 def test_indicator_lead_bounds():
     with pytest.raises(LeadLagError, match="lead"):
         IndicatorSpec(lead=36)
+    with pytest.raises(LeadLagError, match="noise_sd"):
+        IndicatorSpec(lead=5, noise_sd=-0.1)

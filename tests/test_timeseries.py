@@ -232,6 +232,22 @@ def test_loess_window_too_small_errors():
         smooth(range(10), span=0.2, degree=2)  # window of 2 points
 
 
+@pytest.mark.parametrize("kw, message", [
+    (dict(span=0.0), "span must be in"),
+    (dict(span=1.5), "span must be in"),
+    (dict(degree=3), "degree must be 1 or 2"),
+], ids=["span-zero", "span-above-1", "degree-3"])
+def test_loess_settings_out_of_range_error(kw, message):
+    with pytest.raises(LeadLagError, match=message):
+        smooth(np.arange(30.0), **kw)
+
+
+@pytest.mark.parametrize("kernel", [locf_impute, minmax_scale, zscore_scale, loess_smooth])
+def test_kernels_take_one_series_per_row(kernel):
+    with pytest.raises(LeadLagError, match="one series per row"):
+        kernel(np.arange(30.0))
+
+
 def test_loess_matches_naive_reference():
     rng = np.random.default_rng(5)
     y = rng.normal(size=80).cumsum()
@@ -282,6 +298,8 @@ def test_loess_robust_matches_naive_reference():
     for passes in (1, 2):
         fast = smooth(y, span=0.25, degree=2, robustness_passes=passes)
         assert np.allclose(fast, _naive_robust_loess(y, 0.25, 2, passes), atol=1e-9)
+    # an exact fit leaves no residual scale, so the reweighting stops after one fit
+    assert smooth(np.zeros(70), span=0.25, degree=2, robustness_passes=2).tolist() == [0.0] * 70
 
 
 # ----------------------------------------------------------- rows of a panel
