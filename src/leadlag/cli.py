@@ -79,7 +79,7 @@ def _run(args: argparse.Namespace) -> int:
                 len(admissions.geo_ids),
                 admissions.start_date, admissions.end_date)
 
-    indicators = read_indicator_dir(args.indicators, level=args.indicator_level)
+    indicators = read_indicator_dir(args.indicators)
     if args.groupings:
         indicators = apply_groupings(indicators, read_groupings(args.groupings))
     logger.info("indicators: %s", ", ".join(sorted(indicators)))
@@ -97,6 +97,8 @@ def _run(args: argparse.Namespace) -> int:
 
     populations = read_population(args.population)
     trust_pop = weighted_population(mapping, populations)
+    if args.indicator_level == "trust":  # the indicators need no mapping
+        mapping, overrides = None, {}
 
     dtw_paths: list[tuple] | None = [] if args.export_dtw_paths else None
     tables = run_analysis(config, admissions, indicators, mapping, overrides,

@@ -13,7 +13,7 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError
-from .synth import IndicatorSpec, SynthSpec, generate_admissions, generate_indicators
+from .synth import START_DATE, IndicatorSpec, SynthSpec, generate_admissions, generate_indicators
 
 _LEAD_CYCLE = (5, 10, 14, 20, 7, 12)
 _LATENCY_CYCLE = (
@@ -73,7 +73,7 @@ def write_corpus(out_dir: str | Path, n_trusts: int = 121, n_days: int = 333,
         if count < 1:
             raise ConfigError(f"{name} must be >= 1, got {count}")
     spec = build_spec(n_trusts, n_days, n_indicators, n_waves, seed)
-    start = spec.start_date  # SynthSpec's default first day
+    start = START_DATE
     out = Path(out_dir)
     (out / "indicators").mkdir(parents=True, exist_ok=True)
     admissions = generate_admissions(spec)

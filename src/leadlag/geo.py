@@ -79,22 +79,15 @@ def missing_ltlas(panel: Panel, mapping: GeoMapping) -> list[str]:
 def apply_mapping(panel: Panel, mapping: GeoMapping) -> Panel:
     """Convert an LTLA-level panel to Trust level by weighted sum.
 
-    LTLAs in the mapping but absent from the panel contribute zero and are
-    reported on the log; panel LTLAs unknown to the mapping are an error.
+    LTLAs in the mapping but absent from the panel contribute zero (see
+    ``missing_ltlas``); panel LTLAs unknown to the mapping are an error.
     """
-    if panel.level != "ltla":
-        raise MappingError(f"apply_mapping expects an LTLA panel, got {panel.level!r}")
     offenders = sorted(set(panel.geo_ids) - set(mapping.ltla_ids))
     if offenders:
         raise MappingError(f"panel geo ids unknown to mapping: {', '.join(offenders)}")
-    absent = missing_ltlas(panel, mapping)
-    if absent:
-        logger.warning("variable %s missing %d mapping LTLA(s): %s",
-                       panel.variable, len(absent), ", ".join(absent))
     l_index = {l: i for i, l in enumerate(mapping.ltla_ids)}
     w = mapping.weights[[l_index[g] for g in panel.geo_ids], :]
-    return Panel("trust", panel.variable, panel.start_date, mapping.trust_ids,
-                 w.T @ panel.values)
+    return Panel(panel.start_date, mapping.trust_ids, w.T @ panel.values)
 
 
 def weighted_population(mapping: GeoMapping, populations: dict[str, float]) -> dict[str, float]:

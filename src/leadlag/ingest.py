@@ -249,12 +249,11 @@ def _grid(cols: _Columns, geo: int, day: int, variable: int | None = None) -> _G
     return _Grid(cell, size, panels)
 
 
-def _panels(grid: _Grid, values: np.ndarray, level: str,
-            variables: list[str]) -> dict[str, Panel]:
+def _panels(grid: _Grid, values: np.ndarray, variables: list[str]) -> dict[str, Panel]:
     """One LOCF-imputed panel per variable, scattered from validated rows."""
     flat = np.full(grid.size, np.nan)
     flat[grid.cell] = values
-    return {var: Panel(level, var, date.fromordinal(start), geo_ids,
+    return {var: Panel(date.fromordinal(start), geo_ids,
                        locf_impute(flat[offset:offset + len(geo_ids) * n_days]
                                    .reshape(len(geo_ids), n_days)))
             for var, (offset, geo_ids, start, n_days) in zip(variables, grid.panels)}
@@ -273,10 +272,10 @@ def read_admissions(path: str | Path) -> Panel:
         # last: a count too large for a float only fails a row that passes the rest
         (np.isinf(counts), lambda f: f"admissions {f[2]!r} is not a finite number"),
     ])
-    return _panels(grid, counts, "trust", ["admissions"])["admissions"]
+    return _panels(grid, counts, ["admissions"])["admissions"]
 
 
-def read_indicator_file(path: str | Path, level: str = "ltla") -> dict[str, Panel]:
+def read_indicator_file(path: str | Path) -> dict[str, Panel]:
     """Panels per variable from ``geo_id,date,variable,value`` rows."""
     cols = _scan(path, ["geo_id", "date", "variable", "value"], number=3)
     grid = _grid(cols, 0, 1, 2)
@@ -286,10 +285,10 @@ def read_indicator_file(path: str | Path, level: str = "ltla") -> dict[str, Pane
         (~np.isfinite(cols.numbers), lambda f: f"value {f[3]!r} is not a finite number"),
         (_repeats(grid.cell), lambda f: f"duplicate record for ({f[0]}, {f[1]}, {f[2]})"),
     ])
-    return _panels(grid, cols.numbers, level, cols.names[2])
+    return _panels(grid, cols.numbers, cols.names[2])
 
 
-def read_indicator_dir(directory: str | Path, level: str = "ltla") -> dict[str, Panel]:
+def read_indicator_dir(directory: str | Path) -> dict[str, Panel]:
     """All indicator panels found in a directory of CSV files."""
     directory = Path(directory)
     panels: dict[str, Panel] = {}
@@ -297,7 +296,7 @@ def read_indicator_dir(directory: str | Path, level: str = "ltla") -> dict[str, 
     if not files:
         raise SchemaError("no indicator CSV files found", path=str(directory))
     for f in files:
-        for var, panel in read_indicator_file(f, level=level).items():
+        for var, panel in read_indicator_file(f).items():
             if var in panels:
                 raise SchemaError(f"variable {var!r} appears in more than one file",
                                   path=str(f))
@@ -350,7 +349,7 @@ def apply_groupings(
 ) -> dict[str, Panel]:
     """Sum member variables into grouped variables; members are consumed.
 
-    Members must share geography level and ids; date ranges intersect.
+    Members must share geo ids; date ranges intersect.
     """
     out = dict(panels)
     for group, members in groupings.items():
@@ -360,7 +359,7 @@ def apply_groupings(
             continue
         first = out[present[0]]
         for m in present[1:]:
-            if out[m].level != first.level or out[m].geo_ids != first.geo_ids:
+            if out[m].geo_ids != first.geo_ids:
                 raise SchemaError(
                     f"grouping {group!r}: member {m!r} has a different geography")
         start = max(out[m].start_date for m in present)
@@ -372,5 +371,5 @@ def apply_groupings(
             total += out[m].values[:, out[m].day_slice(start, end)]
         for m in present:
             del out[m]
-        out[group] = Panel(first.level, group, start, first.geo_ids, total)
+        out[group] = Panel(start, first.geo_ids, total)
     return out

@@ -24,7 +24,7 @@ import numpy as np
 from .config import LatencySpec, RunConfig, WaveSpec
 from .dtw import dtw_align_batch
 from .errors import ConfigError, LeadLagError
-from .geo import GeoMapping, apply_mapping
+from .geo import GeoMapping, apply_mapping, missing_ltlas
 from .granger import granger_test_batch
 from .timeseries import Panel, loess_smooth, minmax_scale, zscore_scale
 from .xcorr import ccf_at_leads, optimal_leads
@@ -87,8 +87,7 @@ def filter_trusts(panel: Panel, config: RunConfig) -> Panel:
                        len(removed), "; ".join(sorted(removed)))
     if not kept:
         raise LeadLagError("no trusts retained after filtering")
-    return Panel(panel.level, panel.variable, panel.start_date,
-                 tuple(panel.geo_ids[i] for i in kept), panel.values[kept])
+    return Panel(panel.start_date, tuple(panel.geo_ids[i] for i in kept), panel.values[kept])
 
 
 def effective_lead(lead_days: float | None,
@@ -158,7 +157,7 @@ def run_analysis(
     config: RunConfig,
     admissions: Panel,
     indicators: dict[str, Panel],
-    mapping: GeoMapping,
+    mapping: GeoMapping | None,
     overrides: dict[str, GeoMapping] | None = None,
     methods: tuple[str, ...] = METHODS,
     dtw_paths: list[tuple] | None = None,
@@ -172,9 +171,10 @@ def run_analysis(
     (indicator, wave, scope, days, match) record per alignment: ``match``
     is its (n, 2) row of ``dtw_align_batch``'s lowest and highest matched
     reference index per query index, indices into ``days``, the window's
-    ISO dates. Records arrive per (indicator, wave) in scope order. An LTLA
-    indicator is mapped to trusts with ``overrides[variable]`` where given,
-    else with ``mapping``.
+    ISO dates. Records arrive per (indicator, wave) in scope order. Each
+    indicator is mapped from LTLAs to trusts with ``overrides[variable]``
+    where given, else with ``mapping``; where that is None, the indicator is
+    at trust level already.
     """
     check_methods(methods)
     adm = filter_trusts(admissions, config)
@@ -199,7 +199,8 @@ def run_analysis(
     for variable in sorted(indicators):
         ind = indicators[variable]
         try:
-            pair = _pair(config, ind, adm, adm_smooth, (overrides or {}).get(variable, mapping))
+            pair = _pair(config, variable, ind, adm, adm_smooth,
+                         (overrides or {}).get(variable, mapping))
         except LeadLagError as exc:
             logger.warning("indicator %s failed preprocessing and is reported as "
                            "error rows: %s", variable, exc)
@@ -240,11 +241,16 @@ def _spread(rows: list[int], n: int, columns: dict[str, np.ndarray],
              for name, values in columns.items()}, [error[i] for i in take.tolist()])
 
 
-def _pair(config: RunConfig, ind: Panel, adm: Panel, adm_smooth: np.ndarray,
-          mapping: GeoMapping) -> _Pair:
-    """Map an LTLA indicator to trusts and smooth the rows the admissions share."""
-    if ind.level == "ltla":
+def _pair(config: RunConfig, variable: str, ind: Panel, adm: Panel, adm_smooth: np.ndarray,
+          mapping: GeoMapping | None) -> _Pair:
+    """Map an LTLA indicator to trusts (unless ``mapping`` is None, for a trust
+    indicator) and smooth the rows the admissions share."""
+    if mapping is not None:
+        absent = missing_ltlas(ind, mapping)
         ind = apply_mapping(ind, mapping)
+        if absent:  # they contribute zero
+            logger.warning("variable %s missing %d mapping LTLA(s): %s",
+                           variable, len(absent), ", ".join(absent))
     index = {geo: i for i, geo in enumerate(ind.geo_ids)}
     shared = [i for i, trust in enumerate(adm.geo_ids) if trust in index]
     x_smooth = _smooth(ind.values[[index[adm.geo_ids[i]] for i in shared]], config)

@@ -18,6 +18,7 @@ from .errors import LeadLagError
 from .timeseries import Panel
 
 MAX_LEAD = 35
+START_DATE = date(2021, 10, 1)  # the first day of every synthetic panel
 
 
 @dataclass(frozen=True)
@@ -41,18 +42,18 @@ class IndicatorSpec:
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Parameters for one synthetic corpus; scalars broadcast across trusts."""
+    """Parameters for one synthetic corpus; every trust shares the wave shape,
+    and ``amplitude`` is one scalar or one value per trust."""
 
     n_trusts: int = 3
     n_days: int = 200
-    peak_day: float | tuple[float, ...] = 90.0
-    rise_width: float | tuple[float, ...] = 12.0
-    fall_width: float | tuple[float, ...] = 22.0
+    peak_day: float = 90.0
+    rise_width: float = 12.0
+    fall_width: float = 22.0
     amplitude: float | tuple[float, ...] = 100.0
     extra_peaks: tuple[float, ...] = ()  # offsets of further waves, days after peak_day
     indicators: tuple[tuple[str, IndicatorSpec], ...] = ()
     seed: int = 0
-    start_date: date = date(2021, 10, 1)
 
     def per_trust(self, value: float | tuple[float, ...]) -> np.ndarray:
         arr = np.asarray(value, dtype=float)
@@ -77,14 +78,11 @@ def _bump(t: np.ndarray, peak: float, rise: float, fall: float) -> np.ndarray:
 def generate_admissions(spec: SynthSpec) -> Panel:
     """Smooth non-negative daily admission counts per trust."""
     t = np.arange(spec.n_days, dtype=float)
-    peaks = spec.per_trust(spec.peak_day)[:, None]
-    rises = spec.per_trust(spec.rise_width)[:, None]
-    falls = spec.per_trust(spec.fall_width)[:, None]
-    amps = spec.per_trust(spec.amplitude)[:, None]
-    v = _bump(t, peaks, rises, falls)
+    v = _bump(t, spec.peak_day, spec.rise_width, spec.fall_width)
     for offset in spec.extra_peaks:
-        v = v + _bump(t, peaks + offset, rises, falls)
-    return Panel("trust", "admissions", spec.start_date, tuple(spec.trust_ids()), amps * v)
+        v = v + _bump(t, spec.peak_day + offset, spec.rise_width, spec.fall_width)
+    amps = spec.per_trust(spec.amplitude)[:, None]
+    return Panel(START_DATE, tuple(spec.trust_ids()), amps * v)
 
 
 def derive_indicator(
@@ -93,7 +91,6 @@ def derive_indicator(
     noise_sd: float = 0.0,
     decay_rate: float = 0.0,
     seed: int = 0,
-    name: str = "indicator",
 ) -> Panel:
     """Indicator running ``lead`` days ahead: ind(t) = decay(t) * adm(t + lead) + noise.
 
@@ -118,7 +115,7 @@ def derive_indicator(
         peak = admissions.values.max(axis=1, keepdims=True)
         sd = noise_sd * np.where(peak > 0, peak, 1.0)
         values = values + rng.normal(0.0, sd, size=values.shape)
-    return Panel("trust", name, start, admissions.geo_ids, values)
+    return Panel(start, admissions.geo_ids, values)
 
 
 def generate_indicators(spec: SynthSpec, admissions: Panel) -> dict[str, Panel]:
@@ -131,7 +128,6 @@ def generate_indicators(spec: SynthSpec, admissions: Panel) -> dict[str, Panel]:
             noise_sd=ind.noise_sd,
             decay_rate=ind.decay_rate,
             seed=spec.seed + 1000 * (k + 1),
-            name=name,
         )
     return panels
 

@@ -1,8 +1,8 @@
 """Dense daily panels and row-wise preprocessing transforms.
 
-A :class:`Panel` holds one variable at one geographic level as a float
-``(n_geo, n_days)`` array: one row per geography id (sorted), one column per
-consecutive day from ``start_date``. The transforms take a plain 2-D array,
+A :class:`Panel` holds one variable as a float ``(n_geo, n_days)`` array:
+one row per geography id (sorted), one column per consecutive day from
+``start_date``. The transforms take a plain 2-D array,
 one series per row, and return new arrays; the scalings also return a
 per-row mask of degenerate (constant) rows.
 """
@@ -17,25 +17,18 @@ import numpy as np
 
 from .errors import EmptySeriesError, EmptySliceError, InsufficientDataError, LeadLagError
 
-GEO_LEVELS = ("ltla", "trust")
-
-
 @dataclass(frozen=True)
 class Panel:
-    """One variable at one geographic level: a row per geo id, a column per day.
+    """One variable: a row per geo id, a column per day.
 
     The panel keeps ``values`` and makes it read-only; pass an array no other
     code writes to."""
 
-    level: str
-    variable: str
     start_date: date
     geo_ids: tuple[str, ...]
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.level not in GEO_LEVELS:
-            raise LeadLagError(f"unknown geo level {self.level!r}")
         geo_ids = tuple(self.geo_ids)
         if not geo_ids:
             raise LeadLagError("panel has no series")

@@ -17,10 +17,10 @@ CELL_DEFAULTS = dict(f_stat=None, p_value=None, df_num=None, df_den=None,
 INTEGER_FIELDS = ("df_num", "df_den", "optimal_lead")
 
 
-def panel(series: dict, variable: str = "v", level: str = "trust", start=START) -> Panel:
+def panel(series: dict, start=START) -> Panel:
     """Panel of one variable from {geo id: daily values}."""
     geo_ids = sorted(series)
-    return Panel(level, variable, start, tuple(geo_ids),
+    return Panel(start, tuple(geo_ids),
                  np.array([series[g] for g in geo_ids], dtype=float))
 
 

@@ -207,9 +207,9 @@ def test_mapping_conservation():
         v1 = {l: r.normal(size=n_days) for l in m.ltla_ids}
         v2 = {l: r.normal(size=n_days) for l in m.ltla_ids}
         a, b = r.uniform(-3, 3, size=2)
-        p1 = panel(v1, level="ltla")
-        p2 = panel(v2, level="ltla")
-        combo = panel({l: a * v1[l] + b * v2[l] for l in m.ltla_ids}, level="ltla")
+        p1 = panel(v1)
+        p2 = panel(v2)
+        combo = panel({l: a * v1[l] + b * v2[l] for l in m.ltla_ids})
         lhs = apply_mapping(combo, m)
         r1, r2 = apply_mapping(p1, m), apply_mapping(p2, m)
         expected = a * r1.values + b * r2.values

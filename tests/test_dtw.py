@@ -190,7 +190,7 @@ def test_leads_equal_median_reference(monkeypatch):
     # days, 8 reported days and a 2-day reference tail
     from leadlag import pipeline
 
-    from test_pipeline import START, identity_mapping, study_config, synth_inputs
+    from test_pipeline import START, study_config, synth_inputs
 
     batches = []
 
@@ -205,7 +205,7 @@ def test_leads_equal_median_reference(monkeypatch):
     for dtw_mode in ("univariate", "multivariate"):
         config = study_config(waves=(wave,), dtw_mode=dtw_mode, dtw_warmup_days=2,
                               dtw_window=2)
-        (table,) = pipeline.run_analysis(config, adm, indicators, identity_mapping(),
+        (table,) = pipeline.run_analysis(config, adm, indicators, None,
                                          methods=("dtw",))
         q, r, window = batches.pop()
         assert q.shape[1] == 10 and r.shape[1] == 12
@@ -224,7 +224,7 @@ def test_leads_equal_median_reference(monkeypatch):
 def test_normalized_distance_division(monkeypatch):
     from leadlag import pipeline
 
-    from test_pipeline import identity_mapping, study_config, synth_inputs
+    from test_pipeline import study_config, synth_inputs
 
     batches = []
 
@@ -236,7 +236,7 @@ def test_normalized_distance_division(monkeypatch):
     monkeypatch.setattr(pipeline, "dtw_align_batch", recording)
     adm, indicators = synth_inputs()
     tables = pipeline.run_analysis(study_config(dtw_mode="univariate"), adm, indicators,
-                                   identity_mapping(), methods=("dtw",))
+                                   None, methods=("dtw",))
     assert len(tables) == len(batches) == 2
     for table, (cost, n) in zip(tables, batches):
         assert cost.min() > 0.0

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leadlag.errors import MappingError
-from leadlag.geo import (GeoMapping, apply_mapping, build_mapping, missing_ltlas,
-                         weighted_population)
+from leadlag.geo import GeoMapping, apply_mapping, build_mapping, weighted_population
 from conftest import panel, row
 
 
@@ -74,22 +73,22 @@ def test_count_scaling_leaves_weights_unchanged(scale):
 
 def test_apply_mapping_weighted_sum():
     m = build_mapping([("A", "T1", 60), ("A", "T2", 40), ("B", "T1", 50), ("B", "T2", 50)])
-    p = panel({"A": [10.0], "B": [20.0]}, level="ltla")
+    p = panel({"A": [10.0], "B": [20.0]})
     out = apply_mapping(p, m)
-    assert out.level == "trust"
+    assert out.geo_ids == ("T1", "T2")
     assert row(out, "T1")[0] == pytest.approx(0.6 * 10 + 0.5 * 20)
 
 
 def test_apply_mapping_identity_passthrough():
     m = build_mapping([("A", "T1", 9)])
-    p = panel({"A": [3.0, 7.0, 1.0]}, level="ltla")
+    p = panel({"A": [3.0, 7.0, 1.0]})
     out = apply_mapping(p, m)
     assert np.array_equal(row(out, "T1"), [3.0, 7.0, 1.0])
 
 
 def test_apply_mapping_equal_values_sum_weights():
     m = build_mapping([("A", "T1", 30), ("A", "T2", 70), ("B", "T1", 40), ("B", "T2", 60)])
-    p = panel({"A": [5.0], "B": [5.0]}, level="ltla")
+    p = panel({"A": [5.0], "B": [5.0]})
     out = apply_mapping(p, m)
     s = weights(m, "A")[0] + weights(m, "B")[0]
     assert row(out, "T1")[0] == pytest.approx(s * 5.0)
@@ -97,18 +96,9 @@ def test_apply_mapping_equal_values_sum_weights():
 
 def test_apply_mapping_unknown_geo_errors():
     m = two_ltla_mapping()
-    p = panel({"Z": [1.0]}, level="ltla")
+    p = panel({"Z": [1.0]})
     with pytest.raises(MappingError, match="Z"):
         apply_mapping(p, m)
-
-
-def test_apply_mapping_reports_missing_ltlas(caplog):
-    m = two_ltla_mapping()
-    p = panel({"A": [1.0]}, level="ltla")
-    assert missing_ltlas(p, m) == ["B"]
-    with caplog.at_level("WARNING", logger="leadlag.geo"):
-        apply_mapping(p, m)
-    assert any("B" in rec.message for rec in caplog.records)
 
 
 def test_apply_mapping_is_linear():
@@ -117,9 +107,9 @@ def test_apply_mapping_is_linear():
     v1 = {g: rng.normal(size=5) for g in "AB"}
     v2 = {g: rng.normal(size=5) for g in "AB"}
     a, b = 2.5, -1.5
-    p1 = panel(v1, level="ltla")
-    p2 = panel(v2, level="ltla")
-    combo = panel({g: a * v1[g] + b * v2[g] for g in "AB"}, level="ltla")
+    p1 = panel(v1)
+    p2 = panel(v2)
+    combo = panel({g: a * v1[g] + b * v2[g] for g in "AB"})
     lhs = apply_mapping(combo, m)
     r1, r2 = apply_mapping(p1, m), apply_mapping(p2, m)
     for t in ("T1", "T2"):

@@ -31,8 +31,6 @@ def test_read_admissions_complete(tmp_path):
                  "T1,2022-01-01,5\nT1,2022-01-02,6\nT1,2022-01-03,7\n"
                  "T2,2022-01-01,1\nT2,2022-01-02,2\nT2,2022-01-03,3\n")
     panel = read_admissions(path)
-    assert panel.level == "trust"
-    assert panel.variable == "admissions"
     assert panel.geo_ids == ("T1", "T2")
     assert panel.n_days == 3
     assert row(panel, "T2").tolist() == [1, 2, 3]
@@ -87,7 +85,6 @@ def test_read_indicator_file_single_variable(tmp_path):
                  "L1,2022-01-01,calls,1.5\nL1,2022-01-02,calls,2.5\n")
     panels = read_indicator_file(path)
     assert set(panels) == {"calls"}
-    assert panels["calls"].level == "ltla"
     assert panels["calls"].values.tolist() == [[1.5, 2.5]]
 
 
@@ -104,7 +101,6 @@ def test_read_indicator_selects_variable(tmp_path):
                  "geo_id,date,variable,value\n"
                  "L1,2022-01-01,calls,1\nL2,2022-01-02,visits,2\nL1,2022-01-03,visits,4\n")
     visits = read_indicator_file(path)["visits"]
-    assert visits.variable == "visits"
     assert visits.geo_ids == ("L1", "L2")
     assert visits.start_date.isoformat() == "2022-01-02"
     assert visits.values.tolist() == [[4.0, 4.0], [2.0, 2.0]]
@@ -172,20 +168,19 @@ def test_read_groupings_duplicate_member_errors(tmp_path):
 
 def test_apply_groupings_sums_members():
     panels = {
-        "a": panel({"L1": [1.0, 2.0, 3.0]}, "a", level="ltla"),
-        "b": panel({"L1": [10.0, 20.0, 30.0]}, "b", level="ltla"),
-        "c": panel({"L1": [5.0, 5.0, 5.0]}, "c", level="ltla"),
+        "a": panel({"L1": [1.0, 2.0, 3.0]}),
+        "b": panel({"L1": [10.0, 20.0, 30.0]}),
+        "c": panel({"L1": [5.0, 5.0, 5.0]}),
     }
     out = apply_groupings(panels, {"combo": ("a", "b")})
     assert set(out) == {"combo", "c"}
-    assert out["combo"].variable == "combo"
     assert out["combo"].values.tolist() == [[11.0, 22.0, 33.0]]
 
 
 def test_apply_groupings_mismatched_geos_error():
     panels = {
-        "a": panel({"L1": [1.0]}, "a", level="ltla"),
-        "b": panel({"L2": [1.0]}, "b", level="ltla"),
+        "a": panel({"L1": [1.0]}),
+        "b": panel({"L2": [1.0]}),
     }
     with pytest.raises(SchemaError, match="different geography"):
         apply_groupings(panels, {"combo": ("a", "b")})

@@ -86,7 +86,7 @@ def _parse_number(text: str, what: str, path: str, line: int) -> float:
     return value
 
 
-def _build_panel(per_geo: dict[str, dict[date, float]], level: str, variable: str) -> Panel:
+def _build_panel(per_geo: dict[str, dict[date, float]]) -> Panel:
     start = min(min(obs) for obs in per_geo.values())
     end = max(max(obs) for obs in per_geo.values())
     geo_ids = sorted(per_geo)
@@ -94,7 +94,7 @@ def _build_panel(per_geo: dict[str, dict[date, float]], level: str, variable: st
     for row, geo in zip(values, geo_ids):
         obs = per_geo[geo]
         row[[(d - start).days for d in obs]] = list(obs.values())
-    return Panel(level, variable, start, tuple(geo_ids), locf_impute(values))
+    return Panel(start, tuple(geo_ids), locf_impute(values))
 
 
 def read_admissions(path: str | Path) -> Panel:
@@ -115,10 +115,10 @@ def read_admissions(path: str | Path) -> Panel:
         if d in obs:
             raise SchemaError(f"duplicate record for ({trust}, {d})", spath, lineno)
         obs[d] = float(count)
-    return _build_panel(per_trust, "trust", "admissions")
+    return _build_panel(per_trust)
 
 
-def read_indicator_file(path: str | Path, level: str = "ltla") -> dict[str, Panel]:
+def read_indicator_file(path: str | Path) -> dict[str, Panel]:
     """Panels per variable from ``geo_id,date,variable,value`` rows."""
     spath = str(path)
     per_var: dict[str, dict[str, dict[date, float]]] = {}
@@ -131,7 +131,7 @@ def read_indicator_file(path: str | Path, level: str = "ltla") -> dict[str, Pane
             raise SchemaError(f"duplicate record for ({geo}, {d}, {variable})",
                               spath, lineno)
         obs[d] = value
-    return {var: _build_panel(per_geo, level, var) for var, per_geo in per_var.items()}
+    return {var: _build_panel(per_geo) for var, per_geo in per_var.items()}
 
 
 def read_mapping(path: str | Path) -> GeoMapping:
@@ -262,8 +262,7 @@ def assert_same_result(expected, got):
         for name in expected:
             assert_same_result(expected[name], got[name])
     elif isinstance(expected, Panel):
-        assert (got.level, got.variable, got.geo_ids, got.start_date) == \
-            (expected.level, expected.variable, expected.geo_ids, expected.start_date)
+        assert (got.geo_ids, got.start_date) == (expected.geo_ids, expected.start_date)
         assert np.array_equal(got.values, expected.values)
     elif isinstance(expected, GeoMapping):
         assert (got.ltla_ids, got.trust_ids, got.zero_record_ltlas) == \

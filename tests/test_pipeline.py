@@ -10,7 +10,7 @@ from leadlag.cli import main
 from leadlag.config import LatencySpec, RunConfig, WaveSpec
 from leadlag.corpus import write_corpus
 from leadlag.errors import ConfigError, LeadLagError
-from leadlag.geo import build_mapping
+from leadlag.geo import build_mapping, missing_ltlas
 from leadlag.pipeline import effective_lead, filter_trusts, run_analysis
 from leadlag.synth import IndicatorSpec, SynthSpec, generate_admissions, generate_indicators
 from leadlag.timeseries import Panel
@@ -69,7 +69,7 @@ def _admissions_panel(totals: dict[str, int]) -> Panel:
         values = np.zeros(30)
         values[:10] = total / 10
         series[trust] = values
-    return panel(series, "admissions", start=date(2022, 1, 1))
+    return panel(series, start=date(2022, 1, 1))
 
 
 def test_filter_removes_below_threshold():
@@ -128,7 +128,7 @@ def test_effective_lead_negative_stays_below_statistical():
 
 def test_recovers_injected_lead_in_ccf_rows():
     adm, indicators = synth_inputs(lead=10)
-    rows = records(run_analysis(study_config(), adm, indicators, identity_mapping(),
+    rows = records(run_analysis(study_config(), adm, indicators, None,
                                 methods=("ccf",)))
     ccf_rows = [r for r in rows if r.method == "ccf" and r.optimal_lead is not None]
     assert ccf_rows
@@ -139,7 +139,7 @@ def test_recovers_injected_lead_in_ccf_rows():
 def test_row_grid_is_complete():
     adm, indicators = synth_inputs()
     config = study_config()
-    rows = records(run_analysis(config, adm, indicators, identity_mapping()))
+    rows = records(run_analysis(config, adm, indicators, None))
     # granger yields two rows per cell (horizon 0 and 14), ccf and dtw one each
     expected = len(config.waves) * 3 * len(indicators) * 4
     assert len(rows) == expected
@@ -149,8 +149,8 @@ def test_row_grid_is_complete():
 
 def test_constant_indicator_degenerate_rows():
     adm, _ = synth_inputs()
-    const = panel({t: np.full(N_DAYS, 3.0) for t in adm.geo_ids}, "flat")
-    rows = records(run_analysis(study_config(), adm, {"flat": const}, identity_mapping()))
+    const = panel({t: np.full(N_DAYS, 3.0) for t in adm.geo_ids})
+    rows = records(run_analysis(study_config(), adm, {"flat": const}, None))
     assert rows
     for row in rows:
         assert row.degenerate
@@ -164,9 +164,8 @@ def test_indicator_absent_for_wave_gets_truncated_rows():
     adm, indicators = synth_inputs()
     full = indicators["ind"]
     cols = full.day_slice(START, WAVE1.end)
-    wave1_only = Panel(full.level, full.variable, full.start_date, full.geo_ids,
-                       full.values[:, cols])
-    rows = records(run_analysis(study_config(), adm, {"ind": wave1_only}, identity_mapping()))
+    wave1_only = Panel(full.start_date, full.geo_ids, full.values[:, cols])
+    rows = records(run_analysis(study_config(), adm, {"ind": wave1_only}, None))
     w2 = [r for r in rows if r.wave == "w2"]
     assert w2
     for row in w2:
@@ -189,16 +188,15 @@ def test_wave_isolation():
     # the smoothing window spreads the change
     i0 = (WAVE1.start - base.start_date).days + 35
     values[:, i0 : i0 + 8] *= 0.85
-    perturbed = Panel(base.level, base.variable, base.start_date, base.geo_ids, values)
+    perturbed = Panel(base.start_date, base.geo_ids, values)
     base_s = loess_smooth(base.values, 0.08, 2)
     pert_s = loess_smooth(values, 0.08, 2)
     # precondition: the whole-period scaling anchors stay put
     assert np.array_equal(base_s.min(axis=1), pert_s.min(axis=1))
     assert np.array_equal(base_s.max(axis=1), pert_s.max(axis=1))
 
-    rows_base = records(run_analysis(study_config(), adm, indicators, identity_mapping()))
-    rows_pert = records(run_analysis(study_config(), adm, {"ind": perturbed},
-                                     identity_mapping()))
+    rows_base = records(run_analysis(study_config(), adm, indicators, None))
+    rows_pert = records(run_analysis(study_config(), adm, {"ind": perturbed}, None))
 
     def stats(rows, wave):
         return {
@@ -215,7 +213,7 @@ def test_wave_isolation():
 def test_effective_never_exceeds_statistical():
     adm, indicators = synth_inputs()
     config = study_config(latencies={"ind": LatencySpec(2, 7)})
-    rows = records(run_analysis(config, adm, indicators, identity_mapping()))
+    rows = records(run_analysis(config, adm, indicators, None))
     for row in rows:
         if row.effective_lead is None:
             continue
@@ -226,14 +224,14 @@ def test_effective_never_exceeds_statistical():
 def test_univariate_dtw_mode():
     adm, indicators = synth_inputs()
     rows = records(run_analysis(study_config(dtw_mode="univariate"), adm, indicators,
-                                identity_mapping(), methods=("dtw",)))
+                                None, methods=("dtw",)))
     leads = [r.dtw_median_lead for r in rows if r.dtw_median_lead is not None]
     assert leads and all(7 <= lead <= 13 for lead in leads)
 
 
 def test_multivariate_dtw_shared_across_trusts():
     adm, indicators = synth_inputs()
-    rows = records(run_analysis(study_config(), adm, indicators, identity_mapping(),
+    rows = records(run_analysis(study_config(), adm, indicators, None,
                                 methods=("dtw",)))
     for wave in ("w1", "w2"):
         values = {r.dtw_median_lead for r in rows if r.wave == wave}
@@ -243,12 +241,23 @@ def test_multivariate_dtw_shared_across_trusts():
 def test_ltla_panel_is_mapped():
     adm, indicators = synth_inputs()
     trust_panel = indicators["ind"]
-    ltla_panel = Panel("ltla", "ind", trust_panel.start_date,
-                       tuple(f"L{i:03d}" for i in range(3)), trust_panel.values)
+    ltla_panel = Panel(trust_panel.start_date, tuple(f"L{i:03d}" for i in range(3)),
+                       trust_panel.values)
     rows = records(run_analysis(study_config(), adm, {"ind": ltla_panel},
                                 identity_mapping(), methods=("ccf",)))
     good = [r for r in rows if r.optimal_lead is not None]
     assert good and all(abs(r.optimal_lead - 10) <= 1 for r in good)
+
+
+def test_mapping_ltlas_without_a_series_are_logged(caplog):
+    adm, indicators = synth_inputs()
+    ind = indicators["ind"]
+    ltla_panel = Panel(ind.start_date, ("L000", "L001"), ind.values[:2])
+    assert missing_ltlas(ltla_panel, identity_mapping()) == ["L002"]
+    with caplog.at_level(logging.WARNING, logger="leadlag.pipeline"):
+        run_analysis(study_config(), adm, {"ind": ltla_panel}, identity_mapping(),
+                     methods=("ccf",))
+    assert "variable ind missing 1 mapping LTLA(s): L002" in caplog.messages
 
 
 @pytest.mark.parametrize("mode", ["multivariate", "univariate"])
@@ -256,11 +265,10 @@ def test_indicator_sharing_no_trust_gets_no_series_rows(mode):
     # every method runs on a batch of no rows, and DTW aligns nothing
     adm, indicators = synth_inputs()
     ind = indicators["ind"]
-    elsewhere = Panel("trust", "elsewhere", ind.start_date,
-                      tuple(f"X{i:03d}" for i in range(3)), ind.values)
+    elsewhere = Panel(ind.start_date, tuple(f"X{i:03d}" for i in range(3)), ind.values)
     paths: list[tuple] = []
     tables = run_analysis(study_config(dtw_mode=mode), adm, {**indicators, "elsewhere": elsewhere},
-                          identity_mapping(), dtw_paths=paths)
+                          None, dtw_paths=paths)
     rows = [r for r in records(tables) if r.indicator == "elsewhere"]
     assert {r.method for r in rows} == {"granger", "granger14", "ccf", "dtw"}
     assert len(rows) == 4 * len(adm.geo_ids) * len(study_config().waves)
@@ -271,7 +279,7 @@ def test_indicator_sharing_no_trust_gets_no_series_rows(mode):
 def test_unknown_method_is_config_error():
     adm, indicators = synth_inputs()
     with pytest.raises(ConfigError, match="unknown methods: wavelets"):
-        run_analysis(study_config(), adm, indicators, identity_mapping(),
+        run_analysis(study_config(), adm, indicators, None,
                      methods=("ccf", "wavelets"))
 
 
@@ -282,11 +290,11 @@ def test_batch_mixing_degenerate_and_missing_trusts():
     ind = indicators["ind"]
     values = ind.values[:2].copy()
     values[1] = 3.0
-    mixed = Panel("trust", "ind", ind.start_date, ("T000", "T001"), values)
-    rows = records(run_analysis(study_config(), adm, {"ind": mixed}, identity_mapping()))
-    alone = records(run_analysis(study_config(), adm, {"ind": panel({"T000": values[0]}, "ind",
-                                                                    start=ind.start_date)},
-                                 identity_mapping(), methods=("granger", "ccf")))
+    mixed = Panel(ind.start_date, ("T000", "T001"), values)
+    rows = records(run_analysis(study_config(), adm, {"ind": mixed}, None))
+    alone = records(run_analysis(study_config(), adm,
+                                 {"ind": panel({"T000": values[0]}, start=ind.start_date)},
+                                 None, methods=("granger", "ccf")))
     by_trust = {t: [r for r in rows if r.trust_id == t] for t in ("T000", "T001", "T002")}
     assert [r for r in by_trust["T000"] if r.method != "dtw"] == \
         [r for r in alone if r.trust_id == "T000"]
@@ -308,11 +316,11 @@ def test_kernel_errors_become_rows():
     ind = indicators["ind"]
     values = ind.values.copy()
     values[1] = 3.0
-    flat = Panel("trust", "ind", ind.start_date, ind.geo_ids, values)
+    flat = Panel(ind.start_date, ind.geo_ids, values)
     short = WaveSpec("short", START + timedelta(days=40), START + timedelta(days=59))
     tiny = WaveSpec("tiny", START + timedelta(days=100), START + timedelta(days=101))
     config = study_config(waves=(short, tiny), dtw_warmup_days=0)
-    rows = records(run_analysis(config, adm, {"flat": flat}, identity_mapping()))
+    rows = records(run_analysis(config, adm, {"flat": flat}, None))
     assert len(rows) == 2 * 3 * 4
 
     def cells(wave, method):

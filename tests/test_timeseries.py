@@ -30,23 +30,18 @@ def test_timeseries_dates_are_consecutive():
 
 def test_panel_rejects_misaligned_series():
     with pytest.raises(LeadLagError, match="misaligned"):
-        Panel("trust", "v", START, ("T1", "T2"), np.ones((1, 3)))
-
-
-def test_panel_rejects_unknown_level():
-    with pytest.raises(LeadLagError, match="geo level"):
-        panel({"T1": [1.0]}, level="region")
+        Panel(START, ("T1", "T2"), np.ones((1, 3)))
 
 
 def test_panel_requires_sorted_unique_geo_ids():
     with pytest.raises(LeadLagError, match="sorted"):
-        Panel("trust", "v", START, ("T2", "T1"), np.ones((2, 3)))
+        Panel(START, ("T2", "T1"), np.ones((2, 3)))
     with pytest.raises(LeadLagError, match="sorted"):
-        Panel("trust", "v", START, ("T1", "T1"), np.ones((2, 3)))
+        Panel(START, ("T1", "T1"), np.ones((2, 3)))
 
 
 def test_panel_values_are_read_only():
-    p = Panel("trust", "v", START, ("T1",), np.ones((1, 3)))
+    p = Panel(START, ("T1",), np.ones((1, 3)))
     with pytest.raises(ValueError):
         p.values[0, 0] = 2.0
     assert panel({"T1": [1, 2]}).values.dtype == float
@@ -118,7 +113,7 @@ def test_slice_idempotent():
     p = panel({"T1": range(10)})
     start, end = START + timedelta(days=2), START + timedelta(days=20)  # clipped at the end
     a = p.values[:, p.day_slice(start, end)]
-    sub = Panel(p.level, p.variable, start, p.geo_ids, a)
+    sub = Panel(start, p.geo_ids, a)
     assert np.array_equal(sub.values[:, sub.day_slice(start, end)], a)
     assert sub.end_date == p.end_date
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from leadlag.config import LatencySpec, RunConfig, WaveSpec
 from leadlag.errors import InsufficientDataError, LeadLagError
-from leadlag.geo import build_mapping
 from leadlag.pipeline import effective_lead, effective_leads, run_analysis
 from leadlag.timeseries import minmax_scale
 from leadlag.xcorr import ccf_at_leads, optimal_lead, optimal_leads
@@ -73,15 +72,13 @@ def test_constant_series_reads_nan():
 
 def test_constant_series_errors():
     # the CCF rows of a constant indicator record the zero variance
-    adm = panel({"T1": wave(120) * 50, "T2": wave(120, 40.0) * 50}, "admissions")
-    flat = panel({"T1": np.full(120, 2.0), "T2": wave(120)}, "flat")
+    adm = panel({"T1": wave(120) * 50, "T2": wave(120, 40.0) * 50})
+    flat = panel({"T1": np.full(120, 2.0), "T2": wave(120)})
     config = RunConfig(waves=(WaveSpec("w", START + timedelta(days=20),
                                        START + timedelta(days=100)),),
                        admissions_filter_start=START,
                        admissions_filter_end=START + timedelta(days=119))
-    rows = records(run_analysis(config, adm, {"flat": flat},
-                                build_mapping([("L1", "T1", 1), ("L2", "T2", 1)]),
-                                methods=("ccf",)))
+    rows = records(run_analysis(config, adm, {"flat": flat}, None, methods=("ccf",)))
     assert [(r.trust_id, r.error, r.degenerate) for r in rows] == [
         ("T1", "zero variance", True), ("T2", "", False)]
 
