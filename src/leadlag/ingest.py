@@ -47,6 +47,10 @@ _BLOCK = 256
 # per check: a mask over the rows, and the message for a failing row's fields
 _Checks = list[tuple[np.ndarray, Callable[[list[str]], str]]]
 
+# csv.reader stops at a NUL on Python 3.10 and reads it as text on 3.11+;
+# a record holding one fails with 3.10's error wherever it is read
+_NUL = "malformed CSV: line contains NUL"
+
 
 class _Columns(NamedTuple):
     """The data rows of one CSV file, column by column."""
@@ -87,8 +91,8 @@ def _scan(path: str | Path, header: list[str], number: int | None = None) -> _Co
         except csv.Error as exc:
             raise SchemaError(f"malformed CSV: {exc}", spath, 1) from None
         if found != header:
-            raise SchemaError(f"expected header {','.join(header)!r}, got {found!r}",
-                              path=spath, line=1)
+            raise SchemaError(_NUL if "\0" in "".join(found or ()) else
+                              f"expected header {','.join(header)!r}, got {found!r}", spath, 1)
         records = filter(None, reader)  # csv.reader yields an empty list for a blank line
         while tail is None:
             block: list[list[str]] = []
@@ -147,24 +151,25 @@ def _locate(path: str, row: int) -> tuple[int, list[str]]:
 def _check(cols: _Columns, checks: _Checks) -> None:
     """Raise the error of the earliest offending row, in ``checks`` order at a tie.
 
-    A text field holding a byte that is not UTF-8 and a row of the wrong
-    width come before ``checks``; a record the tokenizer stopped in comes
-    after every row read.
+    A text field holding a NUL or a byte that is not UTF-8 and a row of the
+    wrong width come before ``checks``; a record the tokenizer stopped in
+    comes after every row read.  A row holding a NUL fails as a NUL.
     """
     rows = cols.wrong_width.size
-    # surrogateescape decodes a byte that is not UTF-8 to a lone surrogate, which
-    # str.encode refuses; each text column is checked once per distinct text
-    escaped = np.any([_parse_each(names, lambda t: len(t.encode()))[1][codes]
-                      for codes, names in zip(cols.codes, cols.names) if codes is not None],
-                     axis=0)
+    # each text column is checked once per distinct text
+    unreadable = np.any([_parse_each(names, _text)[1][codes]
+                         for codes, names in zip(cols.codes, cols.names) if codes is not None],
+                        axis=0)
     width = len(cols.names)
-    checks = [(escaped, lambda f: "not valid UTF-8"),
+    checks = [(unreadable, lambda f: "not valid UTF-8"),  # or a NUL, named below
               (cols.wrong_width, lambda f: f"expected {width} fields, got {len(f)}"), *checks]
     hits = [(int(mask.argmax()), k) for k, (mask, _) in enumerate(checks) if mask.any()]
     if hits:
         row, k = min(hits)
         line, fields = _locate(cols.path, row)
-        raise SchemaError(checks[k][1](fields), cols.path, line)
+        # a NUL in a number or a row of the wrong width fails that field's check
+        raise SchemaError(_NUL if "\0" in "".join(fields) else checks[k][1](fields),
+                          cols.path, line)
     if cols.tail is not None:
         raise SchemaError(cols.tail, cols.path, _locate(cols.path, rows)[0])
     if not rows:
@@ -181,6 +186,14 @@ def _parse_each(texts: Sequence[str], parse: Callable) -> tuple[np.ndarray, np.n
         except ValueError:
             failed[i] = True
     return out, failed
+
+
+def _text(text: str) -> int:
+    if "\0" in text:
+        raise ValueError
+    # surrogateescape decodes a byte that is not UTF-8 to a lone surrogate, which
+    # str.encode refuses with a ValueError
+    return len(text.encode())
 
 
 def _ordinal(text: str) -> int:

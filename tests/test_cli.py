@@ -110,7 +110,9 @@ HEADER = b"trust_id,date,admissions\n"
      r"field larger than field limit.*admissions\.csv:3\]"),
     (b"trust_id,date," + b"a" * 200_000 + b"\nT0,2021-10-01,5\n",
      r"field larger than field limit.*admissions\.csv:1\]"),
-], ids=["undecodable", "oversized-field", "oversized-header"])
+    (HEADER + b"T0,2021-10-01,5\nT\x000,2021-10-01,5\n",
+     r"malformed CSV: line contains NUL.*admissions\.csv:3\]"),
+], ids=["undecodable", "oversized-field", "oversized-header", "nul-in-id"])
 def test_unreadable_admissions_exit_input_schema(corpus, tmp_path, capsys, content, where):
     bad = tmp_path / "admissions.csv"
     bad.write_bytes(content)

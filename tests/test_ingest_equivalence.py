@@ -1,10 +1,11 @@
 """The columnar readers against the row-at-a-time readers they replaced.
 
 The reference below is the earlier ``leadlag.ingest`` row loop, copied
-verbatim but for two rules: a record's line is the first physical line it
-spans, and a date is exactly ``YYYY-MM-DD``.  Hypothesis writes small CSV
-files from valid rows with injected defects (bad or non-ISO dates,
-non-numeric, non-finite, negative and non-integer numbers, duplicates, wrong
+verbatim but for three rules: a record's line is the first physical line it
+spans, a date is exactly ``YYYY-MM-DD``, and a record holding a NUL fails as
+``csv.reader`` fails on Python 3.10.  Hypothesis writes small CSV files from
+valid rows with injected defects (bad or non-ISO dates, non-numeric,
+non-finite, negative and non-integer numbers, NULs, duplicates, wrong
 widths, blank lines, quoted fields, CRLF line ends, a wrong header), and
 each reader must agree with its reference: equal results when the reference
 returns, the same error class, message and line when it raises a
@@ -35,6 +36,9 @@ from leadlag.timeseries import Panel, locf_impute
 
 # ------------------------------------------------ reference: the row readers
 
+NUL_ERROR = "malformed CSV: line contains NUL"  # csv.reader's error on Python 3.10
+
+
 def _records(path: str | Path, header: list[str]):
     """(first line, fields) of each non-empty record; checks header, width, emptiness.
 
@@ -49,6 +53,8 @@ def _records(path: str | Path, header: list[str]):
     with handle:
         reader = csv.reader(handle)
         found = next(reader, None)
+        if found is not None and "\0" in "".join(found):
+            raise SchemaError(NUL_ERROR, spath, 1)
         if found != header:
             raise SchemaError(f"expected header {','.join(header)!r}, got {found!r}",
                               path=spath, line=1)
@@ -56,6 +62,8 @@ def _records(path: str | Path, header: list[str]):
         lineno = reader.line_num + 1
         for row in reader:
             if row:
+                if "\0" in "".join(row):  # Python 3.11+ reads it as text
+                    raise SchemaError(NUL_ERROR, spath, lineno)
                 if len(row) != len(header):
                     raise SchemaError(f"expected {len(header)} fields, got {len(row)}",
                                       spath, lineno)
@@ -176,32 +184,35 @@ def read_groupings(path: str | Path) -> dict[str, tuple[str, ...]]:
 
 # ------------------------------------------------------------ CSV generation
 
+# stands for a NUL in the rows, as csv.writer on Python 3.10 cannot write one
+NUL = "<NUL>"
 GEOS = ["L1", "L2", "T 3", "a,b", 'q"t', "L\n4"]
+BAD_GEOS = GEOS + [f"L{NUL}1", f"L\n{NUL}"]
 VARIABLES = ["calls", "visits", "x,y"]
 DATES = ["2022-01-01", "2022-01-02", "2022-01-03", "2022-01-05"]
 BAD_DATES = ["2022-13-01", "2022-02-30", "2022-01", "", " 2022-01-01", "NaT",
-             "2022-01-01T00", "01/02/2022", "20220104", "2022-W01-2"]
+             "2022-01-01T00", "01/02/2022", "20220104", "2022-W01-2", f"2022-01-0{NUL}1"]
 NUMBERS = ["1", "2.5", "0", "1e3", " 4 ", "1_0", "+3", "0.1", "5.0"]
 BAD_NUMBERS = ["-3", "-0.5", "-0", "nan", "NaN", "inf", "-inf", "1e400", "abc", "",
-               "1.2.3", "99999999999999999999", "1" * 400]
+               "1.2.3", "99999999999999999999", "1" * 400, f"1{NUL}"]
 
 # header, then one strategy per field of a valid row, then one per defect
 SCHEMAS = {
     "admissions": (["trust_id", "date", "admissions"],
                    [GEOS, DATES, ["0", "1", "5", "17", "+3", " 7"]],
-                   [GEOS, BAD_DATES, BAD_NUMBERS]),
+                   [BAD_GEOS, BAD_DATES, BAD_NUMBERS]),
     "indicator": (["geo_id", "date", "variable", "value"],
                   [GEOS, DATES, VARIABLES, NUMBERS],
-                  [GEOS, BAD_DATES, VARIABLES, BAD_NUMBERS]),
+                  [BAD_GEOS, BAD_DATES, VARIABLES, BAD_NUMBERS]),
     "mapping": (["ltla_id", "trust_id", "admissions"],
                 [GEOS, GEOS, NUMBERS],
-                [GEOS, GEOS, BAD_NUMBERS]),
+                [BAD_GEOS, GEOS, BAD_NUMBERS]),
     "population": (["ltla_id", "population"],
                    [GEOS, NUMBERS],
-                   [GEOS, BAD_NUMBERS]),
+                   [BAD_GEOS, BAD_NUMBERS]),
     "groupings": (["group", "member_variable"],
                   [VARIABLES, GEOS],
-                  [VARIABLES, GEOS]),
+                  [VARIABLES, BAD_GEOS]),
 }
 
 READERS = {
@@ -243,7 +254,7 @@ def csv_files(draw, kind: str) -> bytes:
             writer.writerow(row)
         else:
             text.write("\n")
-    return text.getvalue().encode("utf-8")
+    return text.getvalue().replace(NUL, "\0").encode("utf-8")
 
 
 # ---------------------------------------------------------------- comparison
