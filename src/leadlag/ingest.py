@@ -167,7 +167,8 @@ def _check(cols: _Columns, checks: _Checks) -> None:
     if hits:
         row, k = min(hits)
         line, fields = _locate(cols.path, row)
-        # a NUL in a number or a row of the wrong width fails that field's check
+        # every row holding a NUL fails a check: a text field the first, a number
+        # its number check, a row of the wrong width the width check
         raise SchemaError(_NUL if "\0" in "".join(fields) else checks[k][1](fields),
                           cols.path, line)
     if cols.tail is not None:

@@ -2,9 +2,9 @@
 
 A :class:`Panel` holds one variable as a float ``(n_geo, n_days)`` array:
 one row per geography id (sorted), one column per consecutive day from
-``start_date``. The transforms take a plain 2-D array,
-one series per row, and return new arrays; the scalings also return a
-per-row mask of degenerate (constant) rows.
+``start_date``. The transforms take a plain 2-D array, one series per row,
+and return new arrays; the scalings also return a per-row mask of
+degenerate (constant) rows.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from math import ceil
 import numpy as np
 
 from .errors import EmptySeriesError, EmptySliceError, InsufficientDataError, LeadLagError
+
 
 @dataclass(frozen=True)
 class Panel:

@@ -268,29 +268,31 @@ def test_undecodable_byte_fails_its_fields_check(tmp_path, reader, data, message
         reader(path)
 
 
-@pytest.mark.parametrize("reader, data, line", [
-    (read_admissions, b"trust_id,date,admissions\nT1,2022-01-01,1\nT\x001,2022-01-02,1\n", 3),
-    (read_admissions, b"trust_id,date,admissions\nT1,2022-01-01,1\nT1,2022-01-0\x002,1\n", 3),
-    (read_admissions, b"trust_id,date,admissions\nT1,2022-01-01,1\nT1,2022-01-02,\x001\n", 3),
-    (read_population, b"ltla_id,population\nL1,1\nL2,5\x00\n", 3),
-    (read_population, b"ltla_id,population\nL1,1\nL2\x00\n", 3),
-    (read_population, b"ltla_id,popula\x00tion\nL1,1\n", 1),
+NUL = "malformed CSV: line contains NUL"
+
+
+@pytest.mark.parametrize("reader, data, message, line", [
+    (read_admissions, b"trust_id,date,admissions\nT1,2022-01-01,1\nT\x001,2022-01-02,1\n",
+     NUL, 3),
+    (read_admissions, b"trust_id,date,admissions\nT1,2022-01-01,1\nT1,2022-01-0\x002,1\n",
+     NUL, 3),
+    (read_admissions, b"trust_id,date,admissions\nT1,2022-01-01,1\nT1,2022-01-02,\x001\n",
+     NUL, 3),
+    (read_population, b"ltla_id,population\nL1,1\nL2,5\x00\n", NUL, 3),
+    (read_population, b"ltla_id,population\nL1,1\nL2\x00\n", NUL, 3),
+    (read_population, b"ltla_id,popula\x00tion\nL1,1\n", NUL, 1),
     # the first line of a record on two lines
-    (read_population, b'ltla_id,population\nL1,1\n"L\n\x002",5\n', 3),
-    # ahead of the record's own faults and of later records
-    (read_population, b"ltla_id,population\nL\x00\xff,-1,7\nL3,abc\n", 2),
-], ids=["id", "date", "count", "number", "width", "header", "two-lines", "own-faults"])
-def test_nul_is_a_malformed_record(tmp_path, reader, data, line):
+    (read_population, b'ltla_id,population\nL1,1\n"L\n\x002",5\n', NUL, 3),
+    # ahead of the record's own faults and of later records, after earlier records
+    (read_population, b"ltla_id,population\nL\x00\xff,-1,7\nL3,abc\n", NUL, 2),
+    (read_population, b"ltla_id,population\nL1,-1\nL\x002,5\n", "negative population -1.0", 2),
+], ids=["id", "date", "count", "number", "width", "header", "two-lines", "own-faults",
+        "earlier-fault"])
+def test_nul_is_a_malformed_record(tmp_path, reader, data, message, line):
     # csv.reader raises this on Python 3.10 and reads the NUL as text on 3.11+
     path = tmp_path / "in.csv"
     path.write_bytes(data)
-    with pytest.raises(SchemaError, match=r"^malformed CSV: line contains NUL \[") as info:
+    with pytest.raises(SchemaError) as info:
         reader(path)
+    assert str(info.value).startswith(message + " [")
     assert info.value.line == line
-
-
-def test_earlier_fault_beats_a_later_nul(tmp_path):
-    path = tmp_path / "pop.csv"
-    path.write_bytes(b"ltla_id,population\nL1,-1\nL\x002,5\n")
-    with pytest.raises(SchemaError, match=r"negative population -1.0 \[.*pop\.csv:2\]"):
-        read_population(path)
