@@ -6,7 +6,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .config import LatencySpec, RunConfig, WaveSpec, load_config
-from .dtw import brute_force_dtw, dtw_align_batch, path_pairs
+from .dtw import dtw_align_batch, path_pairs
 from .errors import LeadLagError
 from .geo import GeoMapping, apply_mapping, build_mapping, weighted_population
 from .granger import GrangerBatch, granger_test_batch
@@ -38,7 +38,6 @@ __all__ = [
     "WaveSpec",
     "apply_groupings",
     "apply_mapping",
-    "brute_force_dtw",
     "build_mapping",
     "ccf_at_leads",
     "derive_indicator",

@@ -98,6 +98,10 @@ def _run(args: argparse.Namespace) -> int:
     populations = read_population(args.population)
     trust_pop = weighted_population(mapping, populations)
     if args.indicator_level == "trust":  # the indicators need no mapping
+        if overrides:  # still read above, so a bad file fails the run either way
+            unused = ", ".join(config.indicator_mappings[name] for name in sorted(overrides))
+            logger.warning("--indicator-level trust maps no indicator; indicator_mappings "
+                           "files read but not used: %s", unused)
         mapping, overrides = None, {}
 
     dtw_paths: list[tuple] | None = [] if args.export_dtw_paths else None

@@ -19,16 +19,16 @@ cost rows and int8 backpointers for the band only. An alignment is its
 accumulated cost and, for each query index, the lowest and highest
 reference index it matched; ``path_pairs`` expands that into the matched
 (query, reference) index pairs, an (L, 2) int array in ascending order.
-``brute_force_dtw`` enumerates every admissible path under identical
-constraints and is the verification oracle for the dynamic program; the
-two accumulate costs in the same order and agree to the last bit.
+The tests check the dynamic program against an oracle that enumerates
+every admissible path under identical constraints; the two accumulate
+costs in the same order and agree to the last bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import LeadLagError, OracleScaleError
+from .errors import LeadLagError
 
 _W23 = 2.0 / 3.0
 
@@ -39,22 +39,6 @@ _STEPS = (
     (2, 3, ((1, 2, _W23), (0, 1, _W23), (0, 0, _W23))),
     (3, 2, ((2, 1, 1.0), (1, 0, 1.0), (0, 0, 1.0))),
 )
-
-# The same productions as forward moves: ((di, dj), cells) with cell offsets
-# from the source, in the same accumulation order.
-_FORWARD_STEPS = (
-    ((1, 1), ((1, 1, 1.0),)),
-    ((2, 3), ((1, 1, _W23), (2, 2, _W23), (2, 3, _W23))),
-    ((3, 2), ((1, 1, 1.0), (2, 2, 1.0), (3, 2, 1.0))),
-)
-
-_ORACLE_MAX_LEN = 12
-
-
-def _local_cost_matrix(q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    if q.ndim == 1:
-        return np.abs(q[:, None] - r[None, :])
-    return np.sqrt(((q[:, None, :] - r[None, :, :]) ** 2).sum(axis=2))
 
 
 def _batch(query, reference, window: int) -> tuple[np.ndarray, np.ndarray]:
@@ -89,11 +73,14 @@ def dtw_align_batch(query, reference, window: int = 35) -> tuple[np.ndarray, np.
     One dynamic program runs over all rows at once in band coordinates:
     band column c of query row i is reference column i - w + c, and every
     row keeps its 2w + 1 band columns between two columns of +inf, so each
-    production reads its candidates and local costs at fixed offsets. Memory
-    is the last three local-cost and four accumulated-cost band rows, the
-    reference padded with +inf columns, and n*B*(2w+1) int8 backpointers.
-    Costs accumulate per element in the same order as
-    :func:`brute_force_dtw`, which it matches to the last bit.
+    production reads its candidates and local costs at fixed offsets. The
+    state is band-major: a band row is a (2w + 3, B) block, so the shifted
+    slice a production reads is one contiguous block, and the reference is
+    padded with +inf to (n + 2w, B) or (n + 2w, B, k). Memory is the last
+    three local-cost and four accumulated-cost band rows, that reference
+    and (n, 2w + 1, B) int8 backpointers. Costs accumulate per element in
+    a fixed order, which the exhaustive oracle in the tests matches to the
+    last bit.
     """
     q, r = _batch(query, reference, window)
     batch, n = q.shape[:2]
@@ -101,19 +88,19 @@ def dtw_align_batch(query, reference, window: int = 35) -> tuple[np.ndarray, np.
     w = min(window, max(n, m))  # a wider band admits no further pairs
     band = 2 * w + 1
 
-    # reference column j at j + w, so row i's band is ref[:, i : i + band]
-    ref = np.full((batch, n + 2 * w) + r.shape[2:], np.inf)
-    ref[:, w : w + m] = r[:, : n + w]
-    g = np.full((4, batch, band + 2), np.inf)  # accumulated cost: row i in slot i % 4
-    d = np.full((3, batch, band + 2), np.inf)  # local cost: row i in slot i % 3
-    back = np.full((n, batch, band), -1, dtype=np.int8)
+    # reference column j at j + w, so row i's band is ref[i : i + band]
+    ref = np.full((n + 2 * w, batch) + r.shape[2:], np.inf)
+    ref[w : w + m] = np.moveaxis(r[:, : n + w], 1, 0)
+    g = np.full((4, band + 2, batch), np.inf)  # accumulated cost: row i in slot i % 4
+    d = np.full((3, band + 2, batch), np.inf)  # local cost: row i in slot i % 3
+    back = np.full((n, band, batch), -1, dtype=np.int8)
     for i in range(n):
-        d_i = d[i % 3][:, 1:-1]
+        d_i = d[i % 3][1:-1]
         if q.ndim == 2:
-            np.abs(q[:, i, None] - ref[:, i : i + band], out=d_i)
+            np.abs(q[:, i] - ref[i : i + band], out=d_i)
         else:
-            np.sqrt(((q[:, i, None, :] - ref[:, i : i + band]) ** 2).sum(axis=2), out=d_i)
-        row = g[i % 4][:, 1:-1]
+            np.sqrt(((q[:, i] - ref[i : i + band]) ** 2).sum(axis=2), out=d_i)
+        row = g[i % 4][1:-1]
         if i == 0:
             row[:] = d_i  # open begin: the path may enter at any column
             continue
@@ -123,23 +110,23 @@ def dtw_align_batch(query, reference, window: int = 35) -> tuple[np.ndarray, np.
                 continue
             # for band column c, cell (i - a, j - b) is at c + 1 + a - b in its slot
             at = 1 + di - dj
-            cand = g[(i - di) % 4][:, at : at + band]
+            cand = g[(i - di) % 4][at : at + band]
             for ri, rj, wt in cells:
                 at = 1 + ri - rj
-                cand = cand + wt * d[(i - ri) % 3][:, at : at + band]
+                cand = cand + wt * d[(i - ri) % 3][at : at + band]
             better = cand < row
             np.copyto(row, cand, where=better)
             back[i][better] = p_idx
 
-    last = g[(n - 1) % 4][:, 1:-1]
-    ends = np.argmin(last, axis=1)  # open end: the cheapest column of the last row
-    cost = last[np.arange(batch), ends]
+    last = g[(n - 1) % 4][1:-1]
+    ends = np.argmin(last, axis=0)  # open end: the cheapest column of the last row
+    cost = last[ends, np.arange(batch)]
     match = np.full((batch, n, 2), -1, dtype=np.int32)
     for b in np.flatnonzero(cost < np.inf).tolist():
         lo, hi = [0] * n, [0] * n
         i, j = n - 1, n - 1 - w + int(ends[b])
         while i > 0:
-            di, dj, cells = _STEPS[back[i, b, j - i + w]]
+            di, dj, cells = _STEPS[back[i, j - i + w, b]]
             for ri, rj, _ in cells:  # ascending, so a query index's last cell is its highest
                 hi[i - ri] = j - rj
             for ri, rj, _ in reversed(cells):
@@ -160,55 +147,3 @@ def path_pairs(match: np.ndarray) -> np.ndarray:
     keep = np.ones((len(match), 2), dtype=bool)
     keep[:, 1] = match[:, 1] != match[:, 0]
     return pairs[keep]
-
-
-def brute_force_dtw(query, reference, window: int = 35) -> tuple[float, np.ndarray | None]:
-    """Exhaustive-path verification oracle; identical constraints and arithmetic.
-
-    ``query`` (n,) or (n, k) and ``reference`` (m,) or (m, k) are checked
-    as a batch of one. Returns the accumulated cost (+inf where no path is
-    admissible) and the sorted (L, 2) int32 pairs (``None`` then), the form
-    :func:`path_pairs` gives one row of :func:`dtw_align_batch`.
-    Enumerates every admissible production sequence by depth-first search;
-    only feasible for sequences of length <= 12.
-    """
-    q, r = _batch(np.asarray(query)[None], np.asarray(reference)[None], window)
-    n, m = q.shape[1], r.shape[1]
-    if n > _ORACLE_MAX_LEN or m > _ORACLE_MAX_LEN:
-        raise OracleScaleError("oracle scale exceeded")
-    d = _local_cost_matrix(q[0], r[0])
-
-    best_cost = np.inf
-    best_pairs: list[tuple[int, int]] | None = None
-
-    def walk(i: int, j: int, cost: float, pairs: list[tuple[int, int]]) -> None:
-        nonlocal best_cost, best_pairs
-        if i == n - 1:
-            if cost < best_cost:
-                best_cost = cost
-                best_pairs = list(pairs)
-            return
-        for (di, dj), cells in _FORWARD_STEPS:
-            if i + di >= n or j + dj >= m:
-                continue
-            c = cost
-            added = 0
-            feasible = True
-            for ai, aj, w in cells:
-                ci, cj = i + ai, j + aj
-                if abs(ci - cj) > window:
-                    feasible = False
-                    break
-                c = c + w * d[ci, cj]
-                pairs.append((ci, cj))
-                added += 1
-            if feasible:
-                walk(i + di, j + dj, c, pairs)
-            del pairs[len(pairs) - added :]
-
-    for j0 in range(min(window, m - 1) + 1):
-        walk(0, j0, float(d[0, j0]), [(0, j0)])
-
-    if best_pairs is None:
-        return np.inf, None
-    return float(best_cost), np.array(sorted(best_pairs), dtype=np.int32)

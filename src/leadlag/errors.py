@@ -17,10 +17,6 @@ class InsufficientDataError(LeadLagError):
     """Not enough observations for the requested computation."""
 
 
-class OracleScaleError(LeadLagError):
-    """Input exceeds the size the exhaustive oracle can enumerate."""
-
-
 class SchemaError(LeadLagError):
     """Malformed input file."""
 

@@ -15,7 +15,7 @@ import pytest
 from leadlag.cli import main as cli_main
 from leadlag.config import LatencySpec
 from leadlag.corpus import write_corpus
-from leadlag.dtw import brute_force_dtw, path_pairs
+from leadlag.dtw import path_pairs
 from leadlag.geo import apply_mapping, build_mapping, weighted_population
 from leadlag.granger import _upper_tail
 from leadlag.pipeline import effective_lead
@@ -24,6 +24,7 @@ from leadlag.timeseries import minmax_scale
 from leadlag.xcorr import ccf_at_leads, optimal_lead
 
 from conftest import panel, row
+from oracles import brute_force_dtw
 from test_dtw import align, leads
 from test_granger import granger_one, reference_granger
 

@@ -417,6 +417,32 @@ def test_trust_level_indicators_match_a_one_to_one_mapping(corpus, tmp_path, dtw
     assert b"no indicator series" not in ccf and b"preprocessing failed" not in ccf
 
 
+def test_trust_level_run_warns_of_unused_override_files(corpus, tmp_path, caplog):
+    overrides = {"ind01": tmp_path / "a.csv", "ind00": tmp_path / "b.csv"}
+    for override in overrides.values():
+        override.write_bytes((corpus / "mapping.csv").read_bytes())
+    config = yaml.safe_load((corpus / "config.yaml").read_text())
+    config["indicator_mappings"] = {name: str(p) for name, p in overrides.items()}
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(config))
+    ltla, trust = (run_args(corpus, tmp_path / level, ("--methods", "ccf",
+                                                       "--indicator-level", level))
+                   for level in ("ltla", "trust"))
+    for args in (ltla, trust):
+        args[args.index("--config") + 1] = str(path)
+    with caplog.at_level(logging.WARNING, logger="leadlag.cli"):
+        assert main(ltla) == 0
+        assert not [r for r in caplog.records if r.name == "leadlag.cli"]
+        assert main(trust) == 0
+    warnings = [r.getMessage() for r in caplog.records
+                if r.name == "leadlag.cli" and r.levelno == logging.WARNING]
+    assert warnings == ["--indicator-level trust maps no indicator; indicator_mappings "
+                        f"files read but not used: {overrides['ind00']}, {overrides['ind01']}"]
+    # the files are still read, so a bad one still fails the run
+    overrides["ind00"].write_text("ltla_id,trust_id,admissions\nL000,T000,0\n")
+    assert main(trust) == 4
+
+
 def _rename_in_csv(path, old, new):
     with path.open(newline="", encoding="utf-8") as fh:
         rows = [[new if field == old else field for field in row] for row in csv.reader(fh)]

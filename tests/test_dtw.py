@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from leadlag.config import WaveSpec
-from leadlag.dtw import brute_force_dtw, dtw_align_batch, path_pairs
-from leadlag.errors import LeadLagError, OracleScaleError
+from leadlag.dtw import dtw_align_batch, path_pairs
+from leadlag.errors import LeadLagError
+
+from oracles import OracleScaleError, brute_force_dtw
 
 
 def align(x, y, window=35):
@@ -144,6 +146,22 @@ def test_batch_rows_equal_single_alignments(columns, window, ties):
     assert feasible > 0
 
 
+def test_full_scale_batch_rows_equal_single_alignments():
+    # a wave's univariate batch: every Trust's band column sits next to the
+    # other Trusts' in memory, yet each row must align as if alone
+    rng = np.random.default_rng(16)
+    q, r = rng.normal(size=(121, 77)), rng.normal(size=(121, 112))
+    q[::4] = 0.0  # flat rows as zscore_scale emits them
+    r[1::4] = 0.0
+    q[2::4], r[2::4] = np.round(q[2::4]), np.round(r[2::4])  # ties
+    cost, match = dtw_align_batch(q, r, window=35)
+    assert np.isfinite(cost).all()
+    for b in range(len(q)):
+        alone_cost, alone = align(q[b], r[b], window=35)
+        assert cost[b] == alone_cost
+        assert np.array_equal(match[b], alone)
+
+
 def test_batch_without_admissible_path_marks_every_row():
     rng = np.random.default_rng(5)
     q, r = rng.normal(size=(3, 12)), rng.normal(size=(3, 4))
@@ -165,6 +183,20 @@ def test_multivariate_alignment_memory():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_univariate_alignment_memory():
+    # a wave's (121, 77) x (121, 112) batch: a few (2w + 3, B) band rows, the
+    # padded reference and (n, 2w + 1, B) int8 backpointers, no (n, m, B) cube
+    rng = np.random.default_rng(0)
+    q, r = rng.normal(size=(121, 77)), rng.normal(size=(121, 112))
+    tracemalloc.start()
+    try:
+        dtw_align_batch(q, r, window=35)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 # -------------------------------------------------------- lead time extraction
