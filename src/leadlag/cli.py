@@ -57,7 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--groupings", default=None,
                      help="optional group,member_variable CSV summing variables")
     run.add_argument("--export-dtw-paths", action="store_true",
-                     help="also write dtw_paths.csv (query_date, ref_date, lead_days)")
+                     help="also write dtw_paths.csv (indicator, wave, scope, query_date, "
+                          "ref_date, lead_days)")
 
     synth = sub.add_parser("synth", help="write a synthetic corpus with known leads")
     synth.add_argument("--out", required=True)

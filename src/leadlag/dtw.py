@@ -8,9 +8,11 @@ transition table: from g(i, j) the admissible productions are
     g(i-3, j-2) +        d(i-2, j-1) + d(i-1, j) + d(i, j)
 
 and the pipeline divides the cost by the query length to compare alignments.
-Every query index is consumed; the ends are open, so the path may enter and
-leave the reference at any column and a reference prefix or suffix is
-skipped at zero cost. All matched pairs must satisfy the Sakoe-Chiba band
+Each sum accumulates left to right, the weighted one as a sum of (2/3)*d
+terms. At a tie the earlier production in this list wins, and of end
+columns of equal cost the lowest wins. Every query index is consumed; the
+ends are open, so the path may enter and leave the reference at any column
+and a reference prefix or suffix is skipped at zero cost. All matched pairs must satisfy the Sakoe-Chiba band
 constraint |i - j| <= window.
 
 ``dtw_align_batch`` runs the dynamic program once for a batch of alignments
@@ -19,9 +21,10 @@ cost rows and int8 backpointers for the band only. An alignment is its
 accumulated cost and, for each query index, the lowest and highest
 reference index it matched; ``path_pairs`` expands that into the matched
 (query, reference) index pairs, an (L, 2) int array in ascending order.
-The tests check the dynamic program against an oracle that enumerates
-every admissible path under identical constraints; the two accumulate
-costs in the same order and agree to the last bit.
+The tests check the dynamic program against two oracles that accumulate
+costs in the same order and agree to the last bit: one enumerates every
+admissible path under identical constraints, and one fills the table cell
+by cell with the tie rules above.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ _STEPS = (
     (2, 3, ((1, 2, _W23), (0, 1, _W23), (0, 0, _W23))),
     (3, 2, ((2, 1, 1.0), (1, 0, 1.0), (0, 0, 1.0))),
 )
+# A backpointer is 2 * (production 3 won) + (production 2 beat production 1).
+_BACK_STEPS = _STEPS + (_STEPS[2],)
 
 
 def _batch(query, reference, window: int) -> tuple[np.ndarray, np.ndarray]:
@@ -49,8 +54,8 @@ def _batch(query, reference, window: int) -> tuple[np.ndarray, np.ndarray]:
             or q.shape[2:] != r.shape[2:]):
         raise LeadLagError(f"query {q.shape} and reference {r.shape} must be "
                            "(B, n) and (B, m), or (B, n, k) and (B, m, k)")
-    if np.isnan(q).any() or np.isnan(r).any():
-        raise LeadLagError("NaN in alignment input")
+    if not (np.isfinite(q).all() and np.isfinite(r).all()):
+        raise LeadLagError("NaN or inf in alignment input")
     if window < 1:
         raise LeadLagError(f"window must be >= 1, got {window}")
     if q.shape[1] < 4 or r.shape[1] < 4:
@@ -76,11 +81,17 @@ def dtw_align_batch(query, reference, window: int = 35) -> tuple[np.ndarray, np.
     production reads its candidates and local costs at fixed offsets. The
     state is band-major: a band row is a (2w + 3, B) block, so the shifted
     slice a production reads is one contiguous block, and the reference is
-    padded with +inf to (n + 2w, B) or (n + 2w, B, k). Memory is the last
-    three local-cost and four accumulated-cost band rows, that reference
-    and (n, 2w + 1, B) int8 backpointers. Costs accumulate per element in
-    a fixed order, which the exhaustive oracle in the tests matches to the
-    last bit.
+    padded with +inf to (n + 2w, B) or (n + 2w, B, k). Each query row
+    computes its local costs d and (2/3)*d once, and the three productions
+    read shifted slices of them; slots of rows before row 0 hold +inf, so a
+    production reaching before the first row loses by itself. A later
+    production wins only if strictly cheaper (the tie rules above), and the
+    backpointer is the int8 code 2 * (production 3 won) + (production 2 beat
+    production 1): 0 for production 1, 1 for production 2, 2 or 3 for
+    production 3. Memory is the last three d, three (2/3)*d (212 KB at
+    B = 121, w = 35) and four accumulated-cost band rows, that reference and
+    (n, 2w + 1, B) int8 backpointers. Costs accumulate per element in a
+    fixed order, which the oracles in the tests match to the last bit.
     """
     q, r = _batch(query, reference, window)
     batch, n = q.shape[:2]
@@ -93,30 +104,36 @@ def dtw_align_batch(query, reference, window: int = 35) -> tuple[np.ndarray, np.
     ref[w : w + m] = np.moveaxis(r[:, : n + w], 1, 0)
     g = np.full((4, band + 2, batch), np.inf)  # accumulated cost: row i in slot i % 4
     d = np.full((3, band + 2, batch), np.inf)  # local cost: row i in slot i % 3
-    back = np.full((n, band, batch), -1, dtype=np.int8)
+    d23 = np.full((3, band + 2, batch), np.inf)  # (2/3) * local cost, slotted as d
+    back = np.empty((n, band, batch), dtype=np.int8)  # row 0 is never read
     for i in range(n):
         d_i = d[i % 3][1:-1]
         if q.ndim == 2:
             np.abs(q[:, i] - ref[i : i + band], out=d_i)
         else:
             np.sqrt(((q[:, i] - ref[i : i + band]) ** 2).sum(axis=2), out=d_i)
+        np.multiply(d_i, _W23, out=d23[i % 3][1:-1])
         row = g[i % 4][1:-1]
         if i == 0:
             row[:] = d_i  # open begin: the path may enter at any column
             continue
-        row.fill(np.inf)
-        for p_idx, (di, dj, cells) in enumerate(_STEPS):
-            if i < di:
-                continue
-            # for band column c, cell (i - a, j - b) is at c + 1 + a - b in its slot
-            at = 1 + di - dj
-            cand = g[(i - di) % 4][at : at + band]
-            for ri, rj, wt in cells:
-                at = 1 + ri - rj
-                cand = cand + wt * d[(i - ri) % 3][at : at + band]
-            better = cand < row
-            np.copyto(row, cand, where=better)
-            back[i][better] = p_idx
+        # the productions of _STEPS: for band column c, cell (i - a, j - b)
+        # is at c + 1 + a - b in its slot
+        d1, d2 = d[(i - 1) % 3], d[(i - 2) % 3]
+        d23_0, d23_1 = d23[i % 3], d23[(i - 1) % 3]
+        c1 = g[(i - 1) % 4][1:-1] + d_i
+        c2 = g[(i - 2) % 4][:-2] + d23_1[:-2]
+        c2 += d23_0[:-2]
+        c2 += d23_0[1:-1]
+        c3 = g[(i - 3) % 4][2:] + d2[2:]
+        c3 += d1[2:]
+        c3 += d_i
+        second = c2 < c1  # strict, so at a tie the earlier production wins
+        np.minimum(c1, c2, out=c1)
+        third = c3 < c1
+        np.minimum(c1, c3, out=row)
+        np.add(third, third, out=back[i], dtype=np.int8)
+        back[i] += second
 
     last = g[(n - 1) % 4][1:-1]
     ends = np.argmin(last, axis=0)  # open end: the cheapest column of the last row
@@ -126,7 +143,7 @@ def dtw_align_batch(query, reference, window: int = 35) -> tuple[np.ndarray, np.
         lo, hi = [0] * n, [0] * n
         i, j = n - 1, n - 1 - w + int(ends[b])
         while i > 0:
-            di, dj, cells = _STEPS[back[i, j - i + w, b]]
+            di, dj, cells = _BACK_STEPS[back[i, j - i + w, b]]
             for ri, rj, _ in cells:  # ascending, so a query index's last cell is its highest
                 hi[i - ri] = j - rj
             for ri, rj, _ in reversed(cells):

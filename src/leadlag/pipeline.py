@@ -90,26 +90,12 @@ def filter_trusts(panel: Panel, config: RunConfig) -> Panel:
     return Panel(panel.start_date, tuple(panel.geo_ids[i] for i in kept), panel.values[kept])
 
 
-def effective_lead(lead_days: float | None,
-                   latency: LatencySpec | None) -> tuple[float | None, bool]:
-    """Operational lead after reporting lag and worst-case release staleness.
-
-    effective = lead - reporting_lag - (release_cadence - 1), floored at 0
-    with an eroded flag when the latency consumes the whole lead. The floor
-    only applies to non-negative statistical leads; a lagging indicator
-    stays negative (effective lead never exceeds the statistical lead).
-    """
-    if lead_days is None or latency is None:
-        return None, False
-    eff = float(lead_days) - latency.reporting_lag_days - (latency.release_cadence_days - 1)
-    if eff < 0 and lead_days >= 0:
-        return 0.0, True
-    return eff, False
-
-
 def effective_leads(lead_days: np.ndarray,
                     latency: LatencySpec | None) -> tuple[np.ndarray, np.ndarray]:
-    """``effective_lead`` of every element; a NaN (absent) lead stays NaN."""
+    """Each lead minus reporting lag and worst-case release staleness
+    (release_cadence - 1), floored at 0 and flagged eroded where that consumes
+    a non-negative lead; a lagging indicator stays negative. A NaN (absent)
+    lead stays NaN, and without a latency every lead is NaN."""
     if latency is None:
         return np.full(lead_days.shape, np.nan), np.zeros(lead_days.shape, bool)
     eff = lead_days - latency.reporting_lag_days - (latency.release_cadence_days - 1)

@@ -45,25 +45,11 @@ def ccf_at_leads(x, y, leads) -> np.ndarray:
     return out
 
 
-def optimal_lead(leads, values) -> tuple[int, float] | None:
-    """Lead with the maximum non-negative correlation, or None if all negative.
-
-    Ties break toward the smallest absolute lead, then toward the positive one.
-    """
-    leads = np.asarray(leads)
-    values = np.asarray(values, dtype=float)
-    eligible = values >= 0.0
-    if not eligible.any():
-        return None
-    vmax = values[eligible].max()
-    at_max = leads[eligible & (values == vmax)]
-    best = min(at_max, key=lambda lead: (abs(lead), -lead))
-    return int(best), float(vmax)
-
-
 def optimal_leads(leads, values) -> tuple[np.ndarray, np.ndarray]:
-    """``optimal_lead`` of each row of a (rows, leads) array, for non-empty ``leads``:
-    the leads and their correlations as floats, NaN where a row has none."""
+    """Per row of a (rows, leads) array, for non-empty ``leads``: the lead with
+    the maximum non-negative correlation and that correlation, as floats, NaN
+    where a row has none. Ties break toward the smallest absolute lead, then
+    toward the positive one."""
     leads = np.asarray(leads)
     eligible = values >= 0.0
     vmax = np.where(eligible, values, -np.inf).max(axis=1)

@@ -1,9 +1,10 @@
-"""Exhaustive reference implementations that the tests compare the kernels with."""
+"""Scalar and exhaustive reference implementations that the tests compare the kernels with."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from leadlag.config import LatencySpec
 from leadlag.dtw import _batch
 from leadlag.errors import LeadLagError
 
@@ -83,3 +84,90 @@ def brute_force_dtw(query, reference, window: int = 35) -> tuple[float, np.ndarr
     if best_pairs is None:
         return np.inf, None
     return float(best_cost), np.array(sorted(best_pairs), dtype=np.int32)
+
+
+def scalar_dtw(query, reference, window: int = 35) -> tuple[float, np.ndarray]:
+    """Cell-by-cell oracle for one row of ``leadlag.dtw.dtw_align_batch``.
+
+    Fills the accumulated-cost table one cell at a time in plain Python
+    floats. Each cell tries the productions of ``_FORWARD_STEPS`` in order,
+    accumulating in the kernel's order, and a later production replaces an
+    earlier one only if strictly cheaper; of equal-cost end columns the
+    lowest wins. Cells outside the sequences or the band cost +inf. Returns
+    the cost and the (n, 2) int32 lowest and highest matched reference index
+    per query index (all -1 where the cost is +inf), the kernel's ``match``.
+    """
+    q, r = _batch(np.asarray(query)[None], np.asarray(reference)[None], window)
+    n, m = q.shape[1], r.shape[1]
+    d = _local_cost_matrix(q[0], r[0]).tolist()
+
+    def local(i: int, j: int) -> float:
+        return d[i][j] if 0 <= j < m and abs(i - j) <= window else np.inf
+
+    g = [[local(0, j) for j in range(m)]]  # open begin
+    back = [[None] * m]
+    for i in range(1, n):
+        g.append([np.inf] * m)
+        back.append([None] * m)
+        for j in range(m):
+            for p, ((di, dj), cells) in enumerate(_FORWARD_STEPS):
+                si, sj = i - di, j - dj  # the production's source cell
+                c = g[si][sj] if si >= 0 and sj >= 0 else np.inf
+                for ai, aj, w in cells:
+                    c = c + w * local(si + ai, sj + aj)
+                if c < g[i][j]:
+                    g[i][j], back[i][j] = c, p
+
+    end = 0
+    for j in range(1, m):  # open end: the lowest of the cheapest columns
+        if g[n - 1][j] < g[n - 1][end]:
+            end = j
+    match = np.full((n, 2), -1, dtype=np.int32)
+    if g[n - 1][end] == np.inf:
+        return np.inf, match
+    matched: list[list[int]] = [[] for _ in range(n)]
+    i, j = n - 1, end
+    while i > 0:
+        (di, dj), cells = _FORWARD_STEPS[back[i][j]]
+        for ai, aj, _ in cells:
+            matched[i - di + ai].append(j - dj + aj)
+        i, j = i - di, j - dj
+    matched[0].append(j)
+    match[:] = [(min(js), max(js)) for js in matched]
+    return g[n - 1][end], match
+
+
+def optimal_lead(leads, values) -> tuple[int, float] | None:
+    """Per-row oracle for ``leadlag.xcorr.optimal_leads``: the lead with the
+    maximum non-negative correlation and that correlation, or None if all
+    are negative.
+
+    Ties break toward the smallest absolute lead, then toward the positive one.
+    """
+    leads = np.asarray(leads)
+    values = np.asarray(values, dtype=float)
+    eligible = values >= 0.0
+    if not eligible.any():
+        return None
+    vmax = values[eligible].max()
+    at_max = leads[eligible & (values == vmax)]
+    best = min(at_max, key=lambda lead: (abs(lead), -lead))
+    return int(best), float(vmax)
+
+
+def effective_lead(lead_days: float | None,
+                   latency: LatencySpec | None) -> tuple[float | None, bool]:
+    """Per-element oracle for ``leadlag.pipeline.effective_leads``: the
+    operational lead after reporting lag and worst-case release staleness.
+
+    effective = lead - reporting_lag - (release_cadence - 1), floored at 0
+    with an eroded flag when the latency consumes the whole lead. The floor
+    only applies to non-negative statistical leads; a lagging indicator
+    stays negative (effective lead never exceeds the statistical lead).
+    """
+    if lead_days is None or latency is None:
+        return None, False
+    eff = float(lead_days) - latency.reporting_lag_days - (latency.release_cadence_days - 1)
+    if eff < 0 and lead_days >= 0:
+        return 0.0, True
+    return eff, False

@@ -18,13 +18,12 @@ from leadlag.corpus import write_corpus
 from leadlag.dtw import path_pairs
 from leadlag.geo import apply_mapping, build_mapping, weighted_population
 from leadlag.granger import _upper_tail
-from leadlag.pipeline import effective_lead
 from leadlag.synth import SynthSpec, derive_indicator, generate_admissions
 from leadlag.timeseries import minmax_scale
-from leadlag.xcorr import ccf_at_leads, optimal_lead
+from leadlag.xcorr import ccf_at_leads
 
 from conftest import panel, row
-from oracles import brute_force_dtw
+from oracles import brute_force_dtw, effective_lead, optimal_lead
 from test_dtw import align, leads
 from test_granger import granger_one, reference_granger
 

@@ -8,7 +8,7 @@ from leadlag.config import WaveSpec
 from leadlag.dtw import dtw_align_batch, path_pairs
 from leadlag.errors import LeadLagError
 
-from oracles import OracleScaleError, brute_force_dtw
+from oracles import OracleScaleError, brute_force_dtw, scalar_dtw
 
 
 def align(x, y, window=35):
@@ -86,6 +86,17 @@ def test_nan_input_rejected():
         brute_force_dtw(x, np.ones(4))
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_infinite_input_rejected(value):
+    # an infinite query value minus the reference's +inf padding is NaN, which
+    # np.minimum would carry into the costs
+    x = np.array([1.0, value, 2.0, 3.0])
+    with pytest.raises(LeadLagError, match="inf in alignment input"):
+        align(x, np.ones(6))
+    with pytest.raises(LeadLagError, match="inf in alignment input"):
+        align(np.ones(6), x)
+
+
 def test_short_sequence_rejected():
     with pytest.raises(LeadLagError, match="length >= 4"):
         align(np.ones(3), np.ones(8))
@@ -144,6 +155,31 @@ def test_batch_rows_equal_single_alignments(columns, window, ties):
             assert np.array_equal(match[b], alone)
             feasible += cost[b] < np.inf
     assert feasible > 0
+
+
+@pytest.mark.parametrize("columns", [None, 3])
+@pytest.mark.parametrize("window", [1, 3, 35])
+def test_batch_matches_cell_by_cell_oracle_on_ties(columns, window):
+    # small integer values make equal-cost productions and end columns common,
+    # so cost and match agree only if both apply the same tie rules; n <= 6
+    # makes productions reach before the first query row
+    rng = np.random.default_rng(window * 10 + (columns or 0))
+    feasible = 0
+    for trial in range(10):
+        n = int(rng.integers(4, 7)) if trial < 3 else int(rng.integers(4, 41))
+        m = int(rng.integers(max(4, n - 4), min(60, n + 20) + 1))
+        batch = int(rng.integers(1, 6))
+        extra = (columns,) if columns else ()
+        q = rng.integers(0, 3, size=(batch, n) + extra).astype(float)
+        r = rng.integers(0, 3, size=(batch, m) + extra).astype(float)
+        q[::3] = 0.0  # flat rows as zscore_scale emits them
+        cost, match = dtw_align_batch(q, r, window=window)
+        for b in range(batch):
+            oracle_cost, oracle_match = scalar_dtw(q[b], r[b], window=window)
+            assert cost[b] == oracle_cost
+            assert np.array_equal(match[b], oracle_match)
+            feasible += cost[b] < np.inf
+    assert feasible >= 10
 
 
 def test_full_scale_batch_rows_equal_single_alignments():
@@ -296,7 +332,7 @@ def test_randomized_oracle_equivalence():
         window = (1, 3, 35)[trial % 3]
         cost, match = align(x, y, window=window)
         oracle_cost, oracle_pairs = brute_force_dtw(x, y, window=window)
-        assert cost == oracle_cost
+        assert cost == oracle_cost == scalar_dtw(x, y, window=window)[0]
         assert cost / n == oracle_cost / n
         if oracle_pairs is None:
             assert (match == -1).all()

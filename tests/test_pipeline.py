@@ -11,11 +11,12 @@ from leadlag.config import LatencySpec, RunConfig, WaveSpec
 from leadlag.corpus import write_corpus
 from leadlag.errors import ConfigError, LeadLagError
 from leadlag.geo import build_mapping, missing_ltlas
-from leadlag.pipeline import effective_lead, filter_trusts, run_analysis
+from leadlag.pipeline import filter_trusts, run_analysis
 from leadlag.synth import IndicatorSpec, SynthSpec, generate_admissions, generate_indicators
 from leadlag.timeseries import Panel
 
 from conftest import START, panel, records
+from oracles import effective_lead
 
 N_DAYS = 210
 WAVE1 = WaveSpec("w1", START + timedelta(days=20), START + timedelta(days=88))

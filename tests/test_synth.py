@@ -89,7 +89,9 @@ def test_noise_determinism():
 
 def test_derived_lead_recovered_by_ccf():
     from leadlag.timeseries import minmax_scale
-    from leadlag.xcorr import ccf_at_leads, optimal_lead
+    from leadlag.xcorr import ccf_at_leads
+
+    from oracles import optimal_lead
 
     s = spec(n_days=210, peak_day=50.0, rise_width=7.0, fall_width=11.0,
              extra_peaks=(60.0, 125.0))

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from leadlag.config import LatencySpec, RunConfig, WaveSpec
 from leadlag.errors import InsufficientDataError, LeadLagError
-from leadlag.pipeline import effective_lead, effective_leads, run_analysis
+from leadlag.pipeline import effective_leads, run_analysis
 from leadlag.timeseries import minmax_scale
-from leadlag.xcorr import ccf_at_leads, optimal_lead, optimal_leads
+from leadlag.xcorr import ccf_at_leads, optimal_leads
 
 from conftest import START, panel, records
+from oracles import effective_lead, optimal_lead
 
 LEADS = np.arange(-30, 31)
 
