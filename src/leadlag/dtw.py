@@ -20,7 +20,8 @@ of equal lengths (one per Trust, say) in band coordinates, holding a few
 cost rows and int8 backpointers for the band only. An alignment is its
 accumulated cost and, for each query index, the lowest and highest
 reference index it matched; ``path_pairs`` expands that into the matched
-(query, reference) index pairs, an (L, 2) int array in ascending order.
+(query, reference) index pairs, an (L, 2) int array in ascending order, or
+a whole batch at once into (row, query, reference) triples.
 The tests check the dynamic program against two oracles that accumulate
 costs in the same order and agree to the last bit: one enumerates every
 admissible path under identical constraints, and one fills the table cell
@@ -73,7 +74,7 @@ def dtw_align_batch(query, reference, window: int = 35) -> tuple[np.ndarray, np.
     the lowest and highest reference index matched to each query index (-1
     where the cost is +inf). The step pattern matches every query index to
     one reference index or to two adjacent ones, so ``match`` is the whole
-    alignment; :func:`path_pairs` expands a row into its pairs.
+    alignment; :func:`path_pairs` expands a row, or all of them, into pairs.
 
     One dynamic program runs over all rows at once in band coordinates:
     band column c of query row i is reference column i - w + c, and every
@@ -155,12 +156,16 @@ def dtw_align_batch(query, reference, window: int = 35) -> tuple[np.ndarray, np.
 
 
 def path_pairs(match: np.ndarray) -> np.ndarray:
-    """One row of ``dtw_align_batch``'s ``match`` as its sorted (L, 2) int32
-    (query, reference) index pairs: one pair per query index, two where it
-    matched two reference indices."""
-    pairs = np.empty((len(match), 2, 2), dtype=np.int32)
-    pairs[:, :, 0] = np.arange(len(match))[:, None]
-    pairs[:, :, 1] = match
-    keep = np.ones((len(match), 2), dtype=bool)
-    keep[:, 1] = match[:, 1] != match[:, 0]
-    return pairs[keep]
+    """``dtw_align_batch``'s ``match``, or one row of it, as its matched index
+    pairs in ascending order: one pair per query index, two where it matched
+    two reference indices.
+
+    A row, (n, 2), gives (L, 2) int32 (query, reference) pairs; a stack,
+    (B, n, 2), gives (L, 3) int32 (row, query, reference) triples, its rows'
+    pairs one after another.
+    """
+    keep = np.ones(match.shape, dtype=bool)
+    keep[..., 1] = match[..., 1] != match[..., 0]
+    cells = np.flatnonzero(keep)
+    index = np.unravel_index(cells, match.shape)[:-1]
+    return np.column_stack(index + (match.ravel()[cells],)).astype(np.int32)

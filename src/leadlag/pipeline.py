@@ -26,7 +26,7 @@ from .dtw import dtw_align_batch
 from .errors import ConfigError, LeadLagError
 from .geo import GeoMapping, apply_mapping, missing_ltlas
 from .granger import granger_test_batch
-from .timeseries import Panel, loess_smooth, minmax_scale, zscore_scale
+from .timeseries import Panel, loess_smooth, minmax_scale, row_median, zscore_scale
 from .xcorr import ccf_at_leads, optimal_leads
 
 logger = logging.getLogger(__name__)
@@ -154,10 +154,12 @@ def run_analysis(
     retained trust (the Granger method yields a table at horizon 0 and one
     at the configured horizon), by indicator name, then wave and method in
     configuration order. Pass a list as ``dtw_paths`` to collect one
-    (indicator, wave, scope, days, match) record per alignment: ``match``
-    is its (n, 2) row of ``dtw_align_batch``'s lowest and highest matched
-    reference index per query index, indices into ``days``, the window's
-    ISO dates. Records arrive per (indicator, wave) in scope order. Each
+    (indicator, wave, scopes, days, match) record per DTW batch: ``scopes``
+    names the alignments that have a median lead (a Trust id each, or
+    ``all-trusts`` for the joint alignment), and ``match`` holds their
+    (len(scopes), n, 2) rows of ``dtw_align_batch``'s lowest and highest
+    matched reference index per query index, indices into ``days``, the
+    window's ISO dates. A batch with no such alignment adds no record. Each
     indicator is mapped from LTLAs to trusts with ``overrides[variable]``
     where given, else with ``mapping``; where that is None, the indicator is
     at trust level already.
@@ -336,18 +338,20 @@ def _dtw_cells(config: RunConfig, pair: _Pair, wave: WaveSpec, variable: str,
         # a query index's lead is its mean matched reference index (the median
         # of its one or two) minus the index
         lead = match[found, first:].mean(axis=2) - np.arange(first, n)
-        median[found] = np.median(lead, axis=1)
-    distance = np.where(np.isnan(median), np.nan, cost / n)  # normalized by the query length
+        median[found] = row_median(lead)
+    kept = ~np.isnan(median)
+    distance = np.where(kept, cost / n, np.nan)  # normalized by the query length
     error = np.where(found, "" if first < n else "no reported indices after warm-up exclusion",
                      "no admissible path").tolist()
-    if dtw_paths is not None:
+    if dtw_paths is not None and kept.any():
         days = [(q_start + timedelta(days=t)).isoformat() for t in range(r.shape[1])]
-        dtw_paths += [(variable, wave.name, scope, days, match[b])
-                      for b, scope in enumerate(scopes) if not np.isnan(median[b])]
+        dtw_paths.append((variable, wave.name,
+                          [scope for scope, keep in zip(scopes, kept.tolist()) if keep],
+                          days, match[kept]))
     eff, eroded = effective_leads(median, latency)
     columns = {"dtw_median_lead": median, "dtw_normalized_distance": distance,
                "effective_lead": eff, "eroded": eroded,
-               "degenerate": flat & ~np.isnan(median)}
+               "degenerate": flat & kept}
     if univariate:
         return columns, error
     return {name: np.repeat(values, k) for name, values in columns.items()}, error * k

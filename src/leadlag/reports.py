@@ -128,10 +128,27 @@ def summarize(tables: list[ResultTable]) -> dict:
     for (indicator, wave, label), parts in buckets.items():
         values = np.concatenate(parts)
         if values.size:
-            q25, median, q75 = np.quantile(values, [0.25, 0.5, 0.75]).tolist()
+            q25, median, q75 = _quartiles(values)
             summary[indicator][wave][label] = {"n": values.size, "q25": q25,
                                                "median": median, "q75": q75}
     return summary
+
+
+_QUARTILES = np.array([0.25, 0.5, 0.75])
+
+
+def _quartiles(values: np.ndarray) -> list[float]:
+    """``np.quantile(values, [0.25, 0.5, 0.75])`` to the bit: numpy's default
+    (linear) method on the sorted values, without the ``numpy.ma`` import
+    that ``np.quantile`` makes."""
+    s = np.sort(values)
+    at = (len(s) - 1) * _QUARTILES
+    below = np.floor(at)
+    t = at - below
+    i = below.astype(np.intp)
+    a, b = s[i], s[np.minimum(i + 1, len(s) - 1)]
+    step = b - a
+    return np.where(t >= 0.5, b - step * (1 - t), a + step * t).tolist()
 
 
 def emit_reports(tables: list[ResultTable], out_dir: str | Path,
@@ -164,16 +181,26 @@ def emit_reports(tables: list[ResultTable], out_dir: str | Path,
 def write_dtw_paths(path: Path, records: list[tuple]) -> None:
     """Write ``run_analysis``'s DTW path records as CSV, a line per matched pair.
 
-    Blocks follow (indicator, wave) name order; the stable sort keeps each
-    block's scope order, and each record's pairs come sorted from
-    :func:`~leadlag.dtw.path_pairs`.
+    Records follow (indicator, wave) name order, each in its scope order, and
+    each scope's pairs come sorted from :func:`~leadlag.dtw.path_pairs`. A
+    record's alignments share its days, so each distinct (query, reference)
+    pair is formatted once and every line is a scope's head and one of those
+    texts.
     """
     with path.open("w", encoding="utf-8") as fh:
         fh.write("indicator,wave,scope,query_date,ref_date,lead_days\n")
-        for ind, wave, scope, days, match in sorted(records, key=lambda rec: rec[:2]):
-            head = "".join(_csv_text(text) + "," for text in (ind, wave, scope))
-            fh.write("".join([f"{head}{days[i]},{days[j]},{j - i}\n"
-                              for i, j in path_pairs(match).tolist()]))
+        for ind, wave, scopes, days, match in sorted(records, key=lambda rec: rec[:2]):
+            row, i, j = path_pairs(match).T
+            m = len(days)
+            pairs, pair_of_line = np.unique(i.astype(np.int64) * m + j, return_inverse=True)
+            tails = np.array([f"{days[a]},{days[b]},{b - a}\n"
+                              for a, b in (divmod(pair, m) for pair in pairs.tolist())],
+                             dtype=object)[pair_of_line]
+            start = "".join(_csv_text(text) + "," for text in (ind, wave))
+            starts = np.searchsorted(row, range(1, len(scopes)))  # rows 1, 2, ... begin
+            for scope, block in zip(scopes, np.split(tails, starts)):
+                head = start + _csv_text(scope) + ","
+                fh.write(head + head.join(block.tolist()))
 
 
 def write_trust_population(path: Path, populations: dict[str, float]) -> None:

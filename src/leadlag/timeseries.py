@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date, timedelta
+from functools import lru_cache
 from math import ceil
 
 import numpy as np
@@ -173,17 +174,29 @@ def _local_weights(n: int, i: int, q: int, degree: int,
     return lo, np.linalg.pinv(X * sw[:, None])[0] * sw
 
 
+@lru_cache(maxsize=16)
+def _loess_operator(n: int, q: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The linear smoother of a length-``n`` series, read-only as it is shared:
+    one row of weights per point within half a window of the left and of the
+    right end, and the centred fit's kernel for the points between."""
+    h1 = (q - 1) // 2
+    h2 = q - 1 - h1
+    left = np.array([_local_weights(n, i, q, degree)[1] for i in range(h1)])
+    right = np.array([_local_weights(n, i, q, degree)[1] for i in range(n - h2, n)])
+    _, kernel = _local_weights(n, h1, q, degree)
+    for weights in (left, right, kernel):
+        weights.flags.writeable = False
+    return left, right, kernel
+
+
 def _loess_linear(v: np.ndarray, q: int, degree: int) -> np.ndarray:
     # Interior points share the centred fit's kernel, applied to each row as
     # a correlation; that arithmetic does not depend on the other rows, and
     # DTW paths downstream are sensitive to the last bit. The points within
     # half a window of either end get one row of weights each.
     n = v.shape[1]
-    h1 = (q - 1) // 2
-    h2 = q - 1 - h1
-    left = np.array([_local_weights(n, i, q, degree)[1] for i in range(h1)])
-    right = np.array([_local_weights(n, i, q, degree)[1] for i in range(n - h2, n)])
-    _, kernel = _local_weights(n, h1, q, degree)
+    left, right, kernel = _loess_operator(n, q, degree)
+    h1, h2 = len(left), len(right)
     out = np.empty_like(v)
     out[:, :h1] = v[:, :q] @ left.T
     out[:, n - h2 :] = v[:, n - q :] @ right.T
@@ -201,8 +214,16 @@ def _loess_robust(y: np.ndarray, q: int, degree: int, passes: int) -> np.ndarray
             lo, w = _local_weights(n, i, q, degree, rob)
             out[i] = w @ y[lo : lo + q]
         resid = y - out
-        s6 = 6.0 * np.median(np.abs(resid))
+        s6 = 6.0 * row_median(np.abs(resid))
         if s6 == 0.0:
             break
         rob = np.clip(1.0 - (resid / s6) ** 2, 0.0, None) ** 2
     return out
+
+
+def row_median(values: np.ndarray) -> np.ndarray:
+    """The median along the last axis of an array without NaN, to the bit as
+    ``np.median`` computes it; ``np.median`` would import ``numpy.ma``."""
+    s = np.sort(values, axis=-1)
+    size = s.shape[-1]
+    return (s[..., (size - 1) // 2] + s[..., size // 2]) / 2

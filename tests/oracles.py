@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from leadlag.config import LatencySpec
-from leadlag.dtw import _batch
+from leadlag.dtw import _batch, path_pairs
 from leadlag.errors import LeadLagError
+from leadlag.reports import _csv_text
 
 _W23 = 2.0 / 3.0
 
@@ -171,3 +174,18 @@ def effective_lead(lead_days: float | None,
     if eff < 0 and lead_days >= 0:
         return 0.0, True
     return eff, False
+
+
+def write_dtw_paths_per_alignment(path: Path, records: list[tuple]) -> None:
+    """Per-alignment oracle for ``leadlag.reports.write_dtw_paths``.
+
+    Takes one (indicator, wave, scope, days, match) record per alignment,
+    ``match`` its (n, 2) row, and formats every line on its own; the stable
+    sort keeps each (indicator, wave) block's scope order.
+    """
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write("indicator,wave,scope,query_date,ref_date,lead_days\n")
+        for ind, wave, scope, days, match in sorted(records, key=lambda rec: rec[:2]):
+            head = "".join(_csv_text(text) + "," for text in (ind, wave, scope))
+            fh.write("".join([f"{head}{days[i]},{days[j]},{j - i}\n"
+                              for i, j in path_pairs(match).tolist()]))

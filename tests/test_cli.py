@@ -323,7 +323,8 @@ def test_synth_subcommand_roundtrip(tmp_path):
     assert (out / "summary.json").exists()
 
 
-# Runs in a fresh interpreter in which importing scipy fails.
+# Runs in a fresh interpreter in which importing scipy fails; numpy.ma is
+# never imported either.
 WITHOUT_SCIPY = """
 import sys
 sys.modules["scipy"] = None
@@ -340,6 +341,7 @@ assert main(["run", "--config", corpus + "/config.yaml",
              "--out", out, "--methods", "granger,ccf,dtw", "--export-dtw-paths"]) == 0
 with open(out + "/dtw_paths.csv", encoding="utf-8") as fh:
     assert len(fh.readlines()) > 1
+assert "numpy.ma" not in sys.modules
 """
 
 

@@ -198,6 +198,18 @@ def test_full_scale_batch_rows_equal_single_alignments():
         assert np.array_equal(match[b], alone)
 
 
+def test_path_pairs_of_a_batch_are_its_rows_pairs_in_order():
+    rng = np.random.default_rng(18)
+    q, r = np.round(rng.normal(size=(9, 30))), rng.normal(size=(9, 44))
+    cost, match = dtw_align_batch(q, r, window=6)
+    rows = [path_pairs(row) for row in match]
+    assert any(len(pairs) > 30 for pairs in rows)  # some query index matched two
+    pairs = path_pairs(match)
+    assert pairs.dtype == np.int32
+    assert np.array_equal(pairs, np.concatenate(
+        [np.column_stack([np.full(len(row), b), row]) for b, row in enumerate(rows)]))
+
+
 def test_batch_without_admissible_path_marks_every_row():
     rng = np.random.default_rng(5)
     q, r = rng.normal(size=(3, 12)), rng.normal(size=(3, 4))

@@ -277,6 +277,30 @@ def test_indicator_sharing_no_trust_gets_no_series_rows(mode):
     assert paths and {record[0] for record in paths} == {"ind"}
 
 
+@pytest.mark.parametrize("mode", ["multivariate", "univariate"])
+def test_dtw_path_records_one_per_batch_with_median_leads(mode):
+    # the indicator ends 4 days before wave 1 does, inside wave 2's warm-up, so
+    # no wave-2 alignment has a median lead and that batch adds no record
+    adm, indicators = synth_inputs()
+    full = indicators["ind"]
+    early = Panel(full.start_date, full.geo_ids,
+                  full.values[:, full.day_slice(START, WAVE2.start - timedelta(days=5))])
+    paths: list[tuple] = []
+    tables = run_analysis(study_config(dtw_mode=mode), adm, {"ind": early}, None,
+                          methods=("dtw",), dtw_paths=paths)
+    (w2,) = [table for table in tables if table.wave == "w2"]
+    assert set(w2.error) == {"no reported indices after warm-up exclusion"}
+    (record,) = paths
+    ind, wave, scopes, days, match = record
+    assert (ind, wave) == ("ind", "w1")
+    assert scopes == (list(adm.geo_ids) if mode == "univariate" else ["all-trusts"])
+    q_start = max(WAVE1.start - timedelta(days=study_config().dtw_warmup_days),
+                  early.start_date, adm.start_date)
+    assert days[0] == q_start.isoformat()
+    assert match.shape == (len(scopes), (early.end_date - q_start).days + 1, 2)
+    assert 0 <= match.min() and match.max() < len(days)
+
+
 def test_unknown_method_is_config_error():
     adm, indicators = synth_inputs()
     with pytest.raises(ConfigError, match="unknown methods: wavelets"):

@@ -1,14 +1,16 @@
 import csv
 import json
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
 from leadlag.errors import LeadLagError
 from leadlag.pipeline import ResultTable
-from leadlag.reports import emit_reports, summarize
+from leadlag.reports import _quartiles, emit_reports, summarize, write_dtw_paths
 
 from conftest import CELL_DEFAULTS
+from oracles import write_dtw_paths_per_alignment
 
 
 def table(trust_id, indicator, wave, method, horizon=None, provenance="", error="",
@@ -134,3 +136,55 @@ def test_json_survives_infinite_f_sentinel(tmp_path):
     payload = json.loads((tmp_path / "granger.json").read_text())
     assert payload[0]["f_stat"] == "inf"
     assert payload[0]["p_value"] == 0.0
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 100, 101])
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+def test_quartiles_match_numpy_to_the_bit(size, ties):
+    rng = np.random.default_rng(size)
+    for _ in range(20):
+        values = (rng.integers(-3, 4, size) / 2.0 if ties
+                  else rng.standard_normal(size) * 10.0 ** rng.integers(-5, 5))
+        expected = np.quantile(values, [0.25, 0.5, 0.75])
+        assert np.array(_quartiles(values)).tobytes() == expected.tobytes(), values
+
+
+def _matches(rng, rows: int, n: int, m: int) -> np.ndarray:
+    """Random (rows, n, 2) matches: ascending lowest reference indices, each
+    query index matching one reference index or two adjacent ones."""
+    lo = np.sort(rng.integers(0, m - 1, (rows, n)), axis=1)
+    return np.stack([lo, lo + rng.integers(0, 2, (rows, n))], axis=-1).astype(np.int32)
+
+
+def _days(m: int, offset: int) -> list[str]:
+    return [(date(2021, 9, 1) + timedelta(days=offset + t)).isoformat() for t in range(m)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dtw_paths_batches_match_the_per_alignment_writer(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    records = []
+    for ind in ("ind,00", 'say "x"', "plain"):
+        for wave in ("wave2", "wave1", "w,3"):
+            rows, n = int(rng.integers(3, 6)), int(rng.integers(4, 12))
+            m = n + int(rng.integers(0, 8))
+            scopes = [f"T,{k:03d}" if k % 2 else f'T"{k:03d}' if k % 3 else f"T{k:03d}"
+                      for k in range(rows)]
+            records.append((ind, wave, scopes, _days(m, int(rng.integers(0, 60))),
+                            _matches(rng, rows, n, m)))
+    # a joint alignment of every Trust, and a batch of no kept rows
+    records.append(("joint", "wave1", ["all-trusts"], _days(9, 0), _matches(rng, 1, 7, 9)))
+    records.append(("none", "wave1", [], _days(9, 0), np.empty((0, 7, 2), np.int32)))
+    rng.shuffle(records)
+    stacked = np.concatenate([match.reshape(-1, 2) for *_, match in records])
+    assert (stacked[:, 0] == stacked[:, 1]).any() and (stacked[:, 0] < stacked[:, 1]).any()
+
+    write_dtw_paths(tmp_path / "batches.csv", records)
+    write_dtw_paths_per_alignment(tmp_path / "alignments.csv", [
+        (ind, wave, scope, days, match[b])
+        for ind, wave, scopes, days, match in records for b, scope in enumerate(scopes)])
+    written = (tmp_path / "batches.csv").read_bytes()
+    assert written == (tmp_path / "alignments.csv").read_bytes()
+    with (tmp_path / "batches.csv").open(newline="", encoding="utf-8") as fh:
+        read = {row["scope"] for row in csv.DictReader(fh)}
+    assert {"T,001", 'T"002', "T000", "all-trusts"} <= read

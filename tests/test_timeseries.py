@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leadlag.errors import EmptySeriesError, EmptySliceError, InsufficientDataError, LeadLagError
-from leadlag.timeseries import Panel, locf_impute, loess_smooth, minmax_scale, zscore_scale
+from leadlag.timeseries import (Panel, _loess_operator, locf_impute, loess_smooth, minmax_scale,
+                                row_median, zscore_scale)
 
 from conftest import START, panel
 
@@ -318,3 +319,25 @@ def test_row_wise_kernels_match_single_series():
         assert np.array_equal(smoothed[k, 4:-5], alone[4:-5])
         assert np.allclose(smoothed[k], alone, rtol=1e-13, atol=1e-13)
         assert np.allclose(smoothed[k], _naive_loess(values, 0.2, 2), atol=1e-9)
+
+
+def test_loess_operator_is_built_once_per_shape_and_read_only():
+    values = np.random.default_rng(4).standard_normal((3, 61))
+    smoothed = loess_smooth(values, span=0.3, degree=2)
+    hits = _loess_operator.cache_info().hits
+    again = loess_smooth(values, span=0.3, degree=2)
+    assert _loess_operator.cache_info().hits == hits + 1
+    assert again.tobytes() == smoothed.tobytes()
+    for weights in _loess_operator(61, 19, 2):  # q = ceil(0.3 * 61)
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0] = 1.0
+    assert loess_smooth(values, span=0.3, degree=2).tobytes() == smoothed.tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 8, 76, 77])
+def test_row_median_matches_numpy_to_the_bit(size):
+    rng = np.random.default_rng(size)
+    for values in (rng.standard_normal((5, size)) * 10.0 ** rng.integers(-5, 5, (5, 1)),
+                   rng.integers(-3, 4, (5, size)) / 2.0):  # half-integers with ties
+        assert row_median(values).tobytes() == np.median(values, axis=1).tobytes()
+        assert row_median(values[0]).tobytes() == np.median(values[0]).tobytes()
