@@ -169,10 +169,11 @@ def run_analysis(
     adm_smooth = _smooth(adm.values, config)
     n = len(adm.geo_ids)
 
-    span, degree = config.loess_span, config.loess_degree
-    provenance_linear = f"locf+loess(span={span:g},degree={degree})+minmax"
-    provenance_dtw = (f"locf+loess(span={span:g},degree={degree})+zscore(window)"
-                      f"+{config.dtw_mode}")
+    passes = config.loess_robustness_passes
+    loess = (f"locf+loess(span={config.loess_span:g},degree={config.loess_degree}"
+             + (f",passes={passes})" if passes > 0 else ")"))
+    provenance_linear = f"{loess}+minmax"
+    provenance_dtw = f"{loess}+zscore(window)+{config.dtw_mode}"
 
     linear: list[tuple[str, int]] = []  # (method, horizon) of the min-max scaled methods
     if "granger" in methods:

@@ -15,6 +15,7 @@ from functools import lru_cache
 from math import ceil
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptySeriesError, EmptySliceError, InsufficientDataError, LeadLagError
 
@@ -154,24 +155,32 @@ def loess_smooth(
         raise InsufficientDataError(
             f"loess window of {q} points is too small for degree {degree}"
         )
-    if robustness_passes <= 0:
-        return _loess_linear(v, q, degree)
-    return np.array([_loess_robust(y, q, degree, robustness_passes) for y in v])
+    out = _loess_linear(v, q, degree)
+    # Cleveland's bisquare reweighting of the residuals, from the plain fit as pass 0
+    for _ in range(robustness_passes):
+        resid = v - out
+        s6 = 6.0 * row_median(np.abs(resid))
+        for k in np.flatnonzero(s6):  # an exact fit leaves no residual scale to reweight by
+            robustness = np.clip(1.0 - (resid[k] / s6[k]) ** 2, 0.0, None) ** 2
+            lo, w = _local_fits(n, np.arange(n), q, degree, robustness)
+            out[k] = np.einsum("ij,ij->i", w, sliding_window_view(v[k], q)[lo])
+    return out
 
 
-def _local_weights(n: int, i: int, q: int, degree: int,
-                   robustness: np.ndarray | None = None) -> tuple[int, np.ndarray]:
-    """(lo, w): the local fit at point ``i`` is ``w @ y[lo:lo + q]``, over the
-    ``q`` points nearest ``i``; ``w`` is the intercept row of its pseudo-inverse."""
-    lo = min(max(i - (q - 1) // 2, 0), n - q)
-    offsets = np.arange(lo - i, lo - i + q, dtype=float)
-    u = np.abs(offsets) / np.abs(offsets).max()
+def _local_fits(n: int, points: np.ndarray, q: int, degree: int,
+                robustness: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, w): the local fit at ``points[k]`` is ``w[k] @ y[lo[k]:lo[k] + q]``,
+    over the ``q`` points nearest it; ``w[k]`` is the intercept row of the
+    pseudo-inverse of its weighted design, all taken in one stacked call."""
+    lo = np.clip(points - (q - 1) // 2, 0, n - q)
+    offsets = (lo - points)[:, None] + np.arange(q, dtype=float)
+    u = np.abs(offsets) / np.abs(offsets).max(axis=1, keepdims=True)
     w = (1.0 - u**3) ** 3
     if robustness is not None:
-        w = w * robustness[lo : lo + q]
+        w = w * sliding_window_view(robustness, q)[lo]
     sw = np.sqrt(w)
-    X = np.vander(offsets, degree + 1, increasing=True)
-    return lo, np.linalg.pinv(X * sw[:, None])[0] * sw
+    X = np.stack([np.ones_like(offsets), offsets, offsets * offsets][: degree + 1], axis=-1)
+    return lo, np.linalg.pinv(X * sw[:, :, None])[:, 0] * sw
 
 
 @lru_cache(maxsize=16)
@@ -181,12 +190,9 @@ def _loess_operator(n: int, q: int, degree: int) -> tuple[np.ndarray, np.ndarray
     right end, and the centred fit's kernel for the points between."""
     h1 = (q - 1) // 2
     h2 = q - 1 - h1
-    left = np.array([_local_weights(n, i, q, degree)[1] for i in range(h1)])
-    right = np.array([_local_weights(n, i, q, degree)[1] for i in range(n - h2, n)])
-    _, kernel = _local_weights(n, h1, q, degree)
-    for weights in (left, right, kernel):
-        weights.flags.writeable = False
-    return left, right, kernel
+    _, w = _local_fits(n, np.r_[:h1, n - h2 : n, h1], q, degree)
+    w.flags.writeable = False
+    return w[:h1], w[h1:-1], w[-1]
 
 
 def _loess_linear(v: np.ndarray, q: int, degree: int) -> np.ndarray:
@@ -202,22 +208,6 @@ def _loess_linear(v: np.ndarray, q: int, degree: int) -> np.ndarray:
     out[:, n - h2 :] = v[:, n - q :] @ right.T
     for smoothed, y in zip(out, v):
         smoothed[h1 : n - h2] = np.correlate(y, kernel, mode="valid")
-    return out
-
-
-def _loess_robust(y: np.ndarray, q: int, degree: int, passes: int) -> np.ndarray:
-    n = y.size
-    rob = np.ones(n)
-    for _ in range(passes + 1):
-        out = np.empty(n)
-        for i in range(n):
-            lo, w = _local_weights(n, i, q, degree, rob)
-            out[i] = w @ y[lo : lo + q]
-        resid = y - out
-        s6 = 6.0 * row_median(np.abs(resid))
-        if s6 == 0.0:
-            break
-        rob = np.clip(1.0 - (resid / s6) ** 2, 0.0, None) ** 2
     return out
 
 

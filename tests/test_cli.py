@@ -101,6 +101,17 @@ def test_missing_input_exits_input_schema(corpus, tmp_path, capsys):
     assert "error [input-schema]" in capsys.readouterr().err
 
 
+def test_unexpected_exception_propagates(corpus, tmp_path, monkeypatch, capsys):
+    # only the categorized errors become exit codes; a bug keeps its traceback
+    def broken_reader(*args, **kwargs):
+        raise RuntimeError("reader bug")
+
+    monkeypatch.setattr("leadlag.cli.read_admissions", broken_reader)
+    with pytest.raises(RuntimeError, match="reader bug"):
+        main(run_args(corpus, tmp_path / "out"))
+    assert "error [" not in capsys.readouterr().err
+
+
 HEADER = b"trust_id,date,admissions\n"
 
 

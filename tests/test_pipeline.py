@@ -239,6 +239,26 @@ def test_multivariate_dtw_shared_across_trusts():
         assert len(values) == 1  # one joint alignment per indicator and wave
 
 
+@pytest.mark.parametrize("mode", ["multivariate", "univariate"])
+def test_robust_loess_runs_end_to_end_and_names_its_passes(mode):
+    # bisquare reweighting through the whole pipeline: every cell has finite
+    # statistics, which differ from the plain fit's, and says how it was smoothed
+    adm, indicators = synth_inputs()
+    latencies = {"ind": LatencySpec(reporting_lag_days=1)}
+    robust = run_analysis(study_config(dtw_mode=mode, latencies=latencies,
+                                       loess_robustness_passes=1), adm, indicators, None)
+    plain = run_analysis(study_config(dtw_mode=mode, latencies=latencies),
+                         adm, indicators, None)
+    assert robust and [t.method for t in robust] == [t.method for t in plain]
+    for r, p in zip(robust, plain):
+        assert r.error == [""] * 3
+        stats = [name for name, values in r.columns.items() if values.dtype == float]
+        assert stats and all(np.isfinite(r.columns[name]).all() for name in stats)
+        assert any(not np.array_equal(r.columns[name], p.columns[name]) for name in stats)
+        assert r.provenance == p.provenance.replace("degree=2)", "degree=2,passes=1)")
+        assert p.provenance.startswith("locf+loess(span=0.08,degree=2)+")
+
+
 def test_ltla_panel_is_mapped():
     adm, indicators = synth_inputs()
     trust_panel = indicators["ind"]

@@ -149,6 +149,17 @@ def test_quartiles_match_numpy_to_the_bit(size, ties):
         assert np.array(_quartiles(values)).tobytes() == expected.tobytes(), values
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6, 7, 8, 12, 101])
+def test_quartiles_keep_the_sign_numpy_gives_a_zero(size):
+    # -0.0 and 0.0 tie, so the sign of a zero quartile is where numpy's
+    # partition for that quantile leaves them, as summary.json's reference has it
+    rng = np.random.default_rng(size)
+    for values in [np.full(size, -0.0)] + [rng.choice([-0.0, 0.0, 1.0, -1.0], size)
+                                            for _ in range(50)]:
+        expected = np.array([np.quantile(values, q) for q in (0.25, 0.5, 0.75)])
+        assert np.array(_quartiles(values)).tobytes() == expected.tobytes(), values
+
+
 def _matches(rng, rows: int, n: int, m: int) -> np.ndarray:
     """Random (rows, n, 2) matches: ascending lowest reference indices, each
     query index matching one reference index or two adjacent ones."""

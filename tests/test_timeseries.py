@@ -34,6 +34,11 @@ def test_panel_rejects_misaligned_series():
         Panel(START, ("T1", "T2"), np.ones((1, 3)))
 
 
+def test_panel_requires_a_series():
+    with pytest.raises(LeadLagError, match="panel has no series"):
+        Panel(START, (), np.ones((0, 3)))
+
+
 def test_panel_requires_sorted_unique_geo_ids():
     with pytest.raises(LeadLagError, match="sorted"):
         Panel(START, ("T2", "T1"), np.ones((2, 3)))
