@@ -17,7 +17,8 @@ constraint |i - j| <= window.
 
 ``dtw_align_batch`` runs the dynamic program once for a batch of alignments
 of equal lengths (one per Trust, say) in band coordinates, holding a few
-cost rows and int8 backpointers for the band only. An alignment is its
+cost rows and int8 backpointers for the band only, then follows each row's
+backpointers by a pointer chase over their flat array. An alignment is its
 accumulated cost and, for each query index, the lowest and highest
 reference index it matched; ``path_pairs`` expands that into the matched
 (query, reference) index pairs, an (L, 2) int array in ascending order, or
@@ -45,6 +46,20 @@ _STEPS = (
 )
 # A backpointer is 2 * (production 3 won) + (production 2 beat production 1).
 _BACK_STEPS = _STEPS + (_STEPS[2],)
+
+
+def _reach(cells, ri: int) -> tuple[int, int, int]:
+    """(ri, highest rj, lowest rj) of the ``cells`` of a production at query
+    offset ri; at an offset the production does not reach back to, those of
+    offset 0, so that its entry is written twice with the same values."""
+    rjs = [rj for a, rj, _ in cells if a == ri]
+    return (ri, max(rjs), min(rjs)) if rjs else _reach(cells, 0)
+
+
+# per backpointer code (rows) and query offset 0, 1, 2 (columns): the offset
+# written, and the reference offsets of the lowest and highest matched column
+_RI, _LO, _HI = np.moveaxis(np.array(
+    [[_reach(cells, ri) for ri in range(3)] for _, _, cells in _BACK_STEPS]), 2, 0)
 
 
 def _batch(query, reference, window: int) -> tuple[np.ndarray, np.ndarray]:
@@ -93,13 +108,59 @@ def dtw_align_batch(query, reference, window: int = 35) -> tuple[np.ndarray, np.
     B = 121, w = 35) and four accumulated-cost band rows, that reference and
     (n, 2w + 1, B) int8 backpointers. Costs accumulate per element in a
     fixed order, which the oracles in the tests match to the last bit.
+
+    The backtrack is a pointer chase over the flat backpointer array: cell
+    (i, c, b) sits at p = (i * (2w + 1) + c) * B + b, and production (di, dj)
+    moves p back by the constant (di * (2w + 1) + dj - di) * B, so a step of
+    a row's walk is one lookup, one append and one subtraction, until p
+    reaches row 0, where the path entered (row 0 holds no backpointers). The
+    cells visited by all rows are then decoded at once (i, c and b by
+    divmod), and two scatters write the lowest and the highest reference
+    index that each visited production matched at each query index it
+    consumed, read from tables built from the step pattern. By then the
+    band rows are freed: the backtrack holds the backpointers and a few
+    int64 values per visited cell.
     """
     q, r = _batch(query, reference, window)
     batch, n = q.shape[:2]
-    m = r.shape[1]
-    w = min(window, max(n, m))  # a wider band admits no further pairs
+    w = min(window, max(n, r.shape[1]))  # a wider band admits no further pairs
     band = 2 * w + 1
+    last, back = _forward(q, r, w)
+    ends = np.argmin(last, axis=0)  # open end: the cheapest column of the last row
+    cost = last[ends, np.arange(batch)]
+    match = np.full((batch, n, 2), -1, dtype=np.int32)
+    rows = np.flatnonzero(cost < np.inf)
+    # the chase: cell (i, c, b) is back_flat[p], p = (i * band + c) * batch + b
+    back_flat = back.reshape(-1)
+    code_at = memoryview(back_flat)  # indexes to Python ints, not numpy scalars
+    shift = [(di * band + dj - di) * batch for di, dj, _ in _BACK_STEPS]
+    top = band * batch  # p < top: row 0, where the path entered
+    path, entries = [], []
+    for p in (((n - 1) * band + ends[rows]) * batch + rows).tolist():
+        while p >= top:
+            path.append(p)
+            p -= shift[code_at[p]]
+        entries.append(p // batch - w)  # row 0: p = c * batch + b, column c - w
+    cells = np.array(path, dtype=np.int64)
+    codes = back_flat[cells]
+    i, c = np.divmod(cells, top)
+    c, b = np.divmod(c, batch)
+    j = (i + c - w)[:, None]
+    at = 2 * ((b * n + i)[:, None] - _RI[codes])  # flat index of (b, i - ri, 0)
+    match_flat = match.reshape(-1)
+    match_flat[at] = j - _LO[codes]
+    at += 1  # each highest column sits next to its lowest
+    match_flat[at] = j - _HI[codes]
+    match[rows, 0] = np.array(entries)[:, None]
+    return cost, match
 
+
+def _forward(q: np.ndarray, r: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """``dtw_align_batch``'s dynamic program: the accumulated costs of the last
+    query row, (2w + 1, B), and the (n, 2w + 1, B) int8 backpointers."""
+    batch, n = q.shape[:2]
+    m = r.shape[1]
+    band = 2 * w + 1
     # reference column j at j + w, so row i's band is ref[i : i + band]
     ref = np.full((n + 2 * w, batch) + r.shape[2:], np.inf)
     ref[w : w + m] = np.moveaxis(r[:, : n + w], 1, 0)
@@ -135,24 +196,7 @@ def dtw_align_batch(query, reference, window: int = 35) -> tuple[np.ndarray, np.
         np.minimum(c1, c3, out=row)
         np.add(third, third, out=back[i], dtype=np.int8)
         back[i] += second
-
-    last = g[(n - 1) % 4][1:-1]
-    ends = np.argmin(last, axis=0)  # open end: the cheapest column of the last row
-    cost = last[ends, np.arange(batch)]
-    match = np.full((batch, n, 2), -1, dtype=np.int32)
-    for b in np.flatnonzero(cost < np.inf).tolist():
-        lo, hi = [0] * n, [0] * n
-        i, j = n - 1, n - 1 - w + int(ends[b])
-        while i > 0:
-            di, dj, cells = _BACK_STEPS[back[i, j - i + w, b]]
-            for ri, rj, _ in cells:  # ascending, so a query index's last cell is its highest
-                hi[i - ri] = j - rj
-            for ri, rj, _ in reversed(cells):
-                lo[i - ri] = j - rj
-            i, j = i - di, j - dj
-        lo[0] = hi[0] = j
-        match[b, :, 0], match[b, :, 1] = lo, hi
-    return cost, match
+    return g[(n - 1) % 4][1:-1].copy(), back  # a copy, so that the band rows are freed
 
 
 def path_pairs(match: np.ndarray) -> np.ndarray:

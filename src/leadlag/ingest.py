@@ -119,7 +119,12 @@ def _scan(path: str | Path, header: list[str], number: int | None = None) -> _Co
                     parts[number].append(values)
                     not_numeric += (rows + np.flatnonzero(failed)).tolist()
             for i, column in enumerate(columns):
-                if i != number:
+                if i == number:
+                    continue
+                if column[-1] == column[0] and column.count(column[0]) == len(column):
+                    # one text, as a file's variable column: one code, no per-field lookup
+                    parts[i].append(np.full(len(block), tables[i][column[0]], np.int32))
+                else:
                     parts[i].append(np.fromiter(map(tables[i].__getitem__, column),
                                                 np.int32, len(block)))
             rows += len(block)

@@ -182,20 +182,38 @@ def test_batch_matches_cell_by_cell_oracle_on_ties(columns, window):
     assert feasible >= 10
 
 
-def test_full_scale_batch_rows_equal_single_alignments():
-    # a wave's univariate batch: every Trust's band column sits next to the
-    # other Trusts' in memory, yet each row must align as if alone
+def full_scale_batch():
+    """A wave's univariate (121, 77) x (121, 112) batch, rows cycling through a
+    flat query, a flat reference, coarse values that tie, and normal values."""
     rng = np.random.default_rng(16)
     q, r = rng.normal(size=(121, 77)), rng.normal(size=(121, 112))
     q[::4] = 0.0  # flat rows as zscore_scale emits them
     r[1::4] = 0.0
     q[2::4], r[2::4] = np.round(q[2::4]), np.round(r[2::4])  # ties
+    return q, r
+
+
+def test_full_scale_batch_rows_equal_single_alignments():
+    # a wave's univariate batch: every Trust's band column sits next to the
+    # other Trusts' in memory, yet each row must align as if alone
+    q, r = full_scale_batch()
     cost, match = dtw_align_batch(q, r, window=35)
     assert np.isfinite(cost).all()
     for b in range(len(q)):
         alone_cost, alone = align(q[b], r[b], window=35)
         assert cost[b] == alone_cost
         assert np.array_equal(match[b], alone)
+
+
+@pytest.mark.parametrize("row", [0, 1, 2, 3, 118, 119, 120])
+def test_full_scale_batch_rows_match_cell_by_cell_oracle(row):
+    # rows of every kind, the last ones among them, whose cells lie farthest
+    # into the flat backpointer array the backtrack chases
+    q, r = full_scale_batch()
+    cost, match = dtw_align_batch(q, r, window=35)
+    oracle_cost, oracle_match = scalar_dtw(q[row], r[row], window=35)
+    assert cost[row] == oracle_cost < np.inf
+    assert np.array_equal(match[row], oracle_match)
 
 
 def test_path_pairs_of_a_batch_are_its_rows_pairs_in_order():

@@ -20,7 +20,7 @@ import io
 import math
 import re
 import tempfile
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +326,13 @@ BLOCK = ingest._BLOCK
 POPULATIONS = "ltla_id,population\n" + "".join(f"L{i},{i}\n" for i in range(BLOCK))
 
 
+def indicator_rows(texts) -> str:
+    """An indicator file of (geo, day, variable) rows, day counted from 2022-01-01."""
+    return "geo_id,date,variable,value\n" + "".join(
+        f"{geo},{date(2022, 1, 1) + timedelta(days=day)},{variable},{k}\n"
+        for k, (geo, day, variable) in enumerate(texts))
+
+
 @pytest.mark.parametrize("kind, text", [
     # a row failing several checks raises the check the row reader made first
     pytest.param("indicator", "geo_id,date,variable,value\nL1,2022-13-01,v,nan\n",
@@ -368,6 +375,16 @@ POPULATIONS = "ltla_id,population\n" + "".join(f"L{i},{i}\n" for i in range(BLOC
                  id="non-numeric-ends-a-block"),
     pytest.param("population", POPULATIONS + "\n" * BLOCK + "L,-1\n",
                  id="a-block-of-blank-lines"),
+    # a block's text columns: one text, or first and last alike but not between
+    pytest.param("indicator", indicator_rows(
+        ("L1", k, "v") if k in (0, BLOCK - 1) else ("L2", k, "w") for k in range(BLOCK)),
+        id="block-ends-agree-middle-differs"),
+    pytest.param("indicator", indicator_rows(
+        ("L1", k % BLOCK, "v" if k < BLOCK else "w") for k in range(2 * BLOCK)),
+        id="variable-changes-at-a-block-edge"),
+    pytest.param("indicator", indicator_rows(
+        (f"L{k % 3}", k // 6, "vw"[k // 3 % 2]) for k in range(600)),
+        id="two-variables"),
     pytest.param("groupings", "group,member_variable\n", id="no-data-rows"),
     pytest.param("groupings", "", id="empty-file"),
 ])
