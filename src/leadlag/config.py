@@ -60,6 +60,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.waves:
             raise ConfigError("at least one wave must be configured")
+        if len({w.name for w in self.waves}) < len(self.waves):
+            raise ConfigError("wave names must differ: "
+                              + ", ".join(repr(w.name) for w in self.waves))
         for a, b in zip(self.waves, self.waves[1:]):
             if b.start <= a.end:
                 raise ConfigError(
@@ -80,6 +83,25 @@ class RunConfig:
             raise ConfigError(f"loess_degree must be 1 or 2, got {self.loess_degree}")
         if self.loess_robustness_passes < 0:
             raise ConfigError("loess_robustness_passes must be >= 0")
+        if self.admissions_filter_start > self.admissions_filter_end:
+            raise ConfigError(f"admissions_filter_start {self.admissions_filter_start} "
+                              f"after admissions_filter_end {self.admissions_filter_end}")
+
+
+class _Loader(yaml.SafeLoader):
+    """YAML's safe loader, except that a mapping may not repeat a key."""
+
+    def construct_mapping(self, node, deep=False):
+        keys = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep)
+        seen = set()
+        for key in keys:
+            value = self.construct_object(key)
+            if value in seen:
+                raise yaml.constructor.ConstructorError(
+                    problem=f"repeated key {value!r} on line {key.start_mark.line + 1}")
+            seen.add(value)
+        return mapping
 
 
 def iso_date(text: str) -> date:
@@ -91,9 +113,7 @@ def iso_date(text: str) -> date:
 
 
 def _as_date(value, context: str) -> date:
-    if isinstance(value, date):
-        return value
-    try:
+    try:  # YAML dates too, so that a timestamp with a time of day fails
         return iso_date(str(value))
     except ValueError as exc:
         raise ConfigError(f"{context}: invalid date {value!r}") from exc
@@ -158,7 +178,7 @@ _FIELDS = {
 def load_config(path: str | Path) -> RunConfig:
     """Parse a YAML run configuration file."""
     try:
-        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        raw = yaml.load(Path(path).read_text(encoding="utf-8"), _Loader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except (yaml.YAMLError, ValueError) as exc:  # undecodable bytes, a date like 2022-13-01

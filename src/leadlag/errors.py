@@ -5,14 +5,6 @@ class LeadLagError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class EmptySeriesError(LeadLagError):
-    """Series has no observed values."""
-
-
-class EmptySliceError(LeadLagError):
-    """Requested window does not overlap the series."""
-
-
 class InsufficientDataError(LeadLagError):
     """Not enough observations for the requested computation."""
 

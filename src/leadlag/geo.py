@@ -23,7 +23,6 @@ class GeoMapping:
     ltla_ids: tuple[str, ...]
     trust_ids: tuple[str, ...]
     weights: np.ndarray = field(repr=False)  # shape (n_ltla, n_trust)
-    zero_record_ltlas: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
@@ -42,7 +41,7 @@ def build_mapping(records: list[tuple[str, str, float]]) -> GeoMapping:
     """Build row-normalized LTLA->Trust weights from (ltla, trust, count) records.
 
     Counts for the same pair accumulate. LTLAs whose total count is zero get
-    an all-zero row and are flagged rather than dropped.
+    an all-zero row and are logged rather than dropped.
     """
     if not records:
         raise MappingError("no mapping records")
@@ -64,23 +63,18 @@ def build_mapping(records: list[tuple[str, str, float]]) -> GeoMapping:
     zero_rows = totals == 0
     safe = np.where(zero_rows, 1.0, totals)
     mat = mat / safe[:, None]
-    zero_ltlas = frozenset(l for l, z in zip(ltla_ids, zero_rows) if z)
+    zero_ltlas = [l for l, z in zip(ltla_ids, zero_rows) if z]
     if zero_ltlas:
         logger.warning("mapping has %d LTLA(s) with no admissions: %s",
-                       len(zero_ltlas), ", ".join(sorted(zero_ltlas)))
-    return GeoMapping(ltla_ids, trust_ids, mat, zero_ltlas)
-
-
-def missing_ltlas(panel: Panel, mapping: GeoMapping) -> list[str]:
-    """Mapping LTLAs that the panel has no series for (they contribute zero)."""
-    return sorted(set(mapping.ltla_ids) - set(panel.geo_ids))
+                       len(zero_ltlas), ", ".join(zero_ltlas))
+    return GeoMapping(ltla_ids, trust_ids, mat)
 
 
 def apply_mapping(panel: Panel, mapping: GeoMapping) -> Panel:
     """Convert an LTLA-level panel to Trust level by weighted sum.
 
-    LTLAs in the mapping but absent from the panel contribute zero (see
-    ``missing_ltlas``); panel LTLAs unknown to the mapping are an error.
+    LTLAs in the mapping but absent from the panel contribute zero; panel
+    LTLAs unknown to the mapping are an error.
     """
     offenders = sorted(set(panel.geo_ids) - set(mapping.ltla_ids))
     if offenders:

@@ -24,7 +24,7 @@ import numpy as np
 from .config import LatencySpec, RunConfig, WaveSpec
 from .dtw import dtw_align_batch
 from .errors import ConfigError, LeadLagError
-from .geo import GeoMapping, apply_mapping, missing_ltlas
+from .geo import GeoMapping, apply_mapping
 from .granger import granger_test_batch
 from .timeseries import Panel, loess_smooth, minmax_scale, row_median, zscore_scale
 from .xcorr import ccf_at_leads, optimal_leads
@@ -66,12 +66,9 @@ def filter_trusts(panel: Panel, config: RunConfig) -> Panel:
     within the window is at least ``min_annual_admissions`` (strictly
     "fewer than" are removed).
     """
-    start = max(config.admissions_filter_start, panel.start_date)
-    end = min(config.admissions_filter_end, panel.end_date)
-    if start <= end:
-        totals = panel.values[:, panel.day_slice(start, end)].sum(axis=1)
-    else:
-        totals = np.zeros(len(panel.geo_ids))
+    window = _overlap(config.admissions_filter_start, config.admissions_filter_end, panel)
+    totals = (np.zeros(len(panel.geo_ids)) if window is None
+              else panel.values[:, panel.day_slice(*window)].sum(axis=1))
     excluded = set(config.trust_exclusions)
     kept: list[int] = []
     removed: list[str] = []
@@ -235,7 +232,7 @@ def _pair(config: RunConfig, variable: str, ind: Panel, adm: Panel, adm_smooth: 
     """Map an LTLA indicator to trusts (unless ``mapping`` is None, for a trust
     indicator) and smooth the rows the admissions share."""
     if mapping is not None:
-        absent = missing_ltlas(ind, mapping)
+        absent = sorted(set(mapping.ltla_ids) - set(ind.geo_ids))
         ind = apply_mapping(ind, mapping)
         if absent:  # they contribute zero
             logger.warning("variable %s missing %d mapping LTLA(s): %s",

@@ -37,7 +37,6 @@ _METHOD_FIELDS = {
                              "degenerate", "truncated", "provenance", "error"],
 }
 _METHOD_FILES = {"granger": ("granger", "granger14"), "ccf": ("ccf",), "dtw": ("dtw",)}
-_TEXT = ("trust_id", "indicator", "wave", "method", "provenance", "error")
 _INTEGERS = ("horizon", "df_num", "df_den", "optimal_lead")
 _FLAGS = ("eroded", "degenerate", "truncated")
 
@@ -75,7 +74,7 @@ def _text_column(table: ResultTable, field: str, text: Callable[[str], str],
         value = getattr(table, field, None)
         if value is None:
             return [absent] * n
-        return [text(value) if field in _TEXT else repr(value)] * n
+        return [text(value) if isinstance(value, str) else repr(value)] * n
     if values.dtype == bool:
         return ["true" if v else "false" for v in values.tolist()]
     kind = int if field in _INTEGERS else float

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date, timedelta
-from functools import lru_cache
 from math import ceil
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import EmptySeriesError, EmptySliceError, InsufficientDataError, LeadLagError
+from .errors import InsufficientDataError, LeadLagError
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,7 @@ class Panel:
             raise LeadLagError(
                 f"values of shape {v.shape} misaligned with {len(geo_ids)} geo ids")
         if v.shape[1] < 1:
-            raise EmptySeriesError("empty series")
+            raise LeadLagError("empty series")
         v.flags.writeable = False
         object.__setattr__(self, "geo_ids", geo_ids)
         object.__setattr__(self, "values", v)
@@ -62,7 +61,7 @@ class Panel:
         i0 = max((start - self.start_date).days, 0)
         i1 = min((end - self.start_date).days, self.n_days - 1)
         if i0 > i1:
-            raise EmptySliceError("empty slice")
+            raise LeadLagError("empty slice")
         return slice(i0, i1 + 1)
 
 
@@ -71,9 +70,9 @@ def _rows(values, op: str, complete: bool = True) -> np.ndarray:
     if v.ndim != 2:
         raise LeadLagError(f"{op} takes one series per row, got shape {v.shape}")
     if v.shape[1] < 1:
-        raise EmptySeriesError("empty series")
-    if complete and np.isnan(v).any():
-        raise LeadLagError(f"{op} requires a complete series (no missing values)")
+        raise LeadLagError("empty series")
+    if complete and not np.isfinite(v).all():
+        raise LeadLagError(f"{op} requires a complete, finite series")
     return v
 
 
@@ -86,7 +85,7 @@ def locf_impute(values) -> np.ndarray:
     v = _rows(values, "locf_impute", complete=False)
     observed = ~np.isnan(v)
     if not observed.any(axis=1).all():
-        raise EmptySeriesError("empty series")
+        raise LeadLagError("empty series")
     first = np.argmax(observed, axis=1)
     idx = np.where(observed, np.arange(v.shape[1]), first[:, None])
     np.maximum.accumulate(idx, axis=1, out=idx)
@@ -106,10 +105,7 @@ def minmax_scale(values) -> tuple[np.ndarray, np.ndarray]:
     v = _rows(values, "minmax_scale")
     lo = v.min(axis=1, keepdims=True)
     hi = v.max(axis=1, keepdims=True)
-    flat = hi - lo <= _DEGENERATE_RTOL * np.maximum(np.abs(hi), np.abs(lo))
-    out = (v - lo) / np.where(flat, 1.0, hi - lo)
-    out[flat[:, 0]] = 0.0
-    return out, flat[:, 0]
+    return _scaled(v, lo, hi - lo, np.maximum(np.abs(hi), np.abs(lo)))
 
 
 def zscore_scale(values) -> tuple[np.ndarray, np.ndarray]:
@@ -118,9 +114,15 @@ def zscore_scale(values) -> tuple[np.ndarray, np.ndarray]:
     if v.shape[1] < 2:
         raise InsufficientDataError("zscore_scale needs at least 2 values")
     mean = v.mean(axis=1, keepdims=True)
-    sd = v.std(axis=1, ddof=1, keepdims=True)
-    flat = sd <= _DEGENERATE_RTOL * np.abs(mean)
-    out = (v - mean) / np.where(flat, 1.0, sd)
+    return _scaled(v, mean, v.std(axis=1, ddof=1, keepdims=True), np.abs(mean))
+
+
+def _scaled(v: np.ndarray, centre: np.ndarray, spread: np.ndarray,
+            size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(v - centre) / spread`` by row, and the rows whose spread is within
+    ``_DEGENERATE_RTOL`` of their size: those are flagged and read zero."""
+    flat = spread <= _DEGENERATE_RTOL * size
+    out = (v - centre) / np.where(flat, 1.0, spread)
     out[flat[:, 0]] = 0.0
     return out, flat[:, 0]
 
@@ -183,31 +185,20 @@ def _local_fits(n: int, points: np.ndarray, q: int, degree: int,
     return lo, np.linalg.pinv(X * sw[:, :, None])[:, 0] * sw
 
 
-@lru_cache(maxsize=16)
-def _loess_operator(n: int, q: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The linear smoother of a length-``n`` series, read-only as it is shared:
-    one row of weights per point within half a window of the left and of the
-    right end, and the centred fit's kernel for the points between."""
-    h1 = (q - 1) // 2
-    h2 = q - 1 - h1
-    _, w = _local_fits(n, np.r_[:h1, n - h2 : n, h1], q, degree)
-    w.flags.writeable = False
-    return w[:h1], w[h1:-1], w[-1]
-
-
 def _loess_linear(v: np.ndarray, q: int, degree: int) -> np.ndarray:
     # Interior points share the centred fit's kernel, applied to each row as
     # a correlation; that arithmetic does not depend on the other rows, and
     # DTW paths downstream are sensitive to the last bit. The points within
     # half a window of either end get one row of weights each.
     n = v.shape[1]
-    left, right, kernel = _loess_operator(n, q, degree)
-    h1, h2 = len(left), len(right)
+    h1 = (q - 1) // 2
+    h2 = q - 1 - h1
+    _, w = _local_fits(n, np.r_[:h1, n - h2 : n, h1], q, degree)
     out = np.empty_like(v)
-    out[:, :h1] = v[:, :q] @ left.T
-    out[:, n - h2 :] = v[:, n - q :] @ right.T
+    out[:, :h1] = v[:, :q] @ w[:h1].T
+    out[:, n - h2 :] = v[:, n - q :] @ w[h1:-1].T
     for smoothed, y in zip(out, v):
-        smoothed[h1 : n - h2] = np.correlate(y, kernel, mode="valid")
+        smoothed[h1 : n - h2] = np.correlate(y, w[-1], mode="valid")
     return out
 
 

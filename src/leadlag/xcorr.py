@@ -24,8 +24,8 @@ def ccf_at_leads(x, y, leads) -> np.ndarray:
     yv = np.asarray(y, dtype=float)
     if xv.shape != yv.shape or xv.ndim != 2:
         raise LeadLagError("x and y must be aligned (same shape, one series per row)")
-    if np.isnan(xv).any() or np.isnan(yv).any():
-        raise LeadLagError("cross-correlation requires complete series")
+    if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
+        raise LeadLagError("cross-correlation requires complete, finite series")
     n = xv.shape[1]
     for lead in leads:
         if abs(lead) >= n - 2:

@@ -246,12 +246,22 @@ def test_config_names_no_indicator_read_warns(corpus, tmp_path, caplog):
     ("waves: [{name: w, start: 2021-W47-4, end: 2022-02-03}]",
      "wave start: invalid date '2021-W47-4'"),
     ("waves: [{name: w, start: 2021-11-01}]", "each wave needs name, start and end"),
+    ("admissions_filter_start: 2021-10-01 10:00:00",
+     "admissions_filter_start: invalid date datetime.datetime(2021, 10, 1, 10, 0)"),
+    ("waves: [{name: w, start: 2021-11-20 08:00:00, end: 2022-02-03}]",
+     "wave start: invalid date datetime.datetime(2021, 11, 20, 8, 0)"),
+    ("waves: [{name: w, start: 2021-11-01, end: 2021-11-30},"
+     " {name: w, start: 2021-12-01, end: 2021-12-31}]", "wave names must differ: 'w', 'w'"),
+    ("{admissions_filter_start: 2022-06-01, admissions_filter_end: 2022-05-31}",
+     "admissions_filter_start 2022-06-01 after admissions_filter_end 2022-05-31"),
 ], ids=["empty-waves", "horizon-text", "span-list", "latency-number", "mappings-list",
         "exclusions-string", "horizon-fraction", "horizon-bool", "window-inf", "span-bool",
         "latency-fraction", "degree-3", "span-above-1", "passes-negative",
         "unknown-key", "unknown-key-dtw", "unknown-latency-key", "dtw-mode", "warmup-negative",
         "threshold-zero", "latency-negative", "cadence-unknown", "filter-start-date",
-        "filter-start-compact-date", "wave-start-week-date", "wave-without-end"])
+        "filter-start-compact-date", "wave-start-week-date", "wave-without-end",
+        "filter-start-timestamp", "wave-start-timestamp", "wave-names-repeat",
+        "filter-window-inverted"])
 def test_bad_config_exits_config(corpus, tmp_path, capsys, entry, key):
     # one bad entry in an otherwise valid config
     config = yaml.safe_load((corpus / "config.yaml").read_text())
@@ -272,7 +282,14 @@ def test_bad_config_exits_config(corpus, tmp_path, capsys, entry, key):
     (b"- waves\n", "must be a mapping"),
     (b"admissions_filter_start: 2022-13-01\n", "month must be in 1..12"),
     (b"horizon_days: \xff\n", "can't decode byte 0xff"),
-], ids=["missing", "not-yaml", "not-mapping", "yaml-date-out-of-range", "undecodable"])
+    (b"horizon_days: 7\nccf_window: 20\nhorizon_days: 14\n",
+     "repeated key 'horizon_days' on line 3"),
+    (b"latency:\n  ind00:\n    reporting_lag_days: 1\n    reporting_lag_days: 2\n",
+     "repeated key 'reporting_lag_days' on line 4"),
+    (b"waves:\n- name: w\n  start: 2021-11-01\n  end: 2022-01-31\n  start: 2021-12-01\n",
+     "repeated key 'start' on line 5"),
+], ids=["missing", "not-yaml", "not-mapping", "yaml-date-out-of-range", "undecodable",
+        "repeated-key", "repeated-latency-key", "repeated-wave-key"])
 def test_unloadable_config_exits_config(corpus, tmp_path, capsys, content, message):
     bad = tmp_path / "bad.yaml"
     if content is not None:

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,8 +28,14 @@ def test_build_mapping_ratios():
 
 def test_build_mapping_zero_row_flagged():
     m = build_mapping([("A", "T1", 5), ("C", "T1", 0)])
-    assert m.zero_record_ltlas == frozenset({"C"})
+    assert [l for l, w in zip(m.ltla_ids, m.weights) if not w.any()] == ["C"]
     assert weights(m, "C").tolist() == [0.0]
+
+
+def test_build_mapping_logs_zero_rows(caplog):
+    with caplog.at_level(logging.WARNING, logger="leadlag.geo"):
+        build_mapping([("C", "T1", 0), ("A", "T1", 5), ("B", "T2", 0)])
+    assert caplog.messages == ["mapping has 2 LTLA(s) with no admissions: B, C"]
 
 
 def test_build_mapping_negative_count_errors():
@@ -155,6 +163,6 @@ def test_population_conservation_property(raw):
     records = [(f"L{l}", f"T{t}", float(c)) for l, t, c in raw]
     m = build_mapping(records)
     pops = {l: 1000.0 + 37 * i for i, l in enumerate(m.ltla_ids)}
-    total_in = sum(pops[l] for l in m.ltla_ids if l not in m.zero_record_ltlas)
+    total_in = sum(pops[l] for l, w in zip(m.ltla_ids, m.weights) if w.any())
     total_out = sum(weighted_population(m, pops).values())
     assert total_out == pytest.approx(total_in, rel=1e-9)

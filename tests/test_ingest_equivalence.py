@@ -276,8 +276,7 @@ def assert_same_result(expected, got):
         assert (got.geo_ids, got.start_date) == (expected.geo_ids, expected.start_date)
         assert np.array_equal(got.values, expected.values)
     elif isinstance(expected, GeoMapping):
-        assert (got.ltla_ids, got.trust_ids, got.zero_record_ltlas) == \
-            (expected.ltla_ids, expected.trust_ids, expected.zero_record_ltlas)
+        assert (got.ltla_ids, got.trust_ids) == (expected.ltla_ids, expected.trust_ids)
         assert np.array_equal(got.weights, expected.weights)
     else:
         assert list(got.items()) == list(expected.items())

@@ -97,6 +97,11 @@ def test_misaligned_or_missing_input_rejected():
         ccf_at_leads(wave(10), wave(10), [0])  # one series per row
     with pytest.raises(LeadLagError, match="complete"):
         ccf_at_leads([[1.0, np.nan, 2.0, 3.0, 4.0]], [wave(5)], [0])
+    for bad in (np.inf, -np.inf):
+        with pytest.raises(LeadLagError, match="complete"):
+            ccf_at_leads([[1.0, bad, 2.0, 3.0, 4.0]], [wave(5)], [0])
+        with pytest.raises(LeadLagError, match="complete"):
+            ccf_at_leads([wave(5)], [[1.0, 2.0, bad, 3.0, 4.0]], [0])
 
 
 def test_batched_rows_match_literal_formula():
