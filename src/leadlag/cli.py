@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .config import load_config
 from .corpus import write_corpus
-from .errors import ConfigError, LeadLagError, MappingError, SchemaError
+from .errors import LeadLagError
 from .geo import weighted_population
 from .ingest import (
     apply_groupings,
@@ -23,14 +23,6 @@ from .pipeline import METHODS, check_methods, run_analysis
 from .reports import emit_reports, write_dtw_paths, write_trust_population
 
 logger = logging.getLogger(__name__)
-
-_ERROR_CATEGORIES = (
-    (SchemaError, "input-schema", 2),
-    (ConfigError, "config", 3),
-    (MappingError, "mapping", 4),
-    (LeadLagError, "analysis", 5),
-    (OSError, "io", 6),
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -138,12 +130,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return _run(args)
         return _synth(args)
-    except Exception as exc:  # noqa: BLE001 - map to exit categories at the boundary
-        for exc_type, category, code in _ERROR_CATEGORIES:
-            if isinstance(exc, exc_type):
-                print(f"error [{category}]: {exc}", file=sys.stderr)
-                return code
-        raise
+    except (LeadLagError, OSError) as exc:  # an error's class names its exit category
+        category, code = ((exc.category, exc.exit_code) if isinstance(exc, LeadLagError)
+                          else ("io", 6))
+        print(f"error [{category}]: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

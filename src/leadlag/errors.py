@@ -2,7 +2,10 @@
 
 
 class LeadLagError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; the command line
+    reports one as ``error [category]: message`` and exits with ``exit_code``."""
+
+    category, exit_code = "analysis", 5
 
 
 class InsufficientDataError(LeadLagError):
@@ -11,6 +14,8 @@ class InsufficientDataError(LeadLagError):
 
 class SchemaError(LeadLagError):
     """Malformed input file."""
+
+    category, exit_code = "input-schema", 2
 
     def __init__(self, message: str, path: str | None = None, line: int | None = None):
         self.path = path
@@ -24,6 +29,10 @@ class SchemaError(LeadLagError):
 class ConfigError(LeadLagError):
     """Invalid run configuration."""
 
+    category, exit_code = "config", 3
+
 
 class MappingError(LeadLagError):
     """Geographic mapping cannot be built or applied."""
+
+    category, exit_code = "mapping", 4

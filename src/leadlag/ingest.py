@@ -33,7 +33,7 @@ import numpy as np
 from .config import iso_date
 from .errors import SchemaError
 from .geo import GeoMapping, build_mapping
-from .timeseries import Panel, locf_impute
+from .timeseries import Panel, locf_impute, overlap
 
 logger = logging.getLogger(__name__)
 
@@ -351,12 +351,13 @@ def read_population(path: str | Path) -> dict[str, float]:
 
 
 def read_groupings(path: str | Path) -> dict[str, tuple[str, ...]]:
-    """Variable grouping declarations from ``group,member_variable`` rows."""
+    """Variable grouping declarations from ``group,member_variable`` rows, one group per member."""
     cols = _scan(path, ["group", "member_variable"])
     group, member = cols.codes
     _check(cols, [
         (_repeats(group.astype(np.int64) * len(cols.names[1]) + member),
          lambda f: f"member {f[1]!r} repeated in group {f[0]!r}"),
+        (_repeats(member), lambda f: f"member {f[1]!r} of group {f[0]!r} is in another group"),
     ])
     members = cols.names[1]
     return {name: tuple(members[m] for m in member[group == g].tolist())
@@ -368,7 +369,7 @@ def apply_groupings(
 ) -> dict[str, Panel]:
     """Sum member variables into grouped variables; members are consumed.
 
-    Members must share geo ids; date ranges intersect.
+    Members must share geo ids; date ranges intersect; no other variable has the group's name.
     """
     out = dict(panels)
     for group, members in groupings.items():
@@ -376,19 +377,19 @@ def apply_groupings(
         if not present:
             logger.warning("grouping %s: no member variables present", group)
             continue
+        if group in out and group not in present:
+            raise SchemaError(f"grouping {group!r} would replace a variable that is not its member")
         first = out[present[0]]
         for m in present[1:]:
             if out[m].geo_ids != first.geo_ids:
                 raise SchemaError(
                     f"grouping {group!r}: member {m!r} has a different geography")
-        start = max(out[m].start_date for m in present)
-        end = min(out[m].end_date for m in present)
-        if start > end:
+        window = overlap(date.min, date.max, *(out[m] for m in present))
+        if window is None:
             raise SchemaError(f"grouping {group!r}: member date ranges do not overlap")
-        total = np.zeros((len(first.geo_ids), (end - start).days + 1))
+        total = np.zeros((len(first.geo_ids), (window[1] - window[0]).days + 1))
         for m in present:
-            total += out[m].values[:, out[m].day_slice(start, end)]
-        for m in present:
+            total += out[m].values[:, out[m].day_slice(*window)]
             del out[m]
-        out[group] = Panel(start, first.geo_ids, total)
+        out[group] = Panel(window[0], first.geo_ids, total)
     return out

@@ -26,7 +26,7 @@ from .dtw import dtw_align_batch
 from .errors import ConfigError, LeadLagError
 from .geo import GeoMapping, apply_mapping
 from .granger import granger_test_batch
-from .timeseries import Panel, loess_smooth, minmax_scale, row_median, zscore_scale
+from .timeseries import Panel, loess_smooth, minmax_scale, overlap, row_median, zscore_scale
 from .xcorr import ccf_at_leads, optimal_leads
 
 logger = logging.getLogger(__name__)
@@ -64,12 +64,15 @@ def filter_trusts(panel: Panel, config: RunConfig) -> Panel:
 
     The threshold window is configurable; a trust is kept when its total
     within the window is at least ``min_annual_admissions`` (strictly
-    "fewer than" are removed).
+    "fewer than" are removed). An excluded id that names no trust is logged.
     """
-    window = _overlap(config.admissions_filter_start, config.admissions_filter_end, panel)
+    window = overlap(config.admissions_filter_start, config.admissions_filter_end, panel)
     totals = (np.zeros(len(panel.geo_ids)) if window is None
               else panel.values[:, panel.day_slice(*window)].sum(axis=1))
     excluded = set(config.trust_exclusions)
+    unknown = sorted(excluded - set(panel.geo_ids))
+    if unknown:
+        logger.warning("config trust_exclusions names no admissions trust: %s", ", ".join(unknown))
     kept: list[int] = []
     removed: list[str] = []
     for i, (trust, total) in enumerate(zip(panel.geo_ids, totals)):
@@ -98,12 +101,6 @@ def effective_leads(lead_days: np.ndarray,
     eff = lead_days - latency.reporting_lag_days - (latency.release_cadence_days - 1)
     eroded = (eff < 0) & (lead_days >= 0)
     return np.where(eroded, 0.0, eff), eroded
-
-
-def _overlap(start: date, end: date, *panels: Panel) -> tuple[date, date] | None:
-    start = max([start] + [p.start_date for p in panels])
-    end = min([end] + [p.end_date for p in panels])
-    return (start, end) if start <= end else None
 
 
 @dataclass(frozen=True)
@@ -172,12 +169,12 @@ def run_analysis(
     provenance_linear = f"{loess}+minmax"
     provenance_dtw = f"{loess}+zscore(window)+{config.dtw_mode}"
 
-    linear: list[tuple[str, int]] = []  # (method, horizon) of the min-max scaled methods
+    grid = []  # (method, horizon, provenance) of each table of an (indicator, wave)
     if "granger" in methods:
-        linear += [("granger", 0), ("granger14", config.horizon_days)]
+        grid += [("granger", 0, provenance_linear),
+                 ("granger14", config.horizon_days, provenance_linear)]
     if "ccf" in methods:
-        linear.append(("ccf", config.horizon_days))
-    grid = [(method, horizon, provenance_linear) for method, horizon in linear]
+        grid.append(("ccf", config.horizon_days, provenance_linear))
     if "dtw" in methods:
         grid.append(("dtw", None, provenance_dtw))
 
@@ -195,19 +192,22 @@ def run_analysis(
         latency = config.latencies.get(variable)
 
         for wave in config.waves:
-            truncated = ind.start_date > wave.start or ind.end_date < wave.end
+            # the days of the wave that both the indicator and the admissions cover:
+            # every row of every method is truncated where they are not the whole wave
+            window = overlap(wave.start, wave.end, ind, adm)
+            truncated = window != (wave.start, wave.end)
             if truncated:
-                logger.warning("indicator %s does not fully cover wave %s",
-                               variable, wave.name)
-            if pair is None:
-                cells = [({}, [failed] * n) for _ in grid]
-            else:
-                cells = _linear_cells(config, pair, wave, linear, latency)
-                if "dtw" in methods:
-                    cells.append(_dtw_cells(config, pair, wave, variable, latency, dtw_paths))
-                cells = [_spread(pair.rows, n, *c) for c in cells]
-            for (method, horizon, provenance), (columns, error) in zip(grid, cells):
-                columns["truncated"] = columns.get("truncated", np.zeros(n, bool)) | truncated
+                logger.warning("indicator %s and admissions cover wave %s %s", variable, wave.name,
+                               f"only from {window[0]} to {window[1]}" if window else "on no day")
+            for method, horizon, provenance in grid:
+                if pair is None:
+                    columns, error = {}, [failed] * n
+                else:
+                    cells = (_dtw_cells(config, pair, wave, variable, latency, dtw_paths)
+                             if method == "dtw" else
+                             _linear_cells(config, pair, window, method, horizon, latency))
+                    columns, error = _spread(pair.rows, n, *cells)
+                columns["truncated"] = np.full(n, truncated)
                 tables.append(ResultTable(adm.geo_ids, variable, wave.name, method,
                                           horizon, provenance, columns, error))
 
@@ -248,23 +248,19 @@ def _smooth(values: np.ndarray, config: RunConfig) -> np.ndarray:
                         config.loess_robustness_passes)
 
 
-def _linear_cells(config: RunConfig, pair: _Pair, wave: WaveSpec,
-                  linear: list[tuple[str, int]], latency: LatencySpec | None) -> list[_Cells]:
-    """Cells of each (method, horizon) in ``linear`` over the wave's overlap window."""
+def _linear_cells(config: RunConfig, pair: _Pair, window: tuple[date, date] | None,
+                  method: str, horizon: int, latency: LatencySpec | None) -> _Cells:
+    """Cells of one min-max scaled method over the wave's overlap ``window``."""
     k = len(pair.rows)
-    window = _overlap(wave.start, wave.end, pair.ind, pair.adm)
-    if window is None or not linear:  # nothing is scaled for a run without them
-        return [({"truncated": np.ones(k, bool)}, ["no coverage in wave"] * k) for _ in linear]
+    if window is None:
+        return {}, ["no coverage in wave"] * k
     x, y, degenerate = pair.linear
     x, y = x[:, pair.ind.day_slice(*window)], y[:, pair.adm.day_slice(*window)]
-    cells = []
-    for method, horizon in linear:
-        try:
-            cells.append(_ccf_cells(config, x, y, degenerate, latency) if method == "ccf"
-                         else _granger_cells(config, x, y, degenerate, horizon))
-        except LeadLagError as exc:
-            cells.append(({"degenerate": degenerate}, [str(exc)] * k))
-    return cells
+    try:
+        return (_ccf_cells(config, x, y, degenerate, latency) if method == "ccf"
+                else _granger_cells(config, x, y, degenerate, horizon))
+    except LeadLagError as exc:
+        return {"degenerate": degenerate}, [str(exc)] * k
 
 
 def _granger_cells(config: RunConfig, x: np.ndarray, y: np.ndarray, degenerate: np.ndarray,
@@ -308,7 +304,7 @@ def _dtw_cells(config: RunConfig, pair: _Pair, wave: WaveSpec, variable: str,
     if k == 0:
         return {}, []
     warm_start = wave.start - timedelta(days=config.dtw_warmup_days)
-    window = _overlap(warm_start, wave.end, pair.ind, pair.adm)
+    window = overlap(warm_start, wave.end, pair.ind, pair.adm)
     if window is None:
         return {}, ["no coverage in wave"] * k
     q_start, q_end = window

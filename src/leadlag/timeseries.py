@@ -65,6 +65,13 @@ class Panel:
         return slice(i0, i1 + 1)
 
 
+def overlap(start: date, end: date, *panels: Panel) -> tuple[date, date] | None:
+    """The first and last day of [start, end] that every panel covers, or None."""
+    start = max([start] + [p.start_date for p in panels])
+    end = min([end] + [p.end_date for p in panels])
+    return (start, end) if start <= end else None
+
+
 def _rows(values, op: str, complete: bool = True) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 2:

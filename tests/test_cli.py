@@ -12,9 +12,11 @@ import pytest
 import yaml
 
 import leadlag
+from leadlag import cli
 from leadlag.cli import main
 from leadlag.config import LatencySpec, load_config
 from leadlag.corpus import write_corpus
+from leadlag.errors import LeadLagError
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +158,18 @@ def test_mapping_of_zero_counts_exits_mapping(corpus, tmp_path, capsys):
     args[args.index("--mapping") + 1] = str(bad)
     assert main(args) == 4
     assert "error [mapping]: all mapping records have zero counts" in capsys.readouterr().err
+
+
+def test_error_class_carries_its_exit_category(monkeypatch, capsys):
+    class CodedError(LeadLagError):
+        category, exit_code = "coded", 9
+
+    def fail(args):
+        raise CodedError("boom")
+
+    monkeypatch.setattr(cli, "_synth", fail)
+    assert main(["synth", "--out", "unused"]) == 9
+    assert capsys.readouterr().err == "error [coded]: boom\n"
 
 
 def test_grouping_with_no_member_present_warns(corpus, tmp_path, caplog):

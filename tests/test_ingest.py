@@ -166,6 +166,19 @@ def test_read_groupings_duplicate_member_errors(tmp_path):
         read_groupings(path)
 
 
+def test_read_groupings_member_in_a_second_group_errors(tmp_path):
+    # group a would consume ind01, and b would be ind02 alone
+    path = write(tmp_path, "groups.csv",
+                 "group,member_variable\na,ind01\nb,ind01\nb,ind02\n")
+    message = r"member 'ind01' of group 'b' is in another group \[.*groups\.csv:3\]"
+    with pytest.raises(SchemaError, match=message):
+        read_groupings(path)
+    # a repeat within one group is also a second listing: the repeat's message wins
+    path = write(tmp_path, "groups.csv", "group,member_variable\na,x\nb,y\na,x\n")
+    with pytest.raises(SchemaError, match=r"member 'x' repeated in group 'a' \[.*:4\]"):
+        read_groupings(path)
+
+
 def test_apply_groupings_sums_members():
     panels = {
         "a": panel({"L1": [1.0, 2.0, 3.0]}),
@@ -184,6 +197,16 @@ def test_apply_groupings_mismatched_geos_error():
     }
     with pytest.raises(SchemaError, match="different geography"):
         apply_groupings(panels, {"combo": ("a", "b")})
+
+
+def test_apply_groupings_must_not_replace_a_variable_it_does_not_consume():
+    panels = {name: panel({"L1": [float(i), 1.0]}) for i, name in enumerate(("a", "b", "c"))}
+    with pytest.raises(SchemaError, match="'a' would replace a variable that is not its member"):
+        apply_groupings(panels, {"a": ("b", "c")})
+    # named after one of its own members, the group replaces only what it sums
+    out = apply_groupings(panels, {"a": ("a", "b")})
+    assert set(out) == {"a", "c"}
+    assert out["a"].values.tolist() == [[1.0, 2.0]]
 
 
 # ------------------------------------------------------- non-finite numbers

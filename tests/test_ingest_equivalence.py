@@ -1,9 +1,10 @@
 """The columnar readers against the row-at-a-time readers they replaced.
 
 The reference below is the earlier ``leadlag.ingest`` row loop, copied
-verbatim but for three rules: a record's line is the first physical line it
-spans, a date is exactly ``YYYY-MM-DD``, and a record holding a NUL fails as
-``csv.reader`` fails on Python 3.10.  Hypothesis writes small CSV files from
+verbatim but for four rules: a record's line is the first physical line it
+spans, a date is exactly ``YYYY-MM-DD``, a record holding a NUL fails as
+``csv.reader`` fails on Python 3.10, and a grouping member may sit in one
+group only.  Hypothesis writes small CSV files from
 valid rows with injected defects (bad or non-ISO dates, non-numeric,
 non-finite, negative and non-integer numbers, NULs, duplicates, wrong
 widths, blank lines, quoted fields, CRLF line ends, a wrong header), and
@@ -177,6 +178,9 @@ def read_groupings(path: str | Path) -> dict[str, tuple[str, ...]]:
         members = groups.setdefault(group, [])
         if member in members:
             raise SchemaError(f"member {member!r} repeated in group {group!r}",
+                              spath, lineno)
+        if any(member in listed for listed in groups.values()):
+            raise SchemaError(f"member {member!r} of group {group!r} is in another group",
                               spath, lineno)
         members.append(member)
     return {g: tuple(m) for g, m in groups.items()}

@@ -90,6 +90,16 @@ def test_filter_applies_exclusion_list():
     assert filter_trusts(panel, config).geo_ids == ("A",)
 
 
+def test_filter_warns_of_exclusions_that_name_no_trust(caplog):
+    panel = _admissions_panel({"A": 100, "B": 100})
+    config = study_config(trust_exclusions=("Z1", "B", "T999"),
+                          admissions_filter_start=date(2022, 1, 1),
+                          admissions_filter_end=date(2022, 12, 31))
+    with caplog.at_level(logging.WARNING, logger="leadlag.pipeline"):
+        assert filter_trusts(panel, config).geo_ids == ("A",)
+    assert "config trust_exclusions names no admissions trust: T999, Z1" in caplog.messages
+
+
 def test_filter_all_removed_errors():
     panel = _admissions_panel({"A": 1})
     config = study_config(admissions_filter_start=date(2022, 1, 1),
@@ -175,6 +185,24 @@ def test_indicator_absent_for_wave_gets_truncated_rows():
         assert row.error
     w1 = [r for r in rows if r.wave == "w1" and r.method == "ccf"]
     assert any(r.optimal_lead is not None for r in w1)
+
+
+@pytest.mark.parametrize("last_day", [130, 88])  # inside the last wave; before it
+def test_admissions_that_stop_short_truncate_every_row_of_the_wave(last_day, caplog):
+    adm, indicators = synth_inputs()
+    cut = Panel(adm.start_date, adm.geo_ids, adm.values[:, :last_day + 1])
+    ind = indicators["ind"]
+    partial = Panel(ind.start_date, ind.geo_ids[:2], ind.values[:2])  # T002 has no series
+    with caplog.at_level(logging.WARNING, logger="leadlag.pipeline"):
+        rows = records(run_analysis(study_config(), cut, {"ind": partial}, None))
+    assert {r.method for r in rows} == {"granger", "granger14", "ccf", "dtw"}
+    assert {r.trust_id for r in rows if r.error == "no indicator series for trust"} == {"T002"}
+    for row in rows:
+        assert row.truncated == (row.wave == "w2"), row
+    last = START + timedelta(days=last_day)
+    window = f"only from {WAVE2.start} to {last}" if last >= WAVE2.start else "on no day"
+    assert f"indicator ind and admissions cover wave w2 {window}" in caplog.messages
+    assert not any("wave w1" in message for message in caplog.messages)
 
 
 def test_wave_isolation():
