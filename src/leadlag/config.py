@@ -147,6 +147,12 @@ def _check_keys(raw: dict, known, context: str) -> None:
             raise ConfigError(f"{context}: unknown key {key!r}")
 
 
+def _wave(entry) -> WaveSpec:
+    _check_keys(entry, ("name", "start", "end"), "config waves")
+    return WaveSpec(str(entry["name"]), _as_date(entry["start"], "wave start"),
+                    _as_date(entry["end"], "wave end"))
+
+
 def _latency(name: str, entry) -> LatencySpec:
     _check_keys(entry, ("reporting_lag_days", "release_cadence"), f"config latency {name}")
     return LatencySpec(reporting_lag_days=_as_number(entry.get("reporting_lag_days", 0)),
@@ -188,12 +194,8 @@ def load_config(path: str | Path) -> RunConfig:
     _check_keys(raw, {"waves"} | {key for key, _ in _FIELDS.values()}, f"config {path}")
 
     try:
-        waves = tuple(
-            WaveSpec(str(w["name"]), _as_date(w["start"], "wave start"),
-                     _as_date(w["end"], "wave end"))
-            for w in raw.get("waves", [])
-        )
-    except (KeyError, TypeError) as exc:
+        waves = tuple(map(_wave, raw.get("waves", [])))
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ConfigError("each wave needs name, start and end") from exc
 
     kwargs = {}

@@ -193,7 +193,8 @@ def run_analysis(
 
         for wave in config.waves:
             # the days of the wave that both the indicator and the admissions cover:
-            # every row of every method is truncated where they are not the whole wave
+            # every row of every method is truncated where they are not the whole wave,
+            # and no method runs where they share no day of it or no Trust
             window = overlap(wave.start, wave.end, ind, adm)
             truncated = window != (wave.start, wave.end)
             if truncated:
@@ -203,7 +204,9 @@ def run_analysis(
                 if pair is None:
                     columns, error = {}, [failed] * n
                 else:
-                    cells = (_dtw_cells(config, pair, wave, variable, latency, dtw_paths)
+                    cells = (({}, ["no coverage in wave"] * len(pair.rows))
+                             if window is None or not pair.rows else
+                             _dtw_cells(config, pair, wave, window, variable, latency, dtw_paths)
                              if method == "dtw" else
                              _linear_cells(config, pair, window, method, horizon, latency))
                     columns, error = _spread(pair.rows, n, *cells)
@@ -248,19 +251,16 @@ def _smooth(values: np.ndarray, config: RunConfig) -> np.ndarray:
                         config.loess_robustness_passes)
 
 
-def _linear_cells(config: RunConfig, pair: _Pair, window: tuple[date, date] | None,
+def _linear_cells(config: RunConfig, pair: _Pair, window: tuple[date, date],
                   method: str, horizon: int, latency: LatencySpec | None) -> _Cells:
     """Cells of one min-max scaled method over the wave's overlap ``window``."""
-    k = len(pair.rows)
-    if window is None:
-        return {}, ["no coverage in wave"] * k
     x, y, degenerate = pair.linear
     x, y = x[:, pair.ind.day_slice(*window)], y[:, pair.adm.day_slice(*window)]
     try:
         return (_ccf_cells(config, x, y, degenerate, latency) if method == "ccf"
                 else _granger_cells(config, x, y, degenerate, horizon))
     except LeadLagError as exc:
-        return {"degenerate": degenerate}, [str(exc)] * k
+        return {"degenerate": degenerate}, [str(exc)] * len(pair.rows)
 
 
 def _granger_cells(config: RunConfig, x: np.ndarray, y: np.ndarray, degenerate: np.ndarray,
@@ -289,25 +289,21 @@ def _ccf_cells(config: RunConfig, x: np.ndarray, y: np.ndarray, degenerate: np.n
             np.where(zero, "zero variance", "").tolist())
 
 
-def _dtw_cells(config: RunConfig, pair: _Pair, wave: WaveSpec, variable: str,
-               latency: LatencySpec | None, dtw_paths: list[tuple] | None) -> _Cells:
+def _dtw_cells(config: RunConfig, pair: _Pair, wave: WaveSpec, window: tuple[date, date],
+               variable: str, latency: LatencySpec | None, dtw_paths: list[tuple] | None) -> _Cells:
     """Align indicator against admissions around one wave.
 
-    The query covers the wave plus a warm-up prefix; the reference gets an
-    extra tail of up to one band width so leading matches near the wave end
-    are not forced to bunch. Rows are z-scored over the alignment window so
-    a wave's alignment depends only on data within its own windows. Warm-up
-    leads are excluded from the summary. Multivariate mode aligns all trusts
-    jointly, one column each, and shares the result across them.
+    The query is the wave's covered days, ``window``, after up to
+    ``dtw_warmup_days`` of warm-up that both series cover; the reference gets
+    an extra tail of up to one band width so leading matches near the wave
+    end are not forced to bunch. Rows are z-scored over the alignment window
+    so a wave's alignment depends only on data within its own windows.
+    Warm-up leads are excluded from the summary. Multivariate mode aligns all
+    trusts jointly, one column each, and shares the result across them.
     """
     k = len(pair.rows)
-    if k == 0:
-        return {}, []
-    warm_start = wave.start - timedelta(days=config.dtw_warmup_days)
-    window = overlap(warm_start, wave.end, pair.ind, pair.adm)
-    if window is None:
-        return {}, ["no coverage in wave"] * k
-    q_start, q_end = window
+    q_start, q_end = overlap(wave.start - timedelta(days=config.dtw_warmup_days), window[1],
+                             pair.ind, pair.adm)
     ref_end = min(pair.adm.end_date, q_end + timedelta(days=config.dtw_window))
     univariate = config.dtw_mode == "univariate"
     scopes = [pair.adm.geo_ids[row] for row in pair.rows] if univariate else ["all-trusts"]
@@ -325,27 +321,24 @@ def _dtw_cells(config: RunConfig, pair: _Pair, wave: WaveSpec, variable: str,
         return {}, [str(exc)] * k
 
     n = q.shape[1]
-    first = min(max((wave.start - q_start).days, 0), n)  # warm-up leads are not reported
+    # warm-up leads are not reported; the window's first day lies inside the query
+    first = max((wave.start - q_start).days, 0)
     found = cost < np.inf
+    # a query index's lead is its mean matched reference index (the median
+    # of its one or two) minus the index
     median = np.full(len(cost), np.nan)
-    if first < n:
-        # a query index's lead is its mean matched reference index (the median
-        # of its one or two) minus the index
-        lead = match[found, first:].mean(axis=2) - np.arange(first, n)
-        median[found] = row_median(lead)
-    kept = ~np.isnan(median)
-    distance = np.where(kept, cost / n, np.nan)  # normalized by the query length
-    error = np.where(found, "" if first < n else "no reported indices after warm-up exclusion",
-                     "no admissible path").tolist()
-    if dtw_paths is not None and kept.any():
+    median[found] = row_median(match[found, first:].mean(axis=2) - np.arange(first, n))
+    distance = np.where(found, cost / n, np.nan)  # normalized by the query length
+    error = np.where(found, "", "no admissible path").tolist()
+    if dtw_paths is not None and found.any():
         days = [(q_start + timedelta(days=t)).isoformat() for t in range(r.shape[1])]
         dtw_paths.append((variable, wave.name,
-                          [scope for scope, keep in zip(scopes, kept.tolist()) if keep],
-                          days, match[kept]))
+                          [scope for scope, keep in zip(scopes, found.tolist()) if keep],
+                          days, match[found]))
     eff, eroded = effective_leads(median, latency)
     columns = {"dtw_median_lead": median, "dtw_normalized_distance": distance,
                "effective_lead": eff, "eroded": eroded,
-               "degenerate": flat & kept}
+               "degenerate": flat & found}
     if univariate:
         return columns, error
     return {name: np.repeat(values, k) for name, values in columns.items()}, error * k

@@ -260,6 +260,9 @@ def test_config_names_no_indicator_read_warns(corpus, tmp_path, caplog):
     ("waves: [{name: w, start: 2021-W47-4, end: 2022-02-03}]",
      "wave start: invalid date '2021-W47-4'"),
     ("waves: [{name: w, start: 2021-11-01}]", "each wave needs name, start and end"),
+    ("waves: [w1]", "each wave needs name, start and end"),
+    ("waves: [{name: wave1, start: 2021-11-22, end: 2022-01-23, peak: 2021-12-20}]",
+     "config waves: unknown key 'peak'"),
     ("admissions_filter_start: 2021-10-01 10:00:00",
      "admissions_filter_start: invalid date datetime.datetime(2021, 10, 1, 10, 0)"),
     ("waves: [{name: w, start: 2021-11-20 08:00:00, end: 2022-02-03}]",
@@ -274,6 +277,7 @@ def test_config_names_no_indicator_read_warns(corpus, tmp_path, caplog):
         "unknown-key", "unknown-key-dtw", "unknown-latency-key", "dtw-mode", "warmup-negative",
         "threshold-zero", "latency-negative", "cadence-unknown", "filter-start-date",
         "filter-start-compact-date", "wave-start-week-date", "wave-without-end",
+        "wave-not-mapping", "unknown-wave-key",
         "filter-start-timestamp", "wave-start-timestamp", "wave-names-repeat",
         "filter-window-inverted"])
 def test_bad_config_exits_config(corpus, tmp_path, capsys, entry, key):

@@ -9,6 +9,7 @@ import pytest
 from leadlag.cli import main
 from leadlag.config import LatencySpec, RunConfig, WaveSpec
 from leadlag.corpus import write_corpus
+from leadlag.dtw import dtw_align_batch
 from leadlag.errors import ConfigError, LeadLagError
 from leadlag.geo import build_mapping
 from leadlag.pipeline import filter_trusts, run_analysis
@@ -310,7 +311,7 @@ def test_mapping_ltlas_without_a_series_are_logged(caplog):
 
 @pytest.mark.parametrize("mode", ["multivariate", "univariate"])
 def test_indicator_sharing_no_trust_gets_no_series_rows(mode):
-    # every method runs on a batch of no rows, and DTW aligns nothing
+    # no method runs on a batch of no rows, and DTW records nothing
     adm, indicators = synth_inputs()
     ind = indicators["ind"]
     elsewhere = Panel(ind.start_date, tuple(f"X{i:03d}" for i in range(3)), ind.values)
@@ -327,7 +328,7 @@ def test_indicator_sharing_no_trust_gets_no_series_rows(mode):
 @pytest.mark.parametrize("mode", ["multivariate", "univariate"])
 def test_dtw_path_records_one_per_batch_with_median_leads(mode):
     # the indicator ends 4 days before wave 1 does, inside wave 2's warm-up, so
-    # no wave-2 alignment has a median lead and that batch adds no record
+    # wave 2 has no coverage, no alignment runs for it and it adds no record
     adm, indicators = synth_inputs()
     full = indicators["ind"]
     early = Panel(full.start_date, full.geo_ids,
@@ -336,7 +337,7 @@ def test_dtw_path_records_one_per_batch_with_median_leads(mode):
     tables = run_analysis(study_config(dtw_mode=mode), adm, {"ind": early}, None,
                           methods=("dtw",), dtw_paths=paths)
     (w2,) = [table for table in tables if table.wave == "w2"]
-    assert set(w2.error) == {"no reported indices after warm-up exclusion"}
+    assert set(w2.error) == {"no coverage in wave"}
     (record,) = paths
     ind, wave, scopes, days, match = record
     assert (ind, wave) == ("ind", "w1")
@@ -346,6 +347,36 @@ def test_dtw_path_records_one_per_batch_with_median_leads(mode):
     assert days[0] == q_start.isoformat()
     assert match.shape == (len(scopes), (early.end_date - q_start).days + 1, 2)
     assert 0 <= match.min() and match.max() < len(days)
+
+
+@pytest.mark.parametrize("mode", ["multivariate", "univariate"])
+@pytest.mark.parametrize("cut", ["ind", "adm"])
+def test_series_ending_in_a_warmup_leave_that_wave_to_no_method(cut, mode, monkeypatch):
+    # the indicator or the admissions end 4 days before wave 1 does, inside
+    # wave 2's warm-up: every wave-2 row of every method reads no coverage,
+    # and DTW aligns and records wave 1 alone
+    adm, indicators = synth_inputs()
+    inputs = {"adm": adm, "ind": indicators["ind"]}
+    full = inputs[cut]
+    inputs[cut] = Panel(full.start_date, full.geo_ids,
+                        full.values[:, full.day_slice(START, WAVE2.start - timedelta(days=5))])
+    batches = []
+
+    def counted(*args, **kwargs):
+        batches.append(args[0].shape)
+        return dtw_align_batch(*args, **kwargs)
+
+    monkeypatch.setattr("leadlag.pipeline.dtw_align_batch", counted)
+    paths: list[tuple] = []
+    rows = records(run_analysis(study_config(dtw_mode=mode), inputs["adm"],
+                                {"ind": inputs["ind"]}, None, dtw_paths=paths))
+    assert {r.method for r in rows} == {"granger", "granger14", "ccf", "dtw"}
+    assert len(rows) == 4 * len(adm.geo_ids) * 2
+    for row in rows:
+        assert row.truncated, row
+        assert row.error == ("no coverage in wave" if row.wave == "w2" else ""), row
+    assert len(batches) == 1
+    assert [record[:2] for record in paths] == [("ind", "w1")]
 
 
 def test_unknown_method_is_config_error():
