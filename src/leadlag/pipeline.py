@@ -117,11 +117,9 @@ class _Pair:
     y_smooth: np.ndarray
 
     @cached_property
-    def linear(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Min-max scaled x and y over the whole period, and their constant rows."""
-        x, x_flat = minmax_scale(self.x_smooth)
-        y, y_flat = minmax_scale(self.y_smooth)
-        return x, y, x_flat | y_flat
+    def linear(self) -> tuple[np.ndarray, np.ndarray]:
+        """Min-max scaled x and y over the whole period (a constant row reads zero)."""
+        return minmax_scale(self.x_smooth)[0], minmax_scale(self.y_smooth)[0]
 
 
 def check_methods(methods: tuple[str, ...]) -> None:
@@ -204,11 +202,15 @@ def run_analysis(
                 if pair is None:
                     columns, error = {}, [failed] * n
                 else:
-                    cells = (({}, ["no coverage in wave"] * len(pair.rows))
-                             if window is None or not pair.rows else
-                             _dtw_cells(config, pair, wave, window, variable, latency, dtw_paths)
-                             if method == "dtw" else
-                             _linear_cells(config, pair, window, method, horizon, latency))
+                    # no coverage, like a kernel error, keeps no column, not even a flag
+                    try:
+                        if window is None or not pair.rows:
+                            raise LeadLagError("no coverage in wave")
+                        cells = (_dtw_cells(config, pair, wave, window, variable, latency,
+                                            dtw_paths) if method == "dtw" else
+                                 _linear_cells(config, pair, window, method, horizon, latency))
+                    except LeadLagError as exc:
+                        cells = {}, [str(exc)] * len(pair.rows)
                     columns, error = _spread(pair.rows, n, *cells)
                 columns["truncated"] = np.full(n, truncated)
                 tables.append(ResultTable(adm.geo_ids, variable, wave.name, method,
@@ -254,27 +256,23 @@ def _smooth(values: np.ndarray, config: RunConfig) -> np.ndarray:
 def _linear_cells(config: RunConfig, pair: _Pair, window: tuple[date, date],
                   method: str, horizon: int, latency: LatencySpec | None) -> _Cells:
     """Cells of one min-max scaled method over the wave's overlap ``window``."""
-    x, y, degenerate = pair.linear
+    x, y = pair.linear
     x, y = x[:, pair.ind.day_slice(*window)], y[:, pair.adm.day_slice(*window)]
-    try:
-        return (_ccf_cells(config, x, y, degenerate, latency) if method == "ccf"
-                else _granger_cells(config, x, y, degenerate, horizon))
-    except LeadLagError as exc:
-        return {"degenerate": degenerate}, [str(exc)] * len(pair.rows)
+    return (_ccf_cells(config, x, y, latency) if method == "ccf"
+            else _granger_cells(config, x, y, horizon))
 
 
-def _granger_cells(config: RunConfig, x: np.ndarray, y: np.ndarray, degenerate: np.ndarray,
-                   horizon: int) -> _Cells:
+def _granger_cells(config: RunConfig, x: np.ndarray, y: np.ndarray, horizon: int) -> _Cells:
     res = granger_test_batch(x, y, config.granger_max_lag, horizon)
     # collinear rows read NaN in F and p already
     return ({"f_stat": res.f_stat, "p_value": res.p_value,
              "df_num": np.where(res.collinear, np.nan, res.df_num),
              "df_den": np.where(res.collinear, np.nan, res.df_den),
-             "degenerate": degenerate | res.collinear},
+             "degenerate": res.collinear},
             np.where(res.collinear, "collinear design", "").tolist())
 
 
-def _ccf_cells(config: RunConfig, x: np.ndarray, y: np.ndarray, degenerate: np.ndarray,
+def _ccf_cells(config: RunConfig, x: np.ndarray, y: np.ndarray,
                latency: LatencySpec | None) -> _Cells:
     leads = np.arange(-config.ccf_window, config.ccf_window + 1)
     # the profile's leads, then the fixed horizon in the last column
@@ -285,7 +283,7 @@ def _ccf_cells(config: RunConfig, x: np.ndarray, y: np.ndarray, degenerate: np.n
     eff, eroded = effective_leads(lead, latency)
     return ({"optimal_lead": lead, "ccf_at_optimal": at_lead,
              "ccf_at_horizon": values[:, -1], "effective_lead": eff, "eroded": eroded,
-             "degenerate": degenerate | zero},
+             "degenerate": zero},
             np.where(zero, "zero variance", "").tolist())
 
 
@@ -300,6 +298,10 @@ def _dtw_cells(config: RunConfig, pair: _Pair, wave: WaveSpec, window: tuple[dat
     so a wave's alignment depends only on data within its own windows.
     Warm-up leads are excluded from the summary. Multivariate mode aligns all
     trusts jointly, one column each, and shares the result across them.
+    A row whose z-scored query or reference is constant (jointly: every
+    column of either) reads ``zero variance`` with no lead, distance or
+    ``dtw_paths`` scope; a joint series with some constant columns keeps its
+    alignment. A row with a constant column is flagged degenerate.
     """
     k = len(pair.rows)
     q_start, q_end = overlap(wave.start - timedelta(days=config.dtw_warmup_days), window[1],
@@ -307,29 +309,27 @@ def _dtw_cells(config: RunConfig, pair: _Pair, wave: WaveSpec, window: tuple[dat
     ref_end = min(pair.adm.end_date, q_end + timedelta(days=config.dtw_window))
     univariate = config.dtw_mode == "univariate"
     scopes = [pair.adm.geo_ids[row] for row in pair.rows] if univariate else ["all-trusts"]
-    try:
-        q, q_flat = zscore_scale(pair.x_smooth[:, pair.ind.day_slice(q_start, q_end)])
-        r, r_flat = zscore_scale(pair.y_smooth[:, pair.adm.day_slice(q_start, ref_end)])
-        flat = q_flat | r_flat
-        if not univariate and k > 1:
+    q, q_flat = zscore_scale(pair.x_smooth[:, pair.ind.day_slice(q_start, q_end)])
+    r, r_flat = zscore_scale(pair.y_smooth[:, pair.adm.day_slice(q_start, ref_end)])
+    flat = zero = q_flat | r_flat
+    if not univariate:
+        flat, zero = flat.any(keepdims=True), q_flat.all(keepdims=True) | r_flat.all(keepdims=True)
+        if k > 1:
             # one (day x trust) series in C order, as the Euclidean local cost's
             # rounding depends on it
-            q, r, flat = (np.ascontiguousarray(q.T)[None], np.ascontiguousarray(r.T)[None],
-                          flat.any(keepdims=True))
-        cost, match = dtw_align_batch(q, r, window=config.dtw_window)
-    except LeadLagError as exc:
-        return {}, [str(exc)] * k
+            q, r = np.ascontiguousarray(q.T)[None], np.ascontiguousarray(r.T)[None]
+    cost, match = dtw_align_batch(q, r, window=config.dtw_window)
 
     n = q.shape[1]
     # warm-up leads are not reported; the window's first day lies inside the query
     first = max((wave.start - q_start).days, 0)
-    found = cost < np.inf
+    found = (cost < np.inf) & ~zero
     # a query index's lead is its mean matched reference index (the median
     # of its one or two) minus the index
     median = np.full(len(cost), np.nan)
     median[found] = row_median(match[found, first:].mean(axis=2) - np.arange(first, n))
     distance = np.where(found, cost / n, np.nan)  # normalized by the query length
-    error = np.where(found, "", "no admissible path").tolist()
+    error = np.where(zero, "zero variance", np.where(found, "", "no admissible path")).tolist()
     if dtw_paths is not None and found.any():
         days = [(q_start + timedelta(days=t)).isoformat() for t in range(r.shape[1])]
         dtw_paths.append((variable, wave.name,
@@ -337,8 +337,7 @@ def _dtw_cells(config: RunConfig, pair: _Pair, wave: WaveSpec, window: tuple[dat
                           days, match[found]))
     eff, eroded = effective_leads(median, latency)
     columns = {"dtw_median_lead": median, "dtw_normalized_distance": distance,
-               "effective_lead": eff, "eroded": eroded,
-               "degenerate": flat & found}
+               "effective_lead": eff, "eroded": eroded, "degenerate": flat}
     if univariate:
         return columns, error
     return {name: np.repeat(values, k) for name, values in columns.items()}, error * k

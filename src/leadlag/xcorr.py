@@ -17,8 +17,9 @@ def ccf_at_leads(x, y, leads) -> np.ndarray:
     """Correlation of each row of ``x`` with the same row of ``y`` at each lead.
 
     ``x`` and ``y`` are complete (rows, days) arrays. Returns a (rows, leads)
-    array. A row whose ``x`` or ``y`` is constant has no correlation and
-    reads NaN.
+    array. A row whose ``x`` or ``y`` is constant reads NaN at every lead:
+    constant means that its maximum equals its minimum, as an inexact mean
+    leaves such a row a tiny nonzero sum of squares.
     """
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
@@ -39,7 +40,7 @@ def ccf_at_leads(x, y, leads) -> np.ndarray:
             out[:, k] = np.einsum("ij,ij->i", xc[:, : n - lead], yc[:, lead:])
         else:
             out[:, k] = np.einsum("ij,ij->i", xc[:, -lead:], yc[:, : n + lead])
-    zero = denom == 0.0
+    zero = (xv.max(axis=1) == xv.min(axis=1)) | (yv.max(axis=1) == yv.min(axis=1))
     out /= np.where(zero, 1.0, denom)[:, None]
     out[zero] = np.nan
     return out

@@ -2,9 +2,9 @@
 
 The corpus is ``write_corpus(n_trusts=12, n_days=333, n_indicators=6,
 n_waves=3, seed=0)`` plus two indicators that pin the flagged rows:
-``flat`` (every value 3: zero-variance CCF and collinear Granger rows) and
-``early`` (ind00's rows up to 2022-01-23, so only wave 1 is covered). Each
-run's files are compared with ``golden/<mode>.json.gz`` by the benchmark's
+``flat`` (every value 3: zero-variance CCF and DTW rows and collinear
+Granger rows) and ``early`` (ind00's rows up to 2022-01-23, so only wave 1
+is covered). Each run's files are compared with ``golden/<mode>.json.gz`` by the benchmark's
 output check (``perfbench/checks.py``): ids, integer leads, flags, errors
 and ``dtw_paths.csv`` exactly, floats within 1e-9 relative.
 

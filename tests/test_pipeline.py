@@ -414,7 +414,8 @@ def test_batch_mixing_degenerate_and_missing_trusts():
 def test_kernel_errors_become_rows():
     # a 20-day wave is too short for the horizon-14 Granger test and the
     # +-30-day CCF profile, and a 2-day wave without warm-up for DTW; T001's
-    # indicator is constant
+    # indicator is constant. A kernel error keeps no column in any table, so
+    # not even the flag
     adm, indicators = synth_inputs()
     ind = indicators["ind"]
     values = ind.values.copy()
@@ -435,19 +436,84 @@ def test_kernel_errors_become_rows():
                                       f"{20 if wave == 'short' else 2}")):
             got = cells(wave, method)
             assert [r.error for r in got] == [error] * 3
-            # a linear kernel error keeps the constant rows' flag, and nothing else
-            assert [r.degenerate for r in got] == [False, True, False]
+            assert [r.degenerate for r in got] == [False, False, False]
             assert all(r.p_value is None and r.optimal_lead is None and r.effective_lead is None
                        and not r.truncated and not r.eroded for r in got)
     assert [r.error for r in cells("tiny", "granger")] == ["insufficient observations"] * 3
     assert all(r.p_value is not None for r in cells("short", "granger")
                if r.trust_id != "T001")
     assert all(r.dtw_median_lead is not None for r in cells("short", "dtw"))
-    # a DTW kernel error keeps no column, so not even the flag
     for row in cells("tiny", "dtw"):
         assert row.error == "sequences must have length >= 4"
         assert not row.degenerate and not row.truncated
         assert row.dtw_median_lead is None and row.dtw_normalized_distance is None
+
+
+def test_admissions_zeroed_before_a_wave_give_zero_variance_ccf_rows():
+    # T002's admissions are zero from day 58, before wave 2's warm-up: its
+    # min-max scaled wave-2 window holds the one value 0.0482..., whose mean
+    # is inexact, so its centred sum of squares is about 3e-33, not 0; the
+    # row still has no correlation
+    adm, indicators = synth_inputs()
+    values = adm.values.copy()
+    values[2, 58:] = 0.0
+    zeroed = Panel(adm.start_date, adm.geo_ids, values)
+    rows = records(run_analysis(study_config(), zeroed, indicators, None, methods=("ccf",)))
+    assert [(r.trust_id, r.error, r.degenerate) for r in rows if r.wave == "w2"] == [
+        ("T000", "", False), ("T001", "", False), ("T002", "zero variance", True)]
+    assert all(r.optimal_lead is None and r.ccf_at_horizon is None
+               for r in rows if r.trust_id == "T002" and r.wave == "w2")
+
+
+def test_constant_trust_gets_no_univariate_dtw_lead():
+    # T001's indicator is constant: its DTW row reads zero variance and no
+    # path, and every other row is as in a run without T001's indicator
+    adm, indicators = synth_inputs()
+    ind = indicators["ind"]
+    values = ind.values.copy()
+    values[1] = 3.0
+    config = study_config(dtw_mode="univariate")
+    paths: list[tuple] = []
+    rows = records(run_analysis(config, adm, {"ind": Panel(ind.start_date, ind.geo_ids, values)},
+                                None, dtw_paths=paths))
+    others = Panel(ind.start_date, ("T000", "T002"), values[[0, 2]])
+    alone_paths: list[tuple] = []
+    alone = records(run_analysis(config, adm, {"ind": others}, None, dtw_paths=alone_paths))
+    flat_dtw = [r for r in rows if r.trust_id == "T001" and r.method == "dtw"]
+    assert len(flat_dtw) == 2
+    for row in flat_dtw:
+        assert row.error == "zero variance" and row.degenerate
+        assert row.dtw_median_lead is None and row.dtw_normalized_distance is None
+    assert [r for r in rows if r.trust_id != "T001"] == [r for r in alone if r.trust_id != "T001"]
+    assert [record[2] for record in paths] == [["T000", "T002"]] * 2
+    assert len(alone_paths) == 2
+    for record, alone_record in zip(paths, alone_paths):
+        assert record[:4] == alone_record[:4]
+        np.testing.assert_array_equal(record[4], alone_record[4])
+
+
+def test_constant_trusts_get_no_multivariate_dtw_lead():
+    # with every Trust's indicator constant the joint series has nothing to
+    # align; with one constant Trust it keeps its alignment and the flag
+    adm, indicators = synth_inputs()
+    ind = indicators["ind"]
+    paths: list[tuple] = []
+    const = panel({t: np.full(N_DAYS, 3.0) for t in adm.geo_ids}, start=ind.start_date)
+    rows = records(run_analysis(study_config(), adm, {"flat": const}, None,
+                                methods=("dtw",), dtw_paths=paths))
+    assert len(rows) == 3 * 2 and not paths
+    for row in rows:
+        assert row.error == "zero variance" and row.degenerate
+        assert row.dtw_median_lead is None and row.dtw_normalized_distance is None
+        assert row.effective_lead is None
+    values = ind.values.copy()
+    values[1] = 3.0
+    rows = records(run_analysis(study_config(), adm,
+                                {"ind": Panel(ind.start_date, ind.geo_ids, values)}, None,
+                                methods=("dtw",), dtw_paths=paths))
+    assert [record[2] for record in paths] == [["all-trusts"]] * 2
+    for row in rows:
+        assert row.error == "" and row.degenerate and row.dtw_median_lead is not None
 
 
 def run_with_short_indicator(tmp_path):

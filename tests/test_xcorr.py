@@ -71,6 +71,13 @@ def test_constant_series_reads_nan():
     assert out[1, 1] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_constant_series_with_inexact_mean_reads_nan():
+    # 0.1 has no exact mean over 20 days, so its centred sum of squares is
+    # about 4e-33, not 0: the row is still constant
+    out = ccf_at_leads([[0.1] * 20, wave(20)], [wave(20), [0.1] * 20], [-3, 0, 3])
+    assert np.isnan(out).all()
+
+
 def test_constant_series_errors():
     # the CCF rows of a constant indicator record the zero variance
     adm = panel({"T1": wave(120) * 50, "T2": wave(120, 40.0) * 50})
