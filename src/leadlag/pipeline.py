@@ -118,8 +118,8 @@ class _Pair:
 
     @cached_property
     def linear(self) -> tuple[np.ndarray, np.ndarray]:
-        """Min-max scaled x and y over the whole period (a constant row reads zero)."""
-        return minmax_scale(self.x_smooth)[0], minmax_scale(self.y_smooth)[0]
+        """Min-max scaled x and y over the whole period (a row constant within 1e-13 reads 0)."""
+        return minmax_scale(self.x_smooth), minmax_scale(self.y_smooth)
 
 
 def check_methods(methods: tuple[str, ...]) -> None:
@@ -297,32 +297,31 @@ def _dtw_cells(config: RunConfig, pair: _Pair, wave: WaveSpec, window: tuple[dat
     end are not forced to bunch. Rows are z-scored over the alignment window
     so a wave's alignment depends only on data within its own windows.
     Warm-up leads are excluded from the summary. Multivariate mode aligns all
-    trusts jointly, one column each, and shares the result across them.
-    A row whose z-scored query or reference is constant (jointly: every
-    column of either) reads ``zero variance`` with no lead, distance or
-    ``dtw_paths`` scope; a joint series with some constant columns keeps its
-    alignment. A row with a constant column is flagged degenerate.
+    trusts jointly, one column each, and shares the result across them. A
+    row whose z-scored query or reference has max = min over the window's
+    days, as CCF tests (jointly: every column of either), reads ``zero
+    variance`` with no lead, distance or ``dtw_paths`` scope; a joint series
+    with some such columns keeps its alignment. Either is flagged degenerate.
     """
     k = len(pair.rows)
-    q_start, q_end = overlap(wave.start - timedelta(days=config.dtw_warmup_days), window[1],
-                             pair.ind, pair.adm)
-    ref_end = min(pair.adm.end_date, q_end + timedelta(days=config.dtw_window))
+    q_start = overlap(window[0] - timedelta(days=config.dtw_warmup_days), window[1],
+                      pair.ind, pair.adm)[0]
     univariate = config.dtw_mode == "univariate"
     scopes = [pair.adm.geo_ids[row] for row in pair.rows] if univariate else ["all-trusts"]
-    q, q_flat = zscore_scale(pair.x_smooth[:, pair.ind.day_slice(q_start, q_end)])
-    r, r_flat = zscore_scale(pair.y_smooth[:, pair.adm.day_slice(q_start, ref_end)])
+    q = zscore_scale(pair.x_smooth[:, pair.ind.day_slice(q_start, window[1])])
+    r = zscore_scale(pair.y_smooth[:, pair.adm.day_slice(
+        q_start, window[1] + timedelta(days=config.dtw_window))])
+    # warm-up leads are not reported; the window's days are query columns [first:n]
+    n, first = q.shape[1], (window[0] - q_start).days
+    q_flat, r_flat = (v.max(axis=1) == v.min(axis=1) for v in (q[:, first:], r[:, first:n]))
     flat = zero = q_flat | r_flat
     if not univariate:
         flat, zero = flat.any(keepdims=True), q_flat.all(keepdims=True) | r_flat.all(keepdims=True)
-        if k > 1:
-            # one (day x trust) series in C order, as the Euclidean local cost's
-            # rounding depends on it
-            q, r = np.ascontiguousarray(q.T)[None], np.ascontiguousarray(r.T)[None]
+        # one (day x trust) series in C order, as the Euclidean local cost's
+        # rounding depends on it
+        q, r = np.ascontiguousarray(q.T)[None], np.ascontiguousarray(r.T)[None]
     cost, match = dtw_align_batch(q, r, window=config.dtw_window)
 
-    n = q.shape[1]
-    # warm-up leads are not reported; the window's first day lies inside the query
-    first = max((wave.start - q_start).days, 0)
     found = (cost < np.inf) & ~zero
     # a query index's lead is its mean matched reference index (the median
     # of its one or two) minus the index

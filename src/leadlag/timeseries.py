@@ -3,8 +3,7 @@
 A :class:`Panel` holds one variable as a float ``(n_geo, n_days)`` array:
 one row per geography id (sorted), one column per consecutive day from
 ``start_date``. The transforms take a plain 2-D array, one series per row,
-and return new arrays; the scalings also return a per-row mask of
-degenerate (constant) rows.
+and return new arrays; the scalings map a constant row to zeros.
 """
 
 from __future__ import annotations
@@ -103,8 +102,8 @@ def locf_impute(values) -> np.ndarray:
 _DEGENERATE_RTOL = 1e-13
 
 
-def minmax_scale(values) -> tuple[np.ndarray, np.ndarray]:
-    """Scale each row to [0, 1]; constant rows map to zeros and are flagged.
+def minmax_scale(values) -> np.ndarray:
+    """Scale each row to [0, 1]; a constant row reads zero.
 
     Constant within floating-point noise counts as constant (smoothing a
     flat series leaves eps-sized ripples that must not be stretched to 0-1).
@@ -115,8 +114,8 @@ def minmax_scale(values) -> tuple[np.ndarray, np.ndarray]:
     return _scaled(v, lo, hi - lo, np.maximum(np.abs(hi), np.abs(lo)))
 
 
-def zscore_scale(values) -> tuple[np.ndarray, np.ndarray]:
-    """Standardize each row to mean 0, sample (n-1) sd 1; constant rows flagged."""
+def zscore_scale(values) -> np.ndarray:
+    """Standardize each row to mean 0, sample (n-1) sd 1; a constant row reads zero."""
     v = _rows(values, "zscore_scale")
     if v.shape[1] < 2:
         raise InsufficientDataError("zscore_scale needs at least 2 values")
@@ -125,13 +124,13 @@ def zscore_scale(values) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scaled(v: np.ndarray, centre: np.ndarray, spread: np.ndarray,
-            size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(v - centre) / spread`` by row, and the rows whose spread is within
-    ``_DEGENERATE_RTOL`` of their size: those are flagged and read zero."""
+            size: np.ndarray) -> np.ndarray:
+    """``(v - centre) / spread`` by row; a row whose spread is within
+    ``_DEGENERATE_RTOL`` of its size reads zero."""
     flat = spread <= _DEGENERATE_RTOL * size
     out = (v - centre) / np.where(flat, 1.0, spread)
     out[flat[:, 0]] = 0.0
-    return out, flat[:, 0]
+    return out
 
 
 def loess_smooth(

@@ -48,7 +48,7 @@ def lead_fixture(lead: int, noise_sd: float = 0.0, seed: int = 0):
 
 
 def ccf_best_lead(x, y):
-    (x_scaled, y_scaled), _ = minmax_scale([x, y[: x.size]])
+    x_scaled, y_scaled = minmax_scale([x, y[: x.size]])
     return optimal_lead(LEADS, ccf_at_leads([x_scaled], [y_scaled], LEADS)[0])
 
 

@@ -411,8 +411,6 @@ def test_shift_recovery_with_zscore_and_decay():
     decay = math.log(2) / 210  # usership halves over the window
     for L in (5, 10, 20):
         ind = derive_indicator(adm, L, decay_rate=decay)
-        q, _ = zscore_scale(ind.values)
-        r, _ = zscore_scale(adm.values)
-        q, r = q[0], r[0]
+        q, r = zscore_scale(ind.values)[0], zscore_scale(adm.values)[0]
         _, match = align(q, r, window=35)
         assert L - 2 <= np.median(leads(match)) <= L + 2

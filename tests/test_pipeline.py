@@ -449,20 +449,55 @@ def test_kernel_errors_become_rows():
         assert row.dtw_median_lead is None and row.dtw_normalized_distance is None
 
 
-def test_admissions_zeroed_before_a_wave_give_zero_variance_ccf_rows():
-    # T002's admissions are zero from day 58, before wave 2's warm-up: its
-    # min-max scaled wave-2 window holds the one value 0.0482..., whose mean
-    # is inexact, so its centred sum of squares is about 3e-33, not 0; the
-    # row still has no correlation
+@pytest.mark.parametrize("mode", ["multivariate", "univariate"])
+@pytest.mark.parametrize("zeroed_from", [58, 70])
+def test_admissions_zeroed_before_a_wave_give_zero_variance_ccf_and_dtw_rows(zeroed_from, mode):
+    # T002's admissions are zero from day 58, before wave 2's warm-up, or from
+    # day 70, inside it, where LOESS leaks the drop into the warm-up but not
+    # into the wave. Its min-max scaled wave-2 window holds one value (day 58:
+    # 0.0482..., whose mean is inexact, so its centred sum of squares is about
+    # 3e-33, not 0), and so does its z-scored DTW reference over the wave's
+    # days: the row has no correlation and no univariate DTW lead, and the
+    # joint alignment keeps its lead and is flagged
     adm, indicators = synth_inputs()
     values = adm.values.copy()
-    values[2, 58:] = 0.0
+    values[2, zeroed_from:] = 0.0
     zeroed = Panel(adm.start_date, adm.geo_ids, values)
-    rows = records(run_analysis(study_config(), zeroed, indicators, None, methods=("ccf",)))
-    assert [(r.trust_id, r.error, r.degenerate) for r in rows if r.wave == "w2"] == [
+    rows = records(run_analysis(study_config(dtw_mode=mode), zeroed, indicators, None,
+                                methods=("ccf", "dtw")))
+    w2 = [r for r in rows if r.wave == "w2"]
+    assert [(r.trust_id, r.error, r.degenerate) for r in w2 if r.method == "ccf"] == [
         ("T000", "", False), ("T001", "", False), ("T002", "zero variance", True)]
     assert all(r.optimal_lead is None and r.ccf_at_horizon is None
-               for r in rows if r.trust_id == "T002" and r.wave == "w2")
+               for r in w2 if r.trust_id == "T002" and r.method == "ccf")
+    dtw = [r for r in w2 if r.method == "dtw"]
+    if mode == "univariate":
+        assert [(r.trust_id, r.error, r.degenerate) for r in dtw] == [
+            ("T000", "", False), ("T001", "", False), ("T002", "zero variance", True)]
+        assert dtw[2].dtw_median_lead is None and dtw[2].dtw_normalized_distance is None
+        assert dtw[2].effective_lead is None
+    else:
+        assert [(r.error, r.degenerate, r.dtw_median_lead) for r in dtw] == [("", True, 12.0)] * 3
+
+
+def test_single_trust_multivariate_dtw_equals_univariate():
+    # with one Trust the joint (1, n, 1) series aligns as the univariate row does:
+    # the Euclidean local cost of one column is its absolute difference
+    adm, indicators = synth_inputs(n_trusts=1)
+    out = {}
+    for mode in ("multivariate", "univariate"):
+        paths: list[tuple] = []
+        rows = records(run_analysis(study_config(dtw_mode=mode), adm, indicators, None,
+                                    methods=("dtw",), dtw_paths=paths))
+        out[mode] = [dict(vars(r), provenance=None) for r in rows], paths
+    (multi, multi_paths), (uni, uni_paths) = out["multivariate"], out["univariate"]
+    assert [r["dtw_median_lead"] for r in multi] == [9.5, 12.0]
+    assert multi == uni
+    assert [record[2] for record in multi_paths] == [["all-trusts"]] * 2
+    assert [record[2] for record in uni_paths] == [["T000"]] * 2
+    for joint, alone in zip(multi_paths, uni_paths):
+        assert joint[:2] == alone[:2] and joint[3] == alone[3]
+        np.testing.assert_array_equal(joint[4], alone[4])
 
 
 def test_constant_trust_gets_no_univariate_dtw_lead():

@@ -99,7 +99,7 @@ def test_derived_lead_recovered_by_ccf():
     x = derive_indicator(adm, 10).values
     y = adm.values[:, : x.shape[1]]
     leads = np.arange(-30, 31)
-    best = optimal_lead(leads, ccf_at_leads(minmax_scale(x)[0], minmax_scale(y)[0], leads)[0])
+    best = optimal_lead(leads, ccf_at_leads(minmax_scale(x), minmax_scale(y), leads)[0])
     assert best[0] == 10
 
 

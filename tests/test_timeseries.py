@@ -127,15 +127,14 @@ def test_slice_idempotent():
 # ------------------------------------------------------------------- scaling
 
 def test_minmax_basic():
-    out, flat = minmax_scale([[2, 4, 6], [-1, 0, 1]])
+    out = minmax_scale([[2, 4, 6], [-1, 0, 1]])
     assert out.tolist() == [[0, 0.5, 1], [0, 0.5, 1]]
-    assert flat.tolist() == [False, False]
 
 
-def test_minmax_constant_flags_degenerate():
-    out, flat = minmax_scale([[7, 7, 7], [1, 2, 3]])
+def test_minmax_constant_reads_zero():
+    out = minmax_scale([[7, 7, 7], [1, 2, 3]])
     assert out.tolist() == [[0, 0, 0], [0, 0.5, 1]]
-    assert flat.tolist() == [True, False]
+    assert out.any(axis=1).tolist() == [False, True]
 
 
 def test_minmax_requires_complete():
@@ -149,24 +148,22 @@ def test_minmax_requires_complete():
 @given(st.lists(st.floats(-1e5, 1e5), min_size=2, max_size=50)
        .filter(lambda v: max(v) > min(v)))
 def test_minmax_range_property(values):
-    out, flat = minmax_scale([values])
-    out = out[0]
-    assert not flat[0]
+    out = minmax_scale([values])[0]
     assert out.min() == 0.0 and out.max() == 1.0
     assert ((out >= 0) & (out <= 1)).all()
 
 
 def test_zscore_basic():
-    out, _ = zscore_scale([[1, 2, 3]])
+    out = zscore_scale([[1, 2, 3]])
     assert np.allclose(out, [[-1, 0, 1]], atol=1e-15)
-    out, _ = zscore_scale([[2, 4]])
+    out = zscore_scale([[2, 4]])
     assert np.allclose(out, [[-np.sqrt(0.5), np.sqrt(0.5)]], atol=1e-15)
 
 
-def test_zscore_constant_flags_degenerate():
-    out, flat = zscore_scale([[3, 3, 3], [1, 2, 3]])
+def test_zscore_constant_reads_zero():
+    out = zscore_scale([[3, 3, 3], [1, 2, 3]])
     assert out[0].tolist() == [0, 0, 0]
-    assert flat.tolist() == [True, False]
+    assert out.any(axis=1).tolist() == [False, True]
 
 
 def test_zscore_too_short_errors():
@@ -177,7 +174,7 @@ def test_zscore_too_short_errors():
 @given(st.lists(st.floats(-1e4, 1e4), min_size=3, max_size=60)
        .filter(lambda v: max(v) - min(v) > 1e-6))
 def test_zscore_moments_property(values):
-    out = zscore_scale([values])[0][0]
+    out = zscore_scale([values])[0]
     assert abs(out.mean()) < 1e-12
     assert abs(out.std(ddof=1) - 1.0) < 1e-12
 
@@ -314,11 +311,10 @@ def test_row_wise_kernels_match_single_series():
     batch = np.vstack([rng.normal(size=(3, 50)).cumsum(axis=1), np.full((1, 50), 2.5),
                        rng.normal(size=(2, 50))])
     for kernel in (minmax_scale, zscore_scale):
-        out, flat = kernel(batch)
+        out = kernel(batch)
         for k, values in enumerate(batch):
-            one, one_flat = kernel([values])
-            assert np.array_equal(out[k], one[0])
-            assert flat[k] == one_flat[0] == (k == 3)
+            assert np.array_equal(out[k], kernel([values])[0])
+            assert out[k].any() == (k != 3)
     # window of 10 points: 4 one-sided fits at the start, 5 at the end; the
     # interior does not depend on the other rows to the last bit
     smoothed = loess_smooth(batch, span=0.2, degree=2)

@@ -300,6 +300,6 @@ def test_shift_recovery_on_scaled_waves():
                          fall_width=11, amplitude=100.0, extra_peaks=(60, 125), seed=0)
         adm = generate_admissions(spec)
         x = derive_indicator(adm, L).values
-        (x_scaled, y_scaled), _ = minmax_scale(np.vstack([x, adm.values[:, : x.shape[1]]]))
+        x_scaled, y_scaled = minmax_scale(np.vstack([x, adm.values[:, : x.shape[1]]]))
         best = optimal_lead(LEADS, ccf(x_scaled, y_scaled, LEADS))
         assert best is not None and best[0] == L
