@@ -74,7 +74,8 @@ def _scan(path: str | Path, header: list[str], number: int | None = None) -> _Co
     """
     spath = str(path)
     try:
-        handle = Path(path).open(newline="", encoding="utf-8", errors="surrogateescape")
+        # utf-8-sig skips the byte order mark a spreadsheet's "CSV UTF-8" starts with
+        handle = Path(path).open(newline="", encoding="utf-8-sig", errors="surrogateescape")
     except OSError as exc:
         raise SchemaError(f"cannot open file: {exc}", path=spath) from exc
     width = len(header)

@@ -244,6 +244,33 @@ def test_read_admissions_accepts_only_yyyy_mm_dd(tmp_path, text):
         read_admissions(path)
 
 
+def test_a_byte_order_mark_before_the_header_is_ignored(tmp_path):
+    # a spreadsheet saves "CSV UTF-8" with the mark U+FEFF before the header
+    def fields(result):
+        return (result.start_date, result.geo_ids, result.values.tolist())
+
+    adm = "trust_id,date,admissions\nT1,2022-01-01,5\nT1,2022-01-03,7\nT2,2022-01-01,1\n"
+    ind = "geo_id,date,variable,value\nL1,2022-01-01,calls,1.5\nL2,2022-01-02,visits,2\n"
+    mapping = "ltla_id,trust_id,admissions\nL1,T1,60\nL1,T2,40\nL2,T2,5\n"
+    for name, text in [("adm.csv", adm), ("ind.csv", ind), ("map.csv", mapping)]:
+        write(tmp_path, name, text)
+        write(tmp_path, "bom_" + name, "\ufeff" + text)
+    assert fields(read_admissions(tmp_path / "bom_adm.csv")) == \
+        fields(read_admissions(tmp_path / "adm.csv"))
+    plain, bom = (read_indicator_file(tmp_path / name) for name in ("ind.csv", "bom_ind.csv"))
+    assert {k: fields(p) for k, p in bom.items()} == {k: fields(p) for k, p in plain.items()}
+    plain, bom = (read_mapping(tmp_path / name) for name in ("map.csv", "bom_map.csv"))
+    assert (bom.ltla_ids, bom.trust_ids, bom.weights.tolist()) == \
+        (plain.ltla_ids, plain.trust_ids, plain.weights.tolist())
+    # the mark goes before the fields are tokenized, so a quoted first field reads too
+    path = write(tmp_path, "pop.csv", '\ufeff"ltla_id",population\nL1,1000\n')
+    assert read_population(path) == {"L1": 1000.0}
+    path = write(tmp_path, "bad.csv", "\ufefftrust_id,date,admissions\nT1,2022-01-01,5\n"
+                                      "T1,2022-13-01,5\n")
+    with pytest.raises(SchemaError, match=r"invalid ISO date '2022-13-01' \[.*bad\.csv:3\]"):
+        read_admissions(path)
+
+
 @pytest.mark.parametrize("rows, message, line", [
     ("L2,abc\n", "population 'abc' is not numeric", 4),
     ("L2\n", "expected 2 fields, got 1", 4),
