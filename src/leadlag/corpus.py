@@ -83,37 +83,23 @@ def write_corpus(out_dir: str | Path, n_trusts: int = 121, n_days: int = 333,
 
     paths: dict[str, Path] = {}
 
-    lines = ["trust_id,date,admissions"]
-    for trust, values in zip(trusts, admissions.values):
-        lines.extend(
-            f"{trust},{date_text[i]},{int(round(values[i]))}" for i in range(n_days)
-        )
-    paths["admissions"] = out / "admissions.csv"
-    paths["admissions"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def write(path: Path, header: str, rows) -> None:
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        paths[path.stem] = path
 
+    write(out / "admissions.csv", "trust_id,date,admissions", (
+        f"{trust},{date_text[i]},{int(round(values[i]))}"
+        for trust, values in zip(trusts, admissions.values) for i in range(n_days)))
     for name, panel in generate_indicators(spec, admissions).items():
         offset = (panel.start_date - start).days
-        lines = ["geo_id,date,variable,value"]
-        for ltla, values in zip(ltlas, panel.values):
-            lines.extend(
-                f"{ltla},{date_text[offset + t]},{name},{values[t]:.6g}"
-                for t in range(values.size)
-            )
-        path = out / "indicators" / f"{name}.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        paths[name] = path
-
-    lines = ["ltla_id,trust_id,admissions"]
-    for i, ltla in enumerate(ltlas):
-        lines.append(f"{ltla},{trusts[i]},70")
-        lines.append(f"{ltla},{trusts[(i + 1) % n_trusts]},30")
-    paths["mapping"] = out / "mapping.csv"
-    paths["mapping"].write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    lines = ["ltla_id,population"]
-    lines.extend(f"{ltla},{100000 + 1000 * i}" for i, ltla in enumerate(ltlas))
-    paths["population"] = out / "population.csv"
-    paths["population"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write(out / "indicators" / f"{name}.csv", "geo_id,date,variable,value", (
+            f"{ltla},{date_text[offset + t]},{name},{values[t]:.6g}"
+            for ltla, values in zip(ltlas, panel.values) for t in range(values.size)))
+    write(out / "mapping.csv", "ltla_id,trust_id,admissions", (
+        f"{ltla},{trust},{count}" for i, ltla in enumerate(ltlas)
+        for trust, count in ((trusts[i], 70), (trusts[(i + 1) % n_trusts], 30))))
+    write(out / "population.csv", "ltla_id,population",
+          (f"{ltla},{100000 + 1000 * i}" for i, ltla in enumerate(ltlas)))
 
     _, windows = _wave_layout(n_days, n_waves)
     config = {

@@ -40,23 +40,20 @@ class GeoMapping:
 def build_mapping(records: list[tuple[str, str, float]]) -> GeoMapping:
     """Build row-normalized LTLA->Trust weights from (ltla, trust, count) records.
 
-    Counts for the same pair accumulate. LTLAs whose total count is zero get
-    an all-zero row and are logged rather than dropped.
+    Counts for the same pair accumulate in record order. LTLAs whose total
+    count is zero get an all-zero row and are logged rather than dropped.
     """
     if not records:
         raise MappingError("no mapping records")
-    counts: dict[tuple[str, str], float] = {}
-    for ltla, trust, count in records:
-        if count < 0:
-            raise MappingError(f"negative admission count for ({ltla}, {trust})")
-        counts[(ltla, trust)] = counts.get((ltla, trust), 0.0) + float(count)
-    ltla_ids = tuple(sorted({l for l, _ in counts}))
-    trust_ids = tuple(sorted({t for _, t in counts}))
+    ltla_ids = tuple(sorted({l for l, _, _ in records}))
+    trust_ids = tuple(sorted({t for _, t, _ in records}))
     mat = np.zeros((len(ltla_ids), len(trust_ids)))
     l_index = {l: i for i, l in enumerate(ltla_ids)}
     t_index = {t: j for j, t in enumerate(trust_ids)}
-    for (ltla, trust), count in counts.items():
-        mat[l_index[ltla], t_index[trust]] = count
+    for ltla, trust, count in records:
+        if count < 0:
+            raise MappingError(f"negative admission count for ({ltla}, {trust})")
+        mat[l_index[ltla], t_index[trust]] += count
     totals = mat.sum(axis=1)
     if not (totals > 0).any():
         raise MappingError("all mapping records have zero counts")

@@ -26,6 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InsufficientDataError, LeadLagError
+from .timeseries import _row_pair
 
 
 @dataclass(frozen=True)
@@ -160,12 +161,7 @@ def granger_test_batch(x, y, max_lag: int = 3, horizon: int = 0) -> GrangerBatch
         raise LeadLagError(f"max_lag must be >= 1, got {max_lag}")
     if horizon < 0:
         raise LeadLagError(f"horizon must be >= 0, got {horizon}")
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    if xv.ndim != 2 or xv.shape != yv.shape:
-        raise LeadLagError("x and y must be aligned (same shape, one series per row)")
-    if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
-        raise LeadLagError("Granger test requires complete, finite series")
+    xv, yv = _row_pair(x, y, "Granger test")
     m = max_lag
     n_rows = yv.shape[1] - horizon - m
     if n_rows <= 2 * m + 1:

@@ -51,6 +51,10 @@ _Checks = list[tuple[np.ndarray, Callable[[list[str]], str]]]
 # a record holding one fails with 3.10's error wherever it is read
 _NUL = "malformed CSV: line contains NUL"
 
+# how every reader opens a file: utf-8-sig skips the byte order mark a
+# spreadsheet's "CSV UTF-8" starts with
+_OPEN = {"newline": "", "encoding": "utf-8-sig", "errors": "surrogateescape"}
+
 
 class _Columns(NamedTuple):
     """The data rows of one CSV file, column by column."""
@@ -74,8 +78,7 @@ def _scan(path: str | Path, header: list[str], number: int | None = None) -> _Co
     """
     spath = str(path)
     try:
-        # utf-8-sig skips the byte order mark a spreadsheet's "CSV UTF-8" starts with
-        handle = Path(path).open(newline="", encoding="utf-8-sig", errors="surrogateescape")
+        handle = Path(path).open(**_OPEN)
     except OSError as exc:
         raise SchemaError(f"cannot open file: {exc}", path=spath) from exc
     width = len(header)
@@ -143,7 +146,7 @@ def _locate(path: str, row: int) -> tuple[int, list[str]]:
     the first line of the record it stopped in, and no fields.
     """
     row += 1  # the header is the first record, on line 1
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
+    with open(path, **_OPEN) as handle:
         reader, line = csv.reader(handle), 1
         with suppress(csv.Error):
             for fields in reader:

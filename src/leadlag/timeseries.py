@@ -82,6 +82,16 @@ def _rows(values, op: str, complete: bool = True) -> np.ndarray:
     return v
 
 
+def _row_pair(x, y, op: str) -> tuple[np.ndarray, np.ndarray]:
+    xv = np.asarray(x, dtype=float)
+    yv = np.asarray(y, dtype=float)
+    if xv.shape != yv.shape or xv.ndim != 2:
+        raise LeadLagError("x and y must be aligned (same shape, one series per row)")
+    if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
+        raise LeadLagError(f"{op} requires complete, finite series")
+    return xv, yv
+
+
 def locf_impute(values) -> np.ndarray:
     """Fill missing values (NaN) by carrying the last observation forward.
 

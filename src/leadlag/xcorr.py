@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InsufficientDataError, LeadLagError
+from .errors import InsufficientDataError
+from .timeseries import _row_pair
 
 
 def ccf_at_leads(x, y, leads) -> np.ndarray:
@@ -21,12 +22,7 @@ def ccf_at_leads(x, y, leads) -> np.ndarray:
     constant means that its maximum equals its minimum, as an inexact mean
     leaves such a row a tiny nonzero sum of squares.
     """
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    if xv.shape != yv.shape or xv.ndim != 2:
-        raise LeadLagError("x and y must be aligned (same shape, one series per row)")
-    if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
-        raise LeadLagError("cross-correlation requires complete, finite series")
+    xv, yv = _row_pair(x, y, "cross-correlation")
     n = xv.shape[1]
     for lead in leads:
         if abs(lead) >= n - 2:

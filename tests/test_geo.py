@@ -51,6 +51,11 @@ def test_build_mapping_empty_errors():
 def test_build_mapping_duplicate_records_accumulate():
     m = build_mapping([("A", "T1", 30), ("A", "T1", 30), ("A", "T2", 40)])
     assert weights(m, "A").tolist() == [0.6, 0.4]
+    # 0.1 + 0.2 + 0.3 is 0.6000000000000001 in this order and 0.6 in others
+    m = build_mapping([("A", "T1", 0.1), ("A", "T2", 0.4), ("A", "T1", 0.2),
+                       ("A", "T1", 0.3)])
+    t1 = 0.0 + 0.1 + 0.2 + 0.3
+    assert weights(m, "A").tolist() == [t1 / (t1 + 0.4), 0.4 / (t1 + 0.4)]
 
 
 @pytest.mark.parametrize("weights, message", [

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from leadlag.corpus import write_corpus
 from leadlag.errors import LeadLagError
 from leadlag.synth import (
     IndicatorSpec,
@@ -116,3 +119,27 @@ def test_indicator_lead_bounds():
         IndicatorSpec(lead=36)
     with pytest.raises(LeadLagError, match="noise_sd"):
         IndicatorSpec(lead=5, noise_sd=-0.1)
+
+
+# SHA-256 of every file `leadlag synth` writes for a small corpus.  The
+# benchmark generates its inputs with write_corpus, so its bytes must not move.
+CORPUS_DIGESTS = {
+    "admissions.csv": "a2a9152f2819eea4d9211e59e2dbba5a9179e2d753a52df29a58c4f00dd751eb",
+    "config.yaml": "8d053dacbbc1bf8de277e48a290e3e37fe3f7b91f7aefc39e3c0c1710fea814b",
+    "indicators/ind00.csv": "8adcb522c13c7408b3400b0da4934e724b5bc134af9a8f46fd2706387c44506a",
+    "indicators/ind01.csv": "0713237bec945e7f89d6254d28a5d1a380333f1f56db2cef6ab798d0b06fe44e",
+    "mapping.csv": "b56123e08bc8268a1c43209051bc8b8d06061394af110d23902946143f3fe2f7",
+    "population.csv": "a5dba0eb9df4e15ced79260d8b69559602694a7b0d7772fa43bea0354596d26e",
+}
+
+
+def test_write_corpus_bytes_are_pinned(tmp_path):
+    paths = write_corpus(tmp_path, n_trusts=4, n_days=240, n_indicators=2, n_waves=2, seed=5)
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file())
+    assert written == sorted(CORPUS_DIGESTS)
+    assert {key: path.relative_to(tmp_path).as_posix() for key, path in paths.items()} == {
+        "admissions": "admissions.csv", "ind00": "indicators/ind00.csv",
+        "ind01": "indicators/ind01.csv", "mapping": "mapping.csv",
+        "population": "population.csv", "config": "config.yaml"}
+    for name, digest in CORPUS_DIGESTS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
