@@ -34,8 +34,10 @@ class LatencySpec:
     release_cadence_days: int = 1
 
     def __post_init__(self) -> None:
-        if self.reporting_lag_days < 0 or self.release_cadence_days < 1:
-            raise ConfigError("latency lag must be >= 0 and cadence >= 1")
+        for key, value, low in (("reporting_lag_days", self.reporting_lag_days, 0),
+                                ("release_cadence", self.release_cadence_days, 1)):
+            if value < low:
+                raise ConfigError(f"{key} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -154,9 +156,13 @@ def _wave(entry) -> WaveSpec:
 
 
 def _latency(name: str, entry) -> LatencySpec:
-    _check_keys(entry, ("reporting_lag_days", "release_cadence"), f"config latency {name}")
-    return LatencySpec(reporting_lag_days=_as_number(entry.get("reporting_lag_days", 0)),
-                       release_cadence_days=_as_cadence(entry.get("release_cadence", 1)))
+    context = f"config latency {name}"
+    _check_keys(entry, ("reporting_lag_days", "release_cadence"), context)
+    try:
+        return LatencySpec(reporting_lag_days=_as_number(entry.get("reporting_lag_days", 0)),
+                           release_cadence_days=_as_cadence(entry.get("release_cadence", 1)))
+    except ConfigError as exc:  # an unknown cadence name or a value out of range
+        raise ConfigError(f"{context}: {exc}") from None
 
 
 def _latencies(value) -> dict[str, LatencySpec]:

@@ -10,6 +10,10 @@ serves both the same-day and the 14-day test.
 once with one stacked QR of ``[1, y lags, x lags, response]``; R's last
 column holds both models' residuals (Lovell 1963, JASA 58:993; Golub & Van
 Loan, Matrix Computations, 5.3), so the F numerator is never negative.
+``numpy.linalg.lstsq``'s rank rule is screened from R and its triangular
+inverse, which bound the design's singular values, and only a row the
+screen does not clear as full rank takes an SVD, so every decision is the
+rule's own.
 
 The F tail is the regularized incomplete beta function, evaluated in numpy
 for the whole batch as the continued fraction of Abramowitz & Stegun 26.5.8
@@ -49,6 +53,9 @@ _FPMIN = _TINY / _EPS  # Lentz's stand-in for a zero denominator
 _CF_TOL = 16 * _EPS
 _CF_MAX_TERMS = 10_000
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# How far inside lstsq's rank rule the screen of _nested_fits clears a row, so
+# that rounding in its bounds or in the SVD cannot flip a decision
+_SCREEN_MARGIN = 1e3
 
 
 def _lgamma_rest(z: float) -> float:
@@ -132,6 +139,17 @@ def _lags(v: np.ndarray, m: int, n_rows: int) -> np.ndarray:
     return sliding_window_view(v, n_rows, axis=1)[:, m - 1::-1].transpose(0, 2, 1)
 
 
+def _triangular_inverse(r: np.ndarray) -> np.ndarray:
+    """The inverse of each upper-triangular (p, p) block of ``r``, by
+    back-substitution one row at a time; a zero diagonal gives inf or NaN."""
+    inv = np.zeros_like(r)
+    for i in range(r.shape[1] - 1, -1, -1):
+        row = -np.matmul(r[:, i, None, i + 1:], inv[:, i + 1:])[:, 0]
+        row[:, i] = 1.0
+        inv[:, i] = row / r[:, i, i, None]
+    return inv
+
+
 def _nested_fits(aug: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """From one QR of each ``aug`` = [design | response]: the RSS of the fit on
     every design column, the RSS that the columns after the first ``k`` remove,
@@ -141,8 +159,19 @@ def _nested_fits(aug: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.nd
     # the design's R is the leading block of R and has the design's singular
     # values; those of its first k columns interlace them, so when the full
     # design passes the rule the restricted one does too (Golub & Van Loan 8.6)
-    s = np.linalg.svd(r[:, :p, :p], compute_uv=False)
-    return r[:, p, -1] ** 2, np.sum(r[:, k:p, -1] ** 2, axis=1), s[:, -1] <= _EPS * n * s[:, 0]
+    design = r[:, :p, :p]
+    # ||R||_F >= s_max and 1 / ||R^-1||_F <= s_min, so a row where their ratio
+    # ||R||_F ||R^-1||_F is below 1 / (_SCREEN_MARGIN eps n) passes the rule
+    # (back-substitution errs by about p eps times that ratio); only the
+    # others, NaN and inf from a zero pivot included, take the SVD
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv = _triangular_inverse(design)
+        ratio2 = np.sum(design ** 2, axis=(1, 2)) * np.sum(inv ** 2, axis=(1, 2))
+    deficient = ~(ratio2 * (_SCREEN_MARGIN * _EPS * n) ** 2 < 1.0)
+    if deficient.any():
+        s = np.linalg.svd(design[deficient], compute_uv=False)
+        deficient[deficient] = s[:, -1] <= _EPS * n * s[:, 0]
+    return r[:, p, -1] ** 2, np.sum(r[:, k:p, -1] ** 2, axis=1), deficient
 
 
 def granger_test_batch(x, y, max_lag: int = 3, horizon: int = 0) -> GrangerBatch:

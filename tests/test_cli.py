@@ -251,7 +251,10 @@ def test_config_names_no_indicator_read_warns(corpus, tmp_path, caplog):
     ("dtw_mode: joint", "dtw_mode"),
     ("dtw_warmup_days: -1", "dtw_warmup_days"),
     ("min_annual_admissions: 0", "min_annual_admissions"),
-    ("latency: {ind00: {reporting_lag_days: -1}}", "latency lag"),
+    ("latency: {ind00: {reporting_lag_days: -1}}",
+     "config latency ind00: reporting_lag_days must be >= 0, got -1"),
+    ("latency: {ind00: {release_cadence: 0}}",
+     "config latency ind00: release_cadence must be >= 1, got 0"),
     ("latency: {ind00: {release_cadence: monthly}}", "release cadence 'monthly'"),
     ("admissions_filter_start: first of May", "admissions_filter_start"),
     # Python 3.11+ reads both with date.fromisoformat, 3.10 neither
@@ -275,8 +278,8 @@ def test_config_names_no_indicator_read_warns(corpus, tmp_path, caplog):
         "exclusions-string", "horizon-fraction", "horizon-bool", "window-inf", "span-bool",
         "latency-fraction", "degree-3", "span-above-1", "passes-negative",
         "unknown-key", "unknown-key-dtw", "unknown-latency-key", "dtw-mode", "warmup-negative",
-        "threshold-zero", "latency-negative", "cadence-unknown", "filter-start-date",
-        "filter-start-compact-date", "wave-start-week-date", "wave-without-end",
+        "threshold-zero", "latency-negative", "cadence-zero", "cadence-unknown",
+        "filter-start-date", "filter-start-compact-date", "wave-start-week-date", "wave-without-end",
         "wave-not-mapping", "unknown-wave-key",
         "filter-start-timestamp", "wave-start-timestamp", "wave-names-repeat",
         "filter-window-inverted"])

@@ -511,6 +511,66 @@ def test_collinear_mask_is_lstsq_rank_rule(horizon):
     assert expected == [kind == "collinear" for kind in kinds]
 
 
+def _boundary_batch(days=90):
+    """Normal rows, exactly collinear rows (x == y, a zero x), and rows whose x
+    is y perturbed by 1e-9 ... 1e-16, so that their design's condition number
+    steps across lstsq's 1 / (eps n); with the kind of each row."""
+    rows, kinds = [], []
+    for seed in range(4):
+        rng = np.random.default_rng(700 + seed)
+        y = rng.normal(size=days).cumsum() * 0.1 + rng.normal(size=days)
+        rows.append((np.roll(y, 3) + rng.normal(0, 0.5, size=days), y))
+        kinds.append("normal")
+    y = _noisy_wave(days, seed=11)
+    rows += [(y.copy(), y), (np.zeros(days), y)]
+    kinds += ["collinear"] * 2
+    noise = np.random.default_rng(12).normal(size=days)
+    rows += [(y + 10.0 ** -e * noise, y) for e in np.arange(9.0, 16.5, 0.5)]
+    kinds += ["perturbed"] * 15
+    order = np.random.default_rng(13).permutation(len(rows))
+    return (np.array([rows[i][0] for i in order]), np.array([rows[i][1] for i in order]),
+            [kinds[i] for i in order])
+
+
+def test_rank_screen_equals_lstsq_rule_at_its_boundary(monkeypatch):
+    x, y, kinds = _boundary_batch()
+    expected = [_lstsq_deficient(d_r) or _lstsq_deficient(d_u)
+                for d_r, d_u, _ in _lagged_designs(x, y, 3, 0)]
+    perturbed = [e for e, kind in zip(expected, kinds) if kind == "perturbed"]
+    assert True in perturbed and False in perturbed  # the rows cross the rule
+
+    sent = []  # the blocks each granger_test_batch call passes to the SVD
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        sent[-1].append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    def run(xs, ys):
+        sent.append([])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the zero pivots stay inside np.errstate
+            return granger_test_batch(xs, ys, max_lag=3).collinear
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    assert run(x, y).tolist() == expected
+    for i in range(len(x)):
+        assert run(x[i:i + 1], y[i:i + 1]).tolist() == [expected[i]], i
+    batch, alone = sent[0], sent[1:]
+    assert not any(s for s, kind in zip(alone, kinds) if kind == "normal")
+    assert all(s for s, deficient in zip(alone, expected) if deficient)
+    # the SVD decides some rows the screen does not clear as full rank
+    assert any(s and not deficient for s, deficient in zip(alone, expected))
+    # the batch passes exactly the rows that a batch of one passes, in order
+    assert len(batch) == 1
+    assert np.array_equal(batch[0], np.concatenate([b for s in alone for b in s]))
+
+    normal = [i for i, kind in enumerate(kinds) if kind == "normal"]
+    assert not run(x[normal], y[normal]).any()
+    assert not run(np.empty((0, 90)), np.empty((0, 90))).size
+    assert sent[-2:] == [[], []]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_f_matches_lstsq_residuals(seed):
     rng = np.random.default_rng(600 + seed)
