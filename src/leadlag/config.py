@@ -157,10 +157,15 @@ def _wave(entry) -> WaveSpec:
 
 def _latency(name: str, entry) -> LatencySpec:
     context = f"config latency {name}"
+    invalid = ConfigError(f"{context}: invalid value {entry!r}")
+    if not isinstance(entry, dict):
+        raise invalid
     _check_keys(entry, ("reporting_lag_days", "release_cadence"), context)
     try:
         return LatencySpec(reporting_lag_days=_as_number(entry.get("reporting_lag_days", 0)),
                            release_cadence_days=_as_cadence(entry.get("release_cadence", 1)))
+    except (TypeError, ValueError, OverflowError):  # a value of the wrong type
+        raise invalid from None
     except ConfigError as exc:  # an unknown cadence name or a value out of range
         raise ConfigError(f"{context}: {exc}") from None
 

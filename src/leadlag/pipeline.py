@@ -167,26 +167,28 @@ def run_analysis(
     provenance_linear = f"{loess}+minmax"
     provenance_dtw = f"{loess}+zscore(window)+{config.dtw_mode}"
 
-    grid = []  # (method, horizon, provenance) of each table of an (indicator, wave)
+    # (method, horizon, provenance, the lead column latency erodes) of each
+    # table of an (indicator, wave)
+    grid = []
     if "granger" in methods:
-        grid += [("granger", 0, provenance_linear),
-                 ("granger14", config.horizon_days, provenance_linear)]
+        grid += [("granger", 0, provenance_linear, None),
+                 ("granger14", config.horizon_days, provenance_linear, None)]
     if "ccf" in methods:
-        grid.append(("ccf", config.horizon_days, provenance_linear))
+        grid.append(("ccf", config.horizon_days, provenance_linear, "optimal_lead"))
     if "dtw" in methods:
-        grid.append(("dtw", None, provenance_dtw))
+        grid.append(("dtw", None, provenance_dtw, "dtw_median_lead"))
 
     tables: list[ResultTable] = []
     for variable in sorted(indicators):
         ind = indicators[variable]
         try:
-            pair = _pair(config, variable, ind, adm, adm_smooth,
-                         (overrides or {}).get(variable, mapping))
+            pair, failed = _pair(config, variable, ind, adm, adm_smooth,
+                                 (overrides or {}).get(variable, mapping)), None
         except LeadLagError as exc:
             logger.warning("indicator %s failed preprocessing and is reported as "
                            "error rows: %s", variable, exc)
-            pair = None
-            failed = f"preprocessing failed: {exc}"
+            pair, failed = None, f"preprocessing failed: {exc}"
+        rows = pair.rows if pair else list(range(n))  # a failure fills every Trust's row
         latency = config.latencies.get(variable)
 
         for wave in config.waves:
@@ -198,20 +200,21 @@ def run_analysis(
             if truncated:
                 logger.warning("indicator %s and admissions cover wave %s %s", variable, wave.name,
                                f"only from {window[0]} to {window[1]}" if window else "on no day")
-            for method, horizon, provenance in grid:
-                if pair is None:
-                    columns, error = {}, [failed] * n
-                else:
-                    # no coverage, like a kernel error, keeps no column, not even a flag
-                    try:
-                        if window is None or not pair.rows:
-                            raise LeadLagError("no coverage in wave")
-                        cells = (_dtw_cells(config, pair, wave, window, variable, latency,
-                                            dtw_paths) if method == "dtw" else
-                                 _linear_cells(config, pair, window, method, horizon, latency))
-                    except LeadLagError as exc:
-                        cells = {}, [str(exc)] * len(pair.rows)
-                    columns, error = _spread(pair.rows, n, *cells)
+            for method, horizon, provenance, lead in grid:
+                # a failed indicator, no coverage and a kernel error keep no column,
+                # not even a flag
+                try:
+                    if failed or window is None or not rows:
+                        raise LeadLagError(failed or "no coverage in wave")
+                    cells = (_dtw_cells(config, pair, wave, window, variable, dtw_paths)
+                             if method == "dtw" else
+                             _linear_cells(config, pair, window, method, horizon))
+                except LeadLagError as exc:
+                    cells = {}, [str(exc)] * len(rows)
+                columns, error = _spread(rows, n, *cells)
+                if lead in columns:
+                    columns["effective_lead"], columns["eroded"] = effective_leads(
+                        columns[lead], latency)
                 columns["truncated"] = np.full(n, truncated)
                 tables.append(ResultTable(adm.geo_ids, variable, wave.name, method,
                                           horizon, provenance, columns, error))
@@ -254,11 +257,11 @@ def _smooth(values: np.ndarray, config: RunConfig) -> np.ndarray:
 
 
 def _linear_cells(config: RunConfig, pair: _Pair, window: tuple[date, date],
-                  method: str, horizon: int, latency: LatencySpec | None) -> _Cells:
+                  method: str, horizon: int) -> _Cells:
     """Cells of one min-max scaled method over the wave's overlap ``window``."""
     x, y = pair.linear
     x, y = x[:, pair.ind.day_slice(*window)], y[:, pair.adm.day_slice(*window)]
-    return (_ccf_cells(config, x, y, latency) if method == "ccf"
+    return (_ccf_cells(config, x, y) if method == "ccf"
             else _granger_cells(config, x, y, horizon))
 
 
@@ -272,23 +275,20 @@ def _granger_cells(config: RunConfig, x: np.ndarray, y: np.ndarray, horizon: int
             np.where(res.collinear, "collinear design", "").tolist())
 
 
-def _ccf_cells(config: RunConfig, x: np.ndarray, y: np.ndarray,
-               latency: LatencySpec | None) -> _Cells:
+def _ccf_cells(config: RunConfig, x: np.ndarray, y: np.ndarray) -> _Cells:
     leads = np.arange(-config.ccf_window, config.ccf_window + 1)
     # the profile's leads, then the fixed horizon in the last column
     values = ccf_at_leads(x, y, np.append(leads, config.horizon_days))
     # a constant row reads NaN at every lead, so it has no optimal lead either
     zero = np.isnan(values[:, -1])
     lead, at_lead = optimal_leads(leads, values[:, :-1])
-    eff, eroded = effective_leads(lead, latency)
     return ({"optimal_lead": lead, "ccf_at_optimal": at_lead,
-             "ccf_at_horizon": values[:, -1], "effective_lead": eff, "eroded": eroded,
-             "degenerate": zero},
+             "ccf_at_horizon": values[:, -1], "degenerate": zero},
             np.where(zero, "zero variance", "").tolist())
 
 
 def _dtw_cells(config: RunConfig, pair: _Pair, wave: WaveSpec, window: tuple[date, date],
-               variable: str, latency: LatencySpec | None, dtw_paths: list[tuple] | None) -> _Cells:
+               variable: str, dtw_paths: list[tuple] | None) -> _Cells:
     """Align indicator against admissions around one wave.
 
     The query is the wave's covered days, ``window``, after up to
@@ -334,9 +334,8 @@ def _dtw_cells(config: RunConfig, pair: _Pair, wave: WaveSpec, window: tuple[dat
         dtw_paths.append((variable, wave.name,
                           [scope for scope, keep in zip(scopes, found.tolist()) if keep],
                           days, match[found]))
-    eff, eroded = effective_leads(median, latency)
     columns = {"dtw_median_lead": median, "dtw_normalized_distance": distance,
-               "effective_lead": eff, "eroded": eroded, "degenerate": flat}
+               "degenerate": flat}
     if univariate:
         return columns, error
     return {name: np.repeat(values, k) for name, values in columns.items()}, error * k

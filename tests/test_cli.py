@@ -234,14 +234,20 @@ def test_config_names_no_indicator_read_warns(corpus, tmp_path, caplog):
     ("waves: []", "wave"),
     ("horizon_days: abc", "horizon_days"),
     ("loess_span: [1]", "loess_span"),
-    ("latency: {ind00: 3}", "latency"),
+    ("latency: {ind00: 3}", "config latency ind00: invalid value 3"),
     ("indicator_mappings: [a]", "indicator_mappings"),
     ("trust_exclusions: T001", "trust_exclusions"),
     ("horizon_days: 3.7", "horizon_days"),
     ("horizon_days: true", "horizon_days"),
     ("ccf_window: .inf", "ccf_window"),
     ("loess_span: yes", "loess_span"),
-    ("latency: {ind00: {reporting_lag_days: 1.5}}", "latency"),
+    ("latency: {ind00: {reporting_lag_days: 1.5}}",
+     "config latency ind00: invalid value {'reporting_lag_days': 1.5}"),
+    ("latency: {ind00: null}", "config latency ind00: invalid value None"),
+    ("latency: {ind00: {reporting_lag_days: true}}",
+     "config latency ind00: invalid value {'reporting_lag_days': True}"),
+    ("latency: {ind00: {release_cadence: [7]}}",
+     "config latency ind00: invalid value {'release_cadence': [7]}"),
     ("loess_degree: 3", "loess_degree"),
     ("loess_span: 1.5", "loess_span"),
     ("loess_robustness_passes: -2", "loess_robustness_passes"),
@@ -276,7 +282,7 @@ def test_config_names_no_indicator_read_warns(corpus, tmp_path, caplog):
      "admissions_filter_start 2022-06-01 after admissions_filter_end 2022-05-31"),
 ], ids=["empty-waves", "horizon-text", "span-list", "latency-number", "mappings-list",
         "exclusions-string", "horizon-fraction", "horizon-bool", "window-inf", "span-bool",
-        "latency-fraction", "degree-3", "span-above-1", "passes-negative",
+        "latency-fraction", "latency-null", "latency-bool", "cadence-list", "degree-3", "span-above-1", "passes-negative",
         "unknown-key", "unknown-key-dtw", "unknown-latency-key", "dtw-mode", "warmup-negative",
         "threshold-zero", "latency-negative", "cadence-zero", "cadence-unknown",
         "filter-start-date", "filter-start-compact-date", "wave-start-week-date", "wave-without-end",

@@ -241,14 +241,24 @@ def test_wave_isolation():
 
 
 def test_effective_never_exceeds_statistical():
+    # every ccf and dtw row's erosion is the per-element oracle's, in both DTW
+    # modes; T002 has no indicator series, so it reads no lead and no erosion
     adm, indicators = synth_inputs()
-    config = study_config(latencies={"ind": LatencySpec(2, 7)})
-    rows = records(run_analysis(config, adm, indicators, None))
-    for row in rows:
-        if row.effective_lead is None:
-            continue
-        statistical = row.optimal_lead if row.method == "ccf" else row.dtw_median_lead
-        assert row.effective_lead <= statistical
+    ind = indicators["ind"]
+    indicators = {"ind": Panel(ind.start_date, ind.geo_ids[:2], ind.values[:2])}
+    latency = LatencySpec(4, 7)  # erodes some leads of about 10 days, not all
+    for mode in ("multivariate", "univariate"):
+        config = study_config(dtw_mode=mode, latencies={"ind": latency})
+        rows = [row for row in records(run_analysis(config, adm, indicators, None))
+                if row.method in ("ccf", "dtw")]
+        assert len(rows) == 3 * 2 * 2  # trusts x waves x methods
+        for row in rows:
+            statistical = row.optimal_lead if row.method == "ccf" else row.dtw_median_lead
+            assert (row.effective_lead, row.eroded) == effective_lead(statistical, latency)
+            assert (statistical is None) == (row.trust_id == "T002")
+            if statistical is not None:
+                assert row.effective_lead <= statistical
+        assert {row.eroded for row in rows if row.trust_id != "T002"} == {False, True}
 
 
 def test_univariate_dtw_mode():
@@ -549,6 +559,32 @@ def test_constant_trusts_get_no_multivariate_dtw_lead():
     assert [record[2] for record in paths] == [["all-trusts"]] * 2
     for row in rows:
         assert row.error == "" and row.degenerate and row.dtw_median_lead is not None
+
+
+@pytest.mark.parametrize("step", ["mapping", "smoothing"])
+def test_indicator_failing_preprocessing_keeps_only_the_flag(step):
+    # like a kernel error's, every table of an indicator whose mapping or
+    # smoothing fails keeps no column but ``truncated``, and every Trust's row
+    # names the failure; the other indicator's tables are untouched
+    adm, indicators = synth_inputs()
+    ind = indicators["ind"]
+    ltlas = ("L000", "L001", "L002")
+    good = Panel(ind.start_date, ltlas, ind.values)
+    if step == "mapping":  # an LTLA the mapping lacks
+        bad = Panel(ind.start_date, ltlas + ("L999",), np.vstack([ind.values, ind.values[:1]]))
+        text, truncated = "panel geo ids unknown to mapping: L999", False
+    else:  # 20 days: a 2-point LOESS window, ending before either wave
+        bad = Panel(ind.start_date, ltlas, ind.values[:, :20])
+        text, truncated = "loess window of 2 points is too small for degree 2", True
+    tables = run_analysis(study_config(), adm, {"bad": bad, "good": good}, identity_mapping())
+    failed = [table for table in tables if table.indicator == "bad"]
+    assert len(failed) == 2 * 4  # waves x (granger, granger14, ccf, dtw)
+    for table in failed:
+        assert list(table.columns) == ["truncated"]
+        assert table.columns["truncated"].tolist() == [truncated] * 3
+        assert table.error == [f"preprocessing failed: {text}"] * 3
+    assert records(t for t in tables if t.indicator == "good") == records(
+        run_analysis(study_config(), adm, {"good": good}, identity_mapping()))
 
 
 def run_with_short_indicator(tmp_path):
