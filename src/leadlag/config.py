@@ -42,7 +42,7 @@ class LatencySpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    waves: tuple[WaveSpec, ...]
+    waves: tuple[WaveSpec, ...] = ()
     horizon_days: int = 14
     granger_max_lag: int = 3
     ccf_window: int = 30
@@ -71,20 +71,10 @@ class RunConfig:
                     f"waves must be chronological and non-overlapping: "
                     f"{a.name!r} ends {a.end}, {b.name!r} starts {b.start}"
                 )
-        for attr in ("horizon_days", "granger_max_lag", "ccf_window",
-                     "dtw_window", "min_annual_admissions"):
-            if getattr(self, attr) < 1:
-                raise ConfigError(f"{attr} must be positive")
-        if self.dtw_warmup_days < 0:
-            raise ConfigError("dtw_warmup_days must be >= 0")
-        if self.dtw_mode not in ("multivariate", "univariate"):
-            raise ConfigError(f"dtw_mode must be multivariate or univariate, got {self.dtw_mode!r}")
-        if not 0.0 < self.loess_span <= 1.0:
-            raise ConfigError(f"loess_span must be in (0, 1], got {self.loess_span}")
-        if self.loess_degree not in (1, 2):
-            raise ConfigError(f"loess_degree must be 1 or 2, got {self.loess_degree}")
-        if self.loess_robustness_passes < 0:
-            raise ConfigError("loess_robustness_passes must be >= 0")
+        for name, (_, _, rule) in _FIELDS.items():
+            value = getattr(self, name)
+            if rule and not rule[0](value):
+                raise ConfigError(f"{name} {rule[1]}, got {value!r}")
         if self.admissions_filter_start > self.admissions_filter_end:
             raise ConfigError(f"admissions_filter_start {self.admissions_filter_start} "
                               f"after admissions_filter_end {self.admissions_filter_end}")
@@ -128,10 +118,17 @@ def _as_number(value, kind=int):
     return kind(value)
 
 
+def _as_text(value) -> str:
+    # str() would make YAML's null the name 'None' and its yes the name 'True'
+    if value is None or isinstance(value, (bool, list, dict)):
+        raise ValueError(f"not text: {value!r}")
+    return str(value)
+
+
 def _as_strings(value) -> tuple[str, ...]:
     if not isinstance(value, list):  # a bare string would split into its characters
         raise TypeError(f"{value!r} is not a list")
-    return tuple(str(t) for t in value)
+    return tuple(map(_as_text, value))
 
 
 def _as_cadence(value) -> int:
@@ -149,10 +146,14 @@ def _check_keys(raw: dict, known, context: str) -> None:
             raise ConfigError(f"{context}: unknown key {key!r}")
 
 
-def _wave(entry) -> WaveSpec:
-    _check_keys(entry, ("name", "start", "end"), "config waves")
-    return WaveSpec(str(entry["name"]), _as_date(entry["start"], "wave start"),
-                    _as_date(entry["end"], "wave end"))
+def _waves(value) -> tuple[WaveSpec, ...]:
+    try:
+        for entry in value:
+            _check_keys(entry, ("name", "start", "end"), "config waves")
+        return tuple(WaveSpec(_as_text(w["name"]), _as_date(w["start"], "wave start"),
+                              _as_date(w["end"], "wave end")) for w in value)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ConfigError("each wave needs name, start and end") from exc
 
 
 def _latency(name: str, entry) -> LatencySpec:
@@ -170,25 +171,26 @@ def _latency(name: str, entry) -> LatencySpec:
         raise ConfigError(f"{context}: {exc}") from None
 
 
-def _latencies(value) -> dict[str, LatencySpec]:
-    return {str(name): _latency(name, entry) for name, entry in (value or {}).items()}
-
-
-# RunConfig field: (config key, conversion of its YAML value)
+# RunConfig field: (config key, parser of its YAML value, range rule as
+# (test, wording) or None); RunConfig checks each rule, load_config each parser
 _FIELDS = {
-    **{key: (key, _as_number) for key in (
-        "horizon_days", "granger_max_lag", "ccf_window", "dtw_window", "dtw_warmup_days",
-        "min_annual_admissions", "loess_degree", "loess_robustness_passes")},
-    "loess_span": ("loess_span", lambda v: _as_number(v, float)),
-    "dtw_mode": ("dtw_mode", str),
-    "trust_exclusions": ("trust_exclusions", _as_strings),
-    "admissions_filter_start": ("admissions_filter_start",
-                                lambda v: _as_date(v, "admissions_filter_start")),
-    "admissions_filter_end": ("admissions_filter_end",
-                              lambda v: _as_date(v, "admissions_filter_end")),
-    "latencies": ("latency", _latencies),
+    "waves": ("waves", _waves, None),
+    **{key: (key, _as_number, (lambda v: v >= 1, "must be >= 1")) for key in (
+        "horizon_days", "granger_max_lag", "ccf_window", "dtw_window", "min_annual_admissions")},
+    **{key: (key, _as_number, (lambda v: v >= 0, "must be >= 0")) for key in (
+        "dtw_warmup_days", "loess_robustness_passes")},
+    "dtw_mode": ("dtw_mode", _as_text, (("multivariate", "univariate").__contains__,
+                                        "must be multivariate or univariate")),
+    "loess_span": ("loess_span", lambda v: _as_number(v, float),
+                   (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")),
+    "loess_degree": ("loess_degree", _as_number, ((1, 2).__contains__, "must be 1 or 2")),
+    "trust_exclusions": ("trust_exclusions", _as_strings, None),
+    **{key: (key, lambda v, key=key: _as_date(v, key), None)
+       for key in ("admissions_filter_start", "admissions_filter_end")},
+    "latencies": ("latency", lambda v: {_as_text(name): _latency(name, entry)
+                                        for name, entry in (v or {}).items()}, None),
     "indicator_mappings": ("indicator_mappings",
-                           lambda v: {str(k): str(path) for k, path in v.items()}),
+                           lambda v: {_as_text(k): _as_text(path) for k, path in v.items()}, None),
 }
 
 
@@ -202,18 +204,13 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a mapping")
-    _check_keys(raw, {"waves"} | {key for key, _ in _FIELDS.values()}, f"config {path}")
-
-    try:
-        waves = tuple(map(_wave, raw.get("waves", [])))
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise ConfigError("each wave needs name, start and end") from exc
+    _check_keys(raw, {key for key, _, _ in _FIELDS.values()}, f"config {path}")
 
     kwargs = {}
-    for name, (key, convert) in _FIELDS.items():
+    for name, (key, parse, _) in _FIELDS.items():
         if key in raw:
             try:
-                kwargs[name] = convert(raw[key])
+                kwargs[name] = parse(raw[key])
             except (AttributeError, TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"config {key}: invalid value {raw[key]!r}") from exc
-    return RunConfig(waves=waves, **kwargs)
+    return RunConfig(**kwargs)

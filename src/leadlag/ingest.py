@@ -381,6 +381,9 @@ def apply_groupings(
         if not present:
             logger.warning("grouping %s: no member variables present", group)
             continue
+        if len(present) < len(members):
+            logger.warning("grouping %s names no variable read: %s", group,
+                           ", ".join(m for m in members if m not in present))
         if group in out and group not in present:
             raise SchemaError(f"grouping {group!r} would replace a variable that is not its member")
         first = out[present[0]]

@@ -1,4 +1,4 @@
-"""Runtime-only cases: run the command line on edited copies of the synth corpus.
+"""Runtime-only cases: run the command line on the synth corpus and on edited copies of it.
 
 Standard library only, as the runtime-only CI job installs no extras. Run it
 where ``leadlag synth --out c --trusts 8 --days 240 --indicators 2 --waves 2``
@@ -10,6 +10,7 @@ exits non-zero at the first failure, naming the case and the offending values.
 
 import csv
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -32,12 +33,13 @@ def check(ok, message):
         raise Failed(message)
 
 
-def run(out, *options, status=0, **inputs):
+def run(out, *options, status=0, env=None, **inputs):
     """Run ``leadlag run`` into ``c/<out>``, check its exit code and return its stderr."""
     files = [arg for key, path in {**INPUTS, **inputs}.items() for arg in (f"--{key}", path)]
     done = subprocess.run([*COMMAND, "run", *files, "--out", f"c/{out}", *options],
-                          capture_output=True, text=True)
-    sys.stderr.write(done.stderr)
+                          capture_output=True, text=True, env=env)
+    sys.stderr.writelines(line for line in done.stderr.splitlines(keepends=True)
+                          if not line.startswith("import time:"))
     check(done.returncode == status, f"{out} exited {done.returncode}, not {status}")
     return done.stderr
 
@@ -74,6 +76,16 @@ def by_wave(out, field, expected):
             check(row[field] == expected.get(row["wave"]),
                   f"{out}/{method}.csv {row['wave']} row reads {field}={row[field]!r}")
     check(wave2 == 64, f"{out}: {wave2} wave2 rows, not 64")
+
+
+def default_run():
+    # the runtime is numpy and PyYAML: a default run imports neither scipy nor numpy.ma
+    log = run("out", "--export-dtw-paths", env=dict(os.environ, PYTHONPROFILEIMPORTTIME="1"))
+    imported = re.findall(r"^import time:.*\| +(scipy\S*|numpy\.ma)$", log, re.M)
+    check(not imported, f"the run imported {sorted(set(imported))}")
+    check(Path("c/out/granger.csv").stat().st_size > 0, "granger.csv is empty")
+    with open("c/out/dtw_paths.csv") as fh:
+        check(sum(1 for _ in fh) > 1, "dtw_paths.csv has no path")
 
 
 def univariate_dtw():
@@ -165,7 +177,7 @@ def constant_series():
 
 def main():
     derive(*CONFIGS, "dtw_mode: univariate")
-    for case in (univariate_dtw, robust_loess, repeated_key, trust_level,
+    for case in (default_run, univariate_dtw, robust_loess, repeated_key, trust_level,
                  cut_inside_wave, cut_in_warmup, constant_series):
         try:
             case()

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -14,9 +15,9 @@ import yaml
 import leadlag
 from leadlag import cli
 from leadlag.cli import main
-from leadlag.config import LatencySpec, load_config
+from leadlag.config import _FIELDS, LatencySpec, RunConfig, load_config
 from leadlag.corpus import write_corpus
-from leadlag.errors import LeadLagError
+from leadlag.errors import ConfigError, LeadLagError
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +184,19 @@ def test_grouping_with_no_member_present_warns(corpus, tmp_path, caplog):
         assert {row["indicator"] for row in csv.DictReader(fh)} == {"ind00", "ind01", "ind02"}
 
 
+def test_grouping_with_an_absent_member_warns(corpus, tmp_path, caplog):
+    groups = tmp_path / "groups.csv"
+    groups.write_text("group,member_variable\ncombo,ind00\ncombo,ind0x\ncombo,ind9\n")
+    args = run_args(corpus, tmp_path / "out", ("--methods", "ccf", "--groupings", str(groups)))
+    with caplog.at_level(logging.WARNING, logger="leadlag.ingest"):
+        assert main(args) == 0
+    warnings = [r.getMessage() for r in caplog.records
+                if r.name == "leadlag.ingest" and r.levelno == logging.WARNING]
+    assert warnings == ["grouping combo names no variable read: ind0x, ind9"]
+    with (tmp_path / "out" / "ccf.csv").open(newline="", encoding="utf-8") as fh:
+        assert {row["indicator"] for row in csv.DictReader(fh)} == {"combo", "ind01", "ind02"}
+
+
 def test_grouping_members_without_common_dates_exit_input_schema(corpus, tmp_path, capsys):
     indicators = tmp_path / "indicators"
     indicators.mkdir()
@@ -248,15 +262,15 @@ def test_config_names_no_indicator_read_warns(corpus, tmp_path, caplog):
      "config latency ind00: invalid value {'reporting_lag_days': True}"),
     ("latency: {ind00: {release_cadence: [7]}}",
      "config latency ind00: invalid value {'release_cadence': [7]}"),
-    ("loess_degree: 3", "loess_degree"),
-    ("loess_span: 1.5", "loess_span"),
-    ("loess_robustness_passes: -2", "loess_robustness_passes"),
+    ("loess_degree: 3", "loess_degree must be 1 or 2, got 3"),
+    ("loess_span: 1.5", "loess_span must be in (0, 1], got 1.5"),
+    ("loess_robustness_passes: -2", "loess_robustness_passes must be >= 0, got -2"),
     ("horizon_day: 7", "unknown key 'horizon_day'"),
     ("dtw_mod: univariate", "unknown key 'dtw_mod'"),
     ("latency: {ind00: {reporting_lag: 3}}", "unknown key 'reporting_lag'"),
-    ("dtw_mode: joint", "dtw_mode"),
-    ("dtw_warmup_days: -1", "dtw_warmup_days"),
-    ("min_annual_admissions: 0", "min_annual_admissions"),
+    ("dtw_mode: joint", "dtw_mode must be multivariate or univariate, got 'joint'"),
+    ("dtw_warmup_days: -1", "dtw_warmup_days must be >= 0, got -1"),
+    ("min_annual_admissions: 0", "min_annual_admissions must be >= 1, got 0"),
     ("latency: {ind00: {reporting_lag_days: -1}}",
      "config latency ind00: reporting_lag_days must be >= 0, got -1"),
     ("latency: {ind00: {release_cadence: 0}}",
@@ -280,6 +294,17 @@ def test_config_names_no_indicator_read_warns(corpus, tmp_path, caplog):
      " {name: w, start: 2021-12-01, end: 2021-12-31}]", "wave names must differ: 'w', 'w'"),
     ("{admissions_filter_start: 2022-06-01, admissions_filter_end: 2022-05-31}",
      "admissions_filter_start 2022-06-01 after admissions_filter_end 2022-05-31"),
+    # a null, a boolean, a list or a mapping is no text
+    ("indicator_mappings: {ind00: null}",
+     "config indicator_mappings: invalid value {'ind00': None}"),
+    ("indicator_mappings: {ind00: [a.csv]}",
+     "config indicator_mappings: invalid value {'ind00': ['a.csv']}"),
+    ("trust_exclusions: [null]", "config trust_exclusions: invalid value [None]"),
+    ("trust_exclusions: [yes]", "config trust_exclusions: invalid value [True]"),
+    ("waves: [{name: null, start: 2021-11-01, end: 2021-11-30}]",
+     "config waves: invalid value [{'end': datetime.date(2021, 11, 30), 'name': None, "
+     "'start': datetime.date(2021, 11, 1)}]"),
+    ("dtw_mode: null", "config dtw_mode: invalid value None"),
 ], ids=["empty-waves", "horizon-text", "span-list", "latency-number", "mappings-list",
         "exclusions-string", "horizon-fraction", "horizon-bool", "window-inf", "span-bool",
         "latency-fraction", "latency-null", "latency-bool", "cadence-list", "degree-3", "span-above-1", "passes-negative",
@@ -288,7 +313,8 @@ def test_config_names_no_indicator_read_warns(corpus, tmp_path, caplog):
         "filter-start-date", "filter-start-compact-date", "wave-start-week-date", "wave-without-end",
         "wave-not-mapping", "unknown-wave-key",
         "filter-start-timestamp", "wave-start-timestamp", "wave-names-repeat",
-        "filter-window-inverted"])
+        "filter-window-inverted", "mapping-null", "mapping-list", "exclusion-null",
+        "exclusion-bool", "wave-name-null", "dtw-mode-null"])
 def test_bad_config_exits_config(corpus, tmp_path, capsys, entry, key):
     # one bad entry in an otherwise valid config
     config = yaml.safe_load((corpus / "config.yaml").read_text())
@@ -301,6 +327,30 @@ def test_bad_config_exits_config(corpus, tmp_path, capsys, entry, key):
     err = capsys.readouterr().err
     assert "error [config]" in err
     assert key in err
+
+
+# a value out of range for each field that has a range rule
+OUT_OF_RANGE = {"horizon_days": 0, "granger_max_lag": 0, "ccf_window": 0, "dtw_window": 0,
+                "min_annual_admissions": 0, "dtw_warmup_days": -1, "loess_robustness_passes": -1,
+                "dtw_mode": "joint", "loess_span": 0.0, "loess_degree": 0}
+
+
+def test_every_run_config_field_has_one_row():
+    assert set(_FIELDS) == {f.name for f in dataclasses.fields(RunConfig)}
+    assert set(OUT_OF_RANGE) == {name for name, (_, _, rule) in _FIELDS.items() if rule}
+
+
+@pytest.mark.parametrize("name, value", OUT_OF_RANGE.items(), ids=list(OUT_OF_RANGE))
+def test_run_config_applies_the_range_rules_of_load_config(corpus, tmp_path, name, value):
+    config = yaml.safe_load((corpus / "config.yaml").read_text())
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({**config, name: value}))
+    with pytest.raises(ConfigError) as loaded:
+        load_config(path)
+    with pytest.raises(ConfigError) as built:  # a library caller's RunConfig
+        RunConfig(waves=load_config(corpus / "config.yaml").waves, **{name: value})
+    assert str(built.value) == str(loaded.value)
+    assert str(built.value).startswith(f"{name} must be ")
 
 
 @pytest.mark.parametrize("content, message", [
