@@ -118,9 +118,12 @@ def _as_number(value, kind=int):
     return kind(value)
 
 
-def _as_text(value) -> str:
-    # str() would make YAML's null the name 'None' and its yes the name 'True'
+def _as_text(value, context: str = "") -> str:
+    # str() would make YAML's null the name 'None' and its yes the name 'True';
+    # an entry of a table names itself, as its table would quote every entry
     if value is None or isinstance(value, (bool, list, dict)):
+        if context:
+            raise ConfigError(f"{context}: invalid value {value!r}")
         raise ValueError(f"not text: {value!r}")
     return str(value)
 
@@ -150,7 +153,7 @@ def _waves(value) -> tuple[WaveSpec, ...]:
     try:
         for entry in value:
             _check_keys(entry, ("name", "start", "end"), "config waves")
-        return tuple(WaveSpec(_as_text(w["name"]), _as_date(w["start"], "wave start"),
+        return tuple(WaveSpec(_as_text(w["name"], "wave name"), _as_date(w["start"], "wave start"),
                               _as_date(w["end"], "wave end")) for w in value)
     except (AttributeError, KeyError, TypeError) as exc:
         raise ConfigError("each wave needs name, start and end") from exc
@@ -187,10 +190,12 @@ _FIELDS = {
     "trust_exclusions": ("trust_exclusions", _as_strings, None),
     **{key: (key, lambda v, key=key: _as_date(v, key), None)
        for key in ("admissions_filter_start", "admissions_filter_end")},
-    "latencies": ("latency", lambda v: {_as_text(name): _latency(name, entry)
-                                        for name, entry in (v or {}).items()}, None),
-    "indicator_mappings": ("indicator_mappings",
-                           lambda v: {_as_text(k): _as_text(path) for k, path in v.items()}, None),
+    "latencies": ("latency", lambda v: {
+        _as_text(name, "config latency name"): _latency(name, entry)
+        for name, entry in (v or {}).items()}, None),
+    "indicator_mappings": ("indicator_mappings", lambda v: {
+        _as_text(k, "config indicator_mappings name"):
+        _as_text(path, f"config indicator_mappings {k}") for k, path in v.items()}, None),
 }
 
 

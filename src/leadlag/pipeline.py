@@ -17,7 +17,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from datetime import date, timedelta
-from functools import cached_property
 
 import numpy as np
 
@@ -40,9 +39,9 @@ class ResultTable:
 
     Row k belongs to ``trust_ids[k]``. ``columns`` holds the statistics as
     float arrays, NaN where a cell has none (no statistic the methods
-    compute is NaN), and the flags (eroded, degenerate, truncated) as bool
-    arrays; a column left out is absent, or false, in every row. ``error``
-    is empty for the cells that succeeded.
+    compute is NaN), the flags (eroded, degenerate, truncated) as bool
+    arrays, and ``error`` as a text array, empty for the cells that
+    succeeded; a column left out is absent, or false, in every row.
     """
 
     trust_ids: tuple[str, ...]
@@ -52,11 +51,6 @@ class ResultTable:
     horizon: int | None
     provenance: str
     columns: dict[str, np.ndarray]
-    error: list[str]
-
-
-# a method helper's cells for the rows of a pair: (columns, error), as in ResultTable
-_Cells = tuple[dict[str, np.ndarray], list[str]]
 
 
 def filter_trusts(panel: Panel, config: RunConfig) -> Panel:
@@ -101,25 +95,6 @@ def effective_leads(lead_days: np.ndarray,
     eff = lead_days - latency.reporting_lag_days - (latency.release_cadence_days - 1)
     eroded = (eff < 0) & (lead_days >= 0)
     return np.where(eroded, 0.0, eff), eroded
-
-
-@dataclass(frozen=True)
-class _Pair:
-    """An indicator and the admissions of the trusts both panels have.
-
-    Row k of ``x_smooth`` and of ``y_smooth`` (LOESS output) belongs to
-    admissions row ``rows[k]``."""
-
-    ind: Panel
-    adm: Panel
-    rows: list[int]
-    x_smooth: np.ndarray
-    y_smooth: np.ndarray
-
-    @cached_property
-    def linear(self) -> tuple[np.ndarray, np.ndarray]:
-        """Min-max scaled x and y over the whole period (a row constant within 1e-13 reads 0)."""
-        return minmax_scale(self.x_smooth), minmax_scale(self.y_smooth)
 
 
 def check_methods(methods: tuple[str, ...]) -> None:
@@ -182,13 +157,14 @@ def run_analysis(
     for variable in sorted(indicators):
         ind = indicators[variable]
         try:
-            pair, failed = _pair(config, variable, ind, adm, adm_smooth,
-                                 (overrides or {}).get(variable, mapping)), None
+            (rows, x, y), failed = _pair(config, variable, ind, adm, adm_smooth,
+                                         (overrides or {}).get(variable, mapping)), None
         except LeadLagError as exc:
             logger.warning("indicator %s failed preprocessing and is reported as "
                            "error rows: %s", variable, exc)
-            pair, failed = None, f"preprocessing failed: {exc}"
-        rows = pair.rows if pair else list(range(n))  # a failure fills every Trust's row
+            # a failure fills every Trust's row
+            rows, x, y, failed = list(range(n)), None, None, f"preprocessing failed: {exc}"
+        linear = None  # the min-max scaled (x, y), made by the first linear method
         latency = config.latencies.get(variable)
 
         for wave in config.waves:
@@ -201,44 +177,50 @@ def run_analysis(
                 logger.warning("indicator %s and admissions cover wave %s %s", variable, wave.name,
                                f"only from {window[0]} to {window[1]}" if window else "on no day")
             for method, horizon, provenance, lead in grid:
-                # a failed indicator, no coverage and a kernel error keep no column,
-                # not even a flag
+                # a failed indicator, no coverage and a kernel error keep no column
+                # but the error, not even a flag
                 try:
-                    if failed or window is None or not rows:
+                    if failed or window is None or x is None:
                         raise LeadLagError(failed or "no coverage in wave")
-                    cells = (_dtw_cells(config, pair, wave, window, variable, dtw_paths)
-                             if method == "dtw" else
-                             _linear_cells(config, pair, window, method, horizon))
+                    if method == "dtw":
+                        cells = _dtw_cells(config, x, y, wave, window, variable, dtw_paths)
+                    else:
+                        linear = linear or tuple(Panel(p.start_date, p.geo_ids,
+                                                       minmax_scale(p.values)) for p in (x, y))
+                        cells = _linear_cells(config, *linear, window, method, horizon)
                 except LeadLagError as exc:
-                    cells = {}, [str(exc)] * len(rows)
-                columns, error = _spread(rows, n, *cells)
+                    cells = {"error": np.full(len(rows), str(exc))}
+                columns = _spread(rows, n, cells)
                 if lead in columns:
                     columns["effective_lead"], columns["eroded"] = effective_leads(
                         columns[lead], latency)
                 columns["truncated"] = np.full(n, truncated)
                 tables.append(ResultTable(adm.geo_ids, variable, wave.name, method,
-                                          horizon, provenance, columns, error))
+                                          horizon, provenance, columns))
 
-    n_errors = sum(1 for table in tables for text in table.error if text)
+    n_errors = sum(np.count_nonzero(table.columns["error"]) for table in tables)
     if n_errors:
         logger.warning("%d cell(s) recorded an error instead of statistics", n_errors)
     return tables
 
 
-def _spread(rows: list[int], n: int, columns: dict[str, np.ndarray],
-            error: list[str]) -> _Cells:
+# a trust without the indicator, by column dtype kind: no statistic, no flag, and why
+_NO_SERIES = {"f": np.nan, "b": False, "U": "no indicator series for trust"}
+
+
+def _spread(rows: list[int], n: int, columns: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Place a pair's cells among all ``n`` trusts; the others have no indicator."""
     take = np.full(n, len(rows))
     take[rows] = np.arange(len(rows))
-    error = error + ["no indicator series for trust"]
-    return ({name: np.append(values, np.nan if values.dtype == float else False)[take]
-             for name, values in columns.items()}, [error[i] for i in take.tolist()])
+    return {name: np.append(values, _NO_SERIES[values.dtype.kind])[take]
+            for name, values in columns.items()}
 
 
 def _pair(config: RunConfig, variable: str, ind: Panel, adm: Panel, adm_smooth: np.ndarray,
-          mapping: GeoMapping | None) -> _Pair:
+          mapping: GeoMapping | None) -> tuple[list[int], Panel | None, Panel | None]:
     """Map an LTLA indicator to trusts (unless ``mapping`` is None, for a trust
-    indicator) and smooth the rows the admissions share."""
+    indicator) and smooth it: the admissions rows of the trusts it shares, then
+    its and their smoothed panels of those trusts, both None where it shares none."""
     if mapping is not None:
         absent = sorted(set(mapping.ltla_ids) - set(ind.geo_ids))
         ind = apply_mapping(ind, mapping)
@@ -247,8 +229,14 @@ def _pair(config: RunConfig, variable: str, ind: Panel, adm: Panel, adm_smooth: 
                            variable, len(absent), ", ".join(absent))
     index = {geo: i for i, geo in enumerate(ind.geo_ids)}
     shared = [i for i, trust in enumerate(adm.geo_ids) if trust in index]
-    x_smooth = _smooth(ind.values[[index[adm.geo_ids[i]] for i in shared]], config)
-    return _Pair(ind, adm, shared, x_smooth, adm_smooth[shared])
+    trusts = tuple(adm.geo_ids[i] for i in shared)
+    # smoothed also where no trust is shared, so that a series LOESS refuses
+    # fails preprocessing either way
+    x_smooth = _smooth(ind.values[[index[trust] for trust in trusts]], config)
+    if not shared:
+        return shared, None, None
+    return (shared, Panel(ind.start_date, trusts, x_smooth),
+            Panel(adm.start_date, trusts, adm_smooth[shared]))
 
 
 def _smooth(values: np.ndarray, config: RunConfig) -> np.ndarray:
@@ -256,39 +244,41 @@ def _smooth(values: np.ndarray, config: RunConfig) -> np.ndarray:
                         config.loess_robustness_passes)
 
 
-def _linear_cells(config: RunConfig, pair: _Pair, window: tuple[date, date],
-                  method: str, horizon: int) -> _Cells:
-    """Cells of one min-max scaled method over the wave's overlap ``window``."""
-    x, y = pair.linear
-    x, y = x[:, pair.ind.day_slice(*window)], y[:, pair.adm.day_slice(*window)]
-    return (_ccf_cells(config, x, y) if method == "ccf"
+def _linear_cells(config: RunConfig, x: Panel, y: Panel, window: tuple[date, date],
+                  method: str, horizon: int) -> dict[str, np.ndarray]:
+    """Cells of one method over the wave's overlap ``window`` of the min-max
+    scaled panels ``x`` and ``y``."""
+    x, y = (p.values[:, p.day_slice(*window)] for p in (x, y))
+    return (_ccf_cells(config, x, y, horizon) if method == "ccf"
             else _granger_cells(config, x, y, horizon))
 
 
-def _granger_cells(config: RunConfig, x: np.ndarray, y: np.ndarray, horizon: int) -> _Cells:
+def _granger_cells(config: RunConfig, x: np.ndarray, y: np.ndarray,
+                   horizon: int) -> dict[str, np.ndarray]:
     res = granger_test_batch(x, y, config.granger_max_lag, horizon)
     # collinear rows read NaN in F and p already
-    return ({"f_stat": res.f_stat, "p_value": res.p_value,
-             "df_num": np.where(res.collinear, np.nan, res.df_num),
-             "df_den": np.where(res.collinear, np.nan, res.df_den),
-             "degenerate": res.collinear},
-            np.where(res.collinear, "collinear design", "").tolist())
+    return {"f_stat": res.f_stat, "p_value": res.p_value,
+            "df_num": np.where(res.collinear, np.nan, res.df_num),
+            "df_den": np.where(res.collinear, np.nan, res.df_den),
+            "degenerate": res.collinear,
+            "error": np.where(res.collinear, "collinear design", "")}
 
 
-def _ccf_cells(config: RunConfig, x: np.ndarray, y: np.ndarray) -> _Cells:
+def _ccf_cells(config: RunConfig, x: np.ndarray, y: np.ndarray,
+               horizon: int) -> dict[str, np.ndarray]:
     leads = np.arange(-config.ccf_window, config.ccf_window + 1)
     # the profile's leads, then the fixed horizon in the last column
-    values = ccf_at_leads(x, y, np.append(leads, config.horizon_days))
+    values = ccf_at_leads(x, y, np.append(leads, horizon))
     # a constant row reads NaN at every lead, so it has no optimal lead either
     zero = np.isnan(values[:, -1])
     lead, at_lead = optimal_leads(leads, values[:, :-1])
-    return ({"optimal_lead": lead, "ccf_at_optimal": at_lead,
-             "ccf_at_horizon": values[:, -1], "degenerate": zero},
-            np.where(zero, "zero variance", "").tolist())
+    return {"optimal_lead": lead, "ccf_at_optimal": at_lead,
+            "ccf_at_horizon": values[:, -1], "degenerate": zero,
+            "error": np.where(zero, "zero variance", "")}
 
 
-def _dtw_cells(config: RunConfig, pair: _Pair, wave: WaveSpec, window: tuple[date, date],
-               variable: str, dtw_paths: list[tuple] | None) -> _Cells:
+def _dtw_cells(config: RunConfig, x: Panel, y: Panel, wave: WaveSpec, window: tuple[date, date],
+               variable: str, dtw_paths: list[tuple] | None) -> dict[str, np.ndarray]:
     """Align indicator against admissions around one wave.
 
     The query is the wave's covered days, ``window``, after up to
@@ -303,13 +293,11 @@ def _dtw_cells(config: RunConfig, pair: _Pair, wave: WaveSpec, window: tuple[dat
     variance`` with no lead, distance or ``dtw_paths`` scope; a joint series
     with some such columns keeps its alignment. Either is flagged degenerate.
     """
-    k = len(pair.rows)
-    q_start = overlap(window[0] - timedelta(days=config.dtw_warmup_days), window[1],
-                      pair.ind, pair.adm)[0]
+    q_start = overlap(window[0] - timedelta(days=config.dtw_warmup_days), window[1], x, y)[0]
     univariate = config.dtw_mode == "univariate"
-    scopes = [pair.adm.geo_ids[row] for row in pair.rows] if univariate else ["all-trusts"]
-    q = zscore_scale(pair.x_smooth[:, pair.ind.day_slice(q_start, window[1])])
-    r = zscore_scale(pair.y_smooth[:, pair.adm.day_slice(
+    scopes = y.geo_ids if univariate else ["all-trusts"]
+    q = zscore_scale(x.values[:, x.day_slice(q_start, window[1])])
+    r = zscore_scale(y.values[:, y.day_slice(
         q_start, window[1] + timedelta(days=config.dtw_window))])
     # warm-up leads are not reported; the window's days are query columns [first:n]
     n, first = q.shape[1], (window[0] - q_start).days
@@ -328,14 +316,14 @@ def _dtw_cells(config: RunConfig, pair: _Pair, wave: WaveSpec, window: tuple[dat
     median = np.full(len(cost), np.nan)
     median[found] = row_median(match[found, first:].mean(axis=2) - np.arange(first, n))
     distance = np.where(found, cost / n, np.nan)  # normalized by the query length
-    error = np.where(zero, "zero variance", np.where(found, "", "no admissible path")).tolist()
     if dtw_paths is not None and found.any():
         days = [(q_start + timedelta(days=t)).isoformat() for t in range(r.shape[1])]
         dtw_paths.append((variable, wave.name,
                           [scope for scope, keep in zip(scopes, found.tolist()) if keep],
                           days, match[found]))
     columns = {"dtw_median_lead": median, "dtw_normalized_distance": distance,
-               "degenerate": flat}
+               "degenerate": flat,
+               "error": np.where(zero, "zero variance", np.where(found, "", "no admissible path"))}
     if univariate:
-        return columns, error
-    return {name: np.repeat(values, k) for name, values in columns.items()}, error * k
+        return columns
+    return {name: np.repeat(values, len(y.geo_ids)) for name, values in columns.items()}

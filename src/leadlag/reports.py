@@ -65,8 +65,8 @@ def _text_column(table: ResultTable, field: str, text: Callable[[str], str],
     through ``text`` as its repr: ``"inf"`` in JSON, ``inf`` in CSV.
     """
     n = len(table.trust_ids)
-    if field in ("trust_id", "error"):
-        return list(map(text, table.trust_ids if field == "trust_id" else table.error))
+    if field == "trust_id":
+        return list(map(text, table.trust_ids))
     values = table.columns.get(field)
     if values is None:  # a field of the whole table, or an absent column
         if field in _FLAGS:
@@ -75,6 +75,8 @@ def _text_column(table: ResultTable, field: str, text: Callable[[str], str],
         if value is None:
             return [absent] * n
         return [text(value) if isinstance(value, str) else repr(value)] * n
+    if values.dtype.kind in "UO":  # numpy text, or Python strings
+        return list(map(text, values.tolist()))
     if values.dtype == bool:
         return ["true" if v else "false" for v in values.tolist()]
     kind = int if field in _INTEGERS else float

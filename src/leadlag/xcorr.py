@@ -26,7 +26,7 @@ def ccf_at_leads(x, y, leads) -> np.ndarray:
     n = xv.shape[1]
     for lead in leads:
         if abs(lead) >= n - 2:
-            raise InsufficientDataError(f"delay {-lead} too large for series of length {n}")
+            raise InsufficientDataError(f"lead {lead} too large for series of length {n}")
     xc = xv - xv.mean(axis=1, keepdims=True)
     yc = yv - yv.mean(axis=1, keepdims=True)
     denom = np.sqrt(np.einsum("ij,ij->i", xc, xc)) * np.sqrt(np.einsum("ij,ij->i", yc, yc))

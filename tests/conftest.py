@@ -37,13 +37,14 @@ def records(tables) -> list[SimpleNamespace]:
     """
     out = []
     for table in tables:
+        columns = {name: values.tolist() for name, values in table.columns.items()}
         for k, trust in enumerate(table.trust_ids):
             record = dict(CELL_DEFAULTS, trust_id=trust, indicator=table.indicator,
                           wave=table.wave, method=table.method, horizon=table.horizon,
-                          provenance=table.provenance, error=table.error[k])
-            for name, values in table.columns.items():
-                value = values[k].item()
-                if values.dtype != bool:
+                          provenance=table.provenance)
+            for name, values in columns.items():
+                value = values[k]
+                if isinstance(value, float):
                     value = None if value != value else (
                         int(value) if name in INTEGER_FIELDS else value)
                 record[name] = value

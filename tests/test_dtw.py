@@ -10,6 +10,10 @@ from leadlag.errors import LeadLagError
 
 from oracles import OracleScaleError, brute_force_dtw, scalar_dtw
 
+# the recursion evaluates every production, also against the +inf slots of
+# rows before the first, and makes no unguarded inf or NaN arithmetic
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def align(x, y, window=35):
     """(cost, match) of the batch of one ``x`` onto ``y``."""

@@ -22,6 +22,9 @@ import pytest
 from leadlag.cli import main
 from leadlag.corpus import write_corpus
 
+# the end-to-end runs make no unguarded inf or NaN arithmetic
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 MODES = ("multivariate", "univariate")

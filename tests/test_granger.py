@@ -13,6 +13,10 @@ from leadlag import granger
 from leadlag.errors import InsufficientDataError, LeadLagError
 from leadlag.granger import _nested_fits, _upper_tail, granger_test_batch
 
+# the rank screen divides by a zero diagonal of R on exactly collinear rows,
+# and no such division goes unguarded
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def granger_one(x, y, **kw):
     """The F statistic, p-value and collinear flag of a batch of one."""

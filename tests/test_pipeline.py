@@ -290,7 +290,7 @@ def test_robust_loess_runs_end_to_end_and_names_its_passes(mode):
                          adm, indicators, None)
     assert robust and [t.method for t in robust] == [t.method for t in plain]
     for r, p in zip(robust, plain):
-        assert r.error == [""] * 3
+        assert r.columns["error"].tolist() == [""] * 3
         stats = [name for name, values in r.columns.items() if values.dtype == float]
         assert stats and all(np.isfinite(r.columns[name]).all() for name in stats)
         assert any(not np.array_equal(r.columns[name], p.columns[name]) for name in stats)
@@ -347,7 +347,7 @@ def test_dtw_path_records_one_per_batch_with_median_leads(mode):
     tables = run_analysis(study_config(dtw_mode=mode), adm, {"ind": early}, None,
                           methods=("dtw",), dtw_paths=paths)
     (w2,) = [table for table in tables if table.wave == "w2"]
-    assert set(w2.error) == {"no coverage in wave"}
+    assert set(w2.columns["error"].tolist()) == {"no coverage in wave"}
     (record,) = paths
     ind, wave, scopes, days, match = record
     assert (ind, wave) == ("ind", "w1")
@@ -424,8 +424,8 @@ def test_batch_mixing_degenerate_and_missing_trusts():
 def test_kernel_errors_become_rows():
     # a 20-day wave is too short for the horizon-14 Granger test and the
     # +-30-day CCF profile, and a 2-day wave without warm-up for DTW; T001's
-    # indicator is constant. A kernel error keeps no column in any table, so
-    # not even the flag
+    # indicator is constant. A kernel error keeps no column but the error in
+    # any table, so not even the flag
     adm, indicators = synth_inputs()
     ind = indicators["ind"]
     values = ind.values.copy()
@@ -442,7 +442,7 @@ def test_kernel_errors_become_rows():
 
     for wave in ("short", "tiny"):
         for method, error in (("granger14", "insufficient observations"),
-                              ("ccf", f"delay 30 too large for series of length "
+                              ("ccf", f"lead -30 too large for series of length "
                                       f"{20 if wave == 'short' else 2}")):
             got = cells(wave, method)
             assert [r.error for r in got] == [error] * 3
@@ -457,6 +457,34 @@ def test_kernel_errors_become_rows():
         assert row.error == "sequences must have length >= 4"
         assert not row.degenerate and not row.truncated
         assert row.dtw_median_lead is None and row.dtw_normalized_distance is None
+
+
+@pytest.mark.parametrize("mode", ["multivariate", "univariate"])
+def test_every_column_has_a_row_per_trust_of_one_kind(mode):
+    # the contract that spreading a pair's cells over every Trust relies on,
+    # over ok, degenerate, no-series, no-coverage, kernel-error and
+    # failed-preprocessing cells: every column is a float, bool or text array
+    # with a row per Trust, and every table has the error column
+    adm, indicators = synth_inputs()
+    ind = indicators["ind"]
+    values = ind.values[:2].copy()
+    values[1] = 3.0  # T001 constant; T002 has no series
+    tiny = WaveSpec("tiny", START + timedelta(days=170), START + timedelta(days=171))
+    inputs = {"mixed": Panel(ind.start_date, ("T000", "T001"), values),
+              "early": Panel(ind.start_date, ind.geo_ids,
+                             ind.values[:, ind.day_slice(START, WAVE1.end)]),
+              "short": Panel(ind.start_date, ind.geo_ids, ind.values[:, :20])}
+    tables = run_analysis(study_config(waves=(WAVE1, WAVE2, tiny), dtw_mode=mode),
+                          adm, inputs, None)
+    assert len(tables) == 3 * 3 * 4
+    for table in tables:
+        assert "error" in table.columns
+        for name, column in table.columns.items():
+            assert column.shape == (len(adm.geo_ids),), (table.method, name)
+            assert column.dtype.kind in "fbU", (table.method, name, column.dtype)
+    causes = {text.split(":")[0] for table in tables for text in table.columns["error"].tolist()}
+    assert causes >= {"", "zero variance", "no indicator series for trust", "no coverage in wave",
+                      "insufficient observations", "preprocessing failed"}
 
 
 @pytest.mark.parametrize("mode", ["multivariate", "univariate"])
@@ -564,7 +592,7 @@ def test_constant_trusts_get_no_multivariate_dtw_lead():
 @pytest.mark.parametrize("step", ["mapping", "smoothing"])
 def test_indicator_failing_preprocessing_keeps_only_the_flag(step):
     # like a kernel error's, every table of an indicator whose mapping or
-    # smoothing fails keeps no column but ``truncated``, and every Trust's row
+    # smoothing fails keeps no column but ``error`` and ``truncated``, and every Trust's row
     # names the failure; the other indicator's tables are untouched
     adm, indicators = synth_inputs()
     ind = indicators["ind"]
@@ -580,9 +608,9 @@ def test_indicator_failing_preprocessing_keeps_only_the_flag(step):
     failed = [table for table in tables if table.indicator == "bad"]
     assert len(failed) == 2 * 4  # waves x (granger, granger14, ccf, dtw)
     for table in failed:
-        assert list(table.columns) == ["truncated"]
+        assert list(table.columns) == ["error", "truncated"]
         assert table.columns["truncated"].tolist() == [truncated] * 3
-        assert table.error == [f"preprocessing failed: {text}"] * 3
+        assert table.columns["error"].tolist() == [f"preprocessing failed: {text}"] * 3
     assert records(t for t in tables if t.indicator == "good") == records(
         run_analysis(study_config(), adm, {"good": good}, identity_mapping()))
 

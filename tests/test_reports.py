@@ -20,7 +20,7 @@ def table(trust_id, indicator, wave, method, horizon=None, provenance="", error=
                               dtype=bool if CELL_DEFAULTS[name] is False else float)
                for name, value in cell.items()}
     return ResultTable((trust_id,), indicator, wave, method, horizon, provenance,
-                       columns, [error])
+                       dict(columns, error=np.array([error])))
 
 
 def row(**kw):

@@ -93,7 +93,7 @@ def test_constant_series_errors():
 
 def test_large_delay_errors():
     s = wave(10)
-    with pytest.raises(InsufficientDataError, match="delay -8 too large"):
+    with pytest.raises(InsufficientDataError, match="lead 8 too large"):
         ccf(s, s, [0, 8])
 
 
