@@ -14,6 +14,7 @@ mapping or smoothing fails.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -22,7 +23,7 @@ import numpy as np
 
 from .config import LatencySpec, RunConfig, WaveSpec
 from .dtw import dtw_align_batch
-from .errors import ConfigError, LeadLagError
+from .errors import ConfigError, InsufficientDataError, LeadLagError
 from .geo import GeoMapping, apply_mapping
 from .granger import granger_test_batch
 from .timeseries import Panel, loess_smooth, minmax_scale, overlap, row_median, zscore_scale
@@ -164,7 +165,7 @@ def run_analysis(
                            "error rows: %s", variable, exc)
             # a failure fills every Trust's row
             rows, x, y, failed = list(range(n)), None, None, f"preprocessing failed: {exc}"
-        linear = None  # the min-max scaled (x, y), made by the first linear method
+        linear = None  # the min-max scaled values of (x, y), made by the first linear method
         latency = config.latencies.get(variable)
 
         for wave in config.waves:
@@ -185,9 +186,10 @@ def run_analysis(
                     if method == "dtw":
                         cells = _dtw_cells(config, x, y, wave, window, variable, dtw_paths)
                     else:
-                        linear = linear or tuple(Panel(p.start_date, p.geo_ids,
-                                                       minmax_scale(p.values)) for p in (x, y))
-                        cells = _linear_cells(config, *linear, window, method, horizon)
+                        linear = linear or [minmax_scale(p.values) for p in (x, y)]
+                        xw, yw = (v[:, p.day_slice(*window)] for v, p in zip(linear, (x, y)))
+                        cells = (_ccf_cells if method == "ccf" else _granger_cells)(
+                            config, xw, yw, horizon)
                 except LeadLagError as exc:
                     cells = {"error": np.full(len(rows), str(exc))}
                 columns = _spread(rows, n, cells)
@@ -244,15 +246,6 @@ def _smooth(values: np.ndarray, config: RunConfig) -> np.ndarray:
                         config.loess_robustness_passes)
 
 
-def _linear_cells(config: RunConfig, x: Panel, y: Panel, window: tuple[date, date],
-                  method: str, horizon: int) -> dict[str, np.ndarray]:
-    """Cells of one method over the wave's overlap ``window`` of the min-max
-    scaled panels ``x`` and ``y``."""
-    x, y = (p.values[:, p.day_slice(*window)] for p in (x, y))
-    return (_ccf_cells(config, x, y, horizon) if method == "ccf"
-            else _granger_cells(config, x, y, horizon))
-
-
 def _granger_cells(config: RunConfig, x: np.ndarray, y: np.ndarray,
                    horizon: int) -> dict[str, np.ndarray]:
     res = granger_test_batch(x, y, config.granger_max_lag, horizon)
@@ -267,14 +260,16 @@ def _granger_cells(config: RunConfig, x: np.ndarray, y: np.ndarray,
 def _ccf_cells(config: RunConfig, x: np.ndarray, y: np.ndarray,
                horizon: int) -> dict[str, np.ndarray]:
     leads = np.arange(-config.ccf_window, config.ccf_window + 1)
-    # the profile's leads, then the fixed horizon in the last column
-    values = ccf_at_leads(x, y, np.append(leads, horizon))
+    values = ccf_at_leads(x, y, leads)
     # a constant row reads NaN at every lead, so it has no optimal lead either
-    zero = np.isnan(values[:, -1])
-    lead, at_lead = optimal_leads(leads, values[:, :-1])
-    return {"optimal_lead": lead, "ccf_at_optimal": at_lead,
-            "ccf_at_horizon": values[:, -1], "degenerate": zero,
-            "error": np.where(zero, "zero variance", "")}
+    zero = np.isnan(values[:, 0])
+    lead, at_lead = optimal_leads(leads, values)
+    cells = {"optimal_lead": lead, "ccf_at_optimal": at_lead, "degenerate": zero,
+             "error": np.where(zero, "zero variance", "")}
+    # a horizon the wave's window cannot hold leaves only that column out
+    with contextlib.suppress(InsufficientDataError):
+        cells["ccf_at_horizon"] = ccf_at_leads(x, y, [horizon])[:, 0]
+    return cells
 
 
 def _dtw_cells(config: RunConfig, x: Panel, y: Panel, wave: WaveSpec, window: tuple[date, date],

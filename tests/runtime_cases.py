@@ -47,13 +47,17 @@ def run(out, *options, status=0, env=None, **inputs):
 def derive(source, target, edit):
     """Write ``target``, a copy of the synth file ``source`` edited by ``edit``.
 
-    A config gains the line ``edit``: only a key the synth config lacks, as a
-    repeated key is a config error. A CSV keeps its header, and ``edit`` maps
-    each row to its new fields, or to None to drop it.
+    A config's ``edit`` is YAML text that starts with a top-level key: it
+    replaces the line that sets that key, or is appended where no line does.
+    A CSV keeps its header, and ``edit`` maps each row to its new fields, or
+    to None to drop it.
     """
     Path(target).parent.mkdir(exist_ok=True)
     if source.endswith(".yaml"):
-        Path(target).write_text(Path(source).read_text() + edit + "\n")
+        key = re.escape(edit.partition(":")[0])
+        text, found = re.subn(f"^{key}:.*$", lambda _: edit, Path(source).read_text(),
+                              count=1, flags=re.M)
+        Path(target).write_text(text if found else text + edit + "\n")
         return
     with open(source, newline="") as src, open(target, "w", newline="") as dst:
         reader, writer = csv.reader(src), csv.writer(dst, lineterminator="\n")
@@ -111,9 +115,28 @@ def robust_loess():
 
 
 def repeated_key():
-    derive("c/config.yaml", "c/config_repeated.yaml", "horizon_days: 7")
+    # the edit replaces the synth config's horizon_days line with two
+    derive("c/config.yaml", "c/config_repeated.yaml", "horizon_days: 14\nhorizon_days: 7")
     log = run("out_repeated", status=3, config="c/config_repeated.yaml")
     check("repeated key 'horizon_days'" in log, "the config error names no repeated key")
+
+
+def long_horizon():
+    # a 100-day horizon is longer than the corpus's 61-day waves: each ccf row
+    # reads as in default_run's, at the synth config's 14 days, but for the
+    # horizon and an empty ccf_at_horizon, and Granger at that horizon has too
+    # few observations
+    derive("c/config.yaml", "c/config_long.yaml", "horizon_days: 100")
+    run("out_long", "--methods", "granger,ccf", config="c/config_long.yaml")
+    long, short = rows("out_long", "ccf"), rows("out", "ccf")
+    check(long and len(long) == len(short), f"{len(long)} ccf rows at 100 days, {len(short)} at 14")
+    for row, at_14 in zip(long, short):
+        want = {**at_14, "horizon": "100", "ccf_at_horizon": ""}
+        differ = sorted(k for k in row if row[k] != want[k])
+        check(not differ, f"out_long/ccf.csv {row['trust_id']} {row['indicator']} "
+                          f"{row['wave']} differs from the 14-day row in {differ}")
+    errors = {row["error"] for row in rows("out_long", "granger", method="granger14")}
+    check(errors == {"insufficient observations"}, f"out_long granger14 rows read {errors}")
 
 
 def trust_level():
@@ -177,8 +200,8 @@ def constant_series():
 
 def main():
     derive(*CONFIGS, "dtw_mode: univariate")
-    for case in (default_run, univariate_dtw, robust_loess, repeated_key, trust_level,
-                 cut_inside_wave, cut_in_warmup, constant_series):
+    for case in (default_run, univariate_dtw, robust_loess, repeated_key, long_horizon,
+                 trust_level, cut_inside_wave, cut_in_warmup, constant_series):
         try:
             case()
         except Failed as exc:

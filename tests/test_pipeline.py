@@ -589,6 +589,28 @@ def test_constant_trusts_get_no_multivariate_dtw_lead():
         assert row.error == "" and row.degenerate and row.dtw_median_lead is not None
 
 
+def test_horizon_the_wave_cannot_hold_empties_only_ccf_at_horizon():
+    # a 200-day horizon is longer than either wave: each ccf row keeps the
+    # profile's lead, flags and error of the 14-day run and loses only its
+    # correlation at the horizon, while Granger at that horizon has no rows to fit
+    adm, indicators = synth_inputs()
+    tables = {h: run_analysis(study_config(horizon_days=h), adm, indicators, None)
+              for h in (14, 200)}
+    long_ccf = [table for table in tables[200] if table.method == "ccf"]
+    assert long_ccf and all("ccf_at_horizon" not in table.columns for table in long_ccf)
+    fields = ("trust_id", "wave", "optimal_lead", "ccf_at_optimal", "effective_lead",
+              "eroded", "degenerate", "error")
+
+    def ccf_rows(h):
+        return [tuple(getattr(r, f) for f in fields)
+                for r in records(tables[h]) if r.method == "ccf"]
+
+    assert ccf_rows(200) == ccf_rows(14)
+    assert all(lead is not None for _, _, lead, *_ in ccf_rows(200))
+    assert {r.error for r in records(tables[200]) if r.method == "granger14"} == {
+        "insufficient observations"}
+
+
 @pytest.mark.parametrize("step", ["mapping", "smoothing"])
 def test_indicator_failing_preprocessing_keeps_only_the_flag(step):
     # like a kernel error's, every table of an indicator whose mapping or

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from leadlag.config import LatencySpec, RunConfig, WaveSpec
 from leadlag.errors import InsufficientDataError, LeadLagError
-from leadlag.pipeline import effective_leads, run_analysis
+from leadlag.pipeline import _ccf_cells, effective_leads, run_analysis
 from leadlag.timeseries import minmax_scale
 from leadlag.xcorr import ccf_at_leads, optimal_leads
 
@@ -263,6 +263,42 @@ def test_horizon_white_noise_small():
     assert abs(at(x, y, 14)) < 0.25
 
 
+@st.composite
+def horizon_cases(draw):
+    """(x, y, ccf_window, horizon): rows of n days, constant ones among them, a
+    profile window the days hold, and a horizon inside that window, outside it,
+    or too long for the days."""
+    n = draw(st.integers(4, 40))
+    k = draw(st.integers(1, 4))
+    value = st.integers(0, 2) | st.floats(-10.0, 10.0)
+    x, y = (np.array(draw(st.lists(value, min_size=k * n, max_size=k * n)),
+                     dtype=float).reshape(k, n) for _ in range(2))
+    return x, y, draw(st.integers(1, n - 3)), draw(st.integers(0, n + 3))
+
+
+@given(horizon_cases())
+@example((np.vstack([wave(40), np.ones(40)]), np.vstack([wave(40, 30.0)] * 2), 30, 14))
+@example((wave(40)[None], wave(40, 30.0)[None], 5, 20))  # outside the window
+@example((wave(40)[None], wave(40, 30.0)[None], 30, 38))  # too long for the days
+def test_ccf_at_horizon_is_the_one_lead_call(case):
+    # inside the profile's window or not, the column is the one-lead call's to
+    # the bit, and absent where that call refuses the lead; every other column
+    # is the same at any horizon
+    x, y, window, horizon = case
+    config = RunConfig(waves=(WaveSpec("w", START, START + timedelta(days=1)),),
+                       ccf_window=window)
+    cells, at_zero = (_ccf_cells(config, x, y, h) for h in (horizon, 0))
+    try:
+        want = ccf_at_leads(x, y, [horizon])[:, 0]
+    except InsufficientDataError:
+        assert "ccf_at_horizon" not in cells
+    else:
+        assert cells.pop("ccf_at_horizon").tobytes() == want.tobytes()
+    del at_zero["ccf_at_horizon"]
+    assert cells.keys() == at_zero.keys()
+    assert all(cells[k].tobytes() == at_zero[k].tobytes() for k in cells)
+
+
 # ----------------------------------------------------------------- properties
 
 def test_bounded_by_one():
@@ -283,7 +319,7 @@ def test_affine_invariance_up_to_sign():
 
 
 def test_ccf_result_composition():
-    # the pipeline's call: the profile's leads, then the horizon, in one row
+    # a lead's column does not depend on the other leads of the call
     s = wave(80)
     leads = np.arange(-10, 11)
     out = ccf(s, s, np.append(leads, 5))
