@@ -44,8 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.add_argument("--methods", default=",".join(METHODS),
                      help="comma-separated subset of granger,ccf,dtw")
-    run.add_argument("--indicator-level", choices=("ltla", "trust"), default="ltla",
-                     help="geography level of the indicator CSVs")
     run.add_argument("--groupings", default=None,
                      help="optional group,member_variable CSV summing variables")
     run.add_argument("--export-dtw-paths", action="store_true",
@@ -90,12 +88,6 @@ def _run(args: argparse.Namespace) -> int:
 
     populations = read_population(args.population)
     trust_pop = weighted_population(mapping, populations)
-    if args.indicator_level == "trust":  # the indicators need no mapping
-        if overrides:  # still read above, so a bad file fails the run either way
-            unused = ", ".join(config.indicator_mappings[name] for name in sorted(overrides))
-            logger.warning("--indicator-level trust maps no indicator; indicator_mappings "
-                           "files read but not used: %s", unused)
-        mapping, overrides = None, {}
 
     dtw_paths: list[tuple] | None = [] if args.export_dtw_paths else None
     tables = run_analysis(config, admissions, indicators, mapping, overrides,

@@ -127,15 +127,16 @@ def run_analysis(
     ``all-trusts`` for the joint alignment), and ``match`` holds their
     (len(scopes), n, 2) rows of ``dtw_align_batch``'s lowest and highest
     matched reference index per query index, indices into ``days``, the
-    window's ISO dates. A batch with no such alignment adds no record. Each
-    indicator is mapped from LTLAs to trusts with ``overrides[variable]``
-    where given, else with ``mapping``; where that is None, the indicator is
-    at trust level already.
+    window's ISO dates. A batch with no such alignment adds no record. An
+    indicator is mapped to trusts with ``overrides[variable]`` where given,
+    else with ``mapping`` where any of its geo ids is an LTLA of ``mapping``;
+    otherwise (always where ``mapping`` is None) its ids are trust ids.
     """
     check_methods(methods)
     adm = filter_trusts(admissions, config)
     adm_smooth = _smooth(adm.values, config)
     n = len(adm.geo_ids)
+    ltlas = set(mapping.ltla_ids) if mapping is not None else set()
 
     passes = config.loess_robustness_passes
     loess = (f"locf+loess(span={config.loess_span:g},degree={config.loess_degree}"
@@ -157,9 +158,10 @@ def run_analysis(
     tables: list[ResultTable] = []
     for variable in sorted(indicators):
         ind = indicators[variable]
+        to_trusts = mapping if not ltlas.isdisjoint(ind.geo_ids) else None
         try:
             (rows, x, y), failed = _pair(config, variable, ind, adm, adm_smooth,
-                                         (overrides or {}).get(variable, mapping)), None
+                                         (overrides or {}).get(variable, to_trusts)), None
         except LeadLagError as exc:
             logger.warning("indicator %s failed preprocessing and is reported as "
                            "error rows: %s", variable, exc)
@@ -222,7 +224,8 @@ def _pair(config: RunConfig, variable: str, ind: Panel, adm: Panel, adm_smooth: 
           mapping: GeoMapping | None) -> tuple[list[int], Panel | None, Panel | None]:
     """Map an LTLA indicator to trusts (unless ``mapping`` is None, for a trust
     indicator) and smooth it: the admissions rows of the trusts it shares, then
-    its and their smoothed panels of those trusts, both None where it shares none."""
+    its and their smoothed panels of those trusts, both None where it shares
+    none, which is logged."""
     if mapping is not None:
         absent = sorted(set(mapping.ltla_ids) - set(ind.geo_ids))
         ind = apply_mapping(ind, mapping)
@@ -236,6 +239,7 @@ def _pair(config: RunConfig, variable: str, ind: Panel, adm: Panel, adm_smooth: 
     # fails preprocessing either way
     x_smooth = _smooth(ind.values[[index[trust] for trust in trusts]], config)
     if not shared:
+        logger.warning("indicator %s reaches no retained trust", variable)
         return shared, None, None
     return (shared, Panel(ind.start_date, trusts, x_smooth),
             Panel(adm.start_date, trusts, adm_smooth[shared]))

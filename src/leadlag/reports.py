@@ -37,7 +37,7 @@ _METHOD_FIELDS = {
                              "degenerate", "truncated", "provenance", "error"],
 }
 _METHOD_FILES = {"granger": ("granger", "granger14"), "ccf": ("ccf",), "dtw": ("dtw",)}
-_INTEGERS = ("horizon", "df_num", "df_den", "optimal_lead")
+_INTEGERS = ("df_num", "df_den", "optimal_lead")
 _FLAGS = ("eroded", "degenerate", "truncated")
 
 _SUMMARY_STATS = {  # method: its (column, summary label) pairs

@@ -140,13 +140,19 @@ def long_horizon():
 
 
 def trust_level():
+    # each indicator's own ids decide its level: Trust-id files, and a directory
+    # holding an LTLA ind00 next to a Trust-id ind01, reach every Trust
     for path in Path("c/indicators").glob("*.csv"):
         derive(str(path), f"c/trust_indicators/{path.name}",
                lambda row: [re.sub("^L", "T", row[0]), *row[1:]])
-    run("out_trust", "--indicator-level", "trust", indicators="c/trust_indicators")
-    failed = [row["error"] for row in rows("out_trust", "ccf")
-              if re.search("no indicator series|preprocessing failed", row["error"])]
-    check(not failed, f"trust-level indicators did not reach their trusts: {failed}")
+    shutil.copytree("c/trust_indicators", "c/mixed_indicators", dirs_exist_ok=True)
+    shutil.copy("c/indicators/ind00.csv", "c/mixed_indicators")
+    for out, indicators in (("out_trust", "c/trust_indicators"),
+                            ("out_mixed", "c/mixed_indicators")):
+        run(out, indicators=indicators)
+        failed = [row["error"] for row in rows(out, "ccf")
+                  if re.search("no indicator series|preprocessing failed", row["error"])]
+        check(not failed, f"{out}: indicators did not reach their trusts: {failed}")
 
 
 def cut_inside_wave():

@@ -4,6 +4,7 @@ import json
 import logging
 import os
 import re
+import shutil
 import subprocess
 import sys
 from datetime import date
@@ -490,6 +491,17 @@ def test_export_dtw_paths(corpus, tmp_path):
     assert (date.fromisoformat(r_date) - date.fromisoformat(q_date)).days == int(lead)
 
 
+def _as_trust_ids(indicators, out):
+    """Copy each indicator CSV to ``out`` with its LTLA ids L00i read as Trust ids T00i."""
+    out.mkdir()
+    for path in sorted(indicators.glob("*.csv")):
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        (out / path.name).write_text(
+            "".join([lines[0]] + [re.sub("^L", "T", line) for line in lines[1:]]),
+            encoding="utf-8")
+    return out
+
+
 @pytest.mark.parametrize("dtw_mode, fmt, extra", [
     ("multivariate", "csv", ("--export-dtw-paths",)),
     ("univariate", "csv", ("--export-dtw-paths",)),
@@ -497,40 +509,42 @@ def test_export_dtw_paths(corpus, tmp_path):
 ], ids=["multivariate-csv", "univariate-csv", "multivariate-json"])
 def test_trust_level_indicators_match_a_one_to_one_mapping(corpus, tmp_path, dtw_mode,
                                                            fmt, extra):
-    # the corpus's LTLA L00i becomes Trust T00i: read as trusts, or mapped one to one
+    # the corpus's LTLA L00i becomes Trust T00i: read as trusts, or mapped one to
+    # one; each indicator's own ids decide, so a directory may mix the two
     one_to_one = tmp_path / "mapping.csv"
     one_to_one.write_text("ltla_id,trust_id,admissions\n" + "".join(
         f"L{i:03d},T{i:03d},100\n" for i in range(5)))
-    trusts = tmp_path / "trust_indicators"
-    trusts.mkdir()
-    for path in sorted((corpus / "indicators").glob("*.csv")):
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        (trusts / path.name).write_text(
-            "".join([lines[0]] + [re.sub("^L", "T", line) for line in lines[1:]]),
-            encoding="utf-8")
+    trusts = _as_trust_ids(corpus / "indicators", tmp_path / "trust_indicators")
+    mixed = tmp_path / "mixed_indicators"
+    shutil.copytree(trusts, mixed)
+    shutil.copy(corpus / "indicators" / "ind00.csv", mixed)
     config = yaml.safe_load((corpus / "config.yaml").read_text())
     config["dtw_mode"] = dtw_mode
     config_path = tmp_path / "config.yaml"
     config_path.write_text(yaml.safe_dump(config))
     outs = {}
-    for level, indicators in (("ltla", corpus / "indicators"), ("trust", trusts)):
+    for level, indicators in (("ltla", corpus / "indicators"), ("trust", trusts),
+                              ("mixed", mixed)):
         outs[level] = tmp_path / level
-        args = run_args(corpus, outs[level], ("--format", fmt, "--indicator-level", level,
-                                              *extra))
+        args = run_args(corpus, outs[level], ("--format", fmt, *extra))
         for flag, value in (("--config", config_path), ("--mapping", one_to_one),
                             ("--indicators", indicators)):
             args[args.index(flag) + 1] = str(value)
         assert main(args) == 0
     names = sorted(p.name for p in outs["ltla"].iterdir())
-    assert names == sorted(p.name for p in outs["trust"].iterdir())
     assert f"dtw.{fmt}" in names and ("dtw_paths.csv" in names) == bool(extra)
-    for name in names:
-        assert (outs["trust"] / name).read_bytes() == (outs["ltla"] / name).read_bytes(), name
-    ccf = (outs["trust"] / f"ccf.{fmt}").read_bytes()
-    assert b"no indicator series" not in ccf and b"preprocessing failed" not in ccf
+    for level in ("trust", "mixed"):
+        assert names == sorted(p.name for p in outs[level].iterdir())
+        for name in names:
+            assert (outs[level] / name).read_bytes() == (outs["ltla"] / name).read_bytes(), \
+                (level, name)
+        ccf = (outs[level] / f"ccf.{fmt}").read_bytes()
+        assert b"no indicator series" not in ccf and b"preprocessing failed" not in ccf
 
 
-def test_trust_level_run_warns_of_unused_override_files(corpus, tmp_path, caplog):
+def test_override_files_map_their_indicators_whatever_the_ids(corpus, tmp_path, caplog):
+    # an indicator_mappings entry maps its indicator even where the ids are
+    # Trust ids, so such an indicator fails preprocessing; no file goes unused
     overrides = {"ind01": tmp_path / "a.csv", "ind00": tmp_path / "b.csv"}
     for override in overrides.values():
         override.write_bytes((corpus / "mapping.csv").read_bytes())
@@ -538,22 +552,31 @@ def test_trust_level_run_warns_of_unused_override_files(corpus, tmp_path, caplog
     config["indicator_mappings"] = {name: str(p) for name, p in overrides.items()}
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(config))
-    ltla, trust = (run_args(corpus, tmp_path / level, ("--methods", "ccf",
-                                                       "--indicator-level", level))
-                   for level in ("ltla", "trust"))
-    for args in (ltla, trust):
-        args[args.index("--config") + 1] = str(path)
-    with caplog.at_level(logging.WARNING, logger="leadlag.cli"):
-        assert main(ltla) == 0
-        assert not [r for r in caplog.records if r.name == "leadlag.cli"]
-        assert main(trust) == 0
-    warnings = [r.getMessage() for r in caplog.records
-                if r.name == "leadlag.cli" and r.levelno == logging.WARNING]
-    assert warnings == ["--indicator-level trust maps no indicator; indicator_mappings "
-                        f"files read but not used: {overrides['ind00']}, {overrides['ind01']}"]
-    # the files are still read, so a bad one still fails the run
+    trusts = _as_trust_ids(corpus / "indicators", tmp_path / "trust_indicators")
+    args = run_args(corpus, tmp_path / "out", ("--methods", "ccf"))
+    for flag, value in (("--config", path), ("--indicators", trusts)):
+        args[args.index(flag) + 1] = str(value)
+    with caplog.at_level(logging.WARNING):
+        assert main(args) == 0
+    assert not [r for r in caplog.records if r.name == "leadlag.cli"]
+    assert not [m for m in caplog.messages if "not used" in m]
+    with (tmp_path / "out" / "ccf.csv").open(newline="") as fh:
+        errors = {(row["indicator"], row["error"]) for row in csv.DictReader(fh)}
+    unknown = "preprocessing failed: panel geo ids unknown to mapping: T000, T001, T002, T003, T004"
+    # ind02 has no override, and none of its ids is an LTLA, so it is at Trust level
+    assert errors == {("ind00", unknown), ("ind01", unknown), ("ind02", "")}
+    # a bad override file still fails the run
     overrides["ind00"].write_text("ltla_id,trust_id,admissions\nL000,T000,0\n")
-    assert main(trust) == 4
+    assert main(args) == 4
+
+
+def test_unknown_option_exits_2(corpus, tmp_path, capsys):
+    # argparse's usage error, before any input is read
+    with pytest.raises(SystemExit) as exc:
+        main(run_args(corpus, tmp_path / "out", ("--indicator-level", "trust")))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --indicator-level trust" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _rename_in_csv(path, old, new):

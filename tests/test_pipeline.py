@@ -320,19 +320,26 @@ def test_mapping_ltlas_without_a_series_are_logged(caplog):
 
 
 @pytest.mark.parametrize("mode", ["multivariate", "univariate"])
-def test_indicator_sharing_no_trust_gets_no_series_rows(mode):
-    # no method runs on a batch of no rows, and DTW records nothing
+def test_indicator_sharing_no_trust_gets_no_series_rows(mode, caplog):
+    # no method runs on a batch of no rows, and DTW records nothing; with a
+    # mapping, ids that are neither its LTLAs nor Trusts are at Trust level too
     adm, indicators = synth_inputs()
     ind = indicators["ind"]
     elsewhere = Panel(ind.start_date, tuple(f"X{i:03d}" for i in range(3)), ind.values)
-    paths: list[tuple] = []
-    tables = run_analysis(study_config(dtw_mode=mode), adm, {**indicators, "elsewhere": elsewhere},
-                          None, dtw_paths=paths)
-    rows = [r for r in records(tables) if r.indicator == "elsewhere"]
-    assert {r.method for r in rows} == {"granger", "granger14", "ccf", "dtw"}
-    assert len(rows) == 4 * len(adm.geo_ids) * len(study_config().waves)
-    assert all(r.error == "no indicator series for trust" for r in rows)
-    assert paths and {record[0] for record in paths} == {"ind"}
+    for mapping in (None, identity_mapping()):
+        caplog.clear()
+        paths: list[tuple] = []
+        with caplog.at_level(logging.WARNING, logger="leadlag.pipeline"):
+            tables = run_analysis(study_config(dtw_mode=mode), adm,
+                                  {**indicators, "elsewhere": elsewhere}, mapping,
+                                  dtw_paths=paths)
+        assert "indicator elsewhere reaches no retained trust" in caplog.messages
+        assert not [m for m in caplog.messages if "failed preprocessing" in m]
+        rows = [r for r in records(tables) if r.indicator == "elsewhere"]
+        assert {r.method for r in rows} == {"granger", "granger14", "ccf", "dtw"}
+        assert len(rows) == 4 * len(adm.geo_ids) * len(study_config().waves)
+        assert all(r.error == "no indicator series for trust" for r in rows)
+        assert paths and {record[0] for record in paths} == {"ind"}
 
 
 @pytest.mark.parametrize("mode", ["multivariate", "univariate"])
