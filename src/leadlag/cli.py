@@ -74,13 +74,6 @@ def _run(args: argparse.Namespace) -> int:
     if args.groupings:
         indicators = apply_groupings(indicators, read_groupings(args.groupings))
     logger.info("indicators: %s", ", ".join(sorted(indicators)))
-    # a run may read a subset of the configured indicators, so a name that
-    # matches none is a likely misspelling, not an error
-    for key, entries in (("latency", config.latencies),
-                         ("indicator_mappings", config.indicator_mappings)):
-        stray = sorted(set(entries) - set(indicators))
-        if stray:
-            logger.warning("config %s names no indicator read: %s", key, ", ".join(stray))
 
     mapping = read_mapping(args.mapping)
     overrides = {variable: read_mapping(path)

@@ -118,20 +118,19 @@ def _as_number(value, kind=int):
     return kind(value)
 
 
-def _as_text(value, context: str = "") -> str:
+def _as_text(value, context: str) -> str:
     # str() would make YAML's null the name 'None' and its yes the name 'True';
-    # an entry of a table names itself, as its table would quote every entry
+    # an entry of a table or list names itself, as its key would quote every entry
     if value is None or isinstance(value, (bool, list, dict)):
-        if context:
-            raise ConfigError(f"{context}: invalid value {value!r}")
-        raise ValueError(f"not text: {value!r}")
+        raise ConfigError(f"{context}: invalid value {value!r}")
     return str(value)
 
 
 def _as_strings(value) -> tuple[str, ...]:
-    if not isinstance(value, list):  # a bare string would split into its characters
+    # null is no entries; a bare string would split into its characters
+    if not isinstance(value, (list, type(None))):
         raise TypeError(f"{value!r} is not a list")
-    return tuple(map(_as_text, value))
+    return tuple(_as_text(entry, "config trust_exclusions") for entry in value or ())
 
 
 def _as_cadence(value) -> int:
@@ -175,15 +174,19 @@ def _latency(name: str, entry) -> LatencySpec:
 
 
 # RunConfig field: (config key, parser of its YAML value, range rule as
-# (test, wording) or None); RunConfig checks each rule, load_config each parser
+# (test, wording) or None); RunConfig checks each rule, load_config each parser.
+# latency, indicator_mappings and trust_exclusions read a null (every entry
+# commented out) as empty, and fail their parser on any other value that is
+# not a table, or for trust_exclusions a list.
 _FIELDS = {
     "waves": ("waves", _waves, None),
     **{key: (key, _as_number, (lambda v: v >= 1, "must be >= 1")) for key in (
         "horizon_days", "granger_max_lag", "ccf_window", "dtw_window", "min_annual_admissions")},
     **{key: (key, _as_number, (lambda v: v >= 0, "must be >= 0")) for key in (
         "dtw_warmup_days", "loess_robustness_passes")},
-    "dtw_mode": ("dtw_mode", _as_text, (("multivariate", "univariate").__contains__,
-                                        "must be multivariate or univariate")),
+    "dtw_mode": ("dtw_mode", lambda v: _as_text(v, "config dtw_mode"),
+                 (("multivariate", "univariate").__contains__,
+                  "must be multivariate or univariate")),
     "loess_span": ("loess_span", lambda v: _as_number(v, float),
                    (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")),
     "loess_degree": ("loess_degree", _as_number, ((1, 2).__contains__, "must be 1 or 2")),
@@ -192,10 +195,11 @@ _FIELDS = {
        for key in ("admissions_filter_start", "admissions_filter_end")},
     "latencies": ("latency", lambda v: {
         _as_text(name, "config latency name"): _latency(name, entry)
-        for name, entry in (v or {}).items()}, None),
+        for name, entry in ({} if v is None else v).items()}, None),
     "indicator_mappings": ("indicator_mappings", lambda v: {
         _as_text(k, "config indicator_mappings name"):
-        _as_text(path, f"config indicator_mappings {k}") for k, path in v.items()}, None),
+        _as_text(path, f"config indicator_mappings {k}")
+        for k, path in ({} if v is None else v).items()}, None),
 }
 
 

@@ -7,15 +7,12 @@ panels (and populations) to Trust level by weighted sum.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import MappingError
 from .timeseries import Panel
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -41,7 +38,8 @@ def build_mapping(records: list[tuple[str, str, float]]) -> GeoMapping:
     """Build row-normalized LTLA->Trust weights from (ltla, trust, count) records.
 
     Counts for the same pair accumulate in record order. LTLAs whose total
-    count is zero get an all-zero row and are logged rather than dropped.
+    count is zero get an all-zero row rather than being dropped;
+    ``read_mapping`` names them in a warning.
     """
     if not records:
         raise MappingError("no mapping records")
@@ -57,14 +55,7 @@ def build_mapping(records: list[tuple[str, str, float]]) -> GeoMapping:
     totals = mat.sum(axis=1)
     if not (totals > 0).any():
         raise MappingError("all mapping records have zero counts")
-    zero_rows = totals == 0
-    safe = np.where(zero_rows, 1.0, totals)
-    mat = mat / safe[:, None]
-    zero_ltlas = [l for l, z in zip(ltla_ids, zero_rows) if z]
-    if zero_ltlas:
-        logger.warning("mapping has %d LTLA(s) with no admissions: %s",
-                       len(zero_ltlas), ", ".join(zero_ltlas))
-    return GeoMapping(ltla_ids, trust_ids, mat)
+    return GeoMapping(ltla_ids, trust_ids, mat / np.where(totals == 0, 1.0, totals)[:, None])
 
 
 def apply_mapping(panel: Panel, mapping: GeoMapping) -> Panel:

@@ -337,11 +337,17 @@ def _number_checks(cols: _Columns, what: str, field: int) -> _Checks:
 
 
 def read_mapping(path: str | Path) -> GeoMapping:
-    """LTLA->Trust mapping from ``ltla_id,trust_id,admissions`` count rows."""
+    """LTLA->Trust mapping from ``ltla_id,trust_id,admissions`` count rows; a
+    warning names the file and its LTLAs whose counts are all zero (zero weights)."""
     cols = _scan(path, ["ltla_id", "trust_id", "admissions"], number=2)
     _check(cols, _number_checks(cols, "count", 2))
     ltlas, trusts = (map(cols.names[i].__getitem__, cols.codes[i].tolist()) for i in (0, 1))
-    return build_mapping(list(zip(ltlas, trusts, cols.numbers.tolist())))
+    mapping = build_mapping(list(zip(ltlas, trusts, cols.numbers.tolist())))
+    zero = [l for l, used in zip(mapping.ltla_ids, mapping.weights.any(axis=1)) if not used]
+    if zero:
+        logger.warning("mapping %s has %d LTLA(s) with no admissions: %s",
+                       path, len(zero), ", ".join(zero))
+    return mapping
 
 
 def read_population(path: str | Path) -> dict[str, float]:

@@ -59,15 +59,12 @@ def filter_trusts(panel: Panel, config: RunConfig) -> Panel:
 
     The threshold window is configurable; a trust is kept when its total
     within the window is at least ``min_annual_admissions`` (strictly
-    "fewer than" are removed). An excluded id that names no trust is logged.
+    "fewer than" are removed).
     """
     window = overlap(config.admissions_filter_start, config.admissions_filter_end, panel)
     totals = (np.zeros(len(panel.geo_ids)) if window is None
               else panel.values[:, panel.day_slice(*window)].sum(axis=1))
     excluded = set(config.trust_exclusions)
-    unknown = sorted(excluded - set(panel.geo_ids))
-    if unknown:
-        logger.warning("config trust_exclusions names no admissions trust: %s", ", ".join(unknown))
     kept: list[int] = []
     removed: list[str] = []
     for i, (trust, total) in enumerate(zip(panel.geo_ids, totals)):
@@ -130,9 +127,19 @@ def run_analysis(
     window's ISO dates. A batch with no such alignment adds no record. An
     indicator is mapped to trusts with ``overrides[variable]`` where given,
     else with ``mapping`` where any of its geo ids is an LTLA of ``mapping``;
-    otherwise (always where ``mapping`` is None) its ids are trust ids.
+    otherwise (always where ``mapping`` is None) its ids are trust ids. A
+    config name that matches no trust or indicator read is logged.
     """
     check_methods(methods)
+    # a run may read a subset of the configured trusts and indicators, so a
+    # name that matches none is a likely misspelling, not an error
+    for key, names, read, noun in (
+            ("trust_exclusions", config.trust_exclusions, admissions.geo_ids, "admissions trust"),
+            ("latency", config.latencies, indicators, "indicator read"),
+            ("indicator_mappings", config.indicator_mappings, indicators, "indicator read")):
+        stray = sorted(set(names) - set(read))
+        if stray:
+            logger.warning("config %s names no %s: %s", key, noun, ", ".join(stray))
     adm = filter_trusts(admissions, config)
     adm_smooth = _smooth(adm.values, config)
     n = len(adm.geo_ids)

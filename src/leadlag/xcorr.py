@@ -32,10 +32,8 @@ def ccf_at_leads(x, y, leads) -> np.ndarray:
     denom = np.sqrt(np.einsum("ij,ij->i", xc, xc)) * np.sqrt(np.einsum("ij,ij->i", yc, yc))
     out = np.empty((xc.shape[0], len(leads)))
     for k, lead in enumerate(leads):
-        if lead >= 0:
-            out[:, k] = np.einsum("ij,ij->i", xc[:, : n - lead], yc[:, lead:])
-        else:
-            out[:, k] = np.einsum("ij,ij->i", xc[:, -lead:], yc[:, : n + lead])
+        a, b = max(lead, 0), max(-lead, 0)  # the overlap of x_t and y_{t+lead}
+        out[:, k] = np.einsum("ij,ij->i", xc[:, b : n - a], yc[:, a : n - b])
     zero = (xv.max(axis=1) == xv.min(axis=1)) | (yv.max(axis=1) == yv.min(axis=1))
     out /= np.where(zero, 1.0, denom)[:, None]
     out[zero] = np.nan

@@ -125,9 +125,19 @@ def long_horizon():
     # a 100-day horizon is longer than the corpus's 61-day waves: each ccf row
     # reads as in default_run's, at the synth config's 14 days, but for the
     # horizon and an empty ccf_at_horizon, and Granger at that horizon has too
-    # few observations
-    derive("c/config.yaml", "c/config_long.yaml", "horizon_days: 100")
-    run("out_long", "--methods", "granger,ccf", config="c/config_long.yaml")
+    # few observations. The edit, which replaces the synth config's
+    # horizon_days line, also excludes a Trust and maps an indicator that the
+    # run does not read, the latter with a file whose L000 has no admissions:
+    # each is a warning in the log, and no row changes
+    derive("c/mapping.csv", "c/mapping_zero.csv",
+           lambda row: [*row[:2], "0"] if row[0] == "L000" else row)
+    derive("c/config.yaml", "c/config_long.yaml", "horizon_days: 100\n"
+           "trust_exclusions: [T999]\nindicator_mappings: {ind9: c/mapping_zero.csv}")
+    log = run("out_long", "--methods", "granger,ccf", config="c/config_long.yaml")
+    for warning in ("config trust_exclusions names no admissions trust: T999",
+                    "config indicator_mappings names no indicator read: ind9",
+                    "mapping c/mapping_zero.csv has 1 LTLA(s) with no admissions: L000"):
+        check(warning in log, f"out_long logged no {warning!r}")
     long, short = rows("out_long", "ccf"), rows("out", "ccf")
     check(long and len(long) == len(short), f"{len(long)} ccf rows at 100 days, {len(short)} at 14")
     for row, at_14 in zip(long, short):

@@ -234,10 +234,10 @@ def test_config_names_no_indicator_read_warns(corpus, tmp_path, caplog):
     path.write_text(yaml.safe_dump(config))
     args = run_args(corpus, tmp_path / "out", ("--methods", "ccf"))
     args[args.index("--config") + 1] = str(path)
-    with caplog.at_level(logging.WARNING, logger="leadlag.cli"):
+    with caplog.at_level(logging.WARNING, logger="leadlag.pipeline"):
         assert main(args) == 0
     warnings = [r.getMessage() for r in caplog.records
-                if r.name == "leadlag.cli" and r.levelno == logging.WARNING]
+                if r.name == "leadlag.pipeline" and r.levelno == logging.WARNING]
     assert warnings == ["config latency names no indicator read: ind0",
                         "config indicator_mappings names no indicator read: ind9"]
     with (tmp_path / "out" / "ccf.csv").open(newline="", encoding="utf-8") as fh:
@@ -299,8 +299,8 @@ def test_config_names_no_indicator_read_warns(corpus, tmp_path, caplog):
     ("indicator_mappings: {ind00: null}", "config indicator_mappings ind00: invalid value None"),
     ("indicator_mappings: {ind00: [a.csv]}",
      "config indicator_mappings ind00: invalid value ['a.csv']"),
-    ("trust_exclusions: [null]", "config trust_exclusions: invalid value [None]"),
-    ("trust_exclusions: [yes]", "config trust_exclusions: invalid value [True]"),
+    ("trust_exclusions: [null]", "config trust_exclusions: invalid value None"),
+    ("trust_exclusions: [yes]", "config trust_exclusions: invalid value True"),
     ("waves: [{name: null, start: 2021-11-01, end: 2021-11-30}]",
      "wave name: invalid value None"),
     ("dtw_mode: null", "config dtw_mode: invalid value None"),
@@ -309,6 +309,11 @@ def test_config_names_no_indicator_read_warns(corpus, tmp_path, caplog):
      "config latency name: invalid value None"),
     ("indicator_mappings: {null: m.csv, ind00: a.csv}",
      "config indicator_mappings name: invalid value None"),
+    ("trust_exclusions: [T001, null]", "config trust_exclusions: invalid value None"),
+    # only null reads as an empty table; a false, a list or a number is refused
+    ("latency: false", "config latency: invalid value False"),
+    ("latency: []", "config latency: invalid value []"),
+    ("latency: 0", "config latency: invalid value 0"),
 ], ids=["empty-waves", "horizon-text", "span-list", "latency-number", "mappings-list",
         "exclusions-string", "horizon-fraction", "horizon-bool", "window-inf", "span-bool",
         "latency-fraction", "latency-null", "latency-bool", "cadence-list", "degree-3", "span-above-1", "passes-negative",
@@ -319,7 +324,8 @@ def test_config_names_no_indicator_read_warns(corpus, tmp_path, caplog):
         "filter-start-timestamp", "wave-start-timestamp", "wave-names-repeat",
         "filter-window-inverted", "mapping-null", "mapping-list", "exclusion-null",
         "exclusion-bool", "wave-name-null", "dtw-mode-null", "latency-name-null",
-        "mapping-name-null"])
+        "mapping-name-null", "exclusion-null-beside-valid", "latency-false", "latency-list",
+        "latency-zero"])
 def test_bad_config_exits_config(corpus, tmp_path, capsys, entry, key):
     # one bad entry in an otherwise valid config
     config = yaml.safe_load((corpus / "config.yaml").read_text())
@@ -334,6 +340,8 @@ def test_bad_config_exits_config(corpus, tmp_path, capsys, entry, key):
     assert key in err
     if "null:" in entry:  # a null name: the valid ind00 entry beside it is not quoted
         assert "ind00" not in err
+    if "T001, null" in entry:  # nor is the valid exclusion beside a null one
+        assert "T001" not in err
 
 
 # a value out of range for each field that has a range rule
@@ -692,6 +700,17 @@ def test_whole_numbers_in_config_load(tmp_path):
     assert config.loess_span == 1.0 and type(config.loess_span) is float
     assert config.trust_exclusions == ("T001", "7")
     assert config.latencies["ind00"] == LatencySpec(2, 7)
+
+
+def test_empty_table_and_list_keys_load_empty(tmp_path):
+    # every entry commented out leaves each key null
+    path = tmp_path / "config.yaml"
+    path.write_text("waves: [{name: w, start: 2022-01-01, end: 2022-03-01}]\n"
+                    "latency:\n#  ind00: {reporting_lag_days: 2}\n"
+                    "indicator_mappings:\n#  ind00: m.csv\n"
+                    "trust_exclusions:\n#  - T001\n")
+    config = load_config(path)
+    assert (config.latencies, config.indicator_mappings, config.trust_exclusions) == ({}, {}, ())
 
 
 def test_shipped_example_config_loads():

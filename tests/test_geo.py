@@ -1,5 +1,3 @@
-import logging
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,12 +28,6 @@ def test_build_mapping_zero_row_flagged():
     m = build_mapping([("A", "T1", 5), ("C", "T1", 0)])
     assert [l for l, w in zip(m.ltla_ids, m.weights) if not w.any()] == ["C"]
     assert weights(m, "C").tolist() == [0.0]
-
-
-def test_build_mapping_logs_zero_rows(caplog):
-    with caplog.at_level(logging.WARNING, logger="leadlag.geo"):
-        build_mapping([("C", "T1", 0), ("A", "T1", 5), ("B", "T2", 0)])
-    assert caplog.messages == ["mapping has 2 LTLA(s) with no admissions: B, C"]
 
 
 def test_build_mapping_negative_count_errors():

@@ -1,9 +1,11 @@
+import logging
 import tracemalloc
 
 import pytest
 
 from leadlag.corpus import write_corpus
 from leadlag.errors import SchemaError
+from leadlag.geo import build_mapping
 from leadlag.ingest import (
     apply_groupings,
     read_admissions,
@@ -138,6 +140,20 @@ def test_read_mapping(tmp_path):
                  "ltla_id,trust_id,admissions\nL1,T1,60\nL1,T2,40\n")
     m = read_mapping(path)
     assert m.weights.tolist() == [[0.6, 0.4]]
+
+
+def test_read_mapping_names_the_file_of_zero_count_ltlas(tmp_path, caplog):
+    # the reader, which knows the file, warns; building from the records does not
+    records = [("C", "T1", 0), ("A", "T1", 5), ("B", "T2", 0)]
+    path = write(tmp_path, "map.csv", "ltla_id,trust_id,admissions\n"
+                 + "".join(f"{l},{t},{n}\n" for l, t, n in records))
+    with caplog.at_level(logging.WARNING, logger="leadlag"):
+        m = read_mapping(path)
+    assert caplog.messages == [f"mapping {path} has 2 LTLA(s) with no admissions: B, C"]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="leadlag"):
+        assert build_mapping(records).weights.tolist() == m.weights.tolist()
+    assert caplog.messages == []
 
 
 def test_read_population(tmp_path):

@@ -91,16 +91,6 @@ def test_filter_applies_exclusion_list():
     assert filter_trusts(panel, config).geo_ids == ("A",)
 
 
-def test_filter_warns_of_exclusions_that_name_no_trust(caplog):
-    panel = _admissions_panel({"A": 100, "B": 100})
-    config = study_config(trust_exclusions=("Z1", "B", "T999"),
-                          admissions_filter_start=date(2022, 1, 1),
-                          admissions_filter_end=date(2022, 12, 31))
-    with caplog.at_level(logging.WARNING, logger="leadlag.pipeline"):
-        assert filter_trusts(panel, config).geo_ids == ("A",)
-    assert "config trust_exclusions names no admissions trust: T999, Z1" in caplog.messages
-
-
 def test_filter_all_removed_errors():
     panel = _admissions_panel({"A": 1})
     config = study_config(admissions_filter_start=date(2022, 1, 1),
@@ -137,6 +127,26 @@ def test_effective_lead_negative_stays_below_statistical():
 
 
 # -------------------------------------------------------------- run_analysis
+
+def test_run_warns_of_config_names_that_match_nothing_read(caplog):
+    # a library caller is warned as the command line is: an exclusion that
+    # names no admissions trust, then a latency or mapping override that
+    # names no indicator
+    adm, indicators = synth_inputs()
+    excluded = adm.geo_ids[1]
+    config = study_config(trust_exclusions=("Z1", excluded, "T999"),
+                          latencies={"ind": LatencySpec(1), "ind0": LatencySpec(2)},
+                          indicator_mappings={"ind9": "mapping.csv"})
+    with caplog.at_level(logging.WARNING, logger="leadlag.pipeline"):
+        tables = run_analysis(config, adm, indicators, None, methods=("ccf",))
+    assert excluded not in tables[0].trust_ids and len(tables[0].trust_ids) == 2
+    warnings = [r.getMessage() for r in caplog.records
+                if r.name == "leadlag.pipeline" and r.levelno == logging.WARNING]
+    assert warnings == ["config trust_exclusions names no admissions trust: T999, Z1",
+                        "config latency names no indicator read: ind0",
+                        "config indicator_mappings names no indicator read: ind9",
+                        f"filter_trusts removed 1 trust(s): {excluded} (excluded)"]
+
 
 def test_recovers_injected_lead_in_ccf_rows():
     adm, indicators = synth_inputs(lead=10)
