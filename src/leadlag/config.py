@@ -60,6 +60,11 @@ class RunConfig:
     indicator_mappings: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name, (key, parse, _) in _FIELDS.items():
+            try:
+                object.__setattr__(self, name, parse(getattr(self, name)))
+            except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"config {key}: invalid value {getattr(self, name)!r}") from exc
         if not self.waves:
             raise ConfigError("at least one wave must be configured")
         if len({w.name for w in self.waves}) < len(self.waves):
@@ -128,7 +133,7 @@ def _as_text(value, context: str) -> str:
 
 def _as_strings(value) -> tuple[str, ...]:
     # null is no entries; a bare string would split into its characters
-    if not isinstance(value, (list, type(None))):
+    if not isinstance(value, (list, tuple, type(None))):
         raise TypeError(f"{value!r} is not a list")
     return tuple(_as_text(entry, "config trust_exclusions") for entry in value or ())
 
@@ -150,6 +155,7 @@ def _check_keys(raw: dict, known, context: str) -> None:
 
 def _waves(value) -> tuple[WaveSpec, ...]:
     try:
+        value = [vars(w) if isinstance(w, WaveSpec) else w for w in value]
         for entry in value:
             _check_keys(entry, ("name", "start", "end"), "config waves")
         return tuple(WaveSpec(_as_text(w["name"], "wave name"), _as_date(w["start"], "wave start"),
@@ -161,6 +167,9 @@ def _waves(value) -> tuple[WaveSpec, ...]:
 def _latency(name: str, entry) -> LatencySpec:
     context = f"config latency {name}"
     invalid = ConfigError(f"{context}: invalid value {entry!r}")
+    if isinstance(entry, LatencySpec):  # read as the table that states it
+        entry = {"reporting_lag_days": entry.reporting_lag_days,
+                 "release_cadence": entry.release_cadence_days}
     if not isinstance(entry, dict):
         raise invalid
     _check_keys(entry, ("reporting_lag_days", "release_cadence"), context)
@@ -173,8 +182,9 @@ def _latency(name: str, entry) -> LatencySpec:
         raise ConfigError(f"{context}: {exc}") from None
 
 
-# RunConfig field: (config key, parser of its YAML value, range rule as
-# (test, wording) or None); RunConfig checks each rule, load_config each parser.
+# RunConfig field: (config key, parser of its value, range rule as (test,
+# wording) or None). RunConfig runs each parser, on a YAML value or a Python
+# one alike, and then each rule; a parser takes its own output back.
 # latency, indicator_mappings and trust_exclusions read a null (every entry
 # commented out) as empty, and fail their parser on any other value that is
 # not a table, or for trust_exclusions a list.
@@ -204,7 +214,7 @@ _FIELDS = {
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Parse a YAML run configuration file."""
+    """Read a YAML run configuration file; RunConfig parses each value."""
     try:
         raw = yaml.load(Path(path).read_text(encoding="utf-8"), _Loader)
     except OSError as exc:
@@ -214,12 +224,4 @@ def load_config(path: str | Path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a mapping")
     _check_keys(raw, {key for key, _, _ in _FIELDS.values()}, f"config {path}")
-
-    kwargs = {}
-    for name, (key, parse, _) in _FIELDS.items():
-        if key in raw:
-            try:
-                kwargs[name] = parse(raw[key])
-            except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"config {key}: invalid value {raw[key]!r}") from exc
-    return RunConfig(**kwargs)
+    return RunConfig(**{name: raw[key] for name, (key, _, _) in _FIELDS.items() if key in raw})

@@ -22,6 +22,8 @@ class GeoMapping:
     weights: np.ndarray = field(repr=False)  # shape (n_ltla, n_trust)
 
     def __post_init__(self) -> None:
+        if any(list(ids) != sorted(set(ids)) for ids in (self.ltla_ids, self.trust_ids)):
+            raise MappingError("mapping LTLA and Trust ids must be unique and sorted")
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (len(self.ltla_ids), len(self.trust_ids)):
             raise MappingError(

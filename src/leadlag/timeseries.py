@@ -35,12 +35,10 @@ class Panel:
             raise LeadLagError("panel has no series")
         if list(geo_ids) != sorted(set(geo_ids)):
             raise LeadLagError("panel geo ids must be unique and sorted")
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != len(geo_ids):
+        v = _rows(self.values, "panel", complete=False)
+        if v.shape[0] != len(geo_ids):
             raise LeadLagError(
                 f"values of shape {v.shape} misaligned with {len(geo_ids)} geo ids")
-        if v.shape[1] < 1:
-            raise LeadLagError("empty series")
         v.flags.writeable = False
         object.__setattr__(self, "geo_ids", geo_ids)
         object.__setattr__(self, "values", v)
@@ -83,13 +81,9 @@ def _rows(values, op: str, complete: bool = True) -> np.ndarray:
 
 
 def _row_pair(x, y, op: str) -> tuple[np.ndarray, np.ndarray]:
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    if xv.shape != yv.shape or xv.ndim != 2:
+    if np.shape(x) != np.shape(y) or np.ndim(x) != 2:
         raise LeadLagError("x and y must be aligned (same shape, one series per row)")
-    if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
-        raise LeadLagError(f"{op} requires complete, finite series")
-    return xv, yv
+    return _rows(x, op), _rows(y, op)
 
 
 def locf_impute(values) -> np.ndarray:

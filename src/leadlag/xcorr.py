@@ -18,9 +18,9 @@ def ccf_at_leads(x, y, leads) -> np.ndarray:
     """Correlation of each row of ``x`` with the same row of ``y`` at each lead.
 
     ``x`` and ``y`` are complete (rows, days) arrays. Returns a (rows, leads)
-    array. A row whose ``x`` or ``y`` is constant reads NaN at every lead:
-    constant means that its maximum equals its minimum, as an inexact mean
-    leaves such a row a tiny nonzero sum of squares.
+    array. A row whose ``x`` or ``y`` is constant, or whose sum of squares
+    underflows to zero, reads NaN at every lead. Constant means max = min:
+    an inexact mean leaves a constant row a tiny nonzero sum of squares.
     """
     xv, yv = _row_pair(x, y, "cross-correlation")
     n = xv.shape[1]
@@ -34,7 +34,7 @@ def ccf_at_leads(x, y, leads) -> np.ndarray:
     for k, lead in enumerate(leads):
         a, b = max(lead, 0), max(-lead, 0)  # the overlap of x_t and y_{t+lead}
         out[:, k] = np.einsum("ij,ij->i", xc[:, b : n - a], yc[:, a : n - b])
-    zero = (xv.max(axis=1) == xv.min(axis=1)) | (yv.max(axis=1) == yv.min(axis=1))
+    zero = (xv.max(axis=1) == xv.min(axis=1)) | (yv.max(axis=1) == yv.min(axis=1)) | (denom == 0)
     out /= np.where(zero, 1.0, denom)[:, None]
     out[zero] = np.nan
     return out

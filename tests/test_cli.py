@@ -7,7 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
-from datetime import date
+from datetime import date, datetime
 from pathlib import Path
 
 import pytest
@@ -353,6 +353,7 @@ OUT_OF_RANGE = {"horizon_days": 0, "granger_max_lag": 0, "ccf_window": 0, "dtw_w
 def test_every_run_config_field_has_one_row():
     assert set(_FIELDS) == {f.name for f in dataclasses.fields(RunConfig)}
     assert set(OUT_OF_RANGE) == {name for name, (_, _, rule) in _FIELDS.items() if rule}
+    assert set(WRONG_TYPE) == set(_FIELDS)
 
 
 @pytest.mark.parametrize("name, value", OUT_OF_RANGE.items(), ids=list(OUT_OF_RANGE))
@@ -366,6 +367,42 @@ def test_run_config_applies_the_range_rules_of_load_config(corpus, tmp_path, nam
         RunConfig(waves=load_config(corpus / "config.yaml").waves, **{name: value})
     assert str(built.value) == str(loaded.value)
     assert str(built.value).startswith(f"{name} must be ")
+
+
+# a value of the wrong type for each field, which YAML can write as well as a
+# Python caller
+WRONG_TYPE = {"waves": [{"name": "w", "start": date(2021, 11, 1)}], "horizon_days": True,
+              "granger_max_lag": 14.5, "ccf_window": None, "dtw_window": [35],
+              "dtw_warmup_days": 1.5, "dtw_mode": True, "loess_span": True,
+              "loess_degree": True, "loess_robustness_passes": "one",
+              "trust_exclusions": "T001", "min_annual_admissions": 14.5,
+              "admissions_filter_start": datetime(2022, 1, 1, 10, 0),
+              "admissions_filter_end": datetime(2022, 12, 31),
+              "latencies": {"ind00": {"reporting_lag_days": True}},
+              "indicator_mappings": {"ind00": None}}
+
+
+@pytest.mark.parametrize("name, value", WRONG_TYPE.items(), ids=list(WRONG_TYPE))
+def test_run_config_parses_each_value_as_load_config_does(corpus, tmp_path, name, value):
+    key = _FIELDS[name][0]
+    config = yaml.safe_load((corpus / "config.yaml").read_text())
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({**config, key: value}))
+    with pytest.raises(ConfigError) as loaded:
+        load_config(path)
+    with pytest.raises(ConfigError) as built:  # a library caller's RunConfig
+        RunConfig(**{"waves": load_config(corpus / "config.yaml").waves, name: value})
+    assert str(built.value) == str(loaded.value)
+
+
+def test_python_values_are_read_as_their_yaml_forms(corpus):
+    # a parser takes its own output back, and a list or a Path as YAML's forms
+    config = load_config(corpus / "config.yaml")
+    assert dataclasses.replace(config) == config
+    listed = dataclasses.replace(config, waves=list(config.waves), trust_exclusions=["T001"],
+                                 indicator_mappings={"ind00": Path("m.csv")})
+    assert listed == dataclasses.replace(config, trust_exclusions=("T001",),
+                                         indicator_mappings={"ind00": "m.csv"})
 
 
 @pytest.mark.parametrize("content, message", [

@@ -60,6 +60,19 @@ def test_mapping_rejects_bad_weights(weights, message):
         GeoMapping(("A", "B"), ("T1", "T2"), weights)
 
 
+@pytest.mark.parametrize("ltla_ids, trust_ids", [
+    (("L1", "L1"), ("T1",)),
+    (("L2", "L1"), ("T1",)),
+    (("L1",), ("T2", "T1")),
+    (("L1",), ("T1", "T1")),
+], ids=["ltla-repeated", "ltla-unsorted", "trust-unsorted", "trust-repeated"])
+def test_mapping_ids_must_be_unique_and_sorted(ltla_ids, trust_ids):
+    # a repeated LTLA would count its population twice; unsorted Trusts would
+    # fail only inside apply_mapping, as a Panel of them
+    with pytest.raises(MappingError, match="mapping LTLA and Trust ids must be unique and sorted"):
+        GeoMapping(ltla_ids, trust_ids, np.full((len(ltla_ids), len(trust_ids)), 0.5))
+
+
 def test_row_sums_are_one():
     m = two_ltla_mapping()
     sums = m.weights.sum(axis=1)

@@ -13,6 +13,7 @@ from leadlag.dtw import dtw_align_batch
 from leadlag.errors import ConfigError, LeadLagError
 from leadlag.geo import build_mapping
 from leadlag.pipeline import filter_trusts, run_analysis
+from leadlag.reports import emit_reports
 from leadlag.synth import IndicatorSpec, SynthSpec, generate_admissions, generate_indicators
 from leadlag.timeseries import Panel
 
@@ -61,6 +62,18 @@ def test_waves_must_not_overlap():
 def test_wave_start_before_end():
     with pytest.raises(ConfigError):
         WaveSpec("bad", START, START)
+
+
+def test_numpy_integer_config_value_is_written_as_an_integer(tmp_path):
+    # the config reads np.int64(14) as 14, so no report writes its repr
+    adm, indicators = synth_inputs()
+    config = study_config(horizon_days=np.int64(14), loess_degree=np.int64(1))
+    assert type(config.horizon_days) is int and type(config.loess_degree) is int
+    emit_reports(run_analysis(config, adm, indicators, None, methods=("ccf",)), tmp_path)
+    with (tmp_path / "ccf.csv").open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {row["horizon"] for row in rows} == {"14"}
+    assert all("degree=1" in row["provenance"] for row in rows)
 
 
 # ------------------------------------------------------------- filter_trusts

@@ -11,6 +11,8 @@ from leadlag.timeseries import (Panel, locf_impute, loess_smooth, minmax_scale, 
 
 from conftest import START, panel
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 NAN = float("nan")
 
 

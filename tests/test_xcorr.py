@@ -14,6 +14,8 @@ from leadlag.xcorr import ccf_at_leads, optimal_leads
 from conftest import START, panel, records
 from oracles import effective_lead, optimal_lead
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 LEADS = np.arange(-30, 31)
 
 
@@ -76,6 +78,16 @@ def test_constant_series_with_inexact_mean_reads_nan():
     # about 4e-33, not 0: the row is still constant
     out = ccf_at_leads([[0.1] * 20, wave(20)], [wave(20), [0.1] * 20], [-3, 0, 3])
     assert np.isnan(out).all()
+
+
+def test_row_whose_sum_of_squares_underflows_reads_nan():
+    # about 1e-340 per day underflows to a zero sum of squares: a row that
+    # varies but has no scale reads NaN like a constant one, on either side
+    tiny = np.array([1.0, 2.0, 3.0, 5.0, 4.0, 2.0, 1.0, 3.0]) * 1e-170
+    s = wave(8)
+    out = ccf_at_leads([tiny, s, s], [s, tiny, s], [-2, 0, 2])
+    assert np.isnan(out[:2]).all()
+    assert out[2].tobytes() == ccf_at_leads([s], [s], [-2, 0, 2])[0].tobytes()
 
 
 def test_constant_series_errors():
