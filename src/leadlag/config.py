@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date
 from pathlib import Path
 
@@ -40,51 +40,6 @@ class LatencySpec:
                 raise ConfigError(f"{key} must be >= {low}, got {value}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    waves: tuple[WaveSpec, ...] = ()
-    horizon_days: int = 14
-    granger_max_lag: int = 3
-    ccf_window: int = 30
-    dtw_window: int = 35
-    dtw_warmup_days: int = 14
-    dtw_mode: str = "multivariate"
-    loess_span: float = 0.15
-    loess_degree: int = 2
-    loess_robustness_passes: int = 0
-    trust_exclusions: tuple[str, ...] = ()
-    min_annual_admissions: int = 10
-    admissions_filter_start: date = date(2022, 1, 1)
-    admissions_filter_end: date = date(2022, 12, 31)
-    latencies: dict[str, LatencySpec] = field(default_factory=dict)
-    indicator_mappings: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for name, (key, parse, _) in _FIELDS.items():
-            try:
-                object.__setattr__(self, name, parse(getattr(self, name)))
-            except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"config {key}: invalid value {getattr(self, name)!r}") from exc
-        if not self.waves:
-            raise ConfigError("at least one wave must be configured")
-        if len({w.name for w in self.waves}) < len(self.waves):
-            raise ConfigError("wave names must differ: "
-                              + ", ".join(repr(w.name) for w in self.waves))
-        for a, b in zip(self.waves, self.waves[1:]):
-            if b.start <= a.end:
-                raise ConfigError(
-                    f"waves must be chronological and non-overlapping: "
-                    f"{a.name!r} ends {a.end}, {b.name!r} starts {b.start}"
-                )
-        for name, (_, _, rule) in _FIELDS.items():
-            value = getattr(self, name)
-            if rule and not rule[0](value):
-                raise ConfigError(f"{name} {rule[1]}, got {value!r}")
-        if self.admissions_filter_start > self.admissions_filter_end:
-            raise ConfigError(f"admissions_filter_start {self.admissions_filter_start} "
-                              f"after admissions_filter_end {self.admissions_filter_end}")
-
-
 class _Loader(yaml.SafeLoader):
     """YAML's safe loader, except that a mapping may not repeat a key."""
 
@@ -118,7 +73,8 @@ def _as_date(value, context: str) -> date:
 
 def _as_number(value, kind=int):
     # int() and float() would take YAML's true/yes as 1, and int() would cut 3.7 to 3
-    if isinstance(value, bool) or kind(value) != float(value):  # NaN != NaN, too
+    # numpy's bool has a dtype of bool and is no instance of Python's
+    if getattr(value, "dtype", type(value)) == bool or kind(value) != float(value):  # NaN too
         raise ValueError(f"not a valid {kind.__name__}: {value!r}")
     return kind(value)
 
@@ -182,35 +138,74 @@ def _latency(name: str, entry) -> LatencySpec:
         raise ConfigError(f"{context}: {exc}") from None
 
 
-# RunConfig field: (config key, parser of its value, range rule as (test,
-# wording) or None). RunConfig runs each parser, on a YAML value or a Python
-# one alike, and then each rule; a parser takes its own output back.
-# latency, indicator_mappings and trust_exclusions read a null (every entry
-# commented out) as empty, and fail their parser on any other value that is
-# not a table, or for trust_exclusions a list.
-_FIELDS = {
-    "waves": ("waves", _waves, None),
-    **{key: (key, _as_number, (lambda v: v >= 1, "must be >= 1")) for key in (
-        "horizon_days", "granger_max_lag", "ccf_window", "dtw_window", "min_annual_admissions")},
-    **{key: (key, _as_number, (lambda v: v >= 0, "must be >= 0")) for key in (
-        "dtw_warmup_days", "loess_robustness_passes")},
-    "dtw_mode": ("dtw_mode", lambda v: _as_text(v, "config dtw_mode"),
-                 (("multivariate", "univariate").__contains__,
-                  "must be multivariate or univariate")),
-    "loess_span": ("loess_span", lambda v: _as_number(v, float),
-                   (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")),
-    "loess_degree": ("loess_degree", _as_number, ((1, 2).__contains__, "must be 1 or 2")),
-    "trust_exclusions": ("trust_exclusions", _as_strings, None),
-    **{key: (key, lambda v, key=key: _as_date(v, key), None)
-       for key in ("admissions_filter_start", "admissions_filter_end")},
-    "latencies": ("latency", lambda v: {
-        _as_text(name, "config latency name"): _latency(name, entry)
-        for name, entry in ({} if v is None else v).items()}, None),
-    "indicator_mappings": ("indicator_mappings", lambda v: {
-        _as_text(k, "config indicator_mappings name"):
-        _as_text(path, f"config indicator_mappings {k}")
-        for k, path in ({} if v is None else v).items()}, None),
-}
+# Each RunConfig field is named as its YAML key. RunConfig runs every parser,
+# on a YAML value or a Python one alike, and then every range rule; a parser
+# takes its own output back.
+def _field(default, parse, rule=None):
+    """A RunConfig field: its default, the parser of its value and its range
+    rule as (test, wording) or None."""
+    return field(default=default, metadata={"parse": parse, "rule": rule})
+
+
+def _table(key: str, read):
+    # null (every entry commented out) reads as empty; a value not a table fails
+    return lambda value: {_as_text(name, f"config {key} name"): read(name, entry)
+                          for name, entry in ({} if value is None else value).items()}
+
+
+_AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
+_AT_LEAST_0 = (lambda v: v >= 0, "must be >= 0")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    waves: tuple[WaveSpec, ...] = _field((), _waves)
+    horizon_days: int = _field(14, _as_number, _AT_LEAST_1)
+    granger_max_lag: int = _field(3, _as_number, _AT_LEAST_1)
+    ccf_window: int = _field(30, _as_number, _AT_LEAST_1)
+    dtw_window: int = _field(35, _as_number, _AT_LEAST_1)
+    dtw_warmup_days: int = _field(14, _as_number, _AT_LEAST_0)
+    dtw_mode: str = _field("multivariate", lambda v: _as_text(v, "config dtw_mode"), (
+        ("multivariate", "univariate").__contains__, "must be multivariate or univariate"))
+    loess_span: float = _field(0.15, lambda v: _as_number(v, float),
+                               (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"))
+    loess_degree: int = _field(2, _as_number, ((1, 2).__contains__, "must be 1 or 2"))
+    loess_robustness_passes: int = _field(0, _as_number, _AT_LEAST_0)
+    trust_exclusions: tuple[str, ...] = _field((), _as_strings)
+    min_annual_admissions: int = _field(10, _as_number, _AT_LEAST_1)
+    admissions_filter_start: date = _field(
+        date(2022, 1, 1), lambda v: _as_date(v, "admissions_filter_start"))
+    admissions_filter_end: date = _field(
+        date(2022, 12, 31), lambda v: _as_date(v, "admissions_filter_end"))
+    latency: dict[str, LatencySpec] = _field(None, _table("latency", _latency))
+    indicator_mappings: dict[str, str] = _field(None, _table(
+        "indicator_mappings", lambda k, path: _as_text(path, f"config indicator_mappings {k}")))
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            try:
+                object.__setattr__(self, f.name, f.metadata["parse"](value))
+            except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"config {f.name}: invalid value {value!r}") from exc
+        if not self.waves:
+            raise ConfigError("at least one wave must be configured")
+        if len({w.name for w in self.waves}) < len(self.waves):
+            raise ConfigError("wave names must differ: "
+                              + ", ".join(repr(w.name) for w in self.waves))
+        for a, b in zip(self.waves, self.waves[1:]):
+            if b.start <= a.end:
+                raise ConfigError(
+                    f"waves must be chronological and non-overlapping: "
+                    f"{a.name!r} ends {a.end}, {b.name!r} starts {b.start}"
+                )
+        for f in fields(self):
+            rule, value = f.metadata["rule"], getattr(self, f.name)
+            if rule and not rule[0](value):
+                raise ConfigError(f"{f.name} {rule[1]}, got {value!r}")
+        if self.admissions_filter_start > self.admissions_filter_end:
+            raise ConfigError(f"admissions_filter_start {self.admissions_filter_start} "
+                              f"after admissions_filter_end {self.admissions_filter_end}")
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -223,5 +218,5 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a mapping")
-    _check_keys(raw, {key for key, _, _ in _FIELDS.values()}, f"config {path}")
-    return RunConfig(**{name: raw[key] for name, (key, _, _) in _FIELDS.items() if key in raw})
+    _check_keys(raw, {f.name for f in fields(RunConfig)}, f"config {path}")
+    return RunConfig(**raw)

@@ -235,26 +235,26 @@ class _Grid(NamedTuple):
     panels: list[tuple[int, tuple[str, ...], int, int]]  # offset, geo ids, start, days
 
 
-def _grid(cols: _Columns, geo: int, day: int, variable: int | None = None) -> _Grid:
+def _grid(cols: _Columns, variable: int | None = None) -> _Grid:
     """Panel layout per variable (one variable without ``variable``).
 
-    Each variable's panel has the geos it observes, in sorted order, and the
-    days from its first to its last date.  A row whose date is not a
-    ``YYYY-MM-DD`` date gets cell -1.
+    Geo ids are column 0 and dates column 1.  Each variable's panel has the
+    geos it observes, in sorted order, and the days from its first to its
+    last date.  A row whose date is not a ``YYYY-MM-DD`` date gets cell -1.
     """
-    names = cols.names[geo]
+    names = cols.names[0]
     ranked = sorted(range(len(names)), key=names.__getitem__)
     rank = np.empty(len(ranked), dtype=np.int32)
     rank[ranked] = np.arange(len(ranked), dtype=np.int32)
     # each distinct date text is parsed once; 0 marks one that is not a date
-    ordinals, undated = _parse_each(cols.names[day], _ordinal)
-    days = np.where(undated, 0, ordinals).astype(np.int32)[cols.codes[day]]
+    ordinals, undated = _parse_each(cols.names[1], _ordinal)
+    days = np.where(undated, 0, ordinals).astype(np.int32)[cols.codes[1]]
     dated = days > 0
     cell = np.full(days.size, -1, dtype=np.int64)
     panels, size = [], 0
     for v in range(1 if variable is None else len(cols.names[variable])):
         rows = dated if variable is None else dated & (cols.codes[variable] == v)
-        g, d = rank[cols.codes[geo][rows]], days[rows]
+        g, d = rank[cols.codes[0][rows]], days[rows]
         if not d.size:  # every row of the variable fails the date check
             panels.append((size, (), 0, 0))
             continue
@@ -282,11 +282,21 @@ def _panels(grid: _Grid, values: np.ndarray, variables: list[str]) -> dict[str, 
             for var, (offset, geo_ids, start, n_days) in zip(variables, grid.panels)}
 
 
+def _number_checks(cols: _Columns, what: str, field: int, signed: bool = False) -> _Checks:
+    """The checks of a numeric field: finite and, unless ``signed``, non-negative."""
+    checks = [
+        (cols.not_numeric, lambda f: f"{what} {f[field]!r} is not numeric"),
+        (~np.isfinite(cols.numbers), lambda f: f"{what} {f[field]!r} is not a finite number"),
+        (cols.numbers < 0, lambda f: f"negative {what} {float(f[field])}"),
+    ]
+    return checks[:2] if signed else checks
+
+
 def read_admissions(path: str | Path) -> Panel:
     """Trust-level admissions panel from ``trust_id,date,admissions`` rows."""
     cols = _scan(path, ["trust_id", "date", "admissions"])
     counts = _parse_each(cols.names[2], _count)[0][cols.codes[2]]
-    grid = _grid(cols, 0, 1)
+    grid = _grid(cols)
     _check(cols, [
         (grid.cell < 0, lambda f: f"invalid ISO date {f[1]!r}"),
         (np.isnan(counts), lambda f: f"admissions {f[2]!r} is not an integer"),
@@ -301,11 +311,10 @@ def read_admissions(path: str | Path) -> Panel:
 def read_indicator_file(path: str | Path) -> dict[str, Panel]:
     """Panels per variable from ``geo_id,date,variable,value`` rows."""
     cols = _scan(path, ["geo_id", "date", "variable", "value"], number=3)
-    grid = _grid(cols, 0, 1, 2)
+    grid = _grid(cols, 2)
     _check(cols, [
         (grid.cell < 0, lambda f: f"invalid ISO date {f[1]!r}"),
-        (cols.not_numeric, lambda f: f"value {f[3]!r} is not numeric"),
-        (~np.isfinite(cols.numbers), lambda f: f"value {f[3]!r} is not a finite number"),
+        *_number_checks(cols, "value", 3, signed=True),
         (_repeats(grid.cell), lambda f: f"duplicate record for ({f[0]}, {f[1]}, {f[2]})"),
     ])
     return _panels(grid, cols.numbers, cols.names[2])
@@ -325,15 +334,6 @@ def read_indicator_dir(directory: str | Path) -> dict[str, Panel]:
                                   path=str(f))
             panels[var] = panel
     return panels
-
-
-def _number_checks(cols: _Columns, what: str, field: int) -> _Checks:
-    """The checks shared by numeric fields that must be finite and non-negative."""
-    return [
-        (cols.not_numeric, lambda f: f"{what} {f[field]!r} is not numeric"),
-        (~np.isfinite(cols.numbers), lambda f: f"{what} {f[field]!r} is not a finite number"),
-        (cols.numbers < 0, lambda f: f"negative {what} {float(f[field])}"),
-    ]
 
 
 def read_mapping(path: str | Path) -> GeoMapping:

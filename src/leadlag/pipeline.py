@@ -133,11 +133,10 @@ def run_analysis(
     check_methods(methods)
     # a run may read a subset of the configured trusts and indicators, so a
     # name that matches none is a likely misspelling, not an error
-    for key, names, read, noun in (
-            ("trust_exclusions", config.trust_exclusions, admissions.geo_ids, "admissions trust"),
-            ("latency", config.latencies, indicators, "indicator read"),
-            ("indicator_mappings", config.indicator_mappings, indicators, "indicator read")):
-        stray = sorted(set(names) - set(read))
+    for key, read, noun in (("trust_exclusions", admissions.geo_ids, "admissions trust"),
+                            ("latency", indicators, "indicator read"),
+                            ("indicator_mappings", indicators, "indicator read")):
+        stray = sorted(set(getattr(config, key)) - set(read))
         if stray:
             logger.warning("config %s names no %s: %s", key, noun, ", ".join(stray))
     adm = filter_trusts(admissions, config)
@@ -175,7 +174,7 @@ def run_analysis(
             # a failure fills every Trust's row
             rows, x, y, failed = list(range(n)), None, None, f"preprocessing failed: {exc}"
         linear = None  # the min-max scaled values of (x, y), made by the first linear method
-        latency = config.latencies.get(variable)
+        latency = config.latency.get(variable)
 
         for wave in config.waves:
             # the days of the wave that both the indicator and the admissions cover:

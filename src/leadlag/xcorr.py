@@ -18,11 +18,14 @@ def ccf_at_leads(x, y, leads) -> np.ndarray:
     """Correlation of each row of ``x`` with the same row of ``y`` at each lead.
 
     ``x`` and ``y`` are complete (rows, days) arrays. Returns a (rows, leads)
-    array. A row whose ``x`` or ``y`` is constant, or whose sum of squares
-    underflows to zero, reads NaN at every lead. Constant means max = min:
-    an inexact mean leaves a constant row a tiny nonzero sum of squares.
+    array. A row whose ``x`` or ``y`` is constant reads NaN at every lead.
+    Constant means max = min: an inexact mean leaves a constant row a tiny
+    nonzero sum of squares. Each row is first scaled by the power of two
+    that puts its largest magnitude in [0.5, 1): exact for normal values,
+    so no sum of squares overflows or underflows to zero.
     """
-    xv, yv = _row_pair(x, y, "cross-correlation")
+    xv, yv = (np.ldexp(v, -np.frexp(np.abs(v).max(axis=1, keepdims=True))[1])
+              for v in _row_pair(x, y, "cross-correlation"))
     n = xv.shape[1]
     for lead in leads:
         if abs(lead) >= n - 2:
@@ -34,7 +37,7 @@ def ccf_at_leads(x, y, leads) -> np.ndarray:
     for k, lead in enumerate(leads):
         a, b = max(lead, 0), max(-lead, 0)  # the overlap of x_t and y_{t+lead}
         out[:, k] = np.einsum("ij,ij->i", xc[:, b : n - a], yc[:, a : n - b])
-    zero = (xv.max(axis=1) == xv.min(axis=1)) | (yv.max(axis=1) == yv.min(axis=1)) | (denom == 0)
+    zero = (xv.max(axis=1) == xv.min(axis=1)) | (yv.max(axis=1) == yv.min(axis=1))
     out /= np.where(zero, 1.0, denom)[:, None]
     out[zero] = np.nan
     return out

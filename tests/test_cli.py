@@ -10,13 +10,14 @@ import sys
 from datetime import date, datetime
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import leadlag
 from leadlag import cli
 from leadlag.cli import main
-from leadlag.config import _FIELDS, LatencySpec, RunConfig, load_config
+from leadlag.config import LatencySpec, RunConfig, load_config
 from leadlag.corpus import write_corpus
 from leadlag.errors import ConfigError, LeadLagError
 
@@ -351,9 +352,9 @@ OUT_OF_RANGE = {"horizon_days": 0, "granger_max_lag": 0, "ccf_window": 0, "dtw_w
 
 
 def test_every_run_config_field_has_one_row():
-    assert set(_FIELDS) == {f.name for f in dataclasses.fields(RunConfig)}
-    assert set(OUT_OF_RANGE) == {name for name, (_, _, rule) in _FIELDS.items() if rule}
-    assert set(WRONG_TYPE) == set(_FIELDS)
+    fields = dataclasses.fields(RunConfig)
+    assert set(OUT_OF_RANGE) == {f.name for f in fields if f.metadata["rule"]}
+    assert set(WRONG_TYPE) == {f.name for f in fields}
 
 
 @pytest.mark.parametrize("name, value", OUT_OF_RANGE.items(), ids=list(OUT_OF_RANGE))
@@ -378,21 +379,27 @@ WRONG_TYPE = {"waves": [{"name": "w", "start": date(2021, 11, 1)}], "horizon_day
               "trust_exclusions": "T001", "min_annual_admissions": 14.5,
               "admissions_filter_start": datetime(2022, 1, 1, 10, 0),
               "admissions_filter_end": datetime(2022, 12, 31),
-              "latencies": {"ind00": {"reporting_lag_days": True}},
+              "latency": {"ind00": {"reporting_lag_days": True}},
               "indicator_mappings": {"ind00": None}}
 
 
 @pytest.mark.parametrize("name, value", WRONG_TYPE.items(), ids=list(WRONG_TYPE))
 def test_run_config_parses_each_value_as_load_config_does(corpus, tmp_path, name, value):
-    key = _FIELDS[name][0]
     config = yaml.safe_load((corpus / "config.yaml").read_text())
     path = tmp_path / "config.yaml"
-    path.write_text(yaml.safe_dump({**config, key: value}))
+    path.write_text(yaml.safe_dump({**config, name: value}))
     with pytest.raises(ConfigError) as loaded:
         load_config(path)
     with pytest.raises(ConfigError) as built:  # a library caller's RunConfig
         RunConfig(**{"waves": load_config(corpus / "config.yaml").waves, name: value})
     assert str(built.value) == str(loaded.value)
+
+
+@pytest.mark.parametrize("name", ["horizon_days", "loess_span"])
+def test_numpy_bool_is_a_value_of_the_wrong_type(corpus, name):
+    # int() and float() read np.True_ as 1, and it is no instance of bool
+    with pytest.raises(ConfigError, match=f"^config {name}: invalid value "):
+        RunConfig(waves=load_config(corpus / "config.yaml").waves, **{name: np.True_})
 
 
 def test_python_values_are_read_as_their_yaml_forms(corpus):
@@ -736,7 +743,7 @@ def test_whole_numbers_in_config_load(tmp_path):
     assert config.horizon_days == 7 and type(config.horizon_days) is int
     assert config.loess_span == 1.0 and type(config.loess_span) is float
     assert config.trust_exclusions == ("T001", "7")
-    assert config.latencies["ind00"] == LatencySpec(2, 7)
+    assert config.latency["ind00"] == LatencySpec(2, 7)
 
 
 def test_empty_table_and_list_keys_load_empty(tmp_path):
@@ -747,15 +754,19 @@ def test_empty_table_and_list_keys_load_empty(tmp_path):
                     "indicator_mappings:\n#  ind00: m.csv\n"
                     "trust_exclusions:\n#  - T001\n")
     config = load_config(path)
-    assert (config.latencies, config.indicator_mappings, config.trust_exclusions) == ({}, {}, ())
+    assert (config.latency, config.indicator_mappings, config.trust_exclusions) == ({}, {}, ())
 
 
 def test_shipped_example_config_loads():
-    config = load_config(Path(__file__).resolve().parent.parent / "configs" / "example.yaml")
+    path = Path(__file__).resolve().parent.parent / "configs" / "example.yaml"
+    config = load_config(path)
     assert [w.name for w in config.waves] == ["BA.1", "BA.2", "BA.4-5"]
     assert config.horizon_days == 14
-    assert config.latencies["nhs_111"].reporting_lag_days == 2
-    assert config.latencies["lfd_tests"].release_cadence_days == 7
+    assert config.latency["nhs_111"].reporting_lag_days == 2
+    assert config.latency["lfd_tests"].release_cadence_days == 7
+    # the example documents every field under its key, commented out or not
+    keys = set(re.findall(r"^(?:# ?)?(\w+):", path.read_text(encoding="utf-8"), re.MULTILINE))
+    assert {f.name for f in dataclasses.fields(RunConfig)} <= keys
 
 
 def test_deterministic_reruns(corpus, tmp_path):

@@ -148,7 +148,7 @@ def test_run_warns_of_config_names_that_match_nothing_read(caplog):
     adm, indicators = synth_inputs()
     excluded = adm.geo_ids[1]
     config = study_config(trust_exclusions=("Z1", excluded, "T999"),
-                          latencies={"ind": LatencySpec(1), "ind0": LatencySpec(2)},
+                          latency={"ind": LatencySpec(1), "ind0": LatencySpec(2)},
                           indicator_mappings={"ind9": "mapping.csv"})
     with caplog.at_level(logging.WARNING, logger="leadlag.pipeline"):
         tables = run_analysis(config, adm, indicators, None, methods=("ccf",))
@@ -271,7 +271,7 @@ def test_effective_never_exceeds_statistical():
     indicators = {"ind": Panel(ind.start_date, ind.geo_ids[:2], ind.values[:2])}
     latency = LatencySpec(4, 7)  # erodes some leads of about 10 days, not all
     for mode in ("multivariate", "univariate"):
-        config = study_config(dtw_mode=mode, latencies={"ind": latency})
+        config = study_config(dtw_mode=mode, latency={"ind": latency})
         rows = [row for row in records(run_analysis(config, adm, indicators, None))
                 if row.method in ("ccf", "dtw")]
         assert len(rows) == 3 * 2 * 2  # trusts x waves x methods
@@ -306,10 +306,10 @@ def test_robust_loess_runs_end_to_end_and_names_its_passes(mode):
     # bisquare reweighting through the whole pipeline: every cell has finite
     # statistics, which differ from the plain fit's, and says how it was smoothed
     adm, indicators = synth_inputs()
-    latencies = {"ind": LatencySpec(reporting_lag_days=1)}
-    robust = run_analysis(study_config(dtw_mode=mode, latencies=latencies,
+    latency = {"ind": LatencySpec(reporting_lag_days=1)}
+    robust = run_analysis(study_config(dtw_mode=mode, latency=latency,
                                        loess_robustness_passes=1), adm, indicators, None)
-    plain = run_analysis(study_config(dtw_mode=mode, latencies=latencies),
+    plain = run_analysis(study_config(dtw_mode=mode, latency=latency),
                          adm, indicators, None)
     assert robust and [t.method for t in robust] == [t.method for t in plain]
     for r, p in zip(robust, plain):

@@ -80,14 +80,41 @@ def test_constant_series_with_inexact_mean_reads_nan():
     assert np.isnan(out).all()
 
 
-def test_row_whose_sum_of_squares_underflows_reads_nan():
-    # about 1e-340 per day underflows to a zero sum of squares: a row that
-    # varies but has no scale reads NaN like a constant one, on either side
-    tiny = np.array([1.0, 2.0, 3.0, 5.0, 4.0, 2.0, 1.0, 3.0]) * 1e-170
-    s = wave(8)
-    out = ccf_at_leads([tiny, s, s], [s, tiny, s], [-2, 0, 2])
-    assert np.isnan(out[:2]).all()
-    assert out[2].tobytes() == ccf_at_leads([s], [s], [-2, 0, 2])[0].tobytes()
+def test_row_whose_sum_of_squares_would_underflow_reads_its_correlation():
+    # about 1e-340 per day would underflow to a zero sum of squares; a row is
+    # scaled by a power of two first, so it reads its correlation on either
+    # side, and a constant row of that size still reads NaN
+    shape = np.array([1.0, 2.0, 3.0, 5.0, 4.0, 2.0, 1.0, 3.0])
+    tiny, flat, s, leads = shape * 1e-170, np.full(8, 1e-170), wave(8), [-2, 0, 2]
+    out = ccf_at_leads([tiny, s, flat, s], [s, tiny, s, flat], leads)
+    scaled = tiny * 2.0**600
+    assert out[:2].tobytes() == ccf_at_leads([scaled, s], [s, scaled], leads).tobytes()
+    np.testing.assert_allclose(out[:2], ccf_at_leads([shape, s], [s, shape], leads),
+                               rtol=0, atol=1e-12)
+    assert np.isnan(out[2:]).all()
+
+
+def test_row_near_the_largest_float_reads_its_correlation():
+    # its sum of squares would overflow to inf and every lead read 0
+    shape = [[1.0, 2.0, 3.0, 5.0, 4.0, 2.0, 1.0, 3.0]]
+    y = [[1.0, 2.0, 3.0, 4.0, 3.0, 2.0, 1.0, 0.0]]
+    out = ccf_at_leads(np.array(shape) * 1e160, y, [0, 1])
+    np.testing.assert_allclose(out, ccf_at_leads(shape, y, [0, 1]), rtol=0, atol=1e-12)
+    assert out[0, 0] == pytest.approx(0.6975, abs=1e-4)
+
+
+# magnitudes that stay normal when scaled by any power of two in [-1000, 1000]
+NORMAL_VALUES = st.just(0.0) | st.floats(1e-6, 1e6) | st.floats(-1e6, -1e-6)
+
+
+@given(st.integers(6, 20).flatmap(lambda n: st.lists(
+           st.lists(NORMAL_VALUES, min_size=n, max_size=n), min_size=2, max_size=2)),
+       st.integers(-1000, 1000), st.integers(-1000, 1000))
+def test_ccf_does_not_depend_on_a_row_scale(rows, k, j):
+    x, y = np.array(rows)
+    leads = [-3, -1, 0, 2, 3]
+    assert (ccf_at_leads([x * 2.0**k], [y * 2.0**j], leads).tobytes()
+            == ccf_at_leads([x], [y], leads).tobytes())
 
 
 def test_constant_series_errors():
