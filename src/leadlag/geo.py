@@ -15,7 +15,7 @@ from .errors import MappingError
 from .timeseries import Panel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeoMapping:
     ltla_ids: tuple[str, ...]
     trust_ids: tuple[str, ...]

@@ -33,7 +33,7 @@ from .errors import InsufficientDataError, LeadLagError
 from .timeseries import _row_pair
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrangerBatch:
     """Per-row F statistics and p-values; rows with a collinear design read NaN."""
 

@@ -34,7 +34,7 @@ logger = logging.getLogger(__name__)
 METHODS = ("granger", "ccf", "dtw")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResultTable:
     """One method's results for one (indicator, wave), a row per trust.
 
@@ -287,16 +287,17 @@ def _dtw_cells(config: RunConfig, x: Panel, y: Panel, wave: WaveSpec, window: tu
     """Align indicator against admissions around one wave.
 
     The query is the wave's covered days, ``window``, after up to
-    ``dtw_warmup_days`` of warm-up that both series cover; the reference gets
-    an extra tail of up to one band width so leading matches near the wave
-    end are not forced to bunch. Rows are z-scored over the alignment window
-    so a wave's alignment depends only on data within its own windows.
-    Warm-up leads are excluded from the summary. Multivariate mode aligns all
-    trusts jointly, one column each, and shares the result across them. A
-    row whose z-scored query or reference has max = min over the window's
-    days, as CCF tests (jointly: every column of either), reads ``zero
-    variance`` with no lead, distance or ``dtw_paths`` scope; a joint series
-    with some such columns keeps its alignment. Either is flagged degenerate.
+    ``dtw_warmup_days`` of warm-up that both series cover; the reference covers
+    those days and a tail of up to one band width, so leading matches near the
+    wave end are not forced to bunch and the diagonal path is admissible. Rows
+    are z-scored over the alignment window so a wave's alignment depends only on
+    data within its own windows. Warm-up leads are excluded from the summary.
+    Multivariate mode aligns all trusts jointly, one column each, and shares the
+    result across them. The one failure is a row whose z-scored query or
+    reference has max = min over the window's days, as CCF tests (jointly: every
+    column of either): it reads ``zero variance`` with no lead, distance or
+    ``dtw_paths`` scope; a joint series with some such columns keeps its
+    alignment. Either is flagged degenerate.
     """
     q_start = overlap(window[0] - timedelta(days=config.dtw_warmup_days), window[1], x, y)[0]
     univariate = config.dtw_mode == "univariate"
@@ -315,7 +316,7 @@ def _dtw_cells(config: RunConfig, x: Panel, y: Panel, wave: WaveSpec, window: tu
         q, r = np.ascontiguousarray(q.T)[None], np.ascontiguousarray(r.T)[None]
     cost, match = dtw_align_batch(q, r, window=config.dtw_window)
 
-    found = (cost < np.inf) & ~zero
+    found = ~zero
     # a query index's lead is its mean matched reference index (the median
     # of its one or two) minus the index
     median = np.full(len(cost), np.nan)
@@ -327,8 +328,7 @@ def _dtw_cells(config: RunConfig, x: Panel, y: Panel, wave: WaveSpec, window: tu
                           [scope for scope, keep in zip(scopes, found.tolist()) if keep],
                           days, match[found]))
     columns = {"dtw_median_lead": median, "dtw_normalized_distance": distance,
-               "degenerate": flat,
-               "error": np.where(zero, "zero variance", np.where(found, "", "no admissible path"))}
+               "degenerate": flat, "error": np.where(zero, "zero variance", "")}
     if univariate:
         return columns
     return {name: np.repeat(values, len(y.geo_ids)) for name, values in columns.items()}

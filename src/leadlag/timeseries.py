@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import InsufficientDataError, LeadLagError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Panel:
     """One variable: a row per geo id, a column per day.
 

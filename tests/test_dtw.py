@@ -3,6 +3,9 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from leadlag.config import WaveSpec
 from leadlag.dtw import dtw_align_batch, path_pairs
@@ -239,6 +242,30 @@ def test_batch_without_admissible_path_marks_every_row():
     assert cost.tolist() == [np.inf] * 3
     assert (match == -1).all()
     assert brute_force_dtw(q[0], r[0]) == (np.inf, None)
+
+
+@st.composite
+def reference_at_least_query(draw):
+    """A (B, n[, k]) query and a (B, m[, k]) reference with m >= n >= 4, and a band."""
+    batch, n = draw(st.integers(1, 4)), draw(st.integers(4, 16))
+    m = n + draw(st.integers(0, 12))
+    tail = draw(st.sampled_from([(), (1,), (2,), (3,)]))
+    # a coarse grid of values also draws flat rows and tied costs
+    values = st.floats(-1e3, 1e3) | st.sampled_from([-1.0, 0.0, 1.0])
+    q = draw(hnp.arrays(float, (batch, n) + tail, elements=values))
+    r = draw(hnp.arrays(float, (batch, m) + tail, elements=values))
+    return q, r, draw(st.integers(1, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(reference_at_least_query())
+def test_reference_no_shorter_than_query_always_aligns(case):
+    # the diagonal path lies in any band and the ends are open, so a reference
+    # at least as long as the query leaves every row an admissible path
+    q, r, window = case
+    cost, match = dtw_align_batch(q, r, window)
+    assert np.isfinite(cost).all()
+    assert (match != -1).all()
 
 
 def test_multivariate_alignment_memory():

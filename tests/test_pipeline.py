@@ -12,7 +12,8 @@ from leadlag.corpus import write_corpus
 from leadlag.dtw import dtw_align_batch
 from leadlag.errors import ConfigError, LeadLagError
 from leadlag.geo import build_mapping
-from leadlag.pipeline import filter_trusts, run_analysis
+from leadlag.granger import GrangerBatch
+from leadlag.pipeline import ResultTable, filter_trusts, run_analysis
 from leadlag.reports import emit_reports
 from leadlag.synth import IndicatorSpec, SynthSpec, generate_admissions, generate_indicators
 from leadlag.timeseries import Panel
@@ -548,6 +549,23 @@ def test_admissions_zeroed_before_a_wave_give_zero_variance_ccf_and_dtw_rows(zer
         assert [(r.error, r.degenerate, r.dtw_median_lead) for r in dtw] == [("", True, 12.0)] * 3
 
 
+@pytest.mark.parametrize("mode", ["multivariate", "univariate"])
+def test_narrowest_band_aligns_every_row_with_variance(mode):
+    # a band of one day and no warm-up: the reference still covers the query's
+    # days, so no row lacks an admissible path
+    adm, indicators = synth_inputs()
+    rows = records(run_analysis(study_config(dtw_mode=mode, dtw_window=1, dtw_warmup_days=0),
+                                adm, indicators, None, methods=("dtw",)))
+    assert len(rows) == 3 * 2
+    aligned = [row for row in rows if not row.degenerate]
+    assert aligned
+    for row in aligned:
+        assert row.error == ""
+        # records read an absent statistic as None, which reads as NaN here
+        stats = np.array([row.dtw_median_lead, row.dtw_normalized_distance], dtype=float)
+        assert np.isfinite(stats).all()
+
+
 def test_single_trust_multivariate_dtw_equals_univariate():
     # with one Trust the joint (1, n, 1) series aligns as the univariate row does:
     # the Euclidean local cost of one column is its absolute difference
@@ -707,3 +725,23 @@ def test_summary_keeps_indicator_without_statistics(tmp_path):
     assert summary["short"] == {"wave1": {}, "wave2": {}, "wave3": {}}
     assert all(summary[ind][wave] for ind in ("ind00", "ind01")
                for wave in ("wave1", "wave2", "wave3"))
+
+
+# ------------------------------------------------------------------ records
+
+def test_array_holding_records_compare_by_identity():
+    # two records of equal content are two records: comparing or hashing
+    # them never reaches their arrays
+    makers = [
+        lambda: Panel(START, ("T000", "T001"), np.arange(6.0).reshape(2, 3)),
+        lambda: build_mapping([("L000", "T000", 10), ("L001", "T001", 20)]),
+        lambda: GrangerBatch(np.array([1.5, 2.5]), np.array([0.2, 0.1]),
+                             np.array([False, False]), 1, 10),
+        lambda: ResultTable(("T000", "T001"), "ind", "w1", "ccf", 14, "p",
+                            {"optimal_lead": np.array([3.0, 4.0]), "error": np.array(["", ""])}),
+    ]
+    for make in makers:
+        a, b = make(), make()
+        assert not a == b
+        assert a in [b, a]
+        assert len({a, b}) == 2
