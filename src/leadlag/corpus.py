@@ -66,19 +66,19 @@ def write_corpus(out_dir: str | Path, n_trusts: int = 121, n_days: int = 333,
                  n_indicators: int = 20, n_waves: int = 3, seed: int = 0) -> dict[str, Path]:
     """Write a complete synthetic input set; returns the paths written.
 
-    The sizes and the wave layout are checked before anything is written.
+    The sizes, the seed and the wave layout are checked before anything is written.
     """
-    for name, count in (("trusts", n_trusts), ("indicators", n_indicators),
-                        ("waves", n_waves)):
-        if count < 1:
-            raise ConfigError(f"{name} must be >= 1, got {count}")
+    for name, value, least in (("trusts", n_trusts, 1), ("indicators", n_indicators, 1),
+                               ("waves", n_waves, 1), ("seed", seed, 0)):
+        if value < least:
+            raise ConfigError(f"{name} must be >= {least}, got {value}")
     spec = build_spec(n_trusts, n_days, n_indicators, n_waves, seed)
     start = START_DATE
     out = Path(out_dir)
     (out / "indicators").mkdir(parents=True, exist_ok=True)
     admissions = generate_admissions(spec)
     trusts = spec.trust_ids()
-    ltlas = [f"L{i:03d}" for i in range(n_trusts)]
+    ltlas = ["L" + trust[1:] for trust in trusts]
     date_text = [str(start + timedelta(days=i)) for i in range(n_days)]
 
     paths: dict[str, Path] = {}

@@ -55,18 +55,10 @@ class SynthSpec:
     indicators: tuple[tuple[str, IndicatorSpec], ...] = ()
     seed: int = 0
 
-    def per_trust(self, value: float | tuple[float, ...]) -> np.ndarray:
-        arr = np.asarray(value, dtype=float)
-        if arr.ndim == 0:
-            return np.full(self.n_trusts, float(arr))
-        if arr.size != self.n_trusts:
-            raise LeadLagError(
-                f"per-trust parameter has {arr.size} entries for {self.n_trusts} trusts"
-            )
-        return arr
-
     def trust_ids(self) -> list[str]:
-        return [f"T{i:03d}" for i in range(self.n_trusts)]
+        # zero-padded to one width, so the ids sort in numeric order
+        width = max(3, len(str(self.n_trusts - 1)))
+        return [f"T{i:0{width}d}" for i in range(self.n_trusts)]
 
 
 def _bump(t: np.ndarray, peak: float, rise: float, fall: float) -> np.ndarray:
@@ -81,8 +73,11 @@ def generate_admissions(spec: SynthSpec) -> Panel:
     v = _bump(t, spec.peak_day, spec.rise_width, spec.fall_width)
     for offset in spec.extra_peaks:
         v = v + _bump(t, spec.peak_day + offset, spec.rise_width, spec.fall_width)
-    amps = spec.per_trust(spec.amplitude)[:, None]
-    return Panel(START_DATE, tuple(spec.trust_ids()), amps * v)
+    amps = np.asarray(spec.amplitude, dtype=float)
+    if amps.ndim and amps.size != spec.n_trusts:
+        raise LeadLagError(f"per-trust parameter has {amps.size} entries "
+                           f"for {spec.n_trusts} trusts")
+    return Panel(START_DATE, tuple(spec.trust_ids()), np.full(spec.n_trusts, amps)[:, None] * v)
 
 
 def derive_indicator(
@@ -94,28 +89,21 @@ def derive_indicator(
 ) -> Panel:
     """Indicator running ``lead`` days ahead: ind(t) = decay(t) * adm(t + lead) + noise.
 
-    A positive lead trims the series tail (the last ``lead`` admission days
-    have no indicator observation); noise sd is relative to each trust's
-    peak admissions so it matches a 0-1 scaled signal.
+    It covers the n - |lead| days both series share, with decay(t) =
+    exp(-decay_rate * t) from its first day; noise sd is relative to each
+    trust's peak admissions so it matches a 0-1 scaled signal.
     """
     n = admissions.n_days
     if abs(lead) >= n:
         raise LeadLagError(f"lead {lead} exceeds series length {n}")
-    rng = np.random.default_rng(seed)
-    if lead >= 0:
-        values = admissions.values[:, lead:]
-        start = admissions.start_date
-    else:
-        values = admissions.values[:, :lead]
-        start = admissions.start_date + timedelta(days=-lead)
-    if decay_rate != 0.0:
-        tt = np.arange(values.shape[1], dtype=float)
-        values = np.exp(-decay_rate * tt) * values
-    if noise_sd > 0.0:
-        peak = admissions.values.max(axis=1, keepdims=True)
-        sd = noise_sd * np.where(peak > 0, peak, 1.0)
-        values = values + rng.normal(0.0, sd, size=values.shape)
-    return Panel(start, admissions.geo_ids, values)
+    values = admissions.values[:, max(lead, 0):n + min(lead, 0)]
+    decay = np.exp(-decay_rate * np.arange(values.shape[1], dtype=float))
+    peak = admissions.values.max(axis=1, keepdims=True)
+    sd = noise_sd * np.where(peak > 0, peak, 1.0)
+    ind = decay * values
+    # added in place, so no third (trusts x days) array is held at once
+    ind += np.random.default_rng(seed).normal(0.0, sd, size=ind.shape)
+    return Panel(admissions.start_date + timedelta(days=max(-lead, 0)), admissions.geo_ids, ind)
 
 
 def generate_indicators(spec: SynthSpec, admissions: Panel) -> dict[str, Panel]:

@@ -20,6 +20,7 @@ from leadlag.cli import main
 from leadlag.config import LatencySpec, RunConfig, load_config
 from leadlag.corpus import write_corpus
 from leadlag.errors import ConfigError, LeadLagError
+from leadlag.ingest import read_admissions
 
 
 @pytest.fixture(scope="module")
@@ -470,12 +471,26 @@ def test_unwritable_out_exits_io(corpus, tmp_path, capsys):
     ("--trusts", "0", "--days", "150", "--indicators", "2", "--waves", "1"),
     ("--trusts", "4", "--days", "150", "--indicators", "0", "--waves", "1"),
     ("--trusts", "4", "--days", "150", "--indicators", "2", "--waves", "0"),
-], ids=["short-days", "no-trusts", "no-indicators", "no-waves"])
+    ("--trusts", "4", "--days", "150", "--indicators", "2", "--waves", "1", "--seed", "-5000"),
+    ("--trusts", "4", "--days", "150", "--indicators", "2", "--waves", "1", "--seed", "-1"),
+], ids=["short-days", "no-trusts", "no-indicators", "no-waves", "seed-minus-5000", "seed-minus-1"])
 def test_synth_bad_sizes_exit_config_and_write_nothing(tmp_path, capsys, sizes):
     corpus = tmp_path / "c"
     assert main(["synth", "--out", str(corpus), *sizes]) == 3
     assert "error [config]" in capsys.readouterr().err
     assert not corpus.exists()
+
+
+def test_synth_writes_more_than_1000_trusts_in_sorted_order(tmp_path):
+    corpus = tmp_path / "c"
+    assert main(["synth", "--out", str(corpus), "--trusts", "1001", "--days", "140",
+                 "--indicators", "1", "--waves", "1"]) == 0
+    ids = read_admissions(corpus / "admissions.csv").geo_ids
+    assert len(ids) == 1001 and list(ids) == sorted(ids)
+    assert ids[:2] == ("T0000", "T0001") and ids[-1] == "T1000"
+    ltlas = [line.split(",")[0] for line in
+             (corpus / "population.csv").read_text(encoding="utf-8").splitlines()[1:]]
+    assert ltlas == ["L" + trust[1:] for trust in ids]
 
 
 def test_synth_subcommand_roundtrip(tmp_path):
