@@ -81,8 +81,9 @@ def _as_number(value, kind=int):
 
 def _as_text(value, context: str) -> str:
     # str() would make YAML's null the name 'None' and its yes the name 'True';
-    # an entry of a table or list names itself, as its key would quote every entry
-    if value is None or isinstance(value, (bool, list, dict)):
+    # an entry of a table or list names itself, as its key would quote every entry;
+    # no id read may hold a NUL, and numpy's text arrays would drop a trailing one
+    if value is None or isinstance(value, (bool, list, dict)) or "\0" in str(value):
         raise ConfigError(f"{context}: invalid value {value!r}")
     return str(value)
 

@@ -68,10 +68,9 @@ def write_corpus(out_dir: str | Path, n_trusts: int = 121, n_days: int = 333,
 
     The sizes, the seed and the wave layout are checked before anything is written.
     """
-    for name, value, least in (("trusts", n_trusts, 1), ("indicators", n_indicators, 1),
-                               ("waves", n_waves, 1), ("seed", seed, 0)):
-        if value < least:
-            raise ConfigError(f"{name} must be >= {least}, got {value}")
+    for name, value in (("trusts", n_trusts), ("indicators", n_indicators), ("waves", n_waves)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
     spec = build_spec(n_trusts, n_days, n_indicators, n_waves, seed)
     start = START_DATE
     out = Path(out_dir)

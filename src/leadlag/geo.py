@@ -22,8 +22,9 @@ class GeoMapping:
     weights: np.ndarray = field(repr=False)  # shape (n_ltla, n_trust)
 
     def __post_init__(self) -> None:
-        if any(list(ids) != sorted(set(ids)) for ids in (self.ltla_ids, self.trust_ids)):
-            raise MappingError("mapping LTLA and Trust ids must be unique and sorted")
+        if any(list(ids) != sorted(set(ids)) or "\0" in "".join(ids)
+               for ids in (self.ltla_ids, self.trust_ids)):
+            raise MappingError("mapping LTLA and Trust ids must be unique and sorted, with no NUL")
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (len(self.ltla_ids), len(self.trust_ids)):
             raise MappingError(
@@ -69,8 +70,7 @@ def apply_mapping(panel: Panel, mapping: GeoMapping) -> Panel:
     offenders = sorted(set(panel.geo_ids) - set(mapping.ltla_ids))
     if offenders:
         raise MappingError(f"panel geo ids unknown to mapping: {', '.join(offenders)}")
-    l_index = {l: i for i, l in enumerate(mapping.ltla_ids)}
-    w = mapping.weights[[l_index[g] for g in panel.geo_ids], :]
+    w = mapping.weights[np.searchsorted(mapping.ltla_ids, panel.geo_ids)]
     return Panel(panel.start_date, mapping.trust_ids, w.T @ panel.values)
 
 

@@ -64,22 +64,17 @@ def filter_trusts(panel: Panel, config: RunConfig) -> Panel:
     window = overlap(config.admissions_filter_start, config.admissions_filter_end, panel)
     totals = (np.zeros(len(panel.geo_ids)) if window is None
               else panel.values[:, panel.day_slice(*window)].sum(axis=1))
-    excluded = set(config.trust_exclusions)
-    kept: list[int] = []
-    removed: list[str] = []
-    for i, (trust, total) in enumerate(zip(panel.geo_ids, totals)):
-        if trust in excluded:
-            removed.append(f"{trust} (excluded)")
-        elif total < config.min_annual_admissions:
-            removed.append(f"{trust} (total {total:g} in filter window)")
-        else:
-            kept.append(i)
+    excluded = np.isin(panel.geo_ids, config.trust_exclusions)
+    kept = ~(excluded | (totals < config.min_annual_admissions))
+    removed = sorted(f"{panel.geo_ids[i]} "
+                     + ("(excluded)" if excluded[i] else f"(total {totals[i]:g} in filter window)")
+                     for i in np.flatnonzero(~kept))
     if removed:
         logger.warning("filter_trusts removed %d trust(s): %s",
-                       len(removed), "; ".join(sorted(removed)))
-    if not kept:
+                       len(removed), "; ".join(removed))
+    if not kept.any():
         raise LeadLagError("no trusts retained after filtering")
-    return Panel(panel.start_date, tuple(panel.geo_ids[i] for i in kept), panel.values[kept])
+    return Panel(panel.start_date, np.array(panel.geo_ids)[kept].tolist(), panel.values[kept])
 
 
 def effective_leads(lead_days: np.ndarray,
@@ -172,7 +167,7 @@ def run_analysis(
             logger.warning("indicator %s failed preprocessing and is reported as "
                            "error rows: %s", variable, exc)
             # a failure fills every Trust's row
-            rows, x, y, failed = list(range(n)), None, None, f"preprocessing failed: {exc}"
+            rows, x, y, failed = np.arange(n), None, None, f"preprocessing failed: {exc}"
         linear = None  # the min-max scaled values of (x, y), made by the first linear method
         latency = config.latency.get(variable)
 
@@ -218,7 +213,7 @@ def run_analysis(
 _NO_SERIES = {"f": np.nan, "b": False, "U": "no indicator series for trust"}
 
 
-def _spread(rows: list[int], n: int, columns: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+def _spread(rows: np.ndarray, n: int, columns: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Place a pair's cells among all ``n`` trusts; the others have no indicator."""
     take = np.full(n, len(rows))
     take[rows] = np.arange(len(rows))
@@ -227,7 +222,7 @@ def _spread(rows: list[int], n: int, columns: dict[str, np.ndarray]) -> dict[str
 
 
 def _pair(config: RunConfig, variable: str, ind: Panel, adm: Panel, adm_smooth: np.ndarray,
-          mapping: GeoMapping | None) -> tuple[list[int], Panel | None, Panel | None]:
+          mapping: GeoMapping | None) -> tuple[np.ndarray, Panel | None, Panel | None]:
     """Map an LTLA indicator to trusts (unless ``mapping`` is None, for a trust
     indicator) and smooth it: the admissions rows of the trusts it shares, then
     its and their smoothed panels of those trusts, both None where it shares
@@ -238,15 +233,15 @@ def _pair(config: RunConfig, variable: str, ind: Panel, adm: Panel, adm_smooth: 
         if absent:  # they contribute zero
             logger.warning("variable %s missing %d mapping LTLA(s): %s",
                            variable, len(absent), ", ".join(absent))
-    index = {geo: i for i, geo in enumerate(ind.geo_ids)}
-    shared = [i for i, trust in enumerate(adm.geo_ids) if trust in index]
-    trusts = tuple(adm.geo_ids[i] for i in shared)
+    trusts, shared, rows = np.intersect1d(adm.geo_ids, ind.geo_ids, assume_unique=True,
+                                          return_indices=True)
     # smoothed also where no trust is shared, so that a series LOESS refuses
     # fails preprocessing either way
-    x_smooth = _smooth(ind.values[[index[trust] for trust in trusts]], config)
-    if not shared:
+    x_smooth = _smooth(ind.values[rows], config)
+    if not shared.size:
         logger.warning("indicator %s reaches no retained trust", variable)
         return shared, None, None
+    trusts = trusts.tolist()
     return (shared, Panel(ind.start_date, trusts, x_smooth),
             Panel(adm.start_date, trusts, adm_smooth[shared]))
 

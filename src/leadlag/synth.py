@@ -14,7 +14,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .errors import LeadLagError
+from .errors import ConfigError, LeadLagError
 from .timeseries import Panel
 
 MAX_LEAD = 35
@@ -36,8 +36,9 @@ class IndicatorSpec:
     def __post_init__(self) -> None:
         if abs(self.lead) > MAX_LEAD:
             raise LeadLagError(f"injected lead {self.lead} outside +/-{MAX_LEAD}")
-        if self.noise_sd < 0:
-            raise LeadLagError("noise_sd must be >= 0")
+        for name in ("noise_sd", "decay_rate"):
+            if not getattr(self, name) >= 0:  # NaN too
+                raise LeadLagError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,11 @@ class SynthSpec:
     extra_peaks: tuple[float, ...] = ()  # offsets of further waves, days after peak_day
     indicators: tuple[tuple[str, IndicatorSpec], ...] = ()
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        # each indicator's noise stream is seeded from it, and numpy refuses a negative seed
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def trust_ids(self) -> list[str]:
         # zero-padded to one width, so the ids sort in numeric order

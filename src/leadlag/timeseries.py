@@ -33,8 +33,8 @@ class Panel:
         geo_ids = tuple(self.geo_ids)
         if not geo_ids:
             raise LeadLagError("panel has no series")
-        if list(geo_ids) != sorted(set(geo_ids)):
-            raise LeadLagError("panel geo ids must be unique and sorted")
+        if list(geo_ids) != sorted(set(geo_ids)) or "\0" in "".join(geo_ids):
+            raise LeadLagError("panel geo ids must be unique and sorted, with no NUL")
         v = _rows(self.values, "panel", complete=False)
         if v.shape[0] != len(geo_ids):
             raise LeadLagError(

@@ -33,14 +33,19 @@ def check(ok, message):
         raise Failed(message)
 
 
-def run(out, *options, status=0, env=None, **inputs):
-    """Run ``leadlag run`` into ``c/<out>``, check its exit code and return its stderr."""
+def run(out, *options, status=0, **inputs):
+    """Run ``leadlag run`` into ``c/<out>``, check its exit code and that it
+    imported neither scipy nor numpy.ma (the runtime is numpy and PyYAML), and
+    return its stderr."""
     files = [arg for key, path in {**INPUTS, **inputs}.items() for arg in (f"--{key}", path)]
     done = subprocess.run([*COMMAND, "run", *files, "--out", f"c/{out}", *options],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPROFILEIMPORTTIME="1"))
     sys.stderr.writelines(line for line in done.stderr.splitlines(keepends=True)
                           if not line.startswith("import time:"))
     check(done.returncode == status, f"{out} exited {done.returncode}, not {status}")
+    imported = re.findall(r"^import time:.*\| +(scipy\S*|numpy\.ma)$", done.stderr, re.M)
+    check(not imported, f"{out} imported {sorted(set(imported))}")
     return done.stderr
 
 
@@ -83,10 +88,7 @@ def by_wave(out, field, expected):
 
 
 def default_run():
-    # the runtime is numpy and PyYAML: a default run imports neither scipy nor numpy.ma
-    log = run("out", "--export-dtw-paths", env=dict(os.environ, PYTHONPROFILEIMPORTTIME="1"))
-    imported = re.findall(r"^import time:.*\| +(scipy\S*|numpy\.ma)$", log, re.M)
-    check(not imported, f"the run imported {sorted(set(imported))}")
+    run("out", "--export-dtw-paths")
     check(Path("c/out/granger.csv").stat().st_size > 0, "granger.csv is empty")
     with open("c/out/dtw_paths.csv") as fh:
         check(sum(1 for _ in fh) > 1, "dtw_paths.csv has no path")

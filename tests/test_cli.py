@@ -303,6 +303,8 @@ def test_config_names_no_indicator_read_warns(corpus, tmp_path, caplog):
      "config indicator_mappings ind00: invalid value ['a.csv']"),
     ("trust_exclusions: [null]", "config trust_exclusions: invalid value None"),
     ("trust_exclusions: [yes]", "config trust_exclusions: invalid value True"),
+    # no id read holds a NUL, so an exclusion holding one names no Trust
+    ('trust_exclusions: ["T001\\0"]', "config trust_exclusions: invalid value 'T001\\x00'"),
     ("waves: [{name: null, start: 2021-11-01, end: 2021-11-30}]",
      "wave name: invalid value None"),
     ("dtw_mode: null", "config dtw_mode: invalid value None"),
@@ -325,7 +327,7 @@ def test_config_names_no_indicator_read_warns(corpus, tmp_path, caplog):
         "wave-not-mapping", "unknown-wave-key",
         "filter-start-timestamp", "wave-start-timestamp", "wave-names-repeat",
         "filter-window-inverted", "mapping-null", "mapping-list", "exclusion-null",
-        "exclusion-bool", "wave-name-null", "dtw-mode-null", "latency-name-null",
+        "exclusion-bool", "exclusion-nul", "wave-name-null", "dtw-mode-null", "latency-name-null",
         "mapping-name-null", "exclusion-null-beside-valid", "latency-false", "latency-list",
         "latency-zero"])
 def test_bad_config_exits_config(corpus, tmp_path, capsys, entry, key):

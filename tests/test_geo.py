@@ -65,10 +65,15 @@ def test_mapping_rejects_bad_weights(weights, message):
     (("L2", "L1"), ("T1",)),
     (("L1",), ("T2", "T1")),
     (("L1",), ("T1", "T1")),
-], ids=["ltla-repeated", "ltla-unsorted", "trust-unsorted", "trust-repeated"])
+    (("L0", "L0\0"), ("T1",)),
+    (("L\x001",), ("T1",)),
+    (("L1",), ("T1\0",)),
+], ids=["ltla-repeated", "ltla-unsorted", "trust-unsorted", "trust-repeated",
+        "ltla-trailing-nul", "ltla-inner-nul", "trust-trailing-nul"])
 def test_mapping_ids_must_be_unique_and_sorted(ltla_ids, trust_ids):
     # a repeated LTLA would count its population twice; unsorted Trusts would
-    # fail only inside apply_mapping, as a Panel of them
+    # fail only inside apply_mapping, as a Panel of them; numpy's text arrays
+    # drop a trailing NUL, so searchsorted would read "L0" and "L0\0" as one
     with pytest.raises(MappingError, match="mapping LTLA and Trust ids must be unique and sorted"):
         GeoMapping(ltla_ids, trust_ids, np.full((len(ltla_ids), len(trust_ids)), 0.5))
 

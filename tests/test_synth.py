@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from leadlag.corpus import write_corpus
-from leadlag.errors import LeadLagError
+from leadlag.errors import ConfigError, LeadLagError
 from leadlag.synth import (
     IndicatorSpec,
     SynthSpec,
@@ -132,10 +132,21 @@ def test_ground_truth_roundtrip():
 
 
 def test_indicator_lead_bounds():
-    with pytest.raises(LeadLagError, match="lead"):
-        IndicatorSpec(lead=36)
-    with pytest.raises(LeadLagError, match="noise_sd"):
-        IndicatorSpec(lead=5, noise_sd=-0.1)
+    # a negative decay rate overflows exp() within 200 days, and NaN passes `< 0`
+    for spec_kw, message in ((dict(lead=36), "lead"),
+                             (dict(noise_sd=-0.1), "noise_sd must be >= 0"),
+                             (dict(noise_sd=float("nan")), "noise_sd must be >= 0"),
+                             (dict(decay_rate=-5.0), "decay_rate must be >= 0"),
+                             (dict(decay_rate=float("nan")), "decay_rate must be >= 0")):
+        with pytest.raises(LeadLagError, match=message):
+            IndicatorSpec(**{"lead": 5, **spec_kw})
+
+
+def test_synth_spec_refuses_a_negative_seed():
+    # numpy refuses it only when the first indicator's noise is drawn
+    for seed in (-1, -2000):
+        with pytest.raises(ConfigError, match=f"^seed must be >= 0, got {seed}$"):
+            SynthSpec(seed=seed)
 
 
 # SHA-256 of every file `leadlag synth` writes for two small corpora: the

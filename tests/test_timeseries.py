@@ -46,6 +46,11 @@ def test_panel_requires_sorted_unique_geo_ids():
         Panel(START, ("T2", "T1"), np.ones((2, 3)))
     with pytest.raises(LeadLagError, match="sorted"):
         Panel(START, ("T1", "T1"), np.ones((2, 3)))
+    # numpy's text arrays drop a trailing NUL, so intersect1d would read
+    # "T1" and "T1\0" as one Trust
+    for geo_ids in (("T1", "T1\0"), ("T\x001",)):
+        with pytest.raises(LeadLagError, match="unique and sorted, with no NUL"):
+            Panel(START, geo_ids, np.ones((len(geo_ids), 3)))
 
 
 def test_panel_values_are_read_only():
