@@ -64,9 +64,11 @@ def build_spec(n_trusts: int, n_days: int, n_indicators: int, n_waves: int,
 
 def write_corpus(out_dir: str | Path, n_trusts: int = 121, n_days: int = 333,
                  n_indicators: int = 20, n_waves: int = 3, seed: int = 0) -> dict[str, Path]:
-    """Write a complete synthetic input set; returns the paths written.
+    """Write a complete synthetic input set, row by row; returns the paths written.
 
-    The sizes, the seed and the wave layout are checked before anything is written.
+    The sizes, the seed and the wave layout are checked before anything is
+    written, and so is ``indicators/``: a CSV there that this corpus would not
+    write is refused, as a run would read it too.
     """
     for name, value in (("trusts", n_trusts), ("indicators", n_indicators), ("waves", n_waves)):
         if value < 1:
@@ -74,6 +76,12 @@ def write_corpus(out_dir: str | Path, n_trusts: int = 121, n_days: int = 333,
     spec = build_spec(n_trusts, n_days, n_indicators, n_waves, seed)
     start = START_DATE
     out = Path(out_dir)
+    # a run reads every CSV there, so one left by a larger corpus would join it
+    names = {f"{name}.csv" for name, _ in spec.indicators}
+    stale = sorted(p.name for p in (out / "indicators").glob("*.csv") if p.name not in names)
+    if stale:
+        raise ConfigError(f"{out / 'indicators'} holds indicator files this corpus would "
+                          f"not write: {', '.join(stale)}")
     (out / "indicators").mkdir(parents=True, exist_ok=True)
     admissions = generate_admissions(spec)
     trusts = spec.trust_ids()
@@ -83,7 +91,9 @@ def write_corpus(out_dir: str | Path, n_trusts: int = 121, n_days: int = 333,
     paths: dict[str, Path] = {}
 
     def write(path: Path, header: str, rows) -> None:
-        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        with path.open("w", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+            fh.writelines(row + "\n" for row in rows)
         paths[path.stem] = path
 
     write(out / "admissions.csv", "trust_id,date,admissions", (

@@ -135,8 +135,14 @@ def _scan(path: str | Path, header: list[str], number: int | None = None) -> _Co
     joined = [np.concatenate(p) for p in parts]
     return _Columns(spath, [c if i != number else None for i, c in enumerate(joined)],
                     [list(t) for t in tables], None if number is None else joined[number],
-                    np.bincount(wrong_width, minlength=rows) > 0,
-                    np.bincount(not_numeric, minlength=rows) > 0, tail)
+                    _flags(rows, wrong_width), _flags(rows, not_numeric), tail)
+
+
+def _flags(rows: int, listed: list[int]) -> np.ndarray:
+    """A bool mask over ``rows`` rows, set at the ``listed`` ones."""
+    mask = np.zeros(rows, dtype=bool)
+    mask[listed] = True
+    return mask
 
 
 def _locate(path: str, row: int) -> tuple[int, list[str]]:
@@ -305,6 +311,7 @@ def read_admissions(path: str | Path) -> Panel:
         # last: a count too large for a float only fails a row that passes the rest
         (np.isinf(counts), lambda f: f"admissions {f[2]!r} is not a finite number"),
     ])
+    del cols  # its columns are no longer needed while the panel is built
     return _panels(grid, counts, ["admissions"])["admissions"]
 
 
@@ -317,7 +324,9 @@ def read_indicator_file(path: str | Path) -> dict[str, Panel]:
         *_number_checks(cols, "value", 3, signed=True),
         (_repeats(grid.cell), lambda f: f"duplicate record for ({f[0]}, {f[1]}, {f[2]})"),
     ])
-    return _panels(grid, cols.numbers, cols.names[2])
+    numbers, variables = cols.numbers, cols.names[2]
+    del cols  # its text codes are no longer needed while the panels are built
+    return _panels(grid, numbers, variables)
 
 
 def read_indicator_dir(directory: str | Path) -> dict[str, Panel]:

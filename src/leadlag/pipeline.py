@@ -74,6 +74,8 @@ def filter_trusts(panel: Panel, config: RunConfig) -> Panel:
                        len(removed), "; ".join(removed))
     if not kept.any():
         raise LeadLagError("no trusts retained after filtering")
+    if kept.all():
+        return panel
     return Panel(panel.start_date, np.array(panel.geo_ids)[kept].tolist(), panel.values[kept])
 
 
@@ -158,6 +160,9 @@ def run_analysis(
 
     tables: list[ResultTable] = []
     for variable in sorted(indicators):
+        # the last indicator's pair goes before _pair builds this one; linear
+        # is the min-max scaled values of (x, y), made by the first linear method
+        x = y = linear = None
         ind = indicators[variable]
         to_trusts = mapping if not ltlas.isdisjoint(ind.geo_ids) else None
         try:
@@ -167,8 +172,7 @@ def run_analysis(
             logger.warning("indicator %s failed preprocessing and is reported as "
                            "error rows: %s", variable, exc)
             # a failure fills every Trust's row
-            rows, x, y, failed = np.arange(n), None, None, f"preprocessing failed: {exc}"
-        linear = None  # the min-max scaled values of (x, y), made by the first linear method
+            rows, failed = np.arange(n), f"preprocessing failed: {exc}"
         latency = config.latency.get(variable)
 
         for wave in config.waves:
@@ -237,13 +241,19 @@ def _pair(config: RunConfig, variable: str, ind: Panel, adm: Panel, adm_smooth: 
                                           return_indices=True)
     # smoothed also where no trust is shared, so that a series LOESS refuses
     # fails preprocessing either way
-    x_smooth = _smooth(ind.values[rows], config)
+    x_smooth = _smooth(_take(ind.values, rows), config)
     if not shared.size:
         logger.warning("indicator %s reaches no retained trust", variable)
         return shared, None, None
     trusts = trusts.tolist()
     return (shared, Panel(ind.start_date, trusts, x_smooth),
-            Panel(adm.start_date, trusts, adm_smooth[shared]))
+            Panel(adm.start_date, trusts, _take(adm_smooth, shared)))
+
+
+def _take(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``values[rows]`` for sorted, unique ``rows``: ``values`` itself, not a
+    copy, where they are every row."""
+    return values if rows.size == len(values) else values[rows]
 
 
 def _smooth(values: np.ndarray, config: RunConfig) -> np.ndarray:

@@ -102,13 +102,15 @@ def _write_csv(path: Path, fields: list[str], tables: list[ResultTable]) -> None
 
 
 def _write_json_rows(path: Path, fields: list[str], tables: list[ResultTable]) -> None:
-    """The rows as ``json.dumps(rows, indent=2, sort_keys=True)`` would write them."""
+    """The rows as ``json.dumps(rows, indent=2, sort_keys=True)`` would write
+    them, streamed into the file a row at a time."""
     keys = sorted(fields)
     template = "{\n" + ",\n".join(f"    {encode_basestring_ascii(k)}: %s"
                                     for k in keys) + "\n  }"
-    rows = [template % row for row in _rows(tables, keys, encode_basestring_ascii, "null")]
-    path.write_text("[\n  " + ",\n  ".join(rows) + "\n]\n" if rows else "[]\n",
-                    encoding="utf-8")
+    rows = _rows(tables, keys, encode_basestring_ascii, "null")
+    with path.open("w", encoding="utf-8") as fh:
+        fh.writelines((",\n  " if k else "[\n  ") + template % row for k, row in enumerate(rows))
+        fh.write("\n]\n" if rows else "[]\n")
 
 
 def summarize(tables: list[ResultTable]) -> dict:

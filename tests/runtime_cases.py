@@ -216,10 +216,30 @@ def constant_series():
               f"{out} T003 wave2 {method} rows read {found}")
 
 
+def stale_indicators():
+    # synth into a copy of c/ with one indicator fewer: ind01.csv is not its
+    # file, and a run would read it too, so synth refuses and writes nothing
+    shutil.copytree("c/indicators", "c/stale/indicators")
+    for name in ("config.yaml", "admissions.csv", "mapping.csv", "population.csv"):
+        shutil.copy(f"c/{name}", "c/stale")
+    before = {path: path.read_bytes() for path in Path("c/stale").rglob("*") if path.is_file()}
+    done = subprocess.run([*COMMAND, "synth", "--out", "c/stale", "--trusts", "8", "--days",
+                           "240", "--indicators", "1", "--waves", "2"],
+                          capture_output=True, text=True)
+    sys.stderr.write(done.stderr)
+    check(done.returncode == 3, f"synth exited {done.returncode}, not 3")
+    check("would not write: ind01.csv\n" in done.stderr, "synth named no stale ind01.csv")
+    after = {path: path.read_bytes() for path in Path("c/stale").rglob("*") if path.is_file()}
+    changed = sorted(str(path) for path in before.keys() | after.keys()
+                     if before.get(path) != after.get(path))
+    check(not changed, f"synth changed {changed}")
+
+
 def main():
     derive(*CONFIGS, "dtw_mode: univariate")
     for case in (default_run, univariate_dtw, robust_loess, repeated_key, long_horizon,
-                 trust_level, cut_inside_wave, cut_in_warmup, constant_series):
+                 trust_level, cut_inside_wave, cut_in_warmup, constant_series,
+                 stale_indicators):
         try:
             case()
         except Failed as exc:

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from datetime import date, datetime
 from pathlib import Path
 
@@ -493,6 +494,41 @@ def test_synth_writes_more_than_1000_trusts_in_sorted_order(tmp_path):
     ltlas = [line.split(",")[0] for line in
              (corpus / "population.csv").read_text(encoding="utf-8").splitlines()[1:]]
     assert ltlas == ["L" + trust[1:] for trust in ids]
+
+
+def test_synth_refuses_indicator_files_it_would_not_write(tmp_path, capsys):
+    # a run reads every CSV in indicators/, so two left by a 3-indicator corpus
+    # would join a 1-indicator corpus of another seed, with no latency in its config
+    corpus, fresh = tmp_path / "c", tmp_path / "fresh"
+    sizes = ["--trusts", "4", "--days", "150", "--waves", "1"]
+    assert main(["synth", "--out", str(corpus), *sizes, "--indicators", "3"]) == 0
+    before = {p: p.read_bytes() for p in corpus.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(["synth", "--out", str(corpus), *sizes, "--indicators", "1", "--seed", "4"]) == 3
+    assert capsys.readouterr().err.rstrip().endswith(
+        "holds indicator files this corpus would not write: ind01.csv, ind02.csv")
+    assert {p: p.read_bytes() for p in corpus.rglob("*") if p.is_file()} == before
+    # the same set of files is written over
+    for out in (corpus, fresh):
+        assert main(["synth", "--out", str(out), *sizes, "--indicators", "3", "--seed", "4"]) == 0
+    assert sorted(p.relative_to(corpus) for p in before) == sorted(
+        p.relative_to(fresh) for p in fresh.rglob("*") if p.is_file())
+    assert all(p.read_bytes() == (fresh / p.relative_to(corpus)).read_bytes() for p in before)
+
+
+def test_run_memory(tmp_path):
+    # the JSON rows are streamed, a panel that keeps every Trust is not copied,
+    # and each indicator's pair is freed before the next is built
+    corpus = tmp_path / "c"
+    write_corpus(corpus, n_trusts=242, n_days=240, n_indicators=2, n_waves=2)
+    args = run_args(corpus, tmp_path / "out", ["--format", "json", "--methods", "dtw"])
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2**20
 
 
 def test_synth_subcommand_roundtrip(tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,3 +187,14 @@ def test_write_corpus_bytes_are_pinned(tmp_path):
             name.split("/")[-1].split(".")[0]: name for name in digests}, corpus
         for name, digest in digests.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, (corpus, name)
+
+
+def test_write_corpus_memory(tmp_path):
+    # every file is written row by row, so no file's text is held whole
+    tracemalloc.start()
+    try:
+        write_corpus(tmp_path, n_trusts=363, n_days=333, n_indicators=2, n_waves=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

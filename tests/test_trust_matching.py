@@ -151,3 +151,19 @@ def test_filter_names_an_excluded_trust_below_the_threshold_as_excluded(caplog):
         assert filter_trusts(panel, config).geo_ids == ("T10",)
     assert caplog.messages == ["filter_trusts removed 3 trust(s): T1 (excluded); "
                                "T2 (excluded); T3 (total 4 in filter window)"]
+
+
+def test_filter_trusts_keeping_every_trust_returns_its_panel():
+    panel = Panel(START, ("T1", "T2"), np.full((2, N_DAYS), 5.0))
+    assert filter_trusts(panel, CONFIG) is panel
+
+
+def test_pair_sharing_every_trust_takes_the_admissions_rows_uncopied():
+    adm = random_panel(["T1", "T2", "T3"], 0)
+    adm_smooth = _smooth(adm.values, CONFIG)
+    _, _, y = _pair(CONFIG, "ind", random_panel(["T0", "T1", "T2", "T3"], 1), adm,
+                    adm_smooth, None)
+    assert np.shares_memory(y.values, adm_smooth)
+    _, _, y = _pair(CONFIG, "ind", random_panel(["T1", "T3"], 1), adm, adm_smooth, None)
+    assert not np.shares_memory(y.values, adm_smooth)
+    assert np.array_equal(y.values, adm_smooth[[0, 2]])
