@@ -57,9 +57,9 @@ class _Loader(yaml.SafeLoader):
 
 
 def iso_date(text: str) -> date:
-    """The date of a ``YYYY-MM-DD`` text, the one form every supported Python reads."""
+    """The date of a ``YYYY-MM-DD`` text, and of no other ISO 8601 form."""
     day = date.fromisoformat(text)
-    if day.isoformat() != text:  # Python 3.11+ also reads 20220104 and 2022-W01-2
+    if day.isoformat() != text:  # date.fromisoformat also reads 20220104 and 2022-W01-2
         raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
     return day
 

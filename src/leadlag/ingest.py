@@ -9,11 +9,12 @@ Every reader goes through one columnar scan: ``csv.reader`` tokenizes the
 rows in short blocks, and ``np.fromiter`` over ``map`` turns each block into
 one typed array per column (int32 first-seen codes for text, float64 for
 the number).  Only a record the tokenizer cannot read stops the scan; every
-other fault is a mask over the rows: a text field holding a byte that is
-not UTF-8, a row of the wrong width (read as empty fields), a field that is
-not a number (read as NaN), and each reader's own checks.  The earliest
-offending row wins, and at a tie the check listed first.  Only then is the
-file read again, to name the record's first physical line and quote it.
+other fault is a mask over the rows: a text field holding a NUL or a byte
+that is not UTF-8, a row of the wrong width (read as empty fields), a field
+that is not a number (read as NaN), and each reader's own checks.  The
+earliest offending row wins, and at a tie the check listed first.  Only then
+is the file read again, to name the record's first physical line and quote
+it.
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ _BLOCK = 256
 
 # per check: a mask over the rows, and the message for a failing row's fields
 _Checks = list[tuple[np.ndarray, Callable[[list[str]], str]]]
-
-# csv.reader stops at a NUL on Python 3.10 and reads it as text on 3.11+;
-# a record holding one fails with 3.10's error wherever it is read
-_NUL = "malformed CSV: line contains NUL"
 
 # how every reader opens a file: utf-8-sig skips the byte order mark a
 # spreadsheet's "CSV UTF-8" starts with
@@ -95,8 +92,7 @@ def _scan(path: str | Path, header: list[str], number: int | None = None) -> _Co
         except csv.Error as exc:
             raise SchemaError(f"malformed CSV: {exc}", spath, 1) from None
         if found != header:
-            raise SchemaError(_NUL if "\0" in "".join(found or ()) else
-                              f"expected header {','.join(header)!r}, got {found!r}", spath, 1)
+            raise SchemaError(f"expected header {','.join(header)!r}, got {found!r}", spath, 1)
         records = filter(None, reader)  # csv.reader yields an empty list for a blank line
         while tail is None:
             block: list[list[str]] = []
@@ -168,24 +164,22 @@ def _check(cols: _Columns, checks: _Checks) -> None:
 
     A text field holding a NUL or a byte that is not UTF-8 and a row of the
     wrong width come before ``checks``; a record the tokenizer stopped in
-    comes after every row read.  A row holding a NUL fails as a NUL.
+    comes after every row read.
     """
     rows = cols.wrong_width.size
+    texts = [i for i, codes in enumerate(cols.codes) if codes is not None]
     # each text column is checked once per distinct text
-    unreadable = np.any([_parse_each(names, _text)[1][codes]
-                         for codes, names in zip(cols.codes, cols.names) if codes is not None],
+    unreadable = np.any([_parse_each(cols.names[i], _text)[1][cols.codes[i]] for i in texts],
                         axis=0)
     width = len(cols.names)
-    checks = [(unreadable, lambda f: "not valid UTF-8"),  # or a NUL, named below
+    checks = [(unreadable, lambda f: "holds a NUL" if any("\0" in f[i] for i in texts)
+               else "not valid UTF-8"),
               (cols.wrong_width, lambda f: f"expected {width} fields, got {len(f)}"), *checks]
     hits = [(int(mask.argmax()), k) for k, (mask, _) in enumerate(checks) if mask.any()]
     if hits:
         row, k = min(hits)
         line, fields = _locate(cols.path, row)
-        # every row holding a NUL fails a check: a text field the first, a number
-        # its number check, a row of the wrong width the width check
-        raise SchemaError(_NUL if "\0" in "".join(fields) else checks[k][1](fields),
-                          cols.path, line)
+        raise SchemaError(checks[k][1](fields), cols.path, line)
     if cols.tail is not None:
         raise SchemaError(cols.tail, cols.path, _locate(cols.path, rows)[0])
     if not rows:

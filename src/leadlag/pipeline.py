@@ -125,7 +125,9 @@ def run_analysis(
     indicator is mapped to trusts with ``overrides[variable]`` where given,
     else with ``mapping`` where any of its geo ids is an LTLA of ``mapping``;
     otherwise (always where ``mapping`` is None) its ids are trust ids. A
-    config name that matches no trust or indicator read is logged.
+    config name that matches no trust or indicator read is logged, and so are
+    the trusts that a mapping or a trust-level indicator names but the
+    admissions lack, as they reach no table.
     """
     check_methods(methods)
     # a run may read a subset of the configured trusts and indicators, so a
@@ -136,6 +138,12 @@ def run_analysis(
         stray = sorted(set(getattr(config, key)) - set(read))
         if stray:
             logger.warning("config %s names no %s: %s", key, noun, ", ".join(stray))
+    admitted = set(admissions.geo_ids)
+    overrides = overrides or {}
+    for name, named in [("mapping", mapping),
+                        *((f"indicator_mappings {v}", m) for v, m in sorted(overrides.items()))]:
+        if named is not None:
+            _warn_unadmitted(name, named.trust_ids, admitted)
     adm = filter_trusts(admissions, config)
     adm_smooth = _smooth(adm.values, config)
     n = len(adm.geo_ids)
@@ -164,10 +172,12 @@ def run_analysis(
         # is the min-max scaled values of (x, y), made by the first linear method
         x = y = linear = None
         ind = indicators[variable]
-        to_trusts = mapping if not ltlas.isdisjoint(ind.geo_ids) else None
+        to_trusts = overrides.get(variable, mapping if not ltlas.isdisjoint(ind.geo_ids)
+                                  else None)
+        if to_trusts is None:
+            _warn_unadmitted(f"indicator {variable}", ind.geo_ids, admitted)
         try:
-            (rows, x, y), failed = _pair(config, variable, ind, adm, adm_smooth,
-                                         (overrides or {}).get(variable, to_trusts)), None
+            (rows, x, y), failed = _pair(config, variable, ind, adm, adm_smooth, to_trusts), None
         except LeadLagError as exc:
             logger.warning("indicator %s failed preprocessing and is reported as "
                            "error rows: %s", variable, exc)
@@ -211,6 +221,14 @@ def run_analysis(
     if n_errors:
         logger.warning("%d cell(s) recorded an error instead of statistics", n_errors)
     return tables
+
+
+def _warn_unadmitted(what: str, trust_ids: tuple[str, ...], admitted: set[str]) -> None:
+    """Log the trusts ``what`` names that are not ``admitted``, the admissions' trusts."""
+    absent = sorted(set(trust_ids) - admitted)
+    if absent:
+        logger.warning("%s names %d trust(s) the admissions lack: %s",
+                       what, len(absent), ", ".join(absent))
 
 
 # a trust without the indicator, by column dtype kind: no statistic, no flag, and why

@@ -216,6 +216,21 @@ def constant_series():
               f"{out} T003 wave2 {method} rows read {found}")
 
 
+def unadmitted_trust():
+    # a Trust that the mapping names but the admissions lack reaches no table,
+    # and one warning names it
+    shutil.copy("c/mapping.csv", "c/mapping_unadmitted.csv")
+    with open("c/mapping_unadmitted.csv", "a", newline="") as fh:
+        fh.write("L000,T999,5\n")
+    log = run("out_unadmitted", mapping="c/mapping_unadmitted.csv")
+    warnings = [line for line in log.splitlines() if line.startswith("WARNING") and "T999" in line]
+    check(warnings == ["WARNING leadlag.pipeline: mapping names 1 trust(s) the admissions "
+                       "lack: T999"], f"out_unadmitted logged {warnings} about T999")
+    for method in ("granger", "ccf", "dtw"):
+        check(not rows("out_unadmitted", method, trust_id="T999"),
+              f"out_unadmitted/{method}.csv has a T999 row")
+
+
 def stale_indicators():
     # synth into a copy of c/ with one indicator fewer: ind01.csv is not its
     # file, and a run would read it too, so synth refuses and writes nothing
@@ -238,7 +253,7 @@ def stale_indicators():
 def main():
     derive(*CONFIGS, "dtw_mode: univariate")
     for case in (default_run, univariate_dtw, robust_loess, repeated_key, long_horizon,
-                 trust_level, cut_inside_wave, cut_in_warmup, constant_series,
+                 trust_level, cut_inside_wave, cut_in_warmup, constant_series, unadmitted_trust,
                  stale_indicators):
         try:
             case()

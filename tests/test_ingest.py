@@ -253,7 +253,7 @@ def test_read_population_rejects_non_finite(tmp_path, text):
 
 @pytest.mark.parametrize("text", ["20220104", "2022-W01-2"])
 def test_read_admissions_accepts_only_yyyy_mm_dd(tmp_path, text):
-    # date.fromisoformat reads both on Python 3.11+ but not on 3.10
+    # date.fromisoformat reads both, but only YYYY-MM-DD is a date here
     path = write(tmp_path, "adm.csv",
                  f"trust_id,date,admissions\nT1,2022-01-03,5\nT1,{text},5\n")
     with pytest.raises(SchemaError, match=rf"invalid ISO date '{text}' \[.*adm\.csv:3\]"):
@@ -334,28 +334,30 @@ def test_undecodable_byte_fails_its_fields_check(tmp_path, reader, data, message
         reader(path)
 
 
-NUL = "malformed CSV: line contains NUL"
-
-
 @pytest.mark.parametrize("reader, data, message, line", [
+    # a text field, the dates and admissions counts among them, fails the text check
     (read_admissions, b"trust_id,date,admissions\nT1,2022-01-01,1\nT\x001,2022-01-02,1\n",
-     NUL, 3),
+     "holds a NUL", 3),
     (read_admissions, b"trust_id,date,admissions\nT1,2022-01-01,1\nT1,2022-01-0\x002,1\n",
-     NUL, 3),
+     "holds a NUL", 3),
     (read_admissions, b"trust_id,date,admissions\nT1,2022-01-01,1\nT1,2022-01-02,\x001\n",
-     NUL, 3),
-    (read_population, b"ltla_id,population\nL1,1\nL2,5\x00\n", NUL, 3),
-    (read_population, b"ltla_id,population\nL1,1\nL2\x00\n", NUL, 3),
-    (read_population, b"ltla_id,popula\x00tion\nL1,1\n", NUL, 1),
+     "holds a NUL", 3),
+    # a numeric field, a row of the wrong width and the header fail their own check
+    (read_population, b"ltla_id,population\nL1,1\nL2,5\x00\n",
+     "population '5\\x00' is not numeric", 3),
+    (read_population, b"ltla_id,population\nL1,1\nL2\x00\n", "expected 2 fields, got 1", 3),
+    (read_population, b"ltla_id,popula\x00tion\nL1,1\n",
+     "expected header 'ltla_id,population', got ['ltla_id', 'popula\\x00tion']", 1),
     # the first line of a record on two lines
-    (read_population, b'ltla_id,population\nL1,1\n"L\n\x002",5\n', NUL, 3),
-    # ahead of the record's own faults and of later records, after earlier records
-    (read_population, b"ltla_id,population\nL\x00\xff,-1,7\nL3,abc\n", NUL, 2),
+    (read_population, b'ltla_id,population\nL1,1\n"L\n\x002",5\n', "holds a NUL", 3),
+    # a row of the wrong width is read as empty fields, so its NUL fails no text check
+    (read_population, b"ltla_id,population\nL\x00\xff,-1,7\nL3,abc\n",
+     "expected 2 fields, got 3", 2),
     (read_population, b"ltla_id,population\nL1,-1\nL\x002,5\n", "negative population -1.0", 2),
 ], ids=["id", "date", "count", "number", "width", "header", "two-lines", "own-faults",
         "earlier-fault"])
 def test_nul_is_a_malformed_record(tmp_path, reader, data, message, line):
-    # csv.reader raises this on Python 3.10 and reads the NUL as text on 3.11+
+    # csv.reader reads a NUL as text; the record fails the check of the field it sits in
     path = tmp_path / "in.csv"
     path.write_bytes(data)
     with pytest.raises(SchemaError) as info:

@@ -343,6 +343,27 @@ def test_mapping_ltlas_without_a_series_are_logged(caplog):
     assert "variable ind missing 1 mapping LTLA(s): L002" in caplog.messages
 
 
+def test_trusts_the_admissions_lack_are_logged_once_per_mapping_and_indicator(caplog):
+    # such a trust reaches no table: the run's mapping, each override and each
+    # trust-level indicator name theirs once, however many indicators use them
+    adm, indicators = synth_inputs()
+    ind = indicators["ind"]
+    ltlas = Panel(ind.start_date, ("L000", "L001", "L002"), ind.values)
+    mapping = build_mapping([(f"L{i:03d}", f"T{i:03d}", 100) for i in range(3)]
+                            + [("L000", "T999", 5)])
+    override = build_mapping([("L000", "T000", 1), ("L001", "T998", 1), ("L002", "T002", 1)])
+    trusts = Panel(ind.start_date, ("T000", "T001", "T997"), ind.values)
+    with caplog.at_level(logging.WARNING, logger="leadlag.pipeline"):
+        tables = run_analysis(study_config(), adm,
+                              {"a": ltlas, "b": ltlas, "c": ltlas, "d": trusts}, mapping,
+                              {"c": override}, methods=("ccf",))
+    assert [m for m in caplog.messages if "admissions lack" in m] == [
+        "mapping names 1 trust(s) the admissions lack: T999",
+        "indicator_mappings c names 1 trust(s) the admissions lack: T998",
+        "indicator d names 1 trust(s) the admissions lack: T997"]
+    assert {table.trust_ids for table in tables} == {adm.geo_ids}
+
+
 @pytest.mark.parametrize("mode", ["multivariate", "univariate"])
 def test_indicator_sharing_no_trust_gets_no_series_rows(mode, caplog):
     # no method runs on a batch of no rows, and DTW records nothing; with a
